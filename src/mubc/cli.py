@@ -20,23 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import (
-    ContextMismatch,
-    DegenerateBlock,
-    DimensionMismatch,
-    DivisionByZero,
-    ExactSqrtUnavailable,
-    InvalidDirection,
-    InvalidProblem,
-    InvalidTarget,
-    LimitExceeded,
-    MubcError,
-    NonInvertible,
-    NotRealEmbeddable,
-    ParallelDirections,
-    PreconditionFailed,
-    SingularCayley,
-)
+from .errors import DegenerateBlock, InvalidProblem, MubcError, SingularCayley
 from .exact import GOLDEN, QuadNum
 from .metaplectic import (
     MetaplecticSpec,
@@ -77,24 +61,6 @@ OK = 0
 FALSE = 1
 INPUT_ERROR = 2
 NO_CONVERGENCE = 3
-
-_INPUT_ERRORS = (
-    ContextMismatch,
-    DegenerateBlock,
-    DimensionMismatch,
-    DivisionByZero,
-    ExactSqrtUnavailable,
-    InvalidDirection,
-    InvalidProblem,
-    InvalidTarget,
-    LimitExceeded,
-    NonInvertible,
-    NotRealEmbeddable,
-    ParallelDirections,
-    PreconditionFailed,
-    SingularCayley,
-)
-
 
 class _Failure(Exception):
     def __init__(self, code: int, message: str) -> None:
@@ -793,7 +759,7 @@ def build_manifest(
                 search_report.outcome == "extended"
                 and search_report.residual == 0.0
                 and recovered,
-                f"full box enumerated in {search_report.evaluations} evaluations",
+                f"{search_report.evaluations} heads enumerated, one linear solve per sign pattern",
             )
         )
         real_problem = SearchProblem(
@@ -863,10 +829,34 @@ def cmd_reproduce(args) -> int:
 # -- parser ---------------------------------------------------------------
 
 
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
+def _hbar_flag(text: str) -> float:
+    value = _finite_float(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+    return value
+
+
+def _tolerance_flag(text: str) -> float:
+    value = _finite_float(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--hbar", type=float, default=None, help="Planck constant scale (default 1)")
-    common.add_argument("--tolerance", type=float, default=None, help="relative tolerance")
+    common.add_argument("--hbar", type=_hbar_flag, default=None, help="Planck constant scale (default 1)")
+    common.add_argument("--tolerance", type=_tolerance_flag, default=None, help="relative tolerance")
     common.add_argument("--mode", choices=(EXACT, NUMERIC), default=None, help="arithmetic mode")
     common.add_argument("--out", default=None, help="write the JSON result to this path")
 
@@ -960,7 +950,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except _Failure as failure:
         print(str(failure), file=sys.stderr)
         return failure.code
-    except _INPUT_ERRORS as exc:
+    except MubcError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return INPUT_ERROR
 

@@ -350,29 +350,6 @@ class QuadNum:
         return float(self.embed(30))
 
 
-# -- operation-style surface ------------------------------------------
-
-
-def quad_add(x: QuadNum, y: QuadNum) -> QuadNum:
-    return x + y
-
-
-def quad_mul(x: QuadNum, y: QuadNum) -> QuadNum:
-    return x * y
-
-
-def quad_inv(x: QuadNum) -> QuadNum:
-    return x.inverse()
-
-
-def quad_sign(x: QuadNum) -> int:
-    return x.sign()
-
-
-def quad_embed(x: QuadNum, digits: int = 50) -> mpmath.mpf:
-    return x.embed(digits)
-
-
 def _rat_sqrt(r: Fraction) -> Fraction | None:
     """Exact square root of a rational, or None."""
     if r < 0:

@@ -5,12 +5,13 @@ symplectic products equal to a common K:
 
 * certify_no_fourth: for an N = 1 triple, witness that no fourth direction
   exists by solving all eight sign-pattern linear systems and recording
-  each contradiction.
+  each contradiction. The golden-lattice search solves the same systems
+  for the last factor of each free vector.
 * find_equivalence: hunt for a rescaled unsigned symplectic map carrying
   one triple onto another up to ordering and per-vector signs.
 * search_extension / enumerate_triples_n1: look for additional product
   vectors, either by seeded multi-start descent over real factor
-  coordinates or by exhaustive enumeration over the golden lattice.
+  coordinates or exhaustively over the golden lattice.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (
-    ContextMismatch,
     DimensionMismatch,
     InvalidProblem,
     PreconditionFailed,
@@ -125,77 +125,64 @@ class CounterexampleFound:
         }
 
 
-def _scalar_is_zero(x: Scalar, tolerance: float, scale: float) -> bool:
+def _is_zero(x: Scalar, scale: Scalar, tolerance: float) -> bool:
+    """Exact scalars compare exactly; floats relative to the magnitude of scale."""
     if isinstance(x, float):
-        return abs(x) <= tolerance * scale
+        return abs(x) <= tolerance * abs(float(scale))
     return x == 0
 
 
-def _pattern_solution(
-    a: DirectionVector,
-    b: DirectionVector,
-    c: DirectionVector,
-    k: Scalar,
-    signs: tuple[int, int, int],
-    tolerance: float,
-) -> SignPatternRecord:
-    """Solve symp2(d, a) = s1 k, symp2(d, b) = s2 k; test symp2(d, c) = s3 k.
+@dataclass(frozen=True)
+class _PatternSolution:
+    """d with symp2(d, x_i) = signs_i r_i on the first two rows, and the
+    residuals symp2(d, x_i) - signs_i r_i on the rest."""
 
-    The 2x2 system is nonsingular whenever a and b are non-parallel; the
-    degenerate case falls back to rank analysis of the stacked 3x2 system.
+    signs: tuple[int, ...]
+    solution: DirectionVector
+    residuals: tuple[Scalar, ...]
+    consistent: bool
+
+
+def _solve_sign_patterns(
+    rows: Sequence[DirectionVector],
+    rhs: Sequence[Scalar],
+    tolerance: float = 0.0,
+) -> list[_PatternSolution]:
+    """Solve symp2(d, rows[i]) = s_i rhs[i] for every sign pattern s.
+
+    Cramer's rule on the first two rows fixes d; the caller guarantees that
+    system is nonsingular (symp2(rows[0], rows[1]) != 0) with a nonzero
+    right-hand side, so d != 0. Every further row is a check. A pattern is
+    consistent when each check vanishes: exactly for exact scalars, relative
+    to its right-hand side for floats. Patterns come in lexicographic order,
+    +1 before -1.
     """
-    s1, s2, s3 = signs
-    k_float = float(k)
-    # Row for constraint against x: (-x.p) dq + (x.q) dp = s k
+    a, b = rows[0], rows[1]
+    # Row for constraint against x: (-x.p) dq + (x.q) dp = s r
     det = a.q * b.p - a.p * b.q  # = -symp2(a, b)
-    if not _scalar_is_zero(det, tolerance, max(1.0, k_float)):
-        e = s1 * k
-        f = s2 * k
+    records = []
+    for s1, s2 in itertools.product((1, -1), repeat=2):
+        e = s1 * rhs[0]
+        f = s2 * rhs[1]
         # Cramer on [[-a.p, a.q], [-b.p, b.q]] (dq, dp) = (e, f)
-        dq = _div(e * b.q - a.q * f, det)
-        dp = _div((-a.p) * f - e * (-b.p), det)
-        d = DirectionVector(dq, dp)
-        check1 = symp2(d, a) - e
-        check2 = symp2(d, b) - f
-        scale = max(1.0, k_float)
-        if not (_scalar_is_zero(check1, 1e-9, scale) and _scalar_is_zero(check2, 1e-9, scale)):
-            raise ArithmeticError("linear solve failed self-check")
-        residual = symp2(d, c) - s3 * k
-        consistent = _scalar_is_zero(residual, tolerance, max(1.0, k_float))
-        return SignPatternRecord(
-            signs=signs,
-            solution=d,
-            residual=float(residual),
-            consistent=consistent,
-            rank_coeff=2,
-            rank_aug=2 if consistent else 3,
+        d = DirectionVector(
+            _div(e * b.q - a.q * f, det), _div((-a.p) * f - e * (-b.p), det)
         )
-    # Degenerate pair: rank analysis over all three constraints.
-    rows = [(-a.p, a.q, s1 * k), (-b.p, b.q, s2 * k), (-c.p, c.q, s3 * k)]
-    pivot = next(
-        (row for row in rows if not (_scalar_is_zero(row[0], tolerance, 1.0) and _scalar_is_zero(row[1], tolerance, 1.0))),
-        None,
-    )
-    if pivot is None:
-        return SignPatternRecord(signs, None, math.inf, False, 0, 1, "all-zero rows")
-    consistent = True
-    for row in rows:
-        # proportionality of (row | rhs) against the pivot row
-        cross1 = row[0] * pivot[1] - row[1] * pivot[0]
-        cross2 = row[0] * pivot[2] - row[2] * pivot[0]
-        cross3 = row[1] * pivot[2] - row[2] * pivot[1]
-        scale = max(1.0, k_float)
-        if not _scalar_is_zero(cross1, tolerance, scale):
-            return SignPatternRecord(signs, None, math.inf, False, 2, 3, "rank jump in coefficients")
-        if not (_scalar_is_zero(cross2, tolerance, scale) and _scalar_is_zero(cross3, tolerance, scale)):
-            consistent = False
-    if not consistent:
-        return SignPatternRecord(signs, None, math.inf, False, 1, 2, "inconsistent parallel constraints")
-    if _scalar_is_zero(pivot[1], tolerance, 1.0):
-        d = DirectionVector(_div(pivot[2], pivot[0]), 0 * pivot[2])
-    else:
-        d = DirectionVector(0 * pivot[2], _div(pivot[2], pivot[1]))
-    return SignPatternRecord(signs, d, 0.0, True, 1, 1, "rank-1 consistent family")
+        values = [symp2(d, x) for x in rows[2:]]
+        for rest in itertools.product((1, -1), repeat=len(values)):
+            residuals = tuple(v - s * r for v, s, r in zip(values, rest, rhs[2:]))
+            records.append(
+                _PatternSolution(
+                    (s1, s2) + rest,
+                    d,
+                    residuals,
+                    all(
+                        _is_zero(res, r, tolerance)
+                        for res, r in zip(residuals, rhs[2:])
+                    ),
+                )
+            )
+    return records
 
 
 def certify_no_fourth(
@@ -209,39 +196,49 @@ def certify_no_fourth(
 
     Any fourth direction d must satisfy symp2(d, x) = +/- k for each x in
     the triple; all 2^3 sign patterns are solved explicitly and each must
-    contradict the remaining constraint.
+    contradict the remaining constraint. Numeric comparisons are relative
+    to k, so rescaling the triple changes no record.
     """
-    k_float = float(k)
-    if k_float <= 0:
+    if not k > 0:
         raise PreconditionFailed(f"k must be positive, got {k}")
     for x, y in ((a, b), (b, c), (a, c)):
-        value = symp2(x, y)
-        mag = abs(value)
-        ok = (mag == k) if not isinstance(mag, float) else abs(mag - k_float) <= tolerance * k_float
+        mag = abs(symp2(x, y))
+        if isinstance(mag, float):
+            ok = abs(mag - float(k)) <= tolerance * float(k)
+        else:
+            ok = mag == k
         if not ok:
             raise PreconditionFailed(
                 f"pair ({x}, {y}) has |product| {mag}, not the target {k}"
             )
     records = []
-    for signs in itertools.product((1, -1), repeat=3):
-        record = _pattern_solution(a, b, c, k, signs, tolerance)
-        if record.consistent and record.solution is not None:
+    for solved in _solve_sign_patterns((a, b, c), (k, k, k), tolerance):
+        d = solved.solution
+        note = ""
+        if solved.consistent:
             confirm = verify_mu(
                 MUConfiguration(
-                    tuple(ProductVector((v,)) for v in (a, b, c, record.solution)),
+                    tuple(ProductVector((v,)) for v in (a, b, c, d)),
                     k,
-                    mode=EXACT if _is_exact_scalar(record.solution.q) else NUMERIC,
+                    mode=EXACT if _is_exact_scalar(d.q) else NUMERIC,
                 ),
                 tolerance=max(tolerance, 1e-9),
             )
             if confirm.verdict:
-                return CounterexampleFound(record.solution, signs)
-            record = SignPatternRecord(
-                record.signs, record.solution, record.residual, False,
-                record.rank_coeff, record.rank_aug,
-                "pattern solvable but full verification fails",
+                return CounterexampleFound(d, solved.signs)
+            note = "pattern solvable but full verification fails"
+        # a consistent pattern that survives to here failed full verification
+        records.append(
+            SignPatternRecord(
+                signs=solved.signs,
+                solution=d,
+                residual=float(solved.residuals[0]),
+                consistent=False,
+                rank_coeff=2,
+                rank_aug=2 if solved.consistent else 3,
+                note=note,
             )
-        records.append(record)
+        )
     return InfeasibilityCertificate((a, b, c), k, tuple(records))
 
 
@@ -630,7 +627,183 @@ def _search_real(problem: SearchProblem, budget: int, restarts: int, seed: int) 
     )
 
 
-# golden-lattice arithmetic on integer coefficient pairs (p, q) ~ p + q R
+def _is_integral(x: QuadNum) -> bool:
+    return x.p.denominator == 1 and x.q.denominator == 1
+
+
+def _golden_integer(x: Scalar) -> QuadNum:
+    """x as an element of Z[R] over the golden ambient, the only scalars
+    lattice problems admit."""
+    if isinstance(x, (int, Fraction)):
+        x = QuadNum(x, 0, GOLDEN)
+    if not isinstance(x, QuadNum):
+        raise InvalidProblem(f"lattice scalars must be exact, got {type(x).__name__}")
+    if x.ambient != GOLDEN:
+        raise InvalidProblem("lattice search is defined over the golden ambient")
+    if not _is_integral(x):
+        raise InvalidProblem(f"lattice scalars must be integral, got {x}")
+    return x
+
+
+def _search_lattice(problem: SearchProblem, budget: int, seed: int | None) -> SearchReport:
+    """Every filling of the free slots by golden-lattice vectors in the box.
+
+    A free vector splits into a head (its first N - 1 factors, enumerated
+    over the box) and a last factor d. Its product with a fixed vector x is
+    c * symp2(d, x_N), where c is the head's product with x's first N - 1
+    factors, so d solves symp2(d, x_N) = +/- K / c for every fixed x: one
+    linear system per sign pattern. A head is skipped when some c is zero or
+    K / c is not integral, because an integral d has integral products with
+    integral x_N. Further free slots recurse, each accepted vector joining
+    the fixed ones. The budget caps enumerated heads.
+    """
+    start = time.perf_counter()
+    k = _golden_integer(problem.target_k)
+    if k.sign() <= 0:
+        raise InvalidProblem(f"target K must be positive, got {k}")
+    seeds = [
+        tuple(DirectionVector(_golden_integer(f.q), _golden_integer(f.p)) for f in v.factors)
+        for v in problem.seeds
+    ]
+    height = problem.height
+    p_bound = max(height, 1)
+    components = [
+        QuadNum(p, q, GOLDEN)
+        for p in range(-p_bound, p_bound + 1)
+        for q in range(-height, height + 1)
+    ]
+    factor_choices = [
+        DirectionVector(qc, pc)
+        for qc in components
+        for pc in components
+        if not (qc.is_zero and pc.is_zero)
+    ]
+
+    def in_box(x: QuadNum) -> bool:
+        return _is_integral(x) and abs(x.p) <= p_bound and abs(x.q) <= height
+
+    def last_factors(rows: list[DirectionVector], rhs: list[QuadNum]) -> list[DirectionVector]:
+        if len(rows) == 1:
+            # One constraint leaves a line: pin the coordinate it does not
+            # fix to each box value. The pin's own sign stays +1, since the
+            # box already holds both signs of every value.
+            x = rows[0]
+            # symp2(d, (0, -1)) = d.q and symp2(d, (1, 0)) = d.p
+            pin = (
+                DirectionVector(QuadNum(0), QuadNum(-1))
+                if x.q != 0
+                else DirectionVector(QuadNum(1), QuadNum(0))
+            )
+            solved = [
+                s
+                for t in components
+                for s in _solve_sign_patterns((x, pin), (rhs[0], t))
+                if s.signs[1] == 1
+            ]
+        else:
+            # fixed vectors are pairwise unbiased, so every factor slot has rank 2
+            solved = _solve_sign_patterns(rows, rhs)
+        return [
+            s.solution
+            for s in solved
+            if s.consistent and in_box(s.solution.q) and in_box(s.solution.p)
+        ]
+
+    evaluations = 0
+    exhausted = True
+    solutions: list[tuple[ProductVector, ...]] = []
+
+    def extend(chosen: list[tuple[DirectionVector, ...]]) -> None:
+        nonlocal evaluations, exhausted
+        if len(chosen) == problem.free_slots:
+            solutions.append(tuple(ProductVector(v) for v in chosen))
+            return
+        fixed = seeds + chosen
+        for head in itertools.product(factor_choices, repeat=problem.n - 1):
+            if evaluations >= budget:
+                exhausted = False
+                return
+            evaluations += 1
+            rhs = []
+            for x in fixed:
+                c = 1
+                for h, xf in zip(head, x):
+                    c = c * symp2(h, xf)
+                if c == 0:
+                    break
+                r = k / c
+                if not _is_integral(r):
+                    break
+                rhs.append(r)
+            else:
+                for d in last_factors([x[-1] for x in fixed], rhs):
+                    extend(chosen + [head + (d,)])
+
+    extend([])
+    residual = math.inf
+    if solutions:
+        outcome = "extended"
+        vectors = solutions[0]
+        # the reported residual must match an independent re-verification
+        residual = verify_mu(
+            MUConfiguration(problem.seeds + vectors, problem.target_k, problem.hbar, EXACT),
+            tolerance=0.0,
+        ).max_deviation
+    else:
+        outcome = "exhausted" if exhausted else "no-improvement"
+        vectors = ()
+    return SearchReport(
+        outcome=outcome,
+        vectors=vectors,
+        residual=residual,
+        best_objective=residual,
+        evaluations=evaluations,
+        iterations=0,
+        restarts_used=0,
+        wall_time=time.perf_counter() - start,
+        seed=seed,
+        solutions=tuple(solutions),
+    )
+
+
+def search_extension(
+    problem: SearchProblem,
+    budget: int = 200000,
+    restarts: int = 40,
+    seed: int | None = None,
+) -> SearchReport:
+    """Look for free-slot vectors completing the seeds to a larger MU set.
+
+    Real domain: seeded multi-start gradient descent with backtracking on
+    the summed squared log-residuals, over gauge-fixed factor coordinates
+    (first nonzero component of each factor pinned to 1; factors with zero
+    first component use the complementary chart). Golden-lattice domain:
+    every exact completion inside the height box, found by enumerating the
+    first N - 1 factors of each free vector and solving one linear system
+    per sign pattern for the last; evaluations counts enumerated heads, and
+    an unsuccessful search returns no vector.
+    """
+    _seed_check(problem)
+    if problem.free_slots == 0:
+        return SearchReport(
+            outcome="exhausted",
+            vectors=(),
+            residual=0.0,
+            best_objective=0.0,
+            evaluations=0,
+            iterations=0,
+            restarts_used=0,
+            wall_time=0.0,
+            seed=seed,
+        )
+    if problem.domain == REAL:
+        if seed is None:
+            raise InvalidProblem("real-domain search requires a seed")
+        return _search_real(problem, budget, restarts, seed)
+    return _search_lattice(problem, budget, seed)
+
+
+# N = 1 enumeration on integer coefficient pairs (p, q) ~ p + q R
 
 
 def _g_mul(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
@@ -646,22 +819,6 @@ _PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
 def _g_float(a: tuple[int, int]) -> float:
     return a[0] + a[1] * _PHI
-
-
-def _lattice_scalar(x: Scalar) -> tuple[int, int]:
-    if isinstance(x, int):
-        return (x, 0)
-    if isinstance(x, Fraction):
-        if x.denominator != 1:
-            raise InvalidProblem(f"lattice scalars must be integral, got {x}")
-        return (x.numerator, 0)
-    if isinstance(x, QuadNum):
-        if x.ambient != GOLDEN:
-            raise InvalidProblem("lattice search is defined over the golden ambient")
-        if x.p.denominator != 1 or x.q.denominator != 1:
-            raise InvalidProblem(f"lattice scalars must be integral, got {x}")
-        return (x.p.numerator, x.q.numerator)
-    raise InvalidProblem(f"lattice scalars must be exact, got {type(x).__name__}")
 
 
 def _lattice_components(height: int) -> list[tuple[int, int]]:
@@ -686,149 +843,6 @@ def _quadnum_direction(f: tuple[tuple[int, int], tuple[int, int]]) -> DirectionV
     )
 
 
-def _search_lattice(problem: SearchProblem, budget: int, seed: int | None) -> SearchReport:
-    start = time.perf_counter()
-    k_pair = _lattice_scalar(problem.target_k)
-    neg_k = (-k_pair[0], -k_pair[1])
-    k_float = abs(_g_float(k_pair))
-    seeds = [
-        tuple(
-            (_lattice_scalar(f.q), _lattice_scalar(f.p)) for f in v.factors
-        )
-        for v in problem.seeds
-    ]
-    components = _lattice_components(problem.height)
-    factor_choices = [
-        (qc, pc)
-        for qc in components
-        for pc in components
-        if not (qc == (0, 0) and pc == (0, 0))
-    ]
-    n = problem.n
-    evaluations = 0
-    best_residual = math.inf
-    best_vectors: list[tuple] = []
-    solutions: list[tuple[tuple, ...]] = []
-    exhausted = True
-
-    def residual_of(vectors: list[tuple]) -> float:
-        worst = 0.0
-        everything = seeds + vectors
-        for i in range(len(everything)):
-            for j in range(i + 1, len(everything)):
-                if i < len(seeds) and j < len(seeds):
-                    continue
-                sp = (1, 0)
-                for f in range(n):
-                    sp = _g_mul(sp, _lattice_symp2(everything[i][f], everything[j][f]))
-                worst = max(worst, abs(abs(_g_float(sp)) - k_float) / k_float)
-        return worst
-
-    def extend(chosen: list[tuple], depth: int) -> None:
-        nonlocal evaluations, best_residual, best_vectors, exhausted
-        if depth == problem.free_slots:
-            solutions.append(tuple(chosen))
-            return
-        for candidate in itertools.product(factor_choices, repeat=n):
-            if evaluations >= budget:
-                exhausted = False
-                return
-            evaluations += 1
-            ok = True
-            for other in seeds + chosen:
-                sp = (1, 0)
-                for f in range(n):
-                    sp = _g_mul(sp, _lattice_symp2(candidate[f], other[f]))
-                if sp != k_pair and sp != neg_k:
-                    ok = False
-                    break
-            if ok:
-                chosen.append(tuple(candidate))
-                extend(chosen, depth + 1)
-                chosen.pop()
-            elif problem.free_slots == 1 and not solutions:
-                r = residual_of([tuple(candidate)])
-                if r < best_residual:
-                    best_residual = r
-                    best_vectors = [tuple(candidate)]
-
-    if problem.free_slots > 0:
-        extend([], 0)
-    if problem.free_slots == 0:
-        outcome = "exhausted"
-        vectors: list[tuple] = []
-        residual = 0.0
-    elif solutions:
-        outcome = "extended"
-        vectors = list(solutions[0])
-        residual = 0.0
-    else:
-        outcome = "exhausted" if exhausted else "no-improvement"
-        vectors = best_vectors
-        residual = best_residual
-    built = tuple(
-        ProductVector(tuple(_quadnum_direction(f) for f in vec)) for vec in vectors
-    )
-    built_solutions = tuple(
-        tuple(ProductVector(tuple(_quadnum_direction(f) for f in vec)) for vec in sol)
-        for sol in solutions
-    )
-    if built:
-        # the reported residual must match an independent re-verification
-        confirm = verify_mu(
-            MUConfiguration(problem.seeds + built, problem.target_k, problem.hbar, EXACT),
-            tolerance=0.0,
-        )
-        if outcome == "extended":
-            residual = confirm.max_deviation
-    return SearchReport(
-        outcome=outcome,
-        vectors=built,
-        residual=residual,
-        best_objective=residual,
-        evaluations=evaluations,
-        iterations=0,
-        restarts_used=0,
-        wall_time=time.perf_counter() - start,
-        seed=seed,
-        solutions=built_solutions,
-    )
-
-
-def search_extension(
-    problem: SearchProblem,
-    budget: int = 200000,
-    restarts: int = 40,
-    seed: int | None = None,
-) -> SearchReport:
-    """Look for free-slot vectors completing the seeds to a larger MU set.
-
-    Real domain: seeded multi-start gradient descent with backtracking on
-    the summed squared log-residuals, over gauge-fixed factor coordinates
-    (first nonzero component of each factor pinned to 1; factors with zero
-    first component use the complementary chart). Golden-lattice domain:
-    exhaustive lexicographic enumeration with exact verification.
-    """
-    _seed_check(problem)
-    if problem.free_slots == 0:
-        return SearchReport(
-            outcome="exhausted",
-            vectors=(),
-            residual=0.0,
-            best_objective=0.0,
-            evaluations=0,
-            iterations=0,
-            restarts_used=0,
-            wall_time=0.0,
-            seed=seed,
-        )
-    if problem.domain == REAL:
-        if seed is None:
-            raise InvalidProblem("real-domain search requires a seed")
-        return _search_real(problem, budget, restarts, seed)
-    return _search_lattice(problem, budget, seed)
-
-
 def enumerate_triples_n1(k: Scalar, height: int) -> list[MUConfiguration]:
     """All equivalence classes of N = 1 golden-lattice triples at level k.
 
@@ -838,7 +852,8 @@ def enumerate_triples_n1(k: Scalar, height: int) -> list[MUConfiguration]:
     """
     if height < 0:
         raise InvalidProblem("height must be nonnegative")
-    k_pair = _lattice_scalar(k)
+    k_exact = _golden_integer(k)
+    k_pair = (k_exact.p.numerator, k_exact.q.numerator)
     neg_k = (-k_pair[0], -k_pair[1])
     components = _lattice_components(height)
     vectors = []

@@ -64,10 +64,6 @@ def _join_modes(*modes: str | None) -> str | None:
     return joined
 
 
-def scalar_float(x: Scalar) -> float:
-    return float(x)
-
-
 def scalar_str(x: Scalar) -> str:
     if isinstance(x, float):
         return repr(x)
@@ -150,16 +146,12 @@ class ProductVector:
         return ProductVector((head,) + self.factors[1:])
 
 
-def _check_cross_mode(a_mode: str | None, b_mode: str | None) -> None:
-    _join_modes(a_mode, b_mode)
-
-
 def symp2(a: DirectionVector, b: DirectionVector) -> Scalar:
     """Symplectic product a^t * j * b with j = [[0, -1], [1, 0]].
 
     Evaluates to p_a*q_b - q_a*p_b; antisymmetric and bilinear.
     """
-    _check_cross_mode(a.mode, b.mode)
+    _join_modes(a.mode, b.mode)
     return a.p * b.q - a.q * b.p
 
 
@@ -167,7 +159,7 @@ def symp_product(a: ProductVector, b: ProductVector) -> Scalar:
     """Product of per-factor symplectic products, a^t * (j^(x)N) * b."""
     if a.n != b.n:
         raise DimensionMismatch(f"factor counts differ: {a.n} vs {b.n}")
-    _check_cross_mode(a.mode, b.mode)
+    _join_modes(a.mode, b.mode)
     result: Scalar = 1
     for fa, fb in zip(a.factors, b.factors):
         result = result * symp2(fa, fb)
@@ -389,10 +381,6 @@ class VerificationReport:
         }
 
 
-def _abs_scalar(x: Scalar) -> Scalar:
-    return abs(x)
-
-
 def verify_mu(
     config: MUConfiguration,
     tolerance: float = 1e-12,
@@ -422,7 +410,7 @@ def verify_mu(
     if target is None:
         for i, j, sp in raw:
             if sp != 0:
-                target = _abs_scalar(sp)
+                target = abs(sp)
                 inferred = True
                 break
         if target is None:
@@ -439,7 +427,7 @@ def verify_mu(
             checks.append(PairCheck(i, j, sp, 0.0, math.inf, True, False))
             verdict = False
             continue
-        mag = _abs_scalar(sp)
+        mag = abs(sp)
         mag_float = float(mag) if not isinstance(mag, float) else mag
         if config.mode == EXACT:
             ok = mag == target

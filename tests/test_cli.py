@@ -379,6 +379,26 @@ class TestReproduceCommand:
         # exact claims still pass at zero tolerance
         assert "PASS" in out
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--hbar", "0"),
+            ("--hbar", "-2"),
+            ("--hbar", "inf"),
+            ("--tolerance", "nan"),
+            ("--tolerance", "-1e-9"),
+            ("--tolerance", "abc"),
+        ],
+    )
+    def test_invalid_flag_exits_two(self, flag, value, capsys):
+        # rejected while parsing, before any claim is computed
+        with pytest.raises(SystemExit) as exc:
+            main(["reproduce", flag, value])
+        assert exc.value.code == INPUT_ERROR
+        err = capsys.readouterr().err
+        assert f"argument {flag}" in err
+        assert "Traceback" not in err
+
     def test_csv(self, tmp_path):
         out = tmp_path / "manifest.csv"
         assert main(["reproduce", "--csv", str(out)]) == OK

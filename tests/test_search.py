@@ -1,6 +1,7 @@
 """Certificates, equivalence maps, and extension searches."""
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -26,7 +27,7 @@ from mubc import (
     symp2,
     verify_mu,
 )
-from mubc.search import _pattern_solution, real_objective_fn
+from mubc.search import _solve_sign_patterns, real_objective_fn
 
 R = QuadNum.root()
 S3 = math.sqrt(3.0) / 2.0
@@ -99,23 +100,44 @@ class TestCertify:
     def test_consistent_branch_on_doctored_system(self):
         # (0,-1),(1,0),(2,1) is not pairwise-1, but the (+,+,+) system is
         # consistent: d=(1,1) satisfies all three equations
-        rec = _pattern_solution(
-            DirectionVector(0, -1),
-            DirectionVector(1, 0),
-            DirectionVector(2, 1),
-            1,
+        solved = _solve_sign_patterns(
+            (DirectionVector(0, -1), DirectionVector(1, 0), DirectionVector(2, 1)),
             (1, 1, 1),
-            1e-12,
         )
+        rec = next(s for s in solved if s.signs == (1, 1, 1))
         assert rec.consistent
         assert (float(rec.solution.q), float(rec.solution.p)) == (1.0, 1.0)
-        assert rec.residual == 0.0
+        assert rec.residuals == (0,)
 
     def test_certificate_json(self):
         cert = certify_no_fourth(*ASYM, 1)
         blob = cert.to_json()
         assert len(blob["records"]) == 8
         assert blob["valid"] is True
+
+
+def _record_fields(cert):
+    return [(r.signs, r.consistent, r.rank_coeff, r.rank_aug, r.note) for r in cert.records]
+
+
+@pytest.mark.parametrize("exponent", range(-6, 7))
+@pytest.mark.parametrize(
+    "triple, k, tolerance",
+    [
+        (tuple(DirectionVector(float(d.q), float(d.p)) for d in ASYM), 1.0, 1e-12),
+        (SYM, S3, 1e-9),
+    ],
+    ids=["asymmetric", "symmetric"],
+)
+def test_certificate_records_scale_invariant(triple, k, tolerance, exponent):
+    # rescaling the triple by lambda and K by lambda^2 changes no record
+    lam = 10.0 ** exponent
+    base = certify_no_fourth(*triple, k, tolerance=tolerance)
+    scaled = certify_no_fourth(
+        *(d.scaled(lam) for d in triple), k * lam * lam, tolerance=tolerance
+    )
+    assert isinstance(scaled, InfeasibilityCertificate) and scaled.valid
+    assert _record_fields(scaled) == _record_fields(base)
 
 
 class TestEquivalence:
@@ -341,6 +363,134 @@ class TestSearchLattice:
         report = search_extension(prob, budget=50, restarts=1, seed=0)
         assert report.outcome in ("exhausted", "no-improvement")
         assert report.evaluations <= 50
+
+
+# Reference completions by walking the whole height box on integer pairs
+# (p, q) ~ p + q R; the solver under test never enumerates the last factor.
+
+
+def _pair(x):
+    x = x if isinstance(x, QuadNum) else QuadNum(x)
+    assert x.p.denominator == 1 and x.q.denominator == 1
+    return (x.p.numerator, x.q.numerator)
+
+
+def _gmul(a, b):
+    return (a[0] * b[0] + a[1] * b[1], a[0] * b[1] + a[1] * b[0] + a[1] * b[1])
+
+
+def _lattice_vector(v):
+    return tuple((_pair(f.q), _pair(f.p)) for f in v.factors)
+
+
+def brute_force_completions(problem):
+    k = _pair(problem.target_k)
+    targets = {k, (-k[0], -k[1])}
+    seeds = [_lattice_vector(v) for v in problem.seeds]
+    bound = max(problem.height, 1)
+    comps = [
+        (p, q)
+        for p in range(-bound, bound + 1)
+        for q in range(-problem.height, problem.height + 1)
+    ]
+    factors = [(qc, pc) for qc in comps for pc in comps if qc != (0, 0) or pc != (0, 0)]
+
+    def product(u, v):
+        sp = (1, 0)
+        for (uq, up), (vq, vp) in zip(u, v):
+            a, b = _gmul(up, vq), _gmul(uq, vp)
+            sp = _gmul(sp, (a[0] - b[0], a[1] - b[1]))
+        return sp
+
+    found = set()
+
+    def extend(chosen):
+        if len(chosen) == problem.free_slots:
+            found.add(tuple(chosen))
+            return
+        for candidate in itertools.product(factors, repeat=problem.n):
+            if all(product(candidate, x) in targets for x in seeds + chosen):
+                extend(chosen + [candidate])
+
+    extend([])
+    return found
+
+
+def solver_completions(problem):
+    report = search_extension(problem, budget=10**9, restarts=1, seed=0)
+    assert report.outcome == ("extended" if report.solutions else "exhausted")
+    found = {tuple(_lattice_vector(v) for v in sol) for sol in report.solutions}
+    assert len(found) == len(report.solutions)
+    return found
+
+
+def lattice_problem(seeds, height, free_slots=1, k=QuadNum(1)):
+    return SearchProblem(
+        target_k=k,
+        seeds=tuple(seeds),
+        free_slots=free_slots,
+        domain="golden-lattice",
+        height=height,
+    )
+
+
+def n1(*dirs):
+    return [ProductVector.of(d) for d in dirs]
+
+
+GOLDEN_TRIPLES = enumerate_triples_n1(QuadNum(1), 1)
+
+
+class TestLatticeParity:
+    @pytest.mark.parametrize("index", range(len(GOLDEN_TRIPLES)))
+    def test_n1_triples_height_two(self, index):
+        triple = GOLDEN_TRIPLES[index].vectors
+        for seeds in (triple, triple[:2]):
+            problem = lattice_problem(seeds, 2)
+            assert solver_completions(problem) == brute_force_completions(problem)
+
+    def test_n1_pair_at_golden_level_height_two(self):
+        # K = R: the pair (0, -1), (R, 0) has product -R
+        problem = lattice_problem(n1((QuadNum(0), QuadNum(-1)), (R, QuadNum(0))), 2, k=R)
+        expected = brute_force_completions(problem)
+        assert expected
+        assert solver_completions(problem) == expected
+
+    @pytest.mark.parametrize(
+        "seed",
+        [
+            n1((QuadNum(1), QuadNum(0))),
+            n1((QuadNum(0), QuadNum(1))),
+            n1((QuadNum(1), R)),
+        ],
+        ids=["q-axis", "p-axis", "golden"],
+    )
+    def test_one_seed_two_free_slots_height_one(self, seed):
+        problem = lattice_problem(seed, 1, free_slots=2)
+        expected = brute_force_completions(problem)
+        assert expected
+        assert solver_completions(problem) == expected
+
+    def test_one_n2_seed_height_one(self):
+        # the last factor lies on a line behind every enumerated head
+        seed = ProductVector.of((QuadNum(1), QuadNum(0)), (QuadNum(1), R))
+        problem = lattice_problem([seed], 1)
+        expected = brute_force_completions(problem)
+        assert expected
+        assert solver_completions(problem) == expected
+
+    def test_golden_first_four_height_one(self):
+        problem = lattice_problem(golden_first_four(), 1)
+        expected = brute_force_completions(problem)
+        assert len(expected) == 12
+        assert solver_completions(problem) == expected
+
+    @pytest.mark.slow
+    def test_golden_first_four_height_two(self):
+        problem = lattice_problem(golden_first_four(), 2)
+        expected = brute_force_completions(problem)
+        assert len(expected) == 28
+        assert solver_completions(problem) == expected
 
 
 class TestEnumerate:
