@@ -409,6 +409,7 @@ def cmd_oracle(args) -> int:
                 "error_estimate": result.error_estimate,
                 "converged": result.converged,
                 "epsilon_sequence": [list(pair) for pair in result.epsilon_sequence],
+                "stats": result.stats,
             },
         )
         return OK if result.converged else NO_CONVERGENCE

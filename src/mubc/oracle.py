@@ -21,13 +21,15 @@ from __future__ import annotations
 
 import cmath
 import math
+import time
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ContextMismatch, InvalidDirection, ParallelDirections
-from .symplectic import DirectionVector, symp2
+from .symplectic import DirectionVector
 
 CHIRP = "chirp"
 PLANE = "plane"
@@ -125,7 +127,13 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class QuadratureResult:
-    """Extrapolated squared overlap with its convergence diagnostics."""
+    """Extrapolated squared overlap with its convergence diagnostics.
+
+    ``stats`` reports the work done: ``levels`` (eps levels evaluated),
+    ``panels`` (panels over both rules of every level),
+    ``complex_exponentials`` (complex exp evaluations), ``capped_levels``
+    (levels whose panel count hit ``GridSpec.max_panels``) and ``wall_s``.
+    """
 
     value: float
     error_estimate: float
@@ -134,6 +142,7 @@ class QuadratureResult:
     extrapolants: tuple[float, ...] = ()
     branch: str = "quadrature"
     local_errors: tuple[float, ...] = ()
+    stats: dict = field(default_factory=dict, compare=False)
 
 
 def _require_shared_hbar(a: ChirpState, b: ChirpState) -> float:
@@ -157,39 +166,67 @@ def _gl_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     return _GL_NODES_CACHE[order]
 
 
-def _panel_integral(du: float, eps: float, grid: GridSpec, panels_scale: int) -> complex:
+# Panels per block in _panel_integral: bounds the (block x nodes) node matrix.
+_PANEL_BLOCK = 65536
+# The default ladder starts at default_epsilons' 9 levels and deepens to this.
+_MAX_LEVELS = 13
+
+
+def _panel_count(du: float, eps: float, grid: GridSpec, panels_scale: int) -> tuple[int, bool]:
+    """Panels for one rule (panels_scale 1 coarse, 2 fine) and whether the
+    grid's max_panels clamped it."""
+    total_phase = abs(du) * grid.truncation**2 / eps
+    wanted = max(4, math.ceil(total_phase / grid.panel_phase)) * panels_scale
+    return min(wanted, grid.max_panels), wanted > grid.max_panels
+
+
+def _panel_integral(du: float, eps: float, grid: GridSpec, count: int, work: Counter) -> complex:
     """integral of exp((i du - eps) t^2) dt over |t| <= truncation/sqrt(eps).
 
-    Even integrand: integrates [0, L] on panels of bounded phase change and
-    doubles. panels_scale = 1 for the base rule, 2 for the refinement.
+    Even integrand, so it is 2 * integral_0^L, and with s = t^2 that is
+    integral_0^(L^2) exp(a s) s^(-1/2) ds, a = i du - eps. The equal-phase
+    breakpoints t_k = L sqrt(k / count) are uniform in s, s_k = k h. On
+    panel k >= 1 exp(a s) = exp(a s_k) exp(a delta_j) with the same node
+    offsets delta_j on every panel, so each panel costs one complex
+    exponential; the rest is a real 1/sqrt per node and two real mat-vecs.
+    Panel 0 holds the s^(-1/2) endpoint singularity and is integrated in t.
     """
+    a = complex(-eps, du)
     length = grid.truncation / math.sqrt(eps)
-    total_phase = abs(du) * length * length
-    count = max(4, math.ceil(total_phase / grid.panel_phase)) * panels_scale
-    count = min(count, grid.max_panels)
-    # Equal-phase breakpoints: t_k = L sqrt(k / count) keeps |du| dt^2 per
-    # panel constant; near t = 0 panels are wide where the phase is slow.
     nodes, weights = _gl_rule(grid.nodes_per_panel)
-    total = 0.0 + 0.0j
-    chunk = 65536
-    for start in range(0, count, chunk):
-        stop = min(start + chunk, count)
-        k = np.arange(start, stop + 1, dtype=float)
-        breaks = length * np.sqrt(k / count)
-        mids = 0.5 * (breaks[1:] + breaks[:-1])
-        halves = 0.5 * (breaks[1:] - breaks[:-1])
-        points = mids[:, None] + halves[:, None] * nodes[None, :]
-        scale = halves[:, None] * weights[None, :]
-        exponent = (1j * du - eps) * points * points
-        total += complex(np.sum(np.exp(exponent) * scale))
-    return 2.0 * total
+    half_t = 0.5 * length / math.sqrt(count)
+    t = half_t * (1.0 + nodes)
+    total = 2.0 * half_t * complex(np.dot(weights, np.exp(a * t * t)))
+    half_s = 0.5 * length * length / count
+    offsets = half_s * (1.0 + nodes)
+    node_factor = half_s * weights * np.exp(a * offsets)
+    for start in range(1, count, _PANEL_BLOCK):
+        starts = 2.0 * half_s * np.arange(start, min(start + _PANEL_BLOCK, count), dtype=float)
+        inv_root = np.add.outer(starts, offsets)
+        np.sqrt(inv_root, out=inv_root)
+        np.reciprocal(inv_root, out=inv_root)
+        per_panel = inv_root @ node_factor.real + 1j * (inv_root @ node_factor.imag)
+        total += complex(np.dot(np.exp(a * starts), per_panel))
+    work["panels"] += count
+    work["complex_exponentials"] += 2 * grid.nodes_per_panel + count - 1
+    return total
 
 
-def _damped_square(du: float, prefactor: float, eps: float, grid: GridSpec) -> tuple[float, float]:
-    """|I(eps)|^2 for I = prefactor * integral, with a refinement error estimate."""
-    coarse = _panel_integral(du, eps, grid, 1)
-    fine = _panel_integral(du, eps, grid, 2)
+def _damped_square(
+    du: float, prefactor: float, eps: float, grid: GridSpec, work: Counter
+) -> tuple[float, float]:
+    """|I(eps)|^2 for I = prefactor * integral, with a refinement error estimate.
+
+    A level whose fine rule is clamped by max_panels is no refinement of the
+    coarse one, so its error is unknown: inf, and the coarse rule is skipped.
+    """
+    fine_count, capped = _panel_count(du, eps, grid, 2)
+    fine = _panel_integral(du, eps, grid, fine_count, work)
     value = abs(fine) ** 2 * prefactor * prefactor
+    if capped:
+        work["capped_levels"] += 1
+        return value, math.inf
+    coarse = _panel_integral(du, eps, grid, _panel_count(du, eps, grid, 1)[0], work)
     err = abs(fine - coarse) * 2.0 * abs(fine) * prefactor * prefactor
     return value, err
 
@@ -210,6 +247,40 @@ def default_epsilons(du: float, levels: int = 9, base: float = 0.1) -> tuple[flo
     return tuple(scale * 2.0**-m for m in range(levels))
 
 
+def _extrapolate(
+    eps_list: Sequence[float],
+    raws: Sequence[float],
+    local_errors: Sequence[float],
+    order: int,
+    grid: GridSpec,
+) -> tuple[float, float, bool, tuple[float, ...]]:
+    """Value, error estimate, convergence verdict and extrapolants of a ladder."""
+    extrapolants: list[float] = []
+    for end in range(order, len(eps_list)):
+        window = slice(end - order, end + 1)
+        extrapolants.append(_neville_at_zero(eps_list[window], raws[window]))
+    steps = [abs(x - y) for x, y in zip(extrapolants[1:], extrapolants[:-1])]
+    value = extrapolants[-1]
+    floor = 8.0 * np.finfo(float).eps * abs(value) + max(local_errors)
+    error_estimate = max(steps[-1] if steps else math.inf, floor)
+    converged = bool(
+        steps
+        and steps[-1] <= max(1e-6 * abs(value), 64.0 * floor)
+        and all(e <= grid.local_rel_tol * max(abs(r), abs(value)) for e, r in zip(local_errors, raws))
+    )
+    return value, error_estimate, converged, tuple(extrapolants)
+
+
+def _work_stats(work: Counter, levels: int, started: float) -> dict:
+    return {
+        "levels": levels,
+        "panels": work["panels"],
+        "complex_exponentials": work["complex_exponentials"],
+        "capped_levels": work["capped_levels"],
+        "wall_s": time.perf_counter() - started,
+    }
+
+
 def overlap_quadrature(
     a: ChirpState,
     b: ChirpState,
@@ -222,9 +293,14 @@ def overlap_quadrature(
     Runs the damped integral at every eps, extrapolates |I(eps)|^2 to
     eps -> 0 with sliding degree-`order` polynomial windows, and reports the
     last extrapolant with the spread of the final window step as the error
-    estimate. Position-eigenstate branches reduce to a pointwise evaluation
-    of the partner wavefunction (no eps sequence).
+    estimate. Without explicit `epsilons` the ladder starts at
+    default_epsilons' 9 levels and, while unconverged, adds one level at a
+    time up to 13; explicit `epsilons` are used as given. Position-eigenstate
+    branches reduce to a pointwise evaluation of the partner wavefunction
+    (no eps sequence).
     """
+    started = time.perf_counter()
+    work: Counter = Counter()
     hbar = _require_shared_hbar(a, b)
     grid = grid or GridSpec()
     sp = _symplectic_value(a, b)
@@ -242,6 +318,7 @@ def overlap_quadrature(
             converged=True,
             extrapolants=(value,),
             branch="delta-reduction",
+            stats=_work_stats(work, 0, started),
         )
     du = a.quad_rate - b.quad_rate
     # du = 0 with a nonzero symplectic product cannot happen for these
@@ -252,37 +329,35 @@ def overlap_quadrature(
         eps_list = tuple(sorted((float(e) for e in epsilons), reverse=True))
         if any(e <= 0 for e in eps_list):
             raise ValueError("eps levels must be positive")
+        max_levels = len(eps_list)
     else:
         eps_list = default_epsilons(du)
+        max_levels = _MAX_LEVELS
     if len(eps_list) < order + 2:
         raise ValueError(f"need at least {order + 2} eps levels for order {order}")
     prefactor = a.amplitude * b.amplitude
     raws: list[float] = []
     local_errors: list[float] = []
-    for eps in eps_list:
-        value, err = _damped_square(du, prefactor, eps, grid)
-        raws.append(value)
-        local_errors.append(err)
-    extrapolants: list[float] = []
-    for end in range(order, len(eps_list)):
-        window = slice(end - order, end + 1)
-        extrapolants.append(_neville_at_zero(eps_list[window], raws[window]))
-    steps = [abs(x - y) for x, y in zip(extrapolants[1:], extrapolants[:-1])]
-    value = extrapolants[-1]
-    floor = 8.0 * np.finfo(float).eps * abs(value) + max(local_errors)
-    error_estimate = max(steps[-1] if steps else math.inf, floor)
-    converged = bool(
-        steps
-        and steps[-1] <= max(1e-6 * abs(value), 64.0 * floor)
-        and all(e <= grid.local_rel_tol * max(abs(r), abs(value)) for e, r in zip(local_errors, raws))
-    )
+    while True:
+        for eps in eps_list[len(raws):]:
+            raw, err = _damped_square(du, prefactor, eps, grid, work)
+            raws.append(raw)
+            local_errors.append(err)
+        value, error_estimate, converged, extrapolants = _extrapolate(
+            eps_list, raws, local_errors, order, grid
+        )
+        # a capped level's error is inf, so deeper levels cannot converge
+        if converged or work["capped_levels"] or len(eps_list) >= max_levels:
+            break
+        eps_list = default_epsilons(du, len(eps_list) + 1)
     return QuadratureResult(
         value=value,
         error_estimate=error_estimate,
         epsilon_sequence=tuple(zip(eps_list, raws)),
         converged=converged,
-        extrapolants=tuple(extrapolants),
+        extrapolants=extrapolants,
         local_errors=tuple(local_errors),
+        stats=_work_stats(work, len(eps_list), started),
     )
 
 

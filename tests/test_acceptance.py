@@ -24,7 +24,6 @@ from mubc import (
     SearchProblem,
     SingularCayley,
     cayley_matrix,
-    default_epsilons,
     certify_no_fourth,
     compose_overlap_sq,
     direction_for_angle,
@@ -444,10 +443,6 @@ def _oracle_agreement(seed):
             if abs(sp) >= 0.05:
                 break
         res = overlap_quadrature(a, b)
-        if not res.converged:
-            # hard pairs may need a deeper epsilon ladder than the default 9
-            deep = default_epsilons(a.quad_rate - b.quad_rate, levels=13)
-            res = overlap_quadrature(a, b, epsilons=deep)
         want = overlap_magnitude_sq(
             ProductVector.of((a.direction.q, a.direction.p)),
             ProductVector.of((b.direction.q, b.direction.p)),

@@ -278,6 +278,19 @@ class TestOracleCommand:
         blob = json.loads(out.read_text())
         assert blob["converged"] is True
         assert blob["value"] == pytest.approx(1.0 / (4 * math.pi), rel=1e-6)
+        assert blob["stats"]["levels"] == len(blob["epsilon_sequence"])
+        assert blob["stats"]["capped_levels"] == 0
+        assert set(blob["stats"]) == {
+            "levels", "panels", "complex_exponentials", "capped_levels", "wall_s"
+        }
+
+    def test_pair_unconverged_exits_three(self, write_json, capsys):
+        # explicit eps levels are never deepened, and five are too few here
+        a = write_json("A.json", {"Q": 1.0, "P": 0.05})
+        b = write_json("B.json", {"Q": 1.0, "P": 0.02})
+        argv = ["oracle", "pair", a, b, "--epsilons", "0.1,0.05,0.025,0.0125,0.00625"]
+        assert main(argv) == NO_CONVERGENCE
+        assert "converged: no" in capsys.readouterr().out
 
     def test_scan(self, capsys):
         assert main(["oracle", "scan", "--thetas", "0,1.5707963267948966"]) == OK

@@ -1,10 +1,12 @@
 """First-principles quadrature oracle against the closed-form overlap law."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from mubc import oracle, symplectic
 from mubc import (
     ChirpState,
     ContextMismatch,
@@ -20,6 +22,7 @@ from mubc import (
     overlap_quadrature,
     pairwise_unbiased_scan,
 )
+from mubc.oracle import GridSpec
 
 
 def random_chirp(rng, hbar=1.0, min_q=0.25):
@@ -169,6 +172,57 @@ class TestQuadrature:
         assert abs(res.value - want) <= 1e-5 * want
         assert len(res.epsilon_sequence) == len(eps)
 
+    def test_adaptive_ladder_deepens_until_converged(self):
+        a, b = ChirpState(DirectionVector(1.0, 0.02)), ChirpState(DirectionVector(1.0, -0.02))
+        du = a.quad_rate - b.quad_rate
+        assert not overlap_quadrature(a, b, epsilons=default_epsilons(du)).converged
+        res = overlap_quadrature(a, b)
+        levels = res.stats["levels"]
+        assert res.converged and 9 < levels <= 13
+        assert tuple(e for e, _ in res.epsilon_sequence) == default_epsilons(du, levels)
+        shallower = overlap_quadrature(a, b, epsilons=default_epsilons(du, levels - 1))
+        assert not shallower.converged
+        # levels already evaluated are reused, not recomputed
+        one_pass = overlap_quadrature(a, b, epsilons=default_epsilons(du, levels))
+        assert res.stats["panels"] == one_pass.stats["panels"]
+        assert abs(res.value - 1.0 / (2 * math.pi * 0.04)) <= 1e-6 * res.value
+
+    def test_panel_cap_marks_level_unresolved(self):
+        # the clamped fine rule equals the coarse one, so a zero local error
+        # would hide a value that is far off (true value 0.1098)
+        a = ChirpState(DirectionVector(1.0, 1.5))
+        b = ChirpState(DirectionVector(0.7, -0.4))
+        res = overlap_quadrature(a, b, grid=GridSpec(max_panels=300))
+        assert res.converged is False
+        assert not math.isfinite(res.error_estimate) or res.error_estimate > 1.0
+        assert res.stats["capped_levels"] >= 1
+        assert math.inf in res.local_errors
+
+    def test_stats_count_work(self):
+        res = overlap_quadrature(
+            ChirpState(DirectionVector(1.0, 1.0)), ChirpState(DirectionVector(1.0, -1.0))
+        )
+        stats = res.stats
+        assert stats["levels"] == len(res.epsilon_sequence) == 9
+        assert stats["capped_levels"] == 0
+        assert stats["wall_s"] > 0
+        nodes = GridSpec().nodes_per_panel
+        assert 10 * stats["complex_exponentials"] <= stats["panels"] * nodes
+
+    def test_never_consults_the_closed_form(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the oracle must stay independent of the closed form")
+
+        monkeypatch.setattr(symplectic, "symp2", forbidden)
+        monkeypatch.setattr(symplectic, "symp_product", forbidden)
+        monkeypatch.setattr(oracle, "fresnel_reference", forbidden)
+        res = overlap_quadrature(
+            ChirpState(DirectionVector(1.2, 0.8), alpha=0.3),
+            ChirpState(DirectionVector(-0.5, 1.1)),
+        )
+        assert res.converged
+        assert res.value == pytest.approx(1.0 / (2 * math.pi * abs(0.8 * -0.5 - 1.2 * 1.1)), rel=1e-6)
+
     def test_default_epsilons_shape(self):
         eps = default_epsilons(1.0)
         assert len(eps) == 9
@@ -178,6 +232,43 @@ class TestQuadrature:
         # damping scale tracks the chirp-rate gap
         wide = default_epsilons(5.0)
         assert wide[0] == pytest.approx(0.5)
+
+
+def _t_space_panel_integral(du, eps, grid, count):
+    """Reference: Gauss-Legendre on the equal-phase panels in t, 65536 panels
+    per chunk, as the oracle integrated before it moved to s = t^2."""
+    length = grid.truncation / math.sqrt(eps)
+    nodes, weights = np.polynomial.legendre.leggauss(grid.nodes_per_panel)
+    total = 0.0 + 0.0j
+    chunk = 65536
+    for start in range(0, count, chunk):
+        stop = min(start + chunk, count)
+        k = np.arange(start, stop + 1, dtype=float)
+        breaks = length * np.sqrt(k / count)
+        mids = 0.5 * (breaks[1:] + breaks[:-1])
+        halves = 0.5 * (breaks[1:] - breaks[:-1])
+        points = mids[:, None] + halves[:, None] * nodes[None, :]
+        scale = halves[:, None] * weights[None, :]
+        total += complex(np.sum(np.exp((1j * du - eps) * points * points) * scale))
+    return 2.0 * total
+
+
+# one (du, panels_scale) per level of the 13-level ladder: both signs,
+# 10^-2.5 <= |du| <= 10, and counts past one 65536-panel chunk at levels 9-11
+_PARITY_DU = (10**-2.5, -0.05, 0.4, -1.0, 3.0, -10.0)
+
+
+@pytest.mark.parametrize("level", range(13))
+def test_s_space_panels_match_t_space(level):
+    grid = GridSpec()
+    du = _PARITY_DU[level % len(_PARITY_DU)]
+    eps = default_epsilons(du, 13)[level]
+    count = oracle._panel_count(du, eps, grid, 1 + level % 2)[0]
+    if level in (9, 10, 11):
+        assert count > 65536
+    want = _t_space_panel_integral(du, eps, grid, count)
+    got = oracle._panel_integral(du, eps, grid, count, Counter())
+    assert abs(got - want) <= 1e-11 * abs(want)
 
 
 class TestFresnel:
