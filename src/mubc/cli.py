@@ -248,7 +248,7 @@ def cmd_certify(args) -> int:
 def _parse_level(text: str) -> QuadNum:
     try:
         return QuadNum.parse(text, GOLDEN)
-    except (ValueError, MubcError) as exc:
+    except MubcError as exc:
         raise _Failure(INPUT_ERROR, f"input error: field 'k': {exc}")
 
 

@@ -64,4 +64,5 @@ class PreconditionFailed(MubcError, ValueError):
 
 
 class InvalidProblem(MubcError, ValueError):
-    """Search problem description is malformed or unsupported."""
+    """Input (a configuration, search problem or field element) is malformed
+    or unsupported."""

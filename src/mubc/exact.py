@@ -3,24 +3,25 @@
 Elements are p + q*R where p, q are rationals and R satisfies R^2 = u*R + v
 for ambient rationals (u, v). The default ambient is the golden one
 (u = v = 1), whose R is the golden ratio. All arithmetic is exact; signs
-are decided algebraically, never through floating point.
+are decided algebraically, never through floating point. An element is
+stored as integers (a + b*R) / d with gcd(a, b, d) = 1 and d > 0, so every
+operation is integer arithmetic followed by at most one gcd.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Union
 
 import mpmath
 
-from .errors import ContextMismatch, DivisionByZero, ExactSqrtUnavailable, NotRealEmbeddable
-
-# Exact rational scalar. fractions.Fraction already guarantees the contract:
-# arbitrary precision, lowest terms, positive denominator.
-Rat = Fraction
+from .errors import (
+    ContextMismatch, DivisionByZero, ExactSqrtUnavailable, InvalidProblem, NotRealEmbeddable
+)
 
 RatLike = Union[int, Fraction]
 
@@ -33,23 +34,45 @@ def _as_rat(value: RatLike) -> Fraction:
     raise ContextMismatch(f"expected an exact rational, got {type(value).__name__}")
 
 
+def _json_fraction(pair: object, what: str) -> Fraction:
+    """A JSON [numerator, denominator] pair of integers as a Fraction."""
+    if (
+        not isinstance(pair, (list, tuple))
+        or len(pair) != 2
+        or any(isinstance(x, bool) or not isinstance(x, int) for x in pair)
+    ):
+        raise InvalidProblem(f"{what} must be an integer pair [num, den], got {pair!r}")
+    if pair[1] == 0:
+        raise InvalidProblem(f"{what} has a zero denominator: {pair!r}")
+    return Fraction(pair[0], pair[1])
+
+
 @dataclass(frozen=True)
 class Ambient:
     """Defining data (u, v) of the extension R^2 = u*R + v."""
 
     u: Fraction
     v: Fraction
+    # integer form: L, L*u, L*v and L^2 (u^2 + 4v), so R^2 = (L*u*R + L*v) / L
+    _l: int = field(init=False, repr=False, compare=False)
+    _lu: int = field(init=False, repr=False, compare=False)
+    _lv: int = field(init=False, repr=False, compare=False)
+    _ldisc: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "u", _as_rat(self.u))
-        object.__setattr__(self, "v", _as_rat(self.v))
+        u, v = _as_rat(self.u), _as_rat(self.v)
+        l = math.lcm(u.denominator, v.denominator)
+        lu, lv = u.numerator * (l // u.denominator), v.numerator * (l // v.denominator)
+        values = dict(u=u, v=v, _l=l, _lu=lu, _lv=lv, _ldisc=lu * lu + 4 * l * lv)
+        for name, value in values.items():
+            object.__setattr__(self, name, value)
 
     @property
     def discriminant(self) -> Fraction:
         return self.u * self.u + 4 * self.v
 
     def require_real(self) -> None:
-        if self.discriminant <= 0:
+        if self._ldisc <= 0:
             raise NotRealEmbeddable(
                 f"u^2 + 4v = {self.discriminant} <= 0: no real embedding"
             )
@@ -67,9 +90,11 @@ class Ambient:
 
     @classmethod
     def from_json(cls, data: list) -> "Ambient":
-        if len(data) != 4:
-            raise ValueError("ambient encoding must be [u_num, u_den, v_num, v_den]")
-        return cls(Fraction(int(data[0]), int(data[1])), Fraction(int(data[2]), int(data[3])))
+        if not isinstance(data, (list, tuple)) or len(data) != 4:
+            raise InvalidProblem(
+                f"ambient encoding must be [u_num, u_den, v_num, v_den], got {data!r}"
+            )
+        return cls(_json_fraction(data[:2], "ambient u"), _json_fraction(data[2:], "ambient v"))
 
 
 GOLDEN = Ambient(Fraction(1), Fraction(1))
@@ -87,28 +112,34 @@ _TERM_RE = re.compile(
 )
 
 
+@functools.total_ordering
 class QuadNum:
     """Element p + q*R of the quadratic extension defined by an ambient."""
 
-    __slots__ = ("p", "q", "ambient")
-
-    p: Fraction
-    q: Fraction
-    ambient: Ambient
+    # (a + b R) / d over _ambient; read-only through p, q and ambient
+    __slots__ = ("_a", "_b", "_d", "_ambient")
 
     def __init__(self, p: RatLike = 0, q: RatLike = 0, ambient: Ambient = GOLDEN) -> None:
-        object.__setattr__(self, "p", _as_rat(p))
-        object.__setattr__(self, "q", _as_rat(q))
-        object.__setattr__(self, "ambient", ambient)
+        p, q = _as_rat(p), _as_rat(q)
+        # over the lcm of two lowest-terms denominators, gcd(a, b, d) = 1
+        self._d = math.lcm(p.denominator, q.denominator)
+        self._a = p.numerator * (self._d // p.denominator)
+        self._b = q.numerator * (self._d // q.denominator)
+        self._ambient = ambient
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("QuadNum is immutable")
+    @property
+    def p(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def q(self) -> Fraction:
+        return Fraction(self._b, self._d)
+
+    @property
+    def ambient(self) -> Ambient:
+        return self._ambient
 
     # -- constructors -------------------------------------------------
-
-    @classmethod
-    def from_rational(cls, value: RatLike, ambient: Ambient = GOLDEN) -> "QuadNum":
-        return cls(_as_rat(value), Fraction(0), ambient)
 
     @classmethod
     def root(cls, ambient: Ambient = GOLDEN) -> "QuadNum":
@@ -119,21 +150,24 @@ class QuadNum:
         """Parse the string form "p/p' + q/q' R" (either term optional)."""
         rest = text.strip()
         if not rest:
-            raise ValueError("empty QuadNum literal")
+            raise InvalidProblem("empty QuadNum literal")
         p = Fraction(0)
         q = Fraction(0)
         first = True
         while rest:
             match = _TERM_RE.match(rest)
             if match is None:
-                raise ValueError(f"cannot parse QuadNum literal {text!r} at {rest!r}")
+                raise InvalidProblem(f"cannot parse QuadNum literal {text!r} at {rest!r}")
             sign = -1 if match.group("sign") == "-" else 1
             if match.group("sign") == "" and not first:
-                raise ValueError(f"missing +/- between terms in {text!r}")
+                raise InvalidProblem(f"missing +/- between terms in {text!r}")
             if match.group("ronly") is not None:
                 q += sign
             else:
-                coeff = Fraction(match.group("coeff").replace(" ", ""))
+                try:
+                    coeff = Fraction(match.group("coeff").replace(" ", ""))
+                except ZeroDivisionError:
+                    raise InvalidProblem(f"zero denominator in QuadNum literal {text!r}")
                 if match.group("rsym") is not None:
                     q += sign * coeff
                 else:
@@ -148,15 +182,15 @@ class QuadNum:
         return {
             "p": [self.p.numerator, self.p.denominator],
             "q": [self.q.numerator, self.q.denominator],
-            "ambient": self.ambient.to_json(),
+            "ambient": self._ambient.to_json(),
         }
 
     @classmethod
     def from_json(cls, data: dict) -> "QuadNum":
+        if not isinstance(data, dict) or "p" not in data or "q" not in data:
+            raise InvalidProblem(f"QuadNum encoding must hold 'p' and 'q' pairs, got {data!r}")
         ambient = Ambient.from_json(data["ambient"]) if "ambient" in data else GOLDEN
-        p = Fraction(int(data["p"][0]), int(data["p"][1]))
-        q = Fraction(int(data["q"][0]), int(data["q"][1]))
-        return cls(p, q, ambient)
+        return cls(_json_fraction(data["p"], "p"), _json_fraction(data["q"], "q"), ambient)
 
     def __str__(self) -> str:
         if self.q == 0:
@@ -174,93 +208,80 @@ class QuadNum:
 
     # -- arithmetic ---------------------------------------------------
 
-    def _coerce(self, other: object) -> "QuadNum | None":
+    def _parts(self, other: object) -> tuple[int, int, int] | None:
+        """other as integers (a, b, d) over this ambient; None for foreign types."""
         if isinstance(other, QuadNum):
-            if other.ambient != self.ambient:
-                raise ContextMismatch(
-                    f"ambient mismatch: {self.ambient} vs {other.ambient}"
-                )
-            return other
+            if other._ambient is not self._ambient and other._ambient != self._ambient:
+                raise ContextMismatch(f"ambient mismatch: {self._ambient} vs {other._ambient}")
+            return other._a, other._b, other._d
         if isinstance(other, (int, Fraction)):
-            return QuadNum(other, 0, self.ambient)
+            return other.numerator, 0, other.denominator
         return None
 
     def __add__(self, other: object) -> "QuadNum":
-        rhs = self._coerce(other)
-        if rhs is None:
+        parts = self._parts(other)
+        if parts is None:
             return NotImplemented
-        return QuadNum(self.p + rhs.p, self.q + rhs.q, self.ambient)
+        a, b, d = parts
+        return _reduced(
+            self._a * d + a * self._d, self._b * d + b * self._d, self._d * d, self._ambient
+        )
 
     __radd__ = __add__
 
     def __sub__(self, other: object) -> "QuadNum":
-        rhs = self._coerce(other)
-        if rhs is None:
+        parts = self._parts(other)
+        if parts is None:
             return NotImplemented
-        return QuadNum(self.p - rhs.p, self.q - rhs.q, self.ambient)
+        a, b, d = parts
+        return _reduced(
+            self._a * d - a * self._d, self._b * d - b * self._d, self._d * d, self._ambient
+        )
 
     def __rsub__(self, other: object) -> "QuadNum":
-        rhs = self._coerce(other)
-        if rhs is None:
+        parts = self._parts(other)
+        if parts is None:
             return NotImplemented
-        return rhs - self
+        a, b, d = parts
+        return _reduced(
+            a * self._d - self._a * d, b * self._d - self._b * d, self._d * d, self._ambient
+        )
 
     def __mul__(self, other: object) -> "QuadNum":
-        rhs = self._coerce(other)
-        if rhs is None:
+        parts = self._parts(other)
+        if parts is None:
             return NotImplemented
-        u, v = self.ambient.u, self.ambient.v
-        # (p1 + q1 R)(p2 + q2 R) with R^2 = u R + v
-        p = self.p * rhs.p + v * self.q * rhs.q
-        q = self.p * rhs.q + self.q * rhs.p + u * self.q * rhs.q
-        return QuadNum(p, q, self.ambient)
+        return _product((self._a, self._b, self._d), parts, self._ambient)
 
     __rmul__ = __mul__
 
-    def conjugate(self) -> "QuadNum":
-        # The other root of x^2 = ux + v is u - R.
-        return QuadNum(self.p + self.q * self.ambient.u, -self.q, self.ambient)
-
     def norm(self) -> Fraction:
-        # self * self.conjugate(), always rational.
-        u, v = self.ambient.u, self.ambient.v
-        return self.p * self.p + u * self.p * self.q - v * self.q * self.q
+        """self times its conjugate (u - R for R), always rational."""
+        amb = self._ambient
+        a, b = self._a, self._b
+        return Fraction(amb._l * a * a + amb._lu * a * b - amb._lv * b * b, amb._l * self._d ** 2)
 
     def inverse(self) -> "QuadNum":
-        if self.is_zero:
-            raise DivisionByZero("inverse of zero")
-        n = self.norm()
-        if n == 0:
-            raise DivisionByZero(
-                "zero norm: ambient is degenerate (u^2 + 4v a rational square) "
-                "and the element is a zero divisor"
-            )
-        conj = self.conjugate()
-        return QuadNum(conj.p / n, conj.q / n, self.ambient)
+        return _reduced(*_inverse_parts((self._a, self._b, self._d), self._ambient), self._ambient)
 
     def __truediv__(self, other: object) -> "QuadNum":
-        rhs = self._coerce(other)
-        if rhs is None:
+        parts = self._parts(other)
+        if parts is None:
             return NotImplemented
-        return self * rhs.inverse()
+        return _product(
+            (self._a, self._b, self._d), _inverse_parts(parts, self._ambient), self._ambient
+        )
 
     def __rtruediv__(self, other: object) -> "QuadNum":
-        rhs = self._coerce(other)
-        if rhs is None:
+        parts = self._parts(other)
+        if parts is None:
             return NotImplemented
-        return rhs * self.inverse()
-
-    def __pow__(self, exponent: int) -> "QuadNum":
-        if not isinstance(exponent, int):
-            return NotImplemented
-        base = self.inverse() if exponent < 0 else self
-        result = QuadNum(1, 0, self.ambient)
-        for _ in range(abs(exponent)):
-            result = result * base
-        return result
+        return _product(
+            parts, _inverse_parts((self._a, self._b, self._d), self._ambient), self._ambient
+        )
 
     def __neg__(self) -> "QuadNum":
-        return QuadNum(-self.p, -self.q, self.ambient)
+        return _reduced(-self._a, -self._b, self._d, self._ambient)
 
     def __pos__(self) -> "QuadNum":
         return self
@@ -269,85 +290,114 @@ class QuadNum:
         return -self if self.sign() < 0 else self
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction)):
-            return self.q == 0 and self.p == other
         if isinstance(other, QuadNum):
-            if other.ambient != self.ambient:
+            if other._ambient is not self._ambient and other._ambient != self._ambient:
                 return False
-            return self.p == other.p and self.q == other.q
+            return self._a == other._a and self._b == other._b and self._d == other._d
+        if isinstance(other, (int, Fraction)):
+            return self._b == 0 and self._a == other.numerator and self._d == other.denominator
         return NotImplemented
 
     def __hash__(self) -> int:
-        if self.q == 0:
+        if self._b == 0:
             return hash(self.p)
-        return hash((self.p, self.q, self.ambient.u, self.ambient.v))
+        return hash((self.p, self.q, self._ambient.u, self._ambient.v))
 
     # -- ordering through the real embedding --------------------------
 
     def sign(self) -> int:
         """Algebraic sign under the real embedding; no floating point."""
-        self.ambient.require_real()
-        # 2x = s + q*sqrt(D) with s = 2p + qu, D = u^2 + 4v > 0.
-        s = 2 * self.p + self.q * self.ambient.u
-        q = self.q
-        if q == 0:
-            return 0 if s == 0 else (1 if s > 0 else -1)
-        d = self.ambient.discriminant
-        lhs = q * q * d  # (q sqrt(D))^2
+        amb = self._ambient
+        amb.require_real()
+        # 2 L d x = s + b sqrt(L^2 D) with s = 2 L a + L u b, D = u^2 + 4v > 0.
+        b = self._b
+        s = 2 * amb._l * self._a + amb._lu * b
+        if b == 0:
+            return (s > 0) - (s < 0)
+        lhs = b * b * amb._ldisc  # (b sqrt(L^2 D))^2
         rhs = s * s
-        if q > 0:
+        if b > 0:
             if s >= 0:
                 return 1
-            # s < 0: sign of q*sqrt(D) - |s|
-            return 0 if lhs == rhs else (1 if lhs > rhs else -1)
+            # s < 0: sign of b sqrt(L^2 D) - |s|
+            return (lhs > rhs) - (lhs < rhs)
         if s <= 0:
             return -1
-        return 0 if lhs == rhs else (1 if rhs > lhs else -1)
+        return (rhs > lhs) - (rhs < lhs)
 
     @property
     def is_zero(self) -> bool:
-        return self.p == 0 and self.q == 0
+        return self._a == 0 and self._b == 0
 
     @property
     def is_rational(self) -> bool:
-        return self.q == 0
+        return self._b == 0
+
+    @property
+    def is_integral(self) -> bool:
+        """Both coordinates p and q are integers."""
+        return self._d == 1
 
     def __lt__(self, other: object) -> bool:
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return (self - rhs).sign() < 0
-
-    def __le__(self, other: object) -> bool:
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return (self - rhs).sign() <= 0
-
-    def __gt__(self, other: object) -> bool:
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return (self - rhs).sign() > 0
-
-    def __ge__(self, other: object) -> bool:
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return (self - rhs).sign() >= 0
+        diff = self.__sub__(other)
+        return diff if diff is NotImplemented else diff.sign() < 0
 
     def embed(self, digits: int = 50) -> mpmath.mpf:
         """Real value of the element to the requested digit count."""
         with mpmath.workdps(digits + 10):
-            r = self.ambient.root_value(digits)
+            r = self._ambient.root_value(digits)
             p = mpmath.mpf(self.p.numerator) / self.p.denominator
             q = mpmath.mpf(self.q.numerator) / self.q.denominator
             return mpmath.mpf(p + q * r)
 
     def __float__(self) -> float:
-        if self.q == 0:
-            return float(self.p)
+        if self._b == 0:
+            return self._a / self._d
         return float(self.embed(30))
+
+
+_new = object.__new__
+
+
+def _reduced(a: int, b: int, d: int, ambient: Ambient) -> QuadNum:
+    """The element (a + b R) / d, d != 0, brought to lowest terms with d > 0."""
+    if d < 0:
+        a, b, d = -a, -b, -d
+    g = math.gcd(a, b, d)
+    if g != 1:
+        a, b, d = a // g, b // g, d // g
+    x = _new(QuadNum)
+    x._a, x._b, x._d, x._ambient = a, b, d, ambient
+    return x
+
+
+def _product(x: tuple[int, int, int], y: tuple[int, int, int], ambient: Ambient) -> QuadNum:
+    """(a1 + b1 R)(a2 + b2 R) / (d1 d2) with R^2 = (L u R + L v) / L."""
+    a1, b1, d1 = x
+    a2, b2, d2 = y
+    l = ambient._l
+    bb = b1 * b2
+    return _reduced(
+        l * a1 * a2 + ambient._lv * bb,
+        l * (a1 * b2 + b1 * a2) + ambient._lu * bb,
+        l * d1 * d2,
+        ambient,
+    )
+
+
+def _inverse_parts(x: tuple[int, int, int], ambient: Ambient) -> tuple[int, int, int]:
+    """1 / ((a + b R) / d) = d (L a + L u b - L b R) / n, unreduced: the conjugate
+    (a + b u) - b R over the norm n / L, n = L a^2 + L u a b - L v b^2."""
+    a, b, d = x
+    if a == 0 and b == 0:
+        raise DivisionByZero("inverse of zero")
+    n = ambient._l * a * a + ambient._lu * a * b - ambient._lv * b * b
+    if n == 0:
+        raise DivisionByZero(
+            "zero norm: ambient is degenerate (u^2 + 4v a rational square) "
+            "and the element is a zero divisor"
+        )
+    return d * (ambient._l * a + ambient._lu * b), -d * ambient._l * b, n
 
 
 def _rat_sqrt(r: Fraction) -> Fraction | None:

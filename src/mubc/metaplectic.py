@@ -270,7 +270,6 @@ def genmu_overlap_sq(matrix: Matrix, hbar: float = 1.0, singular_tol: float = 1e
         det_pp, _ = _exact_det_inv(pp)
         if det_pp == 0:
             raise DegenerateBlock("momentum-momentum block of the Cayley matrix is singular")
-        denom = abs(float(det_shift * det_pp))
     else:
         m = np.asarray(matrix, dtype=float)
         det_shift = np.linalg.det(m - np.eye(2 * n))
@@ -280,7 +279,7 @@ def genmu_overlap_sq(matrix: Matrix, hbar: float = 1.0, singular_tol: float = 1e
             raise DegenerateBlock(
                 f"|det(N_pp)| = {abs(det_pp):.3e} is below {singular_tol}"
             )
-        denom = abs(det_shift * det_pp)
+    denom = abs(float(det_shift * det_pp))
     if denom == 0.0:
         raise DegenerateBlock("vanishing overlap denominator")
     return (2.0 * math.pi * hbar) ** (-n) / denom

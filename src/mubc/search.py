@@ -627,10 +627,6 @@ def _search_real(problem: SearchProblem, budget: int, restarts: int, seed: int) 
     )
 
 
-def _is_integral(x: QuadNum) -> bool:
-    return x.p.denominator == 1 and x.q.denominator == 1
-
-
 def _golden_integer(x: Scalar) -> QuadNum:
     """x as an element of Z[R] over the golden ambient, the only scalars
     lattice problems admit."""
@@ -640,9 +636,19 @@ def _golden_integer(x: Scalar) -> QuadNum:
         raise InvalidProblem(f"lattice scalars must be exact, got {type(x).__name__}")
     if x.ambient != GOLDEN:
         raise InvalidProblem("lattice search is defined over the golden ambient")
-    if not _is_integral(x):
+    if not x.is_integral:
         raise InvalidProblem(f"lattice scalars must be integral, got {x}")
     return x
+
+
+def _height_box(height: int) -> list[QuadNum]:
+    """The golden integers p + q R with |p| <= max(height, 1), |q| <= height."""
+    p_bound = max(height, 1)
+    return [
+        QuadNum(p, q, GOLDEN)
+        for p in range(-p_bound, p_bound + 1)
+        for q in range(-height, height + 1)
+    ]
 
 
 def _search_lattice(problem: SearchProblem, budget: int, seed: int | None) -> SearchReport:
@@ -665,22 +671,14 @@ def _search_lattice(problem: SearchProblem, budget: int, seed: int | None) -> Se
         tuple(DirectionVector(_golden_integer(f.q), _golden_integer(f.p)) for f in v.factors)
         for v in problem.seeds
     ]
-    height = problem.height
-    p_bound = max(height, 1)
-    components = [
-        QuadNum(p, q, GOLDEN)
-        for p in range(-p_bound, p_bound + 1)
-        for q in range(-height, height + 1)
-    ]
+    components = _height_box(problem.height)
+    box = set(components)
     factor_choices = [
         DirectionVector(qc, pc)
         for qc in components
         for pc in components
         if not (qc.is_zero and pc.is_zero)
     ]
-
-    def in_box(x: QuadNum) -> bool:
-        return _is_integral(x) and abs(x.p) <= p_bound and abs(x.q) <= height
 
     def last_factors(rows: list[DirectionVector], rhs: list[QuadNum]) -> list[DirectionVector]:
         if len(rows) == 1:
@@ -706,7 +704,7 @@ def _search_lattice(problem: SearchProblem, budget: int, seed: int | None) -> Se
         return [
             s.solution
             for s in solved
-            if s.consistent and in_box(s.solution.q) and in_box(s.solution.p)
+            if s.consistent and s.solution.q in box and s.solution.p in box
         ]
 
     evaluations = 0
@@ -732,7 +730,7 @@ def _search_lattice(problem: SearchProblem, budget: int, seed: int | None) -> Se
                 if c == 0:
                     break
                 r = k / c
-                if not _is_integral(r):
+                if not r.is_integral:
                     break
                 rhs.append(r)
             else:
@@ -803,46 +801,6 @@ def search_extension(
     return _search_lattice(problem, budget, seed)
 
 
-# N = 1 enumeration on integer coefficient pairs (p, q) ~ p + q R
-
-
-def _g_mul(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
-    return (a[0] * b[0] + a[1] * b[1], a[0] * b[1] + a[1] * b[0] + a[1] * b[1])
-
-
-def _g_sub(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
-    return (a[0] - b[0], a[1] - b[1])
-
-
-_PHI = (1.0 + math.sqrt(5.0)) / 2.0
-
-
-def _g_float(a: tuple[int, int]) -> float:
-    return a[0] + a[1] * _PHI
-
-
-def _lattice_components(height: int) -> list[tuple[int, int]]:
-    p_bound = max(height, 1)
-    out = []
-    for p in range(-p_bound, p_bound + 1):
-        for q in range(-height, height + 1):
-            out.append((p, q))
-    return out
-
-
-def _lattice_symp2(
-    fa: tuple[tuple[int, int], tuple[int, int]],
-    fb: tuple[tuple[int, int], tuple[int, int]],
-) -> tuple[int, int]:
-    return _g_sub(_g_mul(fa[1], fb[0]), _g_mul(fa[0], fb[1]))
-
-
-def _quadnum_direction(f: tuple[tuple[int, int], tuple[int, int]]) -> DirectionVector:
-    return DirectionVector(
-        QuadNum(f[0][0], f[0][1], GOLDEN), QuadNum(f[1][0], f[1][1], GOLDEN)
-    )
-
-
 def enumerate_triples_n1(k: Scalar, height: int) -> list[MUConfiguration]:
     """All equivalence classes of N = 1 golden-lattice triples at level k.
 
@@ -852,32 +810,30 @@ def enumerate_triples_n1(k: Scalar, height: int) -> list[MUConfiguration]:
     """
     if height < 0:
         raise InvalidProblem("height must be nonnegative")
-    k_exact = _golden_integer(k)
-    k_pair = (k_exact.p.numerator, k_exact.q.numerator)
-    neg_k = (-k_pair[0], -k_pair[1])
-    components = _lattice_components(height)
-    vectors = []
-    seen = set()
-    for qc in components:
-        for pc in components:
-            if qc == (0, 0) and pc == (0, 0):
-                continue
-            head = qc if qc != (0, 0) else pc
-            # canonical sign: first nonzero component positive in embedding
-            if _g_float(head) < 0:
-                qc2, pc2 = (-qc[0], -qc[1]), (-pc[0], -pc[1])
-            else:
-                qc2, pc2 = qc, pc
-            if (qc2, pc2) not in seen:
-                seen.add((qc2, pc2))
-                vectors.append((qc2, pc2))
+    k = _golden_integer(k)
+    neg_k = -k
+    components = _height_box(height)
+
+    def canonical(qc: QuadNum, pc: QuadNum) -> DirectionVector:
+        # the sign that makes the first nonzero component positive
+        head = pc if qc.is_zero else qc
+        return DirectionVector(qc, pc) if head.sign() > 0 else DirectionVector(-qc, -pc)
+
+    # dict keys keep the order in which each direction or its negative first appears
+    vectors = list(
+        dict.fromkeys(
+            canonical(qc, pc)
+            for qc in components
+            for pc in components
+            if not (qc.is_zero and pc.is_zero)
+        )
+    )
     adjacency: dict[int, set[int]] = {i: set() for i in range(len(vectors))}
-    for i in range(len(vectors)):
-        for j in range(i + 1, len(vectors)):
-            sp = _lattice_symp2(vectors[i], vectors[j])
-            if sp == k_pair or sp == neg_k:
-                adjacency[i].add(j)
-                adjacency[j].add(i)
+    for i, j in itertools.combinations(range(len(vectors)), 2):
+        sp = symp2(vectors[i], vectors[j])
+        if sp == k or sp == neg_k:
+            adjacency[i].add(j)
+            adjacency[j].add(i)
     classes: list[MUConfiguration] = []
     for i in range(len(vectors)):
         for j in sorted(adjacency[i]):
@@ -887,12 +843,7 @@ def enumerate_triples_n1(k: Scalar, height: int) -> list[MUConfiguration]:
                 if l <= j:
                     continue
                 triple = MUConfiguration(
-                    tuple(
-                        ProductVector((_quadnum_direction(vectors[t]),))
-                        for t in (i, j, l)
-                    ),
-                    QuadNum(k_pair[0], k_pair[1], GOLDEN),
-                    mode=EXACT,
+                    tuple(ProductVector((vectors[t],)) for t in (i, j, l)), k, mode=EXACT
                 )
                 if any(find_equivalence(rep, triple) is not None for rep in classes):
                     continue

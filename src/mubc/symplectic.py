@@ -17,7 +17,6 @@ import enum
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from typing import Iterable, Sequence, Union
 
 from .errors import (
@@ -96,10 +95,6 @@ class DirectionVector:
         return iter((self.q, self.p))
 
 
-#: The direction labelling the position basis.
-POSITION = DirectionVector(0, 1)
-
-
 @dataclass(frozen=True)
 class ProductVector:
     """Kronecker product of N direction vectors, one per variable pair."""
@@ -128,7 +123,7 @@ class ProductVector:
     def mode(self) -> str | None:
         return _join_modes(*(f.mode for f in self.factors))
 
-    @cached_property
+    @property
     def expanded(self) -> tuple[Scalar, ...]:
         """Components in R^(2^N), first factor most significant."""
         size = 2 ** self.n
@@ -522,11 +517,24 @@ def _emit_scalar(x: Scalar, mode: str):
     return scalar_str(x)
 
 
+def _json_number(value: object, what: str) -> float:
+    """A JSON number as a finite float; InvalidProblem for anything else."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InvalidProblem(f"{what} must be a number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:  # an int beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise InvalidProblem(f"{what} must be finite, got {value!r}")
+    return number
+
+
 def _parse_scalar(value, mode: str, ambient: Ambient) -> Scalar:
     if mode == NUMERIC:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ContextMismatch(f"numeric mode expects numbers, got {value!r}")
-        return float(value)
+        return _json_number(value, "numeric entries")
     if isinstance(value, bool):
         raise ContextMismatch(f"exact mode expects exact scalars, got {value!r}")
     if isinstance(value, int):
@@ -569,12 +577,21 @@ def config_from_json(data: dict) -> MUConfiguration:
     if mode not in (EXACT, NUMERIC):
         raise InvalidProblem(f"unknown mode {mode!r}")
     ambient = Ambient.from_json(data["ambient"]) if "ambient" in data else GOLDEN
-    hbar = float(data.get("hbar", 1.0))
+    hbar = _json_number(data.get("hbar", 1.0), "hbar")
+    if hbar <= 0:
+        raise InvalidProblem(f"hbar must be positive, got {hbar!r}")
+    declared_n = data.get("N")
+    if declared_n is not None and (isinstance(declared_n, bool) or not isinstance(declared_n, int)):
+        raise InvalidProblem(f"N must be an integer, got {declared_n!r}")
+    if not isinstance(data["vectors"], (list, tuple)):
+        raise InvalidProblem("field 'vectors' must be a list of vectors")
     vectors = []
     for vi, vec in enumerate(data["vectors"]):
+        if not isinstance(vec, (list, tuple)):
+            raise InvalidProblem(f"vector {vi} is not a list of [Q, P] factors")
         factors = []
         for fi, pair in enumerate(vec):
-            if len(pair) != 2:
+            if not isinstance(pair, (list, tuple)) or len(pair) != 2:
                 raise InvalidProblem(f"vector {vi} factor {fi} is not a [Q, P] pair")
             factors.append(
                 DirectionVector(
@@ -583,8 +600,7 @@ def config_from_json(data: dict) -> MUConfiguration:
                 )
             )
         vectors.append(ProductVector(tuple(factors)))
-    declared_n = data.get("N")
-    if declared_n is not None and vectors and int(declared_n) != vectors[0].n:
+    if declared_n is not None and vectors and declared_n != vectors[0].n:
         raise DimensionMismatch(
             f"declared N = {declared_n} but vectors have {vectors[0].n} factors"
         )

@@ -93,6 +93,28 @@ class TestVerifyCommand:
         assert main(["verify", path]) == INPUT_ERROR
         assert "vectors" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("vectors", [[1, 0], [0, 1]]),
+            ("hbar", -1),
+            ("hbar", 0),
+            ("hbar", "x"),
+            ("hbar", math.inf),
+            ("N", "two"),
+            ("N", 1.5),
+            ("vectors", [[[0.0, math.nan]], [[1.0, 0.0]]]),
+            ("vectors", [[[0.0, -1.0]], [[math.inf, 0.0]]]),
+            ("K", -math.inf),
+            ("K", 10**400),
+        ],
+    )
+    def test_malformed_numeric_config_exits_two(self, field, value, write_json, capsys):
+        config = {"N": 1, "mode": "numeric", "K": 1.0, "vectors": [[[0.0, -1.0]], [[1.0, 0.0]]]}
+        path = write_json("bad.json", {**config, field: value})
+        assert main(["verify", path]) == INPUT_ERROR
+        assert capsys.readouterr().err.startswith("input error:")
+
     def test_infer_k(self, write_json):
         cfg = {
             "N": 1,
@@ -164,6 +186,29 @@ class TestEnumerateCommand:
 
     def test_bad_k(self):
         assert main(["enumerate-n1", "--k", "not-a-number", "--height", "1"]) == INPUT_ERROR
+
+
+ASYMMETRIC_EXACT = {"N": 1, "mode": "exact", "K": "1", "vectors": [[["0", "-1"]], [["1", "0"]], [["1", "1"]]]}
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("ambient", [1, 0, 1, 1]),
+        ("ambient", [1, 1, 1]),
+        ("K", {"p": [1, 0], "q": [0, 1]}),
+        ("K", "1/0"),
+        ("K", "abc"),
+        ("--k", "1/0"),
+    ],
+)
+def test_malformed_field_element_exits_two(field, value, write_json, capsys):
+    if field == "--k":
+        argv = ["enumerate-n1", "--k", value]
+    else:
+        argv = ["verify", write_json("bad.json", {**ASYMMETRIC_EXACT, field: value})]
+    assert main(argv) == INPUT_ERROR
+    assert capsys.readouterr().err.startswith("input error:")
 
 
 class TestEquivalenceCommand:
@@ -411,6 +456,13 @@ class TestReproduceCommand:
         err = capsys.readouterr().err
         assert f"argument {flag}" in err
         assert "Traceback" not in err
+
+    def test_out_writes_bool_verdicts(self, tmp_path):
+        out = tmp_path / "claims.json"
+        assert main(["reproduce", "--out", str(out)]) == OK
+        blob = json.loads(out.read_text())
+        assert blob["all_passed"] is True
+        assert all(type(claim["passed"]) is bool for claim in blob["claims"])
 
     def test_csv(self, tmp_path):
         out = tmp_path / "manifest.csv"

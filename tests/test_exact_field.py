@@ -249,3 +249,126 @@ class TestSerialization:
     def test_golden_default(self):
         assert GOLDEN == Ambient(u=Fraction(1), v=Fraction(1))
         assert R.ambient == GOLDEN
+
+
+# -- parity with the rational-pair formulas ----------------------------------
+#
+# The reference keeps an element as a pair of Fractions (p, q) ~ p + q R and
+# applies the defining formulas directly; QuadNum must agree with it on
+# every operation, including a fractional ambient (the only kind whose
+# integer form has a common denominator L != 1).
+
+PARITY_AMBIENTS = (
+    GOLDEN,
+    Ambient(Fraction(0), Fraction(2)),
+    Ambient(Fraction(2), Fraction(1)),
+    Ambient(Fraction(1, 2), Fraction(3, 4)),
+)
+pairs = st.tuples(rationals, rationals)
+scalars = st.one_of(st.integers(-30, 30), rationals)
+
+
+def ref_mul(x, y, amb):
+    (p1, q1), (p2, q2) = x, y
+    return (p1 * p2 + amb.v * q1 * q2, p1 * q2 + q1 * p2 + amb.u * q1 * q2)
+
+
+def ref_norm(x, amb):
+    p, q = x
+    return p * p + amb.u * p * q - amb.v * q * q
+
+
+def ref_inverse(x, amb):
+    p, q = x
+    n = ref_norm(x, amb)
+    return ((p + q * amb.u) / n, -q / n)
+
+
+def ref_sign(x, amb):
+    p, q = x
+    s = 2 * p + q * amb.u
+    if q == 0:
+        return 0 if s == 0 else (1 if s > 0 else -1)
+    lhs, rhs = q * q * (amb.u * amb.u + 4 * amb.v), s * s
+    if q > 0:
+        return 1 if s >= 0 else (0 if lhs == rhs else (1 if lhs > rhs else -1))
+    return -1 if s <= 0 else (0 if lhs == rhs else (1 if rhs > lhs else -1))
+
+
+def ref_str(x):
+    p, q = x
+    if q == 0:
+        return str(p)
+    q_part = "R" if q == 1 else ("-R" if q == -1 else f"{q} R")
+    if p == 0:
+        return q_part
+    q_mag = "R" if abs(q) == 1 else f"{abs(q)} R"
+    return f"{p} {'- ' if q < 0 else '+ '}{q_mag}"
+
+
+def ref_hash(x, amb):
+    p, q = x
+    return hash(p) if q == 0 else hash((p, q, amb.u, amb.v))
+
+
+def ref_float(x, amb):
+    p, q = x
+    if q == 0:
+        return float(p)
+    with mpmath.workdps(40):
+        disc = amb.u * amb.u + 4 * amb.v
+        r = (mpmath.mpf(amb.u.numerator) / amb.u.denominator
+             + mpmath.sqrt(mpmath.mpf(disc.numerator) / disc.denominator)) / 2
+        value = mpmath.mpf(p.numerator) / p.denominator + mpmath.mpf(q.numerator) / q.denominator * r
+        return float(value)
+
+
+def assert_is(value, pair, amb):
+    assert isinstance(value, QuadNum) and value.ambient == amb
+    assert (value.p, value.q) == pair
+    assert value.p.denominator > 0 and value.q.denominator > 0
+
+
+@given(st.sampled_from(PARITY_AMBIENTS), pairs, pairs, scalars)
+@settings(max_examples=400)
+def test_operations_match_fraction_pair_reference(amb, x, y, c):
+    a, b = QuadNum(*x, amb), QuadNum(*y, amb)
+    c = Fraction(c)
+    assert_is(a + b, (x[0] + y[0], x[1] + y[1]), amb)
+    assert_is(a - b, (x[0] - y[0], x[1] - y[1]), amb)
+    assert_is(c + a, (c + x[0], x[1]), amb)
+    assert_is(c - a, (c - x[0], -x[1]), amb)
+    assert_is(-a, (-x[0], -x[1]), amb)
+    assert_is(a * b, ref_mul(x, y, amb), amb)
+    assert_is(c * a, ref_mul((c, Fraction(0)), x, amb), amb)
+    assert a.norm() == ref_norm(x, amb)
+    if y != (0, 0):
+        assert_is(b.inverse(), ref_inverse(y, amb), amb)
+        assert_is(a / b, ref_mul(x, ref_inverse(y, amb), amb), amb)
+        assert_is(c / b, ref_mul((c, Fraction(0)), ref_inverse(y, amb), amb), amb)
+    if c != 0:
+        assert_is(a / c, (x[0] / c, x[1] / c), amb)
+    assert a.sign() == ref_sign(x, amb)
+    order = ref_sign((x[0] - y[0], x[1] - y[1]), amb)
+    assert (a < b, a <= b, a > b, a >= b) == (order < 0, order <= 0, order > 0, order >= 0)
+    assert (c < a) == (ref_sign((c - x[0], -x[1]), amb) < 0)
+    assert (a == b) == (x == y)
+    assert (a == c) == (x == (c, 0))
+    assert hash(a) == ref_hash(x, amb)
+    assert str(a) == ref_str(x)
+    assert repr(a) == f"QuadNum({x[0]!r}, {x[1]!r})"
+    blob = a.to_json()
+    assert blob == {
+        "p": [x[0].numerator, x[0].denominator],
+        "q": [x[1].numerator, x[1].denominator],
+        "ambient": amb.to_json(),
+    }
+    assert QuadNum.from_json(blob) == a
+    assert float(a) == ref_float(x, amb)
+
+
+def test_degenerate_ambient_zero_divisor_has_no_inverse():
+    # u^2 + 4v = 4 is a rational square: R = 1 and R - 1 is a zero divisor
+    amb = Ambient(Fraction(0), Fraction(1))
+    with pytest.raises(DivisionByZero):
+        (QuadNum.root(amb) - 1).inverse()
