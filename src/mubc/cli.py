@@ -9,36 +9,31 @@ from __future__ import annotations
 
 import argparse
 import csv
-import importlib.resources
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, fields
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DegenerateBlock, InvalidProblem, MubcError, SingularCayley
+from .errors import InvalidProblem, MubcError
 from .exact import GOLDEN, QuadNum
+# The benchmark reads build_manifest, ManifestEntry and fixture_config through
+# this module and replaces build_manifest here, so they stay bound at import.
+from .manifest import ManifestEntry, build_manifest, fixture_config, fmt as _fmt
 from .metaplectic import (
     MetaplecticSpec,
     compose_overlap_sq,
     genmu_overlap_sq,
-    rotation_matrix,
     special_m,
     symplectic_defect,
 )
-from .oracle import (
-    ChirpState,
-    direction_for_angle,
-    overlap_quadrature,
-    pairwise_unbiased_scan,
-)
+from .oracle import ChirpState, overlap_quadrature, pairwise_unbiased_scan
 from .search import (
     CounterexampleFound,
-    InfeasibilityCertificate,
     SearchProblem,
     certify_no_fourth,
     enumerate_triples_n1,
@@ -50,7 +45,7 @@ from .symplectic import (
     NUMERIC,
     DirectionVector,
     MUConfiguration,
-    ProductVector,
+    _json_number,
     config_from_json,
     config_to_json,
     overlap_magnitude_sq,
@@ -94,14 +89,6 @@ def _write_csv(path: str | None, fieldnames: Sequence[str], rows: Sequence[dict]
         writer.writeheader()
         for row in rows:
             writer.writerow(row)
-
-
-def _fmt(x) -> str:
-    if isinstance(x, bool):
-        return "yes" if x else "no"
-    if isinstance(x, float):
-        return f"{x:.12g}"
-    return str(x)
 
 
 def _load_config(path: str, args) -> MUConfiguration:
@@ -317,15 +304,11 @@ def cmd_metaplectic(args) -> int:
         _write_json(args.out, {"overlap_sq": value, "hbar": hbar})
         return OK
     # special-m
-    if args.mode == EXACT:
-        try:
-            q = Fraction(args.q)
-            p = Fraction(args.p)
-            mu = Fraction(args.mu)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise _Failure(INPUT_ERROR, f"input error: field 'q/p/mu': {exc}")
-    else:
-        q, p, mu = float(args.q), float(args.p), float(args.mu)
+    scalar = Fraction if args.mode == EXACT else float
+    try:
+        q, p, mu = scalar(args.q), scalar(args.p), scalar(args.mu)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise _Failure(INPUT_ERROR, f"input error: field 'q/p/mu': {exc}")
     matrix = special_m(q, p, mu)
     print("matrix rows:")
     for row in matrix:
@@ -357,25 +340,27 @@ def cmd_metaplectic(args) -> int:
 def _state_from_json(path: str, data, hbar_default: float) -> ChirpState:
     if not isinstance(data, dict):
         raise _Failure(INPUT_ERROR, f"input error: {path}: expected a JSON object")
-    for field in ("Q", "P"):
-        if field not in data:
-            raise _Failure(INPUT_ERROR, f"input error: {path}: field {field!r} is required")
-        if not isinstance(data[field], (int, float)) or isinstance(data[field], bool):
-            raise _Failure(
-                INPUT_ERROR, f"input error: {path}: field {field!r} must be a number"
-            )
-    alpha = data.get("alpha", 0.0)
-    hbar = data.get("hbar", hbar_default)
-    for field, value in (("alpha", alpha), ("hbar", hbar)):
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise _Failure(
-                INPUT_ERROR, f"input error: {path}: field {field!r} must be a number"
-            )
+
+    def number(field: str, default: float | None = None) -> float:
+        if field not in data and default is None:
+            raise InvalidProblem(f"field {field!r} is required")
+        return _json_number(data.get(field, default), f"field {field!r}")
+
     try:
-        direction = DirectionVector(float(data["Q"]), float(data["P"]))
+        direction = DirectionVector(number("Q"), number("P"))
+        return ChirpState(direction, number("alpha", 0.0), number("hbar", hbar_default))
     except InvalidProblem as exc:
         raise _Failure(INPUT_ERROR, f"input error: {path}: {exc}")
-    return ChirpState(direction, float(alpha), float(hbar))
+
+
+def _float_list(text: str, field: str) -> list[float]:
+    try:
+        values = [float(x) for x in text.split(",")]
+    except ValueError as exc:
+        raise _Failure(INPUT_ERROR, f"input error: field {field!r}: {exc}")
+    if not all(math.isfinite(v) for v in values):
+        raise _Failure(INPUT_ERROR, f"input error: field {field!r}: values must be finite")
+    return values
 
 
 def cmd_oracle(args) -> int:
@@ -385,10 +370,7 @@ def cmd_oracle(args) -> int:
         state_b = _state_from_json(args.state_b, _load_json(args.state_b), hbar)
         epsilons = None
         if args.epsilons:
-            try:
-                epsilons = [float(x) for x in args.epsilons.split(",")]
-            except ValueError as exc:
-                raise _Failure(INPUT_ERROR, f"input error: field 'epsilons': {exc}")
+            epsilons = _float_list(args.epsilons, "epsilons")
         result = overlap_quadrature(state_a, state_b, epsilons=epsilons)
         formula = overlap_magnitude_sq(state_a.direction, state_b.direction, hbar=state_a.hbar)
         print(f"branch: {result.branch}")
@@ -415,10 +397,7 @@ def cmd_oracle(args) -> int:
         return OK if result.converged else NO_CONVERGENCE
     # scan
     if args.thetas:
-        try:
-            thetas = [float(x) for x in args.thetas.split(",")]
-        except ValueError as exc:
-            raise _Failure(INPUT_ERROR, f"input error: field 'thetas': {exc}")
+        thetas = _float_list(args.thetas, "thetas")
     else:
         thetas = [0.0, math.pi / 6, math.pi / 4, math.pi / 3, math.pi / 2]
     tolerance = args.tolerance if args.tolerance is not None else 1e-5
@@ -457,348 +436,6 @@ def cmd_oracle(args) -> int:
 # -- reproduce ------------------------------------------------------------
 
 
-@dataclass
-class ManifestEntry:
-    claim: str
-    provenance: str
-    computed: str
-    expected: str
-    passed: bool
-    detail: str = ""
-
-    def to_json(self) -> dict:
-        return {
-            "claim": self.claim,
-            "provenance": self.provenance,
-            "computed": self.computed,
-            "expected": self.expected,
-            "passed": self.passed,
-            "detail": self.detail,
-        }
-
-
-def load_fixture(name: str) -> dict:
-    resource = importlib.resources.files("mubc").joinpath(f"fixtures/{name}")
-    return json.loads(resource.read_text(encoding="utf-8"))
-
-
-def fixture_config(name: str) -> MUConfiguration:
-    return config_from_json(load_fixture(name))
-
-
-def _rel_gap(computed: float, expected: float) -> float:
-    if computed == expected:
-        return 0.0
-    return abs(computed - expected) / max(abs(expected), 1e-300)
-
-
-ROTATION_ANGLES = (math.pi / 6, math.pi / 4, math.pi / 3, 2 * math.pi / 3)
-
-
-def build_manifest(
-    hbar: float = 1.0, tolerance: float = 1e-9, include_search: bool = False
-) -> list[ManifestEntry]:
-    """Recompute every bundled numeric claim and grade it.
-
-    Exact-arithmetic claims are graded exactly and hold at any tolerance;
-    floating-point claims are graded at the given relative tolerance, so
-    tolerance = 0 fails the quadrature rows while exact rows still pass.
-    """
-    entries: list[ManifestEntry] = []
-
-    # 1. position vs momentum bases: the constant overlap magnitude
-    position = DirectionVector(0.0, 1.0)
-    momentum = DirectionVector(1.0, 0.0)
-    computed = overlap_magnitude_sq(position, momentum, hbar=hbar)
-    expected = 1.0 / (2.0 * math.pi * hbar)
-    entries.append(
-        ManifestEntry(
-            "position-momentum-constant",
-            "analytic",
-            _fmt(computed),
-            _fmt(expected),
-            _rel_gap(computed, expected) <= tolerance,
-        )
-    )
-
-    # 2-4. rotated bases at four angles, three independent routes
-    worst_sym = 0.0
-    worst_meta = 0.0
-    worst_oracle = 0.0
-    oracle_ok = True
-    for theta in ROTATION_ANGLES:
-        expected = 1.0 / (2.0 * math.pi * hbar * abs(math.sin(theta)))
-        sym = overlap_magnitude_sq(direction_for_angle(theta), position, hbar=hbar)
-        worst_sym = max(worst_sym, _rel_gap(sym, expected))
-        meta = genmu_overlap_sq(rotation_matrix(theta), hbar=hbar)
-        worst_meta = max(worst_meta, _rel_gap(meta, expected))
-        state_a = ChirpState(direction_for_angle(-theta / 2.0), 0.0, hbar)
-        state_b = ChirpState(direction_for_angle(theta / 2.0), 0.0, hbar)
-        result = overlap_quadrature(state_a, state_b)
-        oracle_ok = oracle_ok and result.converged
-        worst_oracle = max(worst_oracle, _rel_gap(result.value, expected))
-    entries.append(
-        ManifestEntry(
-            "rotation-law-symplectic",
-            "analytic",
-            f"max gap {_fmt(worst_sym)}",
-            "1/(2*pi*hbar*|sin theta|)",
-            worst_sym <= tolerance,
-            "angles pi/6, pi/4, pi/3, 2pi/3",
-        )
-    )
-    entries.append(
-        ManifestEntry(
-            "rotation-law-metaplectic",
-            "cross-check",
-            f"max gap {_fmt(worst_meta)}",
-            "1/(2*pi*hbar*|sin theta|)",
-            worst_meta <= tolerance,
-            "Cayley route on rotation matrices",
-        )
-    )
-    entries.append(
-        ManifestEntry(
-            "rotation-law-oracle",
-            "quadrature",
-            f"max gap {_fmt(worst_oracle)}",
-            "1/(2*pi*hbar*|sin theta|)",
-            oracle_ok and worst_oracle <= tolerance,
-            "damped-integral extrapolation, chirp-chirp branch",
-        )
-    )
-
-    # 5. symmetric triple with the corrected second components
-    s = math.sqrt(3.0) / 2.0
-    symmetric = MUConfiguration(
-        (
-            ProductVector.of((0.0, -1.0)),
-            ProductVector.of((s, 0.5)),
-            ProductVector.of((-s, 0.5)),
-        ),
-        s,
-        hbar,
-        NUMERIC,
-    )
-    report = verify_mu(symmetric, tolerance=max(tolerance, 1e-15))
-    overlap = overlap_magnitude_sq(symmetric.vectors[0], symmetric.vectors[1], hbar=hbar)
-    overlap_expected = 1.0 / (math.pi * hbar * math.sqrt(3.0))
-    entries.append(
-        ManifestEntry(
-            "symmetric-triple",
-            "analytic",
-            f"deviation {_fmt(report.max_deviation)}, overlap {_fmt(overlap)}",
-            f"deviation 0, overlap {_fmt(overlap_expected)}",
-            report.verdict and _rel_gap(overlap, overlap_expected) <= max(tolerance, 1e-15),
-            "vectors (0,-1), (sqrt3/2, 1/2), (-sqrt3/2, 1/2) at K = sqrt3/2",
-        )
-    )
-
-    # 6. the commonly quoted variant with second components 1 is not MU;
-    # reproducing that failure is itself a check
-    variant = MUConfiguration(
-        (
-            ProductVector.of((0.0, -1.0)),
-            ProductVector.of((s, 1.0)),
-            ProductVector.of((-s, 1.0)),
-        ),
-        None,
-        hbar,
-        NUMERIC,
-    )
-    variant_report = verify_mu(variant, tolerance=1e-6, infer_k=True)
-    entries.append(
-        ManifestEntry(
-            "symmetric-triple-discrepancy",
-            "cross-check",
-            f"verdict {_fmt(variant_report.verdict)}",
-            "verdict no",
-            not variant_report.verdict,
-            "variant with second components 1 has unequal pair products",
-        )
-    )
-
-    # 7. asymmetric triple, exact integer arithmetic
-    asymmetric = fixture_config("asymmetric-triple.json")
-    asym_report = verify_mu(asymmetric)
-    entries.append(
-        ManifestEntry(
-            "asymmetric-triple-exact",
-            "exact-field",
-            f"verdict {_fmt(asym_report.verdict)}",
-            "verdict yes",
-            asym_report.verdict and asym_report.max_deviation == 0.0,
-            "vectors (0,-1), (1,0), (1,1) at K = 1",
-        )
-    )
-
-    # 8. golden five-set, exact golden-field arithmetic end to end
-    golden = fixture_config("golden5.json")
-    golden_report = verify_mu(golden)
-    entries.append(
-        ManifestEntry(
-            "golden-five-exact",
-            "exact-field",
-            f"verdict {_fmt(golden_report.verdict)} over {len(golden_report.pairs)} pairs",
-            "verdict yes over 10 pairs",
-            golden_report.verdict
-            and golden_report.max_deviation == 0.0
-            and len(golden_report.pairs) == 10,
-            "all pairwise products are golden units of magnitude 1",
-        )
-    )
-
-    # 9. no fourth direction joins either triple
-    cert_a = certify_no_fourth(
-        DirectionVector(0, -1), DirectionVector(1, 0), DirectionVector(1, 1), 1
-    )
-    cert_s = certify_no_fourth(
-        DirectionVector(0.0, -1.0), DirectionVector(s, 0.5), DirectionVector(-s, 0.5), s
-    )
-    both_valid = (
-        isinstance(cert_a, InfeasibilityCertificate)
-        and cert_a.valid
-        and isinstance(cert_s, InfeasibilityCertificate)
-        and cert_s.valid
-    )
-    entries.append(
-        ManifestEntry(
-            "no-fourth-certificates",
-            "exact-field",
-            "both certificates valid" if both_valid else "certificate failed",
-            "8 contradicted sign patterns per triple",
-            both_valid,
-            "asymmetric triple (exact) and symmetric triple (numeric)",
-        )
-    )
-
-    # 10. the two triples are linearly equivalent up to a positive scale
-    equivalence = find_equivalence(asymmetric, symmetric)
-    entries.append(
-        ManifestEntry(
-            "triple-equivalence",
-            "cross-check",
-            "none" if equivalence is None else f"residual {_fmt(equivalence.residual)}",
-            "residual < 1e-10",
-            equivalence is not None and equivalence.residual < 1e-10,
-            ""
-            if equivalence is None
-            else f"scale {_fmt(equivalence.scale)}, permutation {list(equivalence.permutation)}",
-        )
-    )
-
-    # 11. shear-normalized matrices: overlap depends only on Q
-    rng = np.random.default_rng(8)
-    worst_shear = 0.0
-    draws = 0
-    while draws < 20:
-        q = float(rng.uniform(0.3, 2.5) * rng.choice((-1.0, 1.0)))
-        p = float(rng.uniform(-2.0, 2.0))
-        mu = float(rng.uniform(-2.0, 2.0))
-        try:
-            value = genmu_overlap_sq(np.array(special_m(q, p, mu)), hbar=hbar)
-        except (SingularCayley, DegenerateBlock):
-            continue
-        draws += 1
-        worst_shear = max(worst_shear, _rel_gap(value, 1.0 / (2.0 * math.pi * hbar * abs(q))))
-    entries.append(
-        ManifestEntry(
-            "shear-prefactor",
-            "cross-check",
-            f"max gap {_fmt(worst_shear)}",
-            "1/(2*pi*hbar*|Q|)",
-            worst_shear <= max(tolerance, 1e-10),
-            "20 seeded random (Q, P, mu) draws",
-        )
-    )
-
-    # 12. composition of rotations matches the angle difference
-    rng = np.random.default_rng(9)
-    worst_comp = 0.0
-    pairs = 0
-    while pairs < 10:
-        theta_a = float(rng.uniform(0.0, math.pi))
-        theta_b = float(rng.uniform(0.0, math.pi))
-        if abs(math.sin(theta_b - theta_a)) < 0.05:
-            continue
-        pairs += 1
-        value = compose_overlap_sq(rotation_matrix(theta_a), rotation_matrix(theta_b), hbar=hbar)
-        expected = 1.0 / (2.0 * math.pi * hbar * abs(math.sin(theta_b - theta_a)))
-        worst_comp = max(worst_comp, _rel_gap(value, expected))
-    entries.append(
-        ManifestEntry(
-            "composition-rotations",
-            "cross-check",
-            f"max gap {_fmt(worst_comp)}",
-            "1/(2*pi*hbar*|sin dtheta|)",
-            worst_comp <= max(tolerance, 1e-10),
-            "10 seeded random rotation pairs",
-        )
-    )
-
-    if include_search:
-        golden_seeds = golden.vectors[:4]
-        problem = SearchProblem(
-            target_k=golden.target_k,
-            seeds=golden_seeds,
-            free_slots=1,
-            domain="golden-lattice",
-            height=2,
-        )
-        search_report = search_extension(problem, budget=800000)
-        fifth = golden.vectors[4]
-        recovered = any(
-            _same_vector(v, fifth) for sol in search_report.solutions for v in sol
-        )
-        entries.append(
-            ManifestEntry(
-                "search-lattice-recovery",
-                "exact-field",
-                f"outcome {search_report.outcome}, residual {_fmt(search_report.residual)}, "
-                f"{len(search_report.solutions)} completions",
-                "outcome extended, residual 0, bundled fifth among completions",
-                search_report.outcome == "extended"
-                and search_report.residual == 0.0
-                and recovered,
-                f"{search_report.evaluations} heads enumerated, one linear solve per sign pattern",
-            )
-        )
-        real_problem = SearchProblem(
-            target_k=1.0,
-            seeds=(
-                ProductVector.of((0.0, -1.0)),
-                ProductVector.of((1.0, 0.0)),
-                ProductVector.of((1.0, 1.0)),
-            ),
-            free_slots=1,
-            domain="real",
-        )
-        real_report = search_extension(real_problem, budget=4000, restarts=8, seed=0)
-        entries.append(
-            ManifestEntry(
-                "search-real-no-improvement",
-                "cross-check",
-                f"outcome {real_report.outcome}",
-                "outcome no-improvement",
-                real_report.outcome == "no-improvement",
-                "multi-start descent cannot extend the asymmetric triple",
-            )
-        )
-    return entries
-
-
-def _same_vector(a: ProductVector, b: ProductVector) -> bool:
-    if a.n != b.n:
-        return False
-    direct = all(
-        fa.q == fb.q and fa.p == fb.p for fa, fb in zip(a.factors, b.factors)
-    )
-    flipped = all(
-        fa.q == -fb.q and fa.p == -fb.p for fa, fb in zip(a.factors, b.factors)
-    )
-    return direct or flipped
-
-
 def cmd_reproduce(args) -> int:
     hbar = args.hbar if args.hbar is not None else 1.0
     tolerance = args.tolerance if args.tolerance is not None else 1e-9
@@ -816,14 +453,10 @@ def cmd_reproduce(args) -> int:
             "hbar": hbar,
             "tolerance": tolerance,
             "all_passed": all_passed,
-            "claims": [e.to_json() for e in entries],
+            "claims": [asdict(e) for e in entries],
         },
     )
-    _write_csv(
-        args.csv,
-        ["claim", "provenance", "computed", "expected", "passed", "detail"],
-        [e.to_json() for e in entries],
-    )
+    _write_csv(args.csv, [f.name for f in fields(ManifestEntry)], [asdict(e) for e in entries])
     return OK if all_passed else FALSE
 
 

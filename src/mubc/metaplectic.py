@@ -38,12 +38,17 @@ from .errors import (
     SingularCayley,
 )
 from .exact import QuadNum
+from .symplectic import _json_number
 
 ExactMatrix = list  # nested lists of QuadNum / Fraction / int
 Matrix = Union[np.ndarray, Sequence[Sequence]]
 
 STACKED = "stacked"
 INTERLEAVED = "interleaved"
+
+# Below this |det(M - I)| or |det(N_pp)| a float matrix has no Cayley
+# matrix or no finite overlap.
+_SINGULAR_TOL = 1e-10
 
 
 def _is_exact(matrix: Matrix) -> bool:
@@ -211,7 +216,7 @@ def is_symplectic(matrix: Matrix, tolerance: float = 1e-12, ordering: str = STAC
     return defect <= tolerance * scale
 
 
-def cayley_matrix(matrix: Matrix, singular_tol: float = 1e-10):
+def cayley_matrix(matrix: Matrix):
     """Cayley matrix N_c = (1/2) J (M + I) (M - I)^-1 in stacked ordering.
 
     Symmetric whenever M is symplectic. Raises SingularCayley when M - I
@@ -233,8 +238,8 @@ def cayley_matrix(matrix: Matrix, singular_tol: float = 1e-10):
     ident = np.eye(2 * n)
     shifted = m - ident
     det = np.linalg.det(shifted)
-    if abs(det) <= singular_tol:
-        raise SingularCayley(f"|det(M - I)| = {abs(det):.3e} is below {singular_tol}")
+    if abs(det) <= _SINGULAR_TOL:
+        raise SingularCayley(f"|det(M - I)| = {abs(det):.3e} is below {_SINGULAR_TOL}")
     return 0.5 * stacked_j(n) @ (m + ident) @ np.linalg.inv(shifted)
 
 
@@ -254,7 +259,7 @@ class BlockDecomposition:
         return cls(m[:n, :n], m[:n, n:], m[n:, :n], m[n:, n:])
 
 
-def genmu_overlap_sq(matrix: Matrix, hbar: float = 1.0, singular_tol: float = 1e-10) -> float:
+def genmu_overlap_sq(matrix: Matrix, hbar: float = 1.0) -> float:
     """Squared overlap magnitude of M's basis image against the position basis.
 
     (2*pi*hbar)^-N / |det(M - I) * det(N_pp)| with N_pp the momentum-momentum
@@ -262,7 +267,7 @@ def genmu_overlap_sq(matrix: Matrix, hbar: float = 1.0, singular_tol: float = 1e
     """
     exact = _is_exact(matrix)
     n = _dimension(matrix)
-    cayley = cayley_matrix(matrix, singular_tol)
+    cayley = cayley_matrix(matrix)
     if exact:
         ident = _exact_identity(2 * n)
         det_shift, _ = _exact_det_inv(_exact_sub(matrix, ident))
@@ -275,22 +280,15 @@ def genmu_overlap_sq(matrix: Matrix, hbar: float = 1.0, singular_tol: float = 1e
         det_shift = np.linalg.det(m - np.eye(2 * n))
         pp = BlockDecomposition.of(cayley).pp
         det_pp = np.linalg.det(pp)
-        if abs(det_pp) <= singular_tol:
-            raise DegenerateBlock(
-                f"|det(N_pp)| = {abs(det_pp):.3e} is below {singular_tol}"
-            )
+        if abs(det_pp) <= _SINGULAR_TOL:
+            raise DegenerateBlock(f"|det(N_pp)| = {abs(det_pp):.3e} is below {_SINGULAR_TOL}")
     denom = abs(float(det_shift * det_pp))
     if denom == 0.0:
         raise DegenerateBlock("vanishing overlap denominator")
     return (2.0 * math.pi * hbar) ** (-n) / denom
 
 
-def compose_overlap_sq(
-    matrix_a: Matrix,
-    matrix_b: Matrix,
-    hbar: float = 1.0,
-    singular_tol: float = 1e-10,
-) -> float:
+def compose_overlap_sq(matrix_a: Matrix, matrix_b: Matrix, hbar: float = 1.0) -> float:
     """Squared overlap magnitude between the images of two symplectic maps.
 
     Depends on the pair only through M_a^-1 M_b.
@@ -302,7 +300,7 @@ def compose_overlap_sq(
         if inv is None:
             raise NonInvertible("first matrix is singular")
         relative = _exact_matmul(inv, matrix_b)
-        return genmu_overlap_sq(relative, hbar, singular_tol)
+        return genmu_overlap_sq(relative, hbar)
     a = np.asarray(matrix_a, dtype=float)
     b = np.asarray(matrix_b, dtype=float)
     if a.shape != b.shape:
@@ -310,7 +308,7 @@ def compose_overlap_sq(
     det = np.linalg.det(a)
     if abs(det) < 1e-300:
         raise NonInvertible("first matrix is numerically singular")
-    return genmu_overlap_sq(np.linalg.solve(a, b), hbar, singular_tol)
+    return genmu_overlap_sq(np.linalg.solve(a, b), hbar)
 
 
 def special_m(q: float, p: float, mu: float = 0.0):
@@ -346,15 +344,15 @@ def rotation_matrix(theta: float) -> np.ndarray:
     return np.array([[c, s], [-s, c]])
 
 
-def random_symplectic(n: int, rng: np.random.Generator, factors: int = 8) -> np.ndarray:
-    """Random product of generators that are exactly symplectic in floats.
+def random_symplectic(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Random product of eight generators that are exactly symplectic in floats.
 
     Generator entries are small dyadic rationals, so every float operation
     in the product is exact and M^t J M - J vanishes identically.
     """
     size = 2 * n
     result = np.eye(size)
-    for _ in range(factors):
+    for _ in range(8):
         kind = rng.integers(0, 4)
         gen = np.eye(size)
         if kind == 0:
@@ -385,7 +383,6 @@ class MetaplecticSpec:
 
     matrix: np.ndarray
     ordering: str = STACKED
-    hbar: float = 1.0
 
     def stacked(self) -> np.ndarray:
         if self.ordering == STACKED:
@@ -408,11 +405,17 @@ class MetaplecticSpec:
         if ordering not in (STACKED, INTERLEAVED):
             raise InvalidProblem(f"unknown ordering {ordering!r}")
         rows = data["rows"]
-        matrix = np.asarray(rows, dtype=float)
+        if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+            raise InvalidProblem("field 'rows' must be a list of rows")
+        if len({len(row) for row in rows}) > 1:
+            raise InvalidProblem("rows of the matrix differ in length")
+        matrix = np.array([[_json_number(x, "matrix entries") for x in row] for row in rows])
         if matrix.ndim != 2:
             raise DimensionMismatch("rows must form a matrix")
         n = _dimension(matrix)
         declared = data.get("N")
-        if declared is not None and int(declared) != n:
+        if declared is not None and (isinstance(declared, bool) or not isinstance(declared, int)):
+            raise InvalidProblem(f"N must be an integer, got {declared!r}")
+        if declared is not None and declared != n:
             raise DimensionMismatch(f"declared N = {declared} but matrix is {2*n}x{2*n}")
-        return cls(matrix, ordering, float(data.get("hbar", 1.0)))
+        return cls(matrix, ordering)

@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ContextMismatch, InvalidDirection, ParallelDirections
+from .errors import ContextMismatch, InvalidDirection, InvalidProblem, ParallelDirections
 from .symplectic import DirectionVector
 
 CHIRP = "chirp"
@@ -170,6 +170,8 @@ def _gl_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
 _PANEL_BLOCK = 65536
 # The default ladder starts at default_epsilons' 9 levels and deepens to this.
 _MAX_LEVELS = 13
+# Degree of the sliding polynomial windows that extrapolate eps -> 0.
+_ORDER = 3
 
 
 def _panel_count(du: float, eps: float, grid: GridSpec, panels_scale: int) -> tuple[int, bool]:
@@ -241,9 +243,9 @@ def _neville_at_zero(xs: Sequence[float], ys: Sequence[float]) -> float:
     return table[0]
 
 
-def default_epsilons(du: float, levels: int = 9, base: float = 0.1) -> tuple[float, ...]:
-    """Geometric eps sequence scaled to the chirp-rate gap: base*max(1,|du|)*2^-m."""
-    scale = base * max(1.0, abs(du))
+def default_epsilons(du: float, levels: int = 9) -> tuple[float, ...]:
+    """Geometric eps sequence scaled to the chirp-rate gap: 0.1*max(1,|du|)*2^-m."""
+    scale = 0.1 * max(1.0, abs(du))
     return tuple(scale * 2.0**-m for m in range(levels))
 
 
@@ -251,13 +253,12 @@ def _extrapolate(
     eps_list: Sequence[float],
     raws: Sequence[float],
     local_errors: Sequence[float],
-    order: int,
     grid: GridSpec,
 ) -> tuple[float, float, bool, tuple[float, ...]]:
     """Value, error estimate, convergence verdict and extrapolants of a ladder."""
     extrapolants: list[float] = []
-    for end in range(order, len(eps_list)):
-        window = slice(end - order, end + 1)
+    for end in range(_ORDER, len(eps_list)):
+        window = slice(end - _ORDER, end + 1)
         extrapolants.append(_neville_at_zero(eps_list[window], raws[window]))
     steps = [abs(x - y) for x, y in zip(extrapolants[1:], extrapolants[:-1])]
     value = extrapolants[-1]
@@ -286,12 +287,11 @@ def overlap_quadrature(
     b: ChirpState,
     epsilons: Sequence[float] | None = None,
     grid: GridSpec | None = None,
-    order: int = 3,
 ) -> QuadratureResult:
     """Squared overlap magnitude of two states by damped quadrature.
 
     Runs the damped integral at every eps, extrapolates |I(eps)|^2 to
-    eps -> 0 with sliding degree-`order` polynomial windows, and reports the
+    eps -> 0 with sliding degree-3 polynomial windows, and reports the
     last extrapolant with the spread of the final window step as the error
     estimate. Without explicit `epsilons` the ladder starts at
     default_epsilons' 9 levels and, while unconverged, adds one level at a
@@ -328,13 +328,13 @@ def overlap_quadrature(
     if epsilons is not None:
         eps_list = tuple(sorted((float(e) for e in epsilons), reverse=True))
         if any(e <= 0 for e in eps_list):
-            raise ValueError("eps levels must be positive")
+            raise InvalidProblem("eps levels must be positive")
         max_levels = len(eps_list)
     else:
         eps_list = default_epsilons(du)
         max_levels = _MAX_LEVELS
-    if len(eps_list) < order + 2:
-        raise ValueError(f"need at least {order + 2} eps levels for order {order}")
+    if len(eps_list) < _ORDER + 2:
+        raise InvalidProblem(f"need at least {_ORDER + 2} eps levels")
     prefactor = a.amplitude * b.amplitude
     raws: list[float] = []
     local_errors: list[float] = []
@@ -344,7 +344,7 @@ def overlap_quadrature(
             raws.append(raw)
             local_errors.append(err)
         value, error_estimate, converged, extrapolants = _extrapolate(
-            eps_list, raws, local_errors, order, grid
+            eps_list, raws, local_errors, grid
         )
         # a capped level's error is inf, so deeper levels cannot converge
         if converged or work["capped_levels"] or len(eps_list) >= max_levels:
@@ -432,13 +432,13 @@ class ScanResult:
         }
 
 
-def direction_for_angle(theta: float, snap: float = 1e-12) -> DirectionVector:
+def direction_for_angle(theta: float) -> DirectionVector:
     """Direction (-sin t, cos t) of the theta-rotated quadrature, snapped
-    to the exact axis directions near multiples of pi/2."""
+    to the exact axis directions within 1e-12 of multiples of pi/2."""
     s, c = math.sin(theta), math.cos(theta)
-    if abs(s) < snap:
+    if abs(s) < 1e-12:
         return DirectionVector(0.0, math.copysign(1.0, c))
-    if abs(c) < snap:
+    if abs(c) < 1e-12:
         return DirectionVector(-math.copysign(1.0, s), 0.0)
     return DirectionVector(-s, c)
 

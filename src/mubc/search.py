@@ -49,18 +49,14 @@ from .symplectic import (
 # -- fourth-vector infeasibility certificates ---------------------------
 
 
-def _is_exact_scalar(x: Scalar) -> bool:
-    return isinstance(x, (QuadNum, Fraction, int))
-
-
 def _div(x: Scalar, y: Scalar) -> Scalar:
     if isinstance(x, QuadNum) or isinstance(y, QuadNum):
         if not isinstance(x, QuadNum):
             x = QuadNum(x, 0, y.ambient)
         return x / y
-    if _is_exact_scalar(x) and _is_exact_scalar(y):
-        return Fraction(x) / Fraction(y)
-    return x / y
+    if isinstance(x, float) or isinstance(y, float):
+        return x / y
+    return Fraction(x) / Fraction(y)
 
 
 @dataclass(frozen=True)
@@ -220,7 +216,7 @@ def certify_no_fourth(
                 MUConfiguration(
                     tuple(ProductVector((v,)) for v in (a, b, c, d)),
                     k,
-                    mode=EXACT if _is_exact_scalar(d.q) else NUMERIC,
+                    mode=NUMERIC if d.mode == NUMERIC else EXACT,
                 ),
                 tolerance=max(tolerance, 1e-9),
             )
@@ -391,13 +387,17 @@ class SearchProblem:
                 **({"ambient": data["ambient"]} if "ambient" in data else {}),
             }
         )
+        free_slots, height = data["free_slots"], data.get("height", 3)
+        for key, value in (("free_slots", free_slots), ("height", height)):
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise InvalidProblem(f"{key} must be an integer, got {value!r}")
         return cls(
             target_k=config.target_k,
             seeds=config.vectors,
-            free_slots=int(data["free_slots"]),
+            free_slots=free_slots,
             domain=domain,
-            height=int(data.get("height", 3)),
-            hbar=float(data.get("hbar", 1.0)),
+            height=height,
+            hbar=config.hbar,
         )
 
 
@@ -527,11 +527,11 @@ def _real_objective(
     return total, grad
 
 
-def real_objective_fn(problem: SearchProblem, charts: tuple[int, ...] | None = None):
-    """Expose the gauge-fixed objective and gradient (used by tests)."""
+def real_objective_fn(problem: SearchProblem):
+    """Expose the gauge-fixed objective and gradient in the chart that pins
+    every factor's first component to 1 (used by tests)."""
     _seed_check(problem)
-    if charts is None:
-        charts = tuple([0] * (problem.free_slots * problem.n))
+    charts = (0,) * (problem.free_slots * problem.n)
     seeds = [[f.as_floats() for f in v.factors] for v in problem.seeds]
     log_k = math.log(float(problem.target_k))
 
@@ -673,12 +673,15 @@ def _search_lattice(problem: SearchProblem, budget: int, seed: int | None) -> Se
     ]
     components = _height_box(problem.height)
     box = set(components)
-    factor_choices = [
-        DirectionVector(qc, pc)
-        for qc in components
-        for pc in components
-        if not (qc.is_zero and pc.is_zero)
-    ]
+    # a head is the first N - 1 factors, so an N = 1 search needs no choices
+    factor_choices = []
+    if problem.n >= 2:
+        factor_choices = [
+            DirectionVector(qc, pc)
+            for qc in components
+            for pc in components
+            if not (qc.is_zero and pc.is_zero)
+        ]
 
     def last_factors(rows: list[DirectionVector], rhs: list[QuadNum]) -> list[DirectionVector]:
         if len(rows) == 1:

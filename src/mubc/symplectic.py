@@ -75,15 +75,13 @@ class DirectionVector:
 
     q: Scalar
     p: Scalar
+    # EXACT, NUMERIC, or None for two ints; derived once, outside ==/hash/repr
+    mode: str | None = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        _join_modes(_strict_mode(self.q), _strict_mode(self.p))
+        object.__setattr__(self, "mode", _join_modes(_strict_mode(self.q), _strict_mode(self.p)))
         if self.q == 0 and self.p == 0:
             raise InvalidDirection("direction (0, 0) labels no basis")
-
-    @property
-    def mode(self) -> str | None:
-        return _join_modes(_strict_mode(self.q), _strict_mode(self.p))
 
     def scaled(self, factor: Scalar) -> "DirectionVector":
         return DirectionVector(factor * self.q, factor * self.p)
@@ -100,13 +98,14 @@ class ProductVector:
     """Kronecker product of N direction vectors, one per variable pair."""
 
     factors: tuple[DirectionVector, ...]
+    mode: str | None = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.factors, tuple):
             object.__setattr__(self, "factors", tuple(self.factors))
         if len(self.factors) == 0:
             raise DimensionMismatch("a product vector needs at least one factor")
-        _join_modes(*(f.mode for f in self.factors))
+        object.__setattr__(self, "mode", _join_modes(*(f.mode for f in self.factors)))
 
     @classmethod
     def of(cls, *factors: DirectionVector | tuple[Scalar, Scalar]) -> "ProductVector":
@@ -118,10 +117,6 @@ class ProductVector:
     @property
     def n(self) -> int:
         return len(self.factors)
-
-    @property
-    def mode(self) -> str | None:
-        return _join_modes(*(f.mode for f in self.factors))
 
     @property
     def expanded(self) -> tuple[Scalar, ...]:
@@ -157,16 +152,17 @@ def symp_product(a: ProductVector, b: ProductVector) -> Scalar:
     _join_modes(a.mode, b.mode)
     result: Scalar = 1
     for fa, fb in zip(a.factors, b.factors):
-        result = result * symp2(fa, fb)
+        # symp2(fa, fb), whose mode check the vectors' check above covers
+        result = result * (fa.p * fb.q - fa.q * fb.p)
     return result
 
 
-def build_jN(n: int, max_n: int = MAX_FACTORS) -> list[list[int]]:
+def build_jN(n: int) -> list[list[int]]:
     """N-fold Kronecker power of j as a dense integer matrix."""
     if n < 1:
         raise DimensionMismatch("n must be at least 1")
-    if n > max_n:
-        raise LimitExceeded(f"n = {n} exceeds the supported bound {max_n}")
+    if n > MAX_FACTORS:
+        raise LimitExceeded(f"n = {n} exceeds the supported bound {MAX_FACTORS}")
     j = [[0, -1], [1, 0]]
     result = [[1]]
     for _ in range(n):

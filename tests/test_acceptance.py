@@ -39,7 +39,7 @@ from mubc import (
     symp_product,
     verify_mu,
 )
-from mubc.cli import build_manifest
+from mubc.manifest import build_manifest
 from mubc.search import real_objective_fn
 
 R = QuadNum.root()

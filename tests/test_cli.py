@@ -14,7 +14,8 @@ from mubc import (
     config_to_json,
     verify_mu,
 )
-from mubc.cli import build_manifest, fixture_config, load_fixture, main
+from mubc.cli import main
+from mubc.manifest import build_manifest, fixture_config, load_fixture
 
 OK, FALSE, INPUT_ERROR, NO_CONVERGENCE = 0, 1, 2, 3
 
@@ -489,6 +490,88 @@ class TestManifest:
         assert "golden-five-exact" in passed
         assert "asymmetric-triple-exact" in passed
         assert "no-fourth-certificates" in passed
+
+    def test_search_claims_follow_the_others(self):
+        entries = build_manifest(include_search=True)
+        assert [entry.claim for entry in entries] == [
+            "position-momentum-constant",
+            "rotation-law-symplectic",
+            "rotation-law-metaplectic",
+            "rotation-law-oracle",
+            "symmetric-triple",
+            "symmetric-triple-discrepancy",
+            "asymmetric-triple-exact",
+            "golden-five-exact",
+            "no-fourth-certificates",
+            "triple-equivalence",
+            "shear-prefactor",
+            "composition-rotations",
+            "search-lattice-recovery",
+            "search-real-no-improvement",
+        ]
+        assert all(entry.passed for entry in entries)
+
+
+QUARTER_TURN = {"N": 1, "ordering": "stacked", "rows": [[0.0, -1.0], [1.0, 0.0]]}
+LATTICE_PROBLEM = {
+    "K": "1",
+    "seeds": [[["0", "-1"]], [["1", "0"]]],
+    "free_slots": 1,
+    "domain": "golden-lattice",
+    "height": 1,
+}
+STATE = {"Q": 1.0, "P": 1.0}
+
+
+@pytest.mark.parametrize(
+    "kind, field, value",
+    [
+        ("matrix", "rows", [["a", 1.0], [1.0, 0.0]]),
+        ("matrix", "rows", [[0.0, -1.0], [1.0]]),
+        ("matrix", "rows", [[0.0, math.nan], [1.0, 0.0]]),
+        ("matrix", "rows", "x"),
+        ("matrix", "N", "x"),
+        ("matrix", "N", 1.0),
+        ("problem", "free_slots", "x"),
+        ("problem", "free_slots", 1.7),
+        ("problem", "height", "x"),
+        ("problem", "hbar", "x"),
+        ("state", "Q", math.nan),
+        ("state", "P", "x"),
+        ("state", "alpha", math.inf),
+        ("state", "hbar", True),
+        ("epsilons", None, "0.1,0.05"),
+        ("epsilons", None, "0.1,0.05,0.02,0.01,-0.005"),
+        ("epsilons", None, "nan,0.1,0.05,0.02,0.01"),
+        ("thetas", None, "nan,1"),
+        ("special-m", None, "abc"),
+    ],
+)
+def test_malformed_input_exits_two(kind, field, value, write_json, capsys):
+    if kind == "matrix":
+        argv = ["metaplectic", "overlap", write_json("m.json", {**QUARTER_TURN, field: value})]
+    elif kind == "problem":
+        path = write_json("p.json", {**LATTICE_PROBLEM, field: value})
+        argv = ["search", path, "--seed", "0"]
+    elif kind == "thetas":
+        argv = ["oracle", "scan", "--thetas", value]
+    elif kind == "special-m":
+        argv = ["metaplectic", "special-m", "--q", value, "--p", "1"]
+    else:
+        state = {**STATE, field: value} if kind == "state" else STATE
+        other = write_json("b.json", {"Q": 1.0, "P": -1.0})
+        argv = ["oracle", "pair", write_json("a.json", state), other]
+        if kind == "epsilons":
+            argv += ["--epsilons", value]
+    assert main(argv) == INPUT_ERROR
+    assert capsys.readouterr().err.startswith("input error:")
+
+
+def test_matrix_file_hbar_is_not_read(write_json, capsys):
+    # --hbar sets hbar; a matrix file's own hbar field is ignored
+    path = write_json("m.json", {**QUARTER_TURN, "hbar": "x"})
+    assert main(["metaplectic", "overlap", path]) == OK
+    assert "0.159154943" in capsys.readouterr().out
 
 
 class TestRoundTripInvariant:
