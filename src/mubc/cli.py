@@ -215,11 +215,7 @@ def cmd_certify(args) -> int:
     print(f"certificate valid: {_fmt(result.valid)}")
     print(f"{'signs':>12} {'solution':>34} {'residual':>14} {'consistent':>10}")
     for record in result.records:
-        sol = (
-            "none"
-            if record.solution is None
-            else f"({_fmt(record.solution.q)}, {_fmt(record.solution.p)})"
-        )
+        sol = f"({_fmt(record.solution.q)}, {_fmt(record.solution.p)})"
         signs = "".join("+" if s > 0 else "-" for s in record.signs)
         print(
             f"{signs:>12} {sol:>34} {_fmt(record.residual):>14} "

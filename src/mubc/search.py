@@ -10,8 +10,8 @@ symplectic products equal to a common K:
 * find_equivalence: hunt for a rescaled unsigned symplectic map carrying
   one triple onto another up to ordering and per-vector signs.
 * search_extension / enumerate_triples_n1: look for additional product
-  vectors, either by seeded multi-start descent over real factor
-  coordinates or exhaustively over the golden lattice.
+  vectors by seeded descent or exhaustively over the golden lattice; find
+  the one class of N = 1 lattice triples at K (every c is +/-a +/- b).
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     InvalidProblem,
+    LimitExceeded,
     PreconditionFailed,
 )
 from .exact import GOLDEN, QuadNum
@@ -42,7 +43,6 @@ from .symplectic import (
     config_from_json,
     config_to_json,
     symp2,
-    symp_product,
     verify_mu,
 )
 
@@ -64,7 +64,7 @@ class SignPatternRecord:
     """Outcome of one of the eight sign-pattern linear systems."""
 
     signs: tuple[int, int, int]
-    solution: DirectionVector | None
+    solution: DirectionVector
     residual: float
     consistent: bool
     rank_coeff: int
@@ -74,9 +74,7 @@ class SignPatternRecord:
     def to_json(self) -> dict:
         return {
             "signs": list(self.signs),
-            "solution": None if self.solution is None else [
-                str(self.solution.q), str(self.solution.p)
-            ],
+            "solution": [str(self.solution.q), str(self.solution.p)],
             "residual": self.residual,
             "consistent": self.consistent,
             "rank_coeff": self.rank_coeff,
@@ -108,8 +106,9 @@ class InfeasibilityCertificate:
 
 @dataclass(frozen=True)
 class CounterexampleFound:
-    """A fourth direction satisfying one sign pattern (never reachable for
-    a genuine unbiased triple; kept for honesty of the return contract)."""
+    """A fourth direction satisfying one sign pattern within the tolerance.
+    A genuine triple's pattern residuals are at least k in magnitude, since
+    |symp2(c, d)| is 0 or 2k, so only a relative tolerance near 1 gets here."""
 
     direction: DirectionVector
     signs: tuple[int, int, int]
@@ -211,6 +210,7 @@ def certify_no_fourth(
     for solved in _solve_sign_patterns((a, b, c), (k, k, k), tolerance):
         d = solved.solution
         note = ""
+        # consistent only at a tolerance near 1 (see CounterexampleFound)
         if solved.consistent:
             confirm = verify_mu(
                 MUConfiguration(
@@ -268,6 +268,11 @@ def _triple_floats(config: MUConfiguration) -> list[np.ndarray]:
     return [np.array(v.factors[0].as_floats()) for v in config.vectors]
 
 
+def _nearly_parallel(cols: np.ndarray) -> bool:
+    # relative to the column norms, so rescaling a column changes no answer
+    return abs(np.linalg.det(cols)) <= 1e-14 * np.prod(np.linalg.norm(cols, axis=0))
+
+
 def find_equivalence(
     config_a: MUConfiguration,
     config_b: MUConfiguration,
@@ -283,20 +288,17 @@ def find_equivalence(
     avs = _triple_floats(config_a)
     bvs = _triple_floats(config_b)
     a_cols = np.column_stack([avs[0], avs[1]])
-    if abs(np.linalg.det(a_cols)) < 1e-14:
+    if _nearly_parallel(a_cols):
         raise PreconditionFailed("first two vectors of A are parallel")
+    a_inv = np.linalg.inv(a_cols)
     for perm in itertools.permutations(range(3)):
         for s1, s2 in itertools.product((1, -1), repeat=2):
             target = np.column_stack([s1 * bvs[perm[0]], s2 * bvs[perm[1]]])
-            try:
-                m_scaled = target @ np.linalg.inv(a_cols)
-            except np.linalg.LinAlgError:
+            if _nearly_parallel(target):
                 continue
-            det = np.linalg.det(m_scaled)
-            if abs(det) < 1e-14:
-                continue
+            m_scaled = target @ a_inv
             mapped = m_scaled @ avs[2]
-            reference = np.linalg.norm(bvs[perm[2]]) + 1.0
+            reference = np.linalg.norm(bvs[perm[2]])
             best_s3 = None
             best_gap = math.inf
             for s3 in (1, -1):
@@ -306,7 +308,7 @@ def find_equivalence(
                     best_s3 = s3
             if best_gap > tolerance * reference:
                 continue
-            lam = math.sqrt(abs(det))
+            lam = math.sqrt(abs(np.linalg.det(m_scaled)))
             m = m_scaled / lam
             matrix = UnsignedSymplecticMatrix.from_rows(
                 ((float(m[0, 0]), float(m[0, 1])), (float(m[1, 0]), float(m[1, 1]))),
@@ -804,17 +806,28 @@ def search_extension(
     return _search_lattice(problem, budget, seed)
 
 
-def enumerate_triples_n1(k: Scalar, height: int) -> list[MUConfiguration]:
-    """All equivalence classes of N = 1 golden-lattice triples at level k.
+# An unreachable level scans every pair of the box: about 4 s at height 3, 30 s at 4.
+MAX_ENUMERATION_HEIGHT = 3
 
-    Enumerates lattice directions with rational parts bounded by max(height, 1)
-    and golden parts by height, keeps triangles whose three pairwise unsigned
-    products equal k exactly, and deduplicates by linear equivalence.
+
+def enumerate_triples_n1(k: Scalar, height: int) -> list[MUConfiguration]:
+    """The equivalence classes of N = 1 golden-lattice triples at level k.
+
+    There is at most one: if |symp2(a, b)| = k > 0 and c = x a + y b, then
+    |symp2(a, c)| = |y| k and |symp2(b, c)| = |x| k force c = +/-a +/- b, so
+    triples at k differ only by a map of determinant +/-1, order and signs. The
+    result is the first triangle i < j < l among box directions (rational
+    parts up to max(height, 1), golden parts up to height, first nonzero
+    component positive), with l looked up among the canonical a +/- b.
     """
     if height < 0:
         raise InvalidProblem("height must be nonnegative")
+    if height > MAX_ENUMERATION_HEIGHT:
+        raise LimitExceeded(f"height {height} exceeds the bound {MAX_ENUMERATION_HEIGHT}")
     k = _golden_integer(k)
-    neg_k = -k
+    if k.sign() <= 0:
+        raise InvalidProblem(f"target K must be positive, got {k}")
+    levels = (k, -k)
     components = _height_box(height)
 
     def canonical(qc: QuadNum, pc: QuadNum) -> DirectionVector:
@@ -831,24 +844,14 @@ def enumerate_triples_n1(k: Scalar, height: int) -> list[MUConfiguration]:
             if not (qc.is_zero and pc.is_zero)
         )
     )
-    adjacency: dict[int, set[int]] = {i: set() for i in range(len(vectors))}
+    position = {v: i for i, v in enumerate(vectors)}
     for i, j in itertools.combinations(range(len(vectors)), 2):
-        sp = symp2(vectors[i], vectors[j])
-        if sp == k or sp == neg_k:
-            adjacency[i].add(j)
-            adjacency[j].add(i)
-    classes: list[MUConfiguration] = []
-    for i in range(len(vectors)):
-        for j in sorted(adjacency[i]):
-            if j <= i:
-                continue
-            for l in sorted(adjacency[i] & adjacency[j]):
-                if l <= j:
-                    continue
-                triple = MUConfiguration(
-                    tuple(ProductVector((vectors[t],)) for t in (i, j, l)), k, mode=EXACT
-                )
-                if any(find_equivalence(rep, triple) is not None for rep in classes):
-                    continue
-                classes.append(triple)
-    return classes
+        a, b = vectors[i], vectors[j]
+        if symp2(a, b) not in levels:
+            continue
+        sums = (canonical(a.q + s * b.q, a.p + s * b.p) for s in (1, -1))
+        later = [position[c] for c in sums if position.get(c, -1) > j]
+        if later:
+            triple = tuple(ProductVector((vectors[t],)) for t in (i, j, min(later)))
+            return [MUConfiguration(triple, k, mode=EXACT)]
+    return []

@@ -166,6 +166,18 @@ class TestCertifyCommand:
         assert blob["valid"] is True
         assert len(blob["records"]) == 8
 
+    def test_counterexample_at_tolerance_one(self, sym_path, tmp_path, capsys):
+        # a genuine triple's pattern residuals are at least K in magnitude,
+        # so a relative tolerance of 1 admits a pattern as a fourth direction
+        out = tmp_path / "counterexample.json"
+        assert main(["certify-n1", sym_path, "--tolerance", "1", "--out", str(out)]) == FALSE
+        printed = capsys.readouterr().out
+        assert "counterexample: a fourth direction exists" in printed
+        assert "direction: (" in printed
+        blob = json.loads(out.read_text())
+        assert len(blob["direction"]) == 2
+        assert len(blob["signs"]) == 3
+
 
 class TestEnumerateCommand:
     def test_basic(self, capsys):
@@ -187,6 +199,17 @@ class TestEnumerateCommand:
 
     def test_bad_k(self):
         assert main(["enumerate-n1", "--k", "not-a-number", "--height", "1"]) == INPUT_ERROR
+
+    def test_height_above_cap_exits_two(self, capsys):
+        assert main(["enumerate-n1", "--k", "1", "--height", "100000000"]) == INPUT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("input error:")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    def test_nonpositive_k_exits_two(self, k, capsys):
+        assert main(["enumerate-n1", "--k", k, "--height", "1"]) == INPUT_ERROR
+        assert capsys.readouterr().err.startswith("input error:")
 
 
 ASYMMETRIC_EXACT = {"N": 1, "mode": "exact", "K": "1", "vectors": [[["0", "-1"]], [["1", "0"]], [["1", "1"]]]}

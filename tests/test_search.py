@@ -14,6 +14,7 @@ from mubc import (
     Equivalence,
     InfeasibilityCertificate,
     InvalidProblem,
+    LimitExceeded,
     MUConfiguration,
     NUMERIC,
     PreconditionFailed,
@@ -27,7 +28,8 @@ from mubc import (
     symp2,
     verify_mu,
 )
-from mubc.search import _solve_sign_patterns, real_objective_fn
+from mubc import search
+from mubc.search import MAX_ENUMERATION_HEIGHT, _solve_sign_patterns, real_objective_fn
 
 R = QuadNum.root()
 S3 = math.sqrt(3.0) / 2.0
@@ -168,6 +170,24 @@ class TestEquivalence:
             (DirectionVector(0, 1), DirectionVector(1, 0), DirectionVector(2, 1)), 1
         )
         assert find_equivalence(ASYM_CFG, other) is None
+
+    @pytest.mark.parametrize("exponent", range(-12, 13))
+    def test_scale_free(self, exponent):
+        # rescaling both triples by lambda changes no answer
+        def scaled(pairs, k, lam):
+            dirs = [DirectionVector(lam * q, lam * p) for q, p in pairs]
+            return config_of(dirs, k * lam * lam, mode=NUMERIC)
+
+        unit = [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0)]
+        genuine = [(2.0, 0.0), (0.0, 3.0), (2.0, 3.0)]
+        perturbed = [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0 + 1e-5)]
+        base = find_equivalence(scaled(unit, 1.0, 1.0), scaled(genuine, 6.0, 1.0))
+        lam = 10.0 ** exponent
+        eq = find_equivalence(scaled(unit, 1.0, lam), scaled(genuine, 6.0, lam))
+        assert eq is not None
+        assert (eq.permutation, eq.signs) == (base.permutation, base.signs)
+        assert eq.scale == pytest.approx(base.scale, rel=1e-12)
+        assert find_equivalence(scaled(unit, 1.0, lam), scaled(perturbed, 1.0, lam)) is None
 
     def test_non_triple_rejected(self):
         pair = MUConfiguration(
@@ -518,6 +538,64 @@ class TestEnumerate:
     def test_float_k_rejected(self):
         with pytest.raises(InvalidProblem):
             enumerate_triples_n1(0.5, 1)
+
+    def test_height_cap(self):
+        assert enumerate_triples_n1(QuadNum(1), MAX_ENUMERATION_HEIGHT)
+        with pytest.raises(LimitExceeded):
+            enumerate_triples_n1(QuadNum(1), MAX_ENUMERATION_HEIGHT + 1)
+
+    @pytest.mark.parametrize(
+        "k, height",
+        [(k, h) for k in (QuadNum(1), R, QuadNum(2), 1 + R, QuadNum(50)) for h in (0, 1)]
+        + [(QuadNum(1), 2)],
+    )
+    def test_matches_pairwise_dedup_reference(self, k, height):
+        assert enumerate_triples_n1(k, height) == pairwise_dedup_reference(k, height)
+
+    @pytest.mark.parametrize("k", [QuadNum(1), QuadNum(50)])
+    def test_answers_from_exact_operations_only(self, k, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the enumeration consulted a float")
+
+        monkeypatch.setattr(search, "find_equivalence", refuse)
+        monkeypatch.setattr(QuadNum, "__float__", refuse)
+        classes = enumerate_triples_n1(k, 2)
+        assert len(classes) == (1 if k == 1 else 0)
+
+
+def pairwise_dedup_reference(k, height):
+    """The enumeration before the one-class theorem: every triangle of the
+    height box, deduplicated by find_equivalence."""
+    p_bound = max(height, 1)
+    components = [
+        QuadNum(p, q) for p in range(-p_bound, p_bound + 1) for q in range(-height, height + 1)
+    ]
+
+    def canonical(qc, pc):
+        head = pc if qc.is_zero else qc
+        return DirectionVector(qc, pc) if head.sign() > 0 else DirectionVector(-qc, -pc)
+
+    vectors = list(
+        dict.fromkeys(
+            canonical(qc, pc)
+            for qc in components
+            for pc in components
+            if not (qc.is_zero and pc.is_zero)
+        )
+    )
+    adjacency = {i: set() for i in range(len(vectors))}
+    for i, j in itertools.combinations(range(len(vectors)), 2):
+        if abs(symp2(vectors[i], vectors[j])) == k:
+            adjacency[i].add(j)
+            adjacency[j].add(i)
+    classes = []
+    for i in range(len(vectors)):
+        for j in sorted(x for x in adjacency[i] if x > i):
+            for l in sorted(x for x in adjacency[i] & adjacency[j] if x > j):
+                triple = config_of([vectors[t] for t in (i, j, l)], k)
+                if not any(find_equivalence(rep, triple) is not None for rep in classes):
+                    classes.append(triple)
+    return classes
 
 
 class TestProblemValidation:
