@@ -120,9 +120,16 @@ class GridSpec:
 
     nodes_per_panel: int = 16
     panel_phase: float = 2.0 * math.pi
-    truncation: float = 8.0
     local_rel_tol: float = 1e-11
     max_panels: int = 400000
+
+    @property
+    def truncation(self) -> float:
+        """Window cut-off T: the integral stops at |t| = T/sqrt(eps), where
+        the window exp(-eps t^2) has decayed to _TAIL_MARGIN * local_rel_tol.
+        The tail then moves |I|^2 by less than that, relatively
+        (docs/regularization.md derives the bound)."""
+        return math.sqrt(-math.log(_TAIL_MARGIN * self.local_rel_tol))
 
 
 @dataclass(frozen=True)
@@ -166,8 +173,13 @@ def _gl_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     return _GL_NODES_CACHE[order]
 
 
+# Window decay at the truncation, relative to GridSpec.local_rel_tol.
+_TAIL_MARGIN = 1e-3
 # Panels per block in _panel_integral: bounds the (block x nodes) node matrix.
+# A multiple of _EXP_STRIDE, so no block but the last has a short stride row.
 _PANEL_BLOCK = 65536
+# Panels per complex exponential in _panel_integral.
+_EXP_STRIDE = 256
 # The default ladder starts at default_epsilons' 9 levels and deepens to this.
 _MAX_LEVELS = 13
 # Degree of the sliding polynomial windows that extrapolate eps -> 0.
@@ -189,8 +201,11 @@ def _panel_integral(du: float, eps: float, grid: GridSpec, count: int, work: Cou
     integral_0^(L^2) exp(a s) s^(-1/2) ds, a = i du - eps. The equal-phase
     breakpoints t_k = L sqrt(k / count) are uniform in s, s_k = k h. On
     panel k >= 1 exp(a s) = exp(a s_k) exp(a delta_j) with the same node
-    offsets delta_j on every panel, so each panel costs one complex
-    exponential; the rest is a real 1/sqrt per node and two real mat-vecs.
+    offsets delta_j on every panel, and with k = 1 + q S + r (S =
+    _EXP_STRIDE) exp(a s_k) = exp(a s_(1+qS)) exp(a r h). So a rule costs
+    an S-entry table exp(a r h) plus one complex exponential per S panels;
+    the rest is a real 1/sqrt per node, one real matmul for the node sums,
+    and per S panels (zero-padded at the end) one dot with the table.
     Panel 0 holds the s^(-1/2) endpoint singularity and is integrated in t.
     """
     a = complex(-eps, du)
@@ -202,15 +217,24 @@ def _panel_integral(du: float, eps: float, grid: GridSpec, count: int, work: Cou
     half_s = 0.5 * length * length / count
     offsets = half_s * (1.0 + nodes)
     node_factor = half_s * weights * np.exp(a * offsets)
+    # one real (nodes, 2) matrix, so a block's node sums are one real matmul
+    # whose (panels, 2) rows read as complex per-panel sums
+    node_factor = np.column_stack((node_factor.real, node_factor.imag))
+    stride_factor = np.exp(a * 2.0 * half_s * np.arange(_EXP_STRIDE))
+    heads = 0
     for start in range(1, count, _PANEL_BLOCK):
         starts = 2.0 * half_s * np.arange(start, min(start + _PANEL_BLOCK, count), dtype=float)
         inv_root = np.add.outer(starts, offsets)
         np.sqrt(inv_root, out=inv_root)
         np.reciprocal(inv_root, out=inv_root)
-        per_panel = inv_root @ node_factor.real + 1j * (inv_root @ node_factor.imag)
-        total += complex(np.dot(np.exp(a * starts), per_panel))
+        rows = -(-len(starts) // _EXP_STRIDE)
+        per_panel = np.zeros((rows * _EXP_STRIDE, 2))
+        np.matmul(inv_root, node_factor, out=per_panel[: len(starts)])
+        per_row = per_panel.view(complex).reshape(rows, _EXP_STRIDE) @ stride_factor
+        total += complex(np.dot(np.exp(a * starts[::_EXP_STRIDE]), per_row))
+        heads += rows
     work["panels"] += count
-    work["complex_exponentials"] += 2 * grid.nodes_per_panel + count - 1
+    work["complex_exponentials"] += 2 * grid.nodes_per_panel + _EXP_STRIDE + heads
     return total
 
 

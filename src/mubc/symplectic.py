@@ -51,6 +51,13 @@ def _strict_mode(x: Scalar) -> str | None:
     raise ContextMismatch(f"unsupported scalar type {type(x).__name__}")
 
 
+def _exact_sign(x: QuadNum | Fraction | int) -> int:
+    """Sign of an exact scalar, decided without floating point."""
+    if isinstance(x, QuadNum):
+        return x.sign()
+    return (x > 0) - (x < 0)
+
+
 def _join_modes(*modes: str | None) -> str | None:
     joined: str | None = None
     for mode in modes:
@@ -406,11 +413,15 @@ def verify_mu(
                 break
         if target is None:
             raise PreconditionFailed("all pairs are parallel; no K to infer")
-    if config.mode == EXACT and _strict_mode(target) == NUMERIC:
-        raise ContextMismatch("numeric target K for an exact configuration")
-    target_float = float(target) if not isinstance(target, float) else target
-    if target_float <= 0:
-        raise InvalidTarget(f"target K must be positive, got {target_float}")
+    if config.mode == EXACT:
+        if _strict_mode(target) == NUMERIC:
+            raise ContextMismatch("numeric target K for an exact configuration")
+        if _exact_sign(target) <= 0:
+            raise InvalidTarget(f"target K must be positive, got {target}")
+    else:
+        target_float = float(target)
+        if target_float <= 0:
+            raise InvalidTarget(f"target K must be positive, got {target_float}")
     max_dev = 0.0
     verdict = True
     for i, j, sp in raw:
@@ -422,7 +433,8 @@ def verify_mu(
         mag_float = float(mag) if not isinstance(mag, float) else mag
         if config.mode == EXACT:
             ok = mag == target
-            deviation = 0.0 if ok else abs(mag_float - target_float) / abs(target_float)
+            # exact quotient first: float(target) can underflow to 0
+            deviation = 0.0 if ok else float(abs(mag - target) / target)
         else:
             deviation = abs(mag_float - target_float) / abs(target_float)
             ok = deviation <= tolerance
@@ -470,8 +482,7 @@ def rescale_config(config: MUConfiguration, k_prime: Scalar) -> MUConfiguration:
     if isinstance(k_prime, float):
         raise ContextMismatch("numeric K' for an exact configuration")
     kp_exact: Scalar = k_prime
-    sign = kp_exact.sign() if isinstance(kp_exact, QuadNum) else (0 if kp_exact == 0 else (1 if kp_exact > 0 else -1))
-    if sign <= 0:
+    if _exact_sign(kp_exact) <= 0:
         raise InvalidTarget(f"target K' must be positive, got {kp_exact}")
     ratio_num = kp_exact if isinstance(kp_exact, QuadNum) else QuadNum(Fraction(kp_exact), 0, config.ambient)
     ratio_den = target if isinstance(target, QuadNum) else QuadNum(Fraction(target), 0, config.ambient)

@@ -79,6 +79,24 @@ class TestVerifyCommand:
         path = write_json("bad.json", bad)
         assert main(["verify", path]) == FALSE
 
+    @pytest.mark.parametrize("factor, code", ((1, OK), (3, FALSE)))
+    def test_target_below_float_range(self, factor, code, write_json, tmp_path):
+        r = QuadNum.root()
+        k = QuadNum(1)
+        for _ in range(100):
+            k = k / r
+        config = {
+            "N": 1,
+            "mode": "exact",
+            "hbar": 1.0,
+            "K": str(k),
+            "vectors": [[["1", "0"]], [["0", str(factor * k)]]],
+        }
+        out = tmp_path / "report.json"
+        assert main(["verify", write_json("tiny.json", config), "--out", str(out)]) == code
+        blob = json.loads(out.read_text())
+        assert blob["max_deviation"] == factor - 1
+
     def test_malformed_json_exits_two(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text('{"vectors": [[1,', encoding="utf-8")

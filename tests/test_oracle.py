@@ -1,8 +1,10 @@
 """First-principles quadrature oracle against the closed-form overlap law."""
 
+import dataclasses
 import math
 from collections import Counter
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -206,8 +208,20 @@ class TestQuadrature:
         assert stats["levels"] == len(res.epsilon_sequence) == 9
         assert stats["capped_levels"] == 0
         assert stats["wall_s"] > 0
-        nodes = GridSpec().nodes_per_panel
-        assert 10 * stats["complex_exponentials"] <= stats["panels"] * nodes
+        grid = GridSpec()
+        du = 1.0  # chirp rates 0.5 and -0.5
+        counts = [
+            oracle._panel_count(du, eps, grid, scale)[0]
+            for eps, _ in res.epsilon_sequence
+            for scale in (1, 2)
+        ]
+        assert stats["panels"] == sum(counts)
+        # per rule: panel 0 and the node factors, the stride table, one head
+        # per started stride of panels 1..count-1
+        stride = oracle._EXP_STRIDE
+        assert stats["complex_exponentials"] == sum(
+            2 * grid.nodes_per_panel + stride + -(-(c - 1) // stride) for c in counts
+        )
 
     def test_never_consults_the_closed_form(self, monkeypatch):
         def forbidden(*args, **kwargs):
@@ -254,7 +268,9 @@ def _t_space_panel_integral(du, eps, grid, count):
 
 
 # one (du, panels_scale) per level of the 13-level ladder: both signs,
-# 10^-2.5 <= |du| <= 10, and counts past one 65536-panel chunk at levels 9-11
+# 10^-2.5 <= |du| <= 10, and counts past one 65536-panel block at levels
+# 9-11. The rules levels 9 and 10 draw here have 52538 panels, so those
+# two take panels_scale 4; the kernel integrates any count.
 _PARITY_DU = (10**-2.5, -0.05, 0.4, -1.0, 3.0, -10.0)
 
 
@@ -263,12 +279,53 @@ def test_s_space_panels_match_t_space(level):
     grid = GridSpec()
     du = _PARITY_DU[level % len(_PARITY_DU)]
     eps = default_epsilons(du, 13)[level]
-    count = oracle._panel_count(du, eps, grid, 1 + level % 2)[0]
+    scale = 4 if level in (9, 10) else 1 + level % 2
+    count = oracle._panel_count(du, eps, grid, scale)[0]
     if level in (9, 10, 11):
         assert count > 65536
     want = _t_space_panel_integral(du, eps, grid, count)
     got = oracle._panel_integral(du, eps, grid, count, Counter())
     assert abs(got - want) <= 1e-11 * abs(want)
+
+
+# count - 1 panels in s: below one stride, whole strides, a partial last
+# stride, and the same after a full 65536-panel block
+@pytest.mark.parametrize("count", (4, 200, 257, 513, 700, 65537, 65538, 65536 + 513, 65536 + 700))
+def test_stride_padding_matches_t_space(count):
+    grid = GridSpec()
+    # du for one phase cycle per panel, as _panel_count lays them out
+    eps = 0.01
+    du = -count * grid.panel_phase * eps / grid.truncation**2
+    want = _t_space_panel_integral(du, eps, grid, count)
+    got = oracle._panel_integral(du, eps, grid, count, Counter())
+    assert abs(got - want) <= 1e-11 * abs(want)
+
+
+@pytest.mark.parametrize("du", (10**-2.5, -0.05, 0.4, -1.0, 3.0, -10.0))
+def test_panels_match_erf_reference(du):
+    # the truncated integral is sqrt(pi) erf(sqrt(-a) L) / sqrt(-a) with
+    # a = i du - eps and L = truncation / sqrt(eps); the untruncated one
+    # drops the erf
+    grid = GridSpec()
+    tail_bound = oracle._TAIL_MARGIN * grid.local_rel_tol
+    with mpmath.workdps(40):
+        for eps in default_epsilons(du, 13):
+            root = mpmath.sqrt(-mpmath.mpc(-eps, du))
+            length = mpmath.mpf(grid.truncation) / mpmath.sqrt(eps)
+            want = mpmath.sqrt(mpmath.pi) * mpmath.erf(root * length) / root
+            full = mpmath.sqrt(mpmath.pi) / root
+            assert abs(abs(want) ** 2 - abs(full) ** 2) <= tail_bound * abs(full) ** 2
+            for scale in (1, 2):
+                count = oracle._panel_count(du, eps, grid, scale)[0]
+                got = oracle._panel_integral(du, eps, grid, count, Counter())
+                assert abs(got - want) <= 1e-12 * abs(want)
+
+
+def test_truncation_follows_the_tolerance():
+    assert GridSpec().truncation == pytest.approx(5.678, abs=1e-3)
+    loose = GridSpec(local_rel_tol=1e-6)
+    assert math.exp(-loose.truncation**2) == pytest.approx(oracle._TAIL_MARGIN * 1e-6)
+    assert "truncation" not in {f.name for f in dataclasses.fields(GridSpec)}
 
 
 class TestFresnel:

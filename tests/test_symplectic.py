@@ -231,6 +231,23 @@ class TestVerifyMU:
         assert report.inferred
         assert report.target_k == 4
 
+    def test_target_below_float_range(self):
+        # K = R^-100 reads 0.0 as a float, but its sign is +1
+        k = QuadNum(1)
+        for _ in range(100):
+            k = k / R
+        mu = MUConfiguration(
+            vectors=(ProductVector.of((1, 0)), ProductVector.of((0, k))), target_k=k
+        )
+        report = verify_mu(mu)
+        assert report.verdict and report.max_deviation == 0
+        off = MUConfiguration(
+            vectors=(ProductVector.of((1, 0)), ProductVector.of((0, 3 * k))), target_k=k
+        )
+        report = verify_mu(off)
+        assert not report.verdict
+        assert report.max_deviation == 2.0
+
     def test_parallel_pair_flagged(self):
         cfg = MUConfiguration(
             vectors=(
