@@ -94,10 +94,16 @@ class Ambient:
             raise InvalidProblem(
                 f"ambient encoding must be [u_num, u_den, v_num, v_den], got {data!r}"
             )
-        return cls(_json_fraction(data[:2], "ambient u"), _json_fraction(data[2:], "ambient v"))
+        key = (_json_fraction(data[:2], "ambient u"), _json_fraction(data[2:], "ambient v"))
+        # equal ambients share one instance, so QuadNum's identity test on
+        # ambients succeeds without comparing four Fractions
+        if key not in _AMBIENTS:
+            _AMBIENTS[key] = cls(*key)
+        return _AMBIENTS[key]
 
 
 GOLDEN = Ambient(Fraction(1), Fraction(1))
+_AMBIENTS = {(GOLDEN.u, GOLDEN.v): GOLDEN}
 
 _TERM_RE = re.compile(
     r"""^\s*
@@ -351,12 +357,44 @@ class QuadNum:
             return mpmath.mpf(p + q * r)
 
     def __float__(self) -> float:
+        """The correctly rounded real embedding, from integers only."""
         if self._b == 0:
-            return self._a / self._d
-        return float(self.embed(30))
+            return _ratio(self._a, self._d)
+        amb = self._ambient
+        amb.require_real()
+        # x = (s + b sqrt(E)) / n with s = 2 L a + L u b, E = L^2 D, n = 2 L d
+        b, e = self._b, amb._ldisc
+        s = 2 * amb._l * self._a + amb._lu * b
+        n = 2 * amb._l * self._d
+        root = math.isqrt(e)
+        if root * root == e:
+            return _ratio(s + b * root, n)
+        # Ziv's loop: r <= 2^k sqrt(E) < r + 1 brackets x; when both ends
+        # round to one float, x rounds to it (x is irrational, so never a tie)
+        k = 64
+        while True:
+            r = math.isqrt(e << 2 * k)
+            if s * b < 0:
+                # x = (s^2 - b^2 E) / (n (s - b sqrt(E))): no cancellation,
+                # s and -b sqrt(E) share a sign
+                top = (s * s - b * b * e) << k
+                ends = [_ratio(top, n * ((s << k) - b * rr)) for rr in (r, r + 1)]
+            else:
+                ends = [_ratio((s << k) + b * rr, n << k) for rr in (r, r + 1)]
+            if ends[0] == ends[1]:
+                return ends[0]
+            k *= 2
 
 
 _new = object.__new__
+
+
+def _ratio(num: int, den: int) -> float:
+    """num / den correctly rounded, signed infinity past the float range."""
+    try:
+        return num / den
+    except OverflowError:
+        return math.inf if (num > 0) == (den > 0) else -math.inf
 
 
 def _reduced(a: int, b: int, d: int, ambient: Ambient) -> QuadNum:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import mmap
 import time
 from collections import Counter
 from dataclasses import dataclass, field
@@ -138,8 +139,14 @@ class QuadratureResult:
 
     ``stats`` reports the work done: ``levels`` (eps levels evaluated),
     ``panels`` (panels over both rules of every level),
-    ``complex_exponentials`` (complex exp evaluations), ``capped_levels``
-    (levels whose panel count hit ``GridSpec.max_panels``) and ``wall_s``.
+    ``complex_exponentials`` (complex exp evaluations: per rule, panel 0's
+    and the node factors' 2 * nodes_per_panel, the min(256, count - 1)
+    entries of the stride table and one head per stride of panels),
+    ``inverse_roots`` (reciprocal square roots this call computed: rows
+    it added to the shared table plus rows past the table's
+    ``_PANEL_BLOCK`` panels, times nodes_per_panel; 0 when the table
+    already covered every rule), ``capped_levels`` (levels whose panel
+    count hit ``GridSpec.max_panels``) and ``wall_s``.
     """
 
     value: float
@@ -175,7 +182,8 @@ def _gl_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
 
 # Window decay at the truncation, relative to GridSpec.local_rel_tol.
 _TAIL_MARGIN = 1e-3
-# Panels per block in _panel_integral: bounds the (block x nodes) node matrix.
+# Panels per block in _panel_integral, and rows of an _InverseRoots table:
+# bounds the (block x nodes) node matrix and the table's memory.
 # A multiple of _EXP_STRIDE, so no block but the last has a short stride row.
 _PANEL_BLOCK = 65536
 # Panels per complex exponential in _panel_integral.
@@ -194,6 +202,53 @@ def _panel_count(du: float, eps: float, grid: GridSpec, panels_scale: int) -> tu
     return min(wanted, grid.max_panels), wanted > grid.max_panels
 
 
+def _inverse_roots(
+    start: int, stop: int, nodes: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """(2k + 1 + x_j)^(-1/2) for panels start <= k < stop and Gauss-Legendre
+    nodes x_j: 1/sqrt(s_k + delta_j) without its factor (h/2)^(-1/2)."""
+    out = np.add.outer(2.0 * np.arange(start, stop, dtype=float) + 1.0, nodes, out=out)
+    np.sqrt(out, out=out)
+    return np.reciprocal(out, out=out)
+
+
+class _InverseRoots:
+    """_inverse_roots of panels 1.._PANEL_BLOCK for one node count, shared by
+    every rule, level and pair. The rows are anonymous zero pages, so none
+    is resident until a rule first needs it; filled in place, never grown."""
+
+    def __init__(self, nodes: np.ndarray) -> None:
+        self.nodes = nodes
+        pages = mmap.mmap(-1, _PANEL_BLOCK * len(nodes) * 8)
+        # numpy advises huge pages for arrays this large, and one touched row
+        # of a huge page makes 2 MiB resident; small pages keep it to the rows
+        if hasattr(mmap, "MADV_NOHUGEPAGE"):
+            pages.madvise(mmap.MADV_NOHUGEPAGE)
+        self.rows = np.frombuffer(pages, dtype=float).reshape(_PANEL_BLOCK, len(nodes))
+        self.filled = 0
+
+    def panels(self, start: int, stop: int, work: Counter) -> np.ndarray:
+        """Rows of panels start <= k < stop: kept when stop - 1 <= _PANEL_BLOCK,
+        computed and not kept past it."""
+        if stop - 1 > _PANEL_BLOCK:
+            work["inverse_roots"] += (stop - start) * len(self.nodes)
+            return _inverse_roots(start, stop, self.nodes)
+        if stop - 1 > self.filled:
+            _inverse_roots(self.filled + 1, stop, self.nodes, out=self.rows[self.filled : stop - 1])
+            work["inverse_roots"] += (stop - 1 - self.filled) * len(self.nodes)
+            self.filled = stop - 1
+        return self.rows[start - 1 : stop - 1]
+
+
+_INVERSE_ROOTS: dict[int, _InverseRoots] = {}
+
+
+def _inverse_root_table(nodes_per_panel: int) -> _InverseRoots:
+    if nodes_per_panel not in _INVERSE_ROOTS:
+        _INVERSE_ROOTS[nodes_per_panel] = _InverseRoots(_gl_rule(nodes_per_panel)[0])
+    return _INVERSE_ROOTS[nodes_per_panel]
+
+
 def _panel_integral(du: float, eps: float, grid: GridSpec, count: int, work: Counter) -> complex:
     """integral of exp((i du - eps) t^2) dt over |t| <= truncation/sqrt(eps).
 
@@ -202,10 +257,12 @@ def _panel_integral(du: float, eps: float, grid: GridSpec, count: int, work: Cou
     breakpoints t_k = L sqrt(k / count) are uniform in s, s_k = k h. On
     panel k >= 1 exp(a s) = exp(a s_k) exp(a delta_j) with the same node
     offsets delta_j on every panel, and with k = 1 + q S + r (S =
-    _EXP_STRIDE) exp(a s_k) = exp(a s_(1+qS)) exp(a r h). So a rule costs
-    an S-entry table exp(a r h) plus one complex exponential per S panels;
-    the rest is a real 1/sqrt per node, one real matmul for the node sums,
-    and per S panels (zero-padded at the end) one dot with the table.
+    min(_EXP_STRIDE, count - 1)) exp(a s_k) = exp(a s_(1+qS)) exp(a r h).
+    So a rule costs an S-entry table exp(a r h) plus one complex exponential
+    per S panels. s_k + delta_j = (h/2)(2k + 1 + x_j), so 1/sqrt(s_k +
+    delta_j) is (h/2)^(-1/2), folded into the node factors, times a row of
+    the shared _InverseRoots table; the rest is one real matmul for the node
+    sums and per S panels (zero-padded at the end) one dot with the table.
     Panel 0 holds the s^(-1/2) endpoint singularity and is integrated in t.
     """
     a = complex(-eps, du)
@@ -215,26 +272,26 @@ def _panel_integral(du: float, eps: float, grid: GridSpec, count: int, work: Cou
     t = half_t * (1.0 + nodes)
     total = 2.0 * half_t * complex(np.dot(weights, np.exp(a * t * t)))
     half_s = 0.5 * length * length / count
-    offsets = half_s * (1.0 + nodes)
-    node_factor = half_s * weights * np.exp(a * offsets)
+    node_factor = math.sqrt(half_s) * weights * np.exp(a * half_s * (1.0 + nodes))
     # one real (nodes, 2) matrix, so a block's node sums are one real matmul
     # whose (panels, 2) rows read as complex per-panel sums
     node_factor = np.column_stack((node_factor.real, node_factor.imag))
-    stride_factor = np.exp(a * 2.0 * half_s * np.arange(_EXP_STRIDE))
+    stride = min(_EXP_STRIDE, count - 1)
+    stride_factor = np.exp(a * 2.0 * half_s * np.arange(stride))
+    table = _inverse_root_table(grid.nodes_per_panel)
     heads = 0
     for start in range(1, count, _PANEL_BLOCK):
-        starts = 2.0 * half_s * np.arange(start, min(start + _PANEL_BLOCK, count), dtype=float)
-        inv_root = np.add.outer(starts, offsets)
-        np.sqrt(inv_root, out=inv_root)
-        np.reciprocal(inv_root, out=inv_root)
-        rows = -(-len(starts) // _EXP_STRIDE)
-        per_panel = np.zeros((rows * _EXP_STRIDE, 2))
-        np.matmul(inv_root, node_factor, out=per_panel[: len(starts)])
-        per_row = per_panel.view(complex).reshape(rows, _EXP_STRIDE) @ stride_factor
-        total += complex(np.dot(np.exp(a * starts[::_EXP_STRIDE]), per_row))
+        stop = min(start + _PANEL_BLOCK, count)
+        inv_root = table.panels(start, stop, work)
+        rows = -(-(stop - start) // stride)
+        per_panel = np.zeros((rows * stride, 2))
+        np.matmul(inv_root, node_factor, out=per_panel[: stop - start])
+        per_row = per_panel.view(complex).reshape(rows, stride) @ stride_factor
+        head_s = 2.0 * half_s * np.arange(start, stop, stride, dtype=float)
+        total += complex(np.dot(np.exp(a * head_s), per_row))
         heads += rows
     work["panels"] += count
-    work["complex_exponentials"] += 2 * grid.nodes_per_panel + _EXP_STRIDE + heads
+    work["complex_exponentials"] += 2 * grid.nodes_per_panel + stride + heads
     return total
 
 
@@ -301,6 +358,7 @@ def _work_stats(work: Counter, levels: int, started: float) -> dict:
         "levels": levels,
         "panels": work["panels"],
         "complex_exponentials": work["complex_exponentials"],
+        "inverse_roots": work["inverse_roots"],
         "capped_levels": work["capped_levels"],
         "wall_s": time.perf_counter() - started,
     }

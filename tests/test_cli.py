@@ -96,6 +96,7 @@ class TestVerifyCommand:
         assert main(["verify", write_json("tiny.json", config), "--out", str(out)]) == code
         blob = json.loads(out.read_text())
         assert blob["max_deviation"] == factor - 1
+        assert blob["pairs"][0]["magnitude"] == float((factor * k).embed(300)) > 0
 
     def test_malformed_json_exits_two(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
@@ -368,8 +369,9 @@ class TestOracleCommand:
         assert blob["stats"]["levels"] == len(blob["epsilon_sequence"])
         assert blob["stats"]["capped_levels"] == 0
         assert set(blob["stats"]) == {
-            "levels", "panels", "complex_exponentials", "capped_levels", "wall_s"
+            "levels", "panels", "complex_exponentials", "inverse_roots", "capped_levels", "wall_s"
         }
+        assert blob["stats"]["inverse_roots"] >= 0
 
     def test_pair_unconverged_exits_three(self, write_json, capsys):
         # explicit eps levels are never deepened, and five are too few here

@@ -367,6 +367,35 @@ def test_operations_match_fraction_pair_reference(amb, x, y, c):
     assert float(a) == ref_float(x, amb)
 
 
+@given(st.sampled_from(PARITY_AMBIENTS), st.integers(-199, 199), pairs)
+@settings(max_examples=300)
+def test_float_is_correctly_rounded(amb, n, x):
+    # x R^n: the units R^-n of the golden field cancel in p + q R ever more
+    # deeply, and R^-n read 0.0 for n >= 99 when R went through 40 digits
+    value = QuadNum(*x, amb)
+    step = QuadNum.root(amb) if n >= 0 else QuadNum.root(amb).inverse()
+    for _ in range(abs(n)):
+        value = value * step
+    got = float(value)
+    assert got == float(value.embed(300))
+    assert (got > 0) - (got < 0) == value.sign()
+
+
+def test_float_past_the_float_range_is_infinite():
+    big = QuadNum(10**400, 10**400)
+    assert float(big) == float(big.embed(300)) == math.inf
+    assert float(-big) == -math.inf
+    assert float(QuadNum(10**400)) == math.inf
+
+
+def test_parsed_ambients_are_shared():
+    first = Ambient.from_json([1, 1, 1, 1])
+    assert first is GOLDEN and Ambient.from_json([2, 2, 3, 3]) is GOLDEN
+    other = Ambient.from_json([1, 2, 3, 4])
+    assert other is Ambient.from_json([2, 4, 6, 8]) and other == Ambient(Fraction(1, 2), Fraction(3, 4))
+    assert hash(QuadNum(1, 1, other)) == hash(QuadNum(1, 1, Ambient(Fraction(1, 2), Fraction(3, 4))))
+
+
 def test_degenerate_ambient_zero_divisor_has_no_inverse():
     # u^2 + 4v = 4 is a rational square: R = 1 and R - 1 is a zero divisor
     amb = Ambient(Fraction(0), Fraction(1))

@@ -220,7 +220,7 @@ class TestQuadrature:
         # per started stride of panels 1..count-1
         stride = oracle._EXP_STRIDE
         assert stats["complex_exponentials"] == sum(
-            2 * grid.nodes_per_panel + stride + -(-(c - 1) // stride) for c in counts
+            2 * grid.nodes_per_panel + min(stride, c - 1) + -(-(c - 1) // stride) for c in counts
         )
 
     def test_never_consults_the_closed_form(self, monkeypatch):
@@ -299,6 +299,62 @@ def test_stride_padding_matches_t_space(count):
     want = _t_space_panel_integral(du, eps, grid, count)
     got = oracle._panel_integral(du, eps, grid, count, Counter())
     assert abs(got - want) <= 1e-11 * abs(want)
+
+
+@pytest.fixture
+def empty_inverse_roots(monkeypatch):
+    monkeypatch.setattr(oracle, "_INVERSE_ROOTS", {})
+
+
+@pytest.mark.parametrize("nodes_per_panel", (8, 16))
+def test_inverse_root_rows_match_direct(empty_inverse_roots, nodes_per_panel):
+    # rows times (h/2)^(-1/2) are 1/sqrt(s_k + delta_j), as each rule once
+    # built them; counts fill the table, stay below its fill, step past it,
+    # and end one block plus one and two panels, past which rows are not kept
+    block = oracle._PANEL_BLOCK
+    grid = GridSpec(nodes_per_panel=nodes_per_panel)
+    nodes, _ = oracle._gl_rule(nodes_per_panel)
+    table = oracle._inverse_root_table(nodes_per_panel)
+    for count in (300, 299, 301, 5000, block + 1, block + 2):
+        filled = table.filled
+        work = Counter()
+        rows = np.concatenate(
+            [table.panels(start, min(start + block, count), work) for start in range(1, count, block)]
+        )
+        half_s = 0.5 * grid.truncation**2 / 0.01 / count
+        starts = 2.0 * half_s * np.arange(1, count, dtype=float)
+        direct = np.sqrt(half_s) / np.sqrt(np.add.outer(starts, half_s * (1.0 + nodes)))
+        assert np.all(np.abs(rows - direct) <= 4 * np.spacing(direct))
+        assert table.filled == min(max(filled, count - 1), block)
+        kept = table.filled - filled
+        assert work["inverse_roots"] == (kept + max(0, count - 1 - block)) * nodes_per_panel
+
+
+def test_largest_rule_keeps_one_block(empty_inverse_roots):
+    grid = GridSpec()
+    block, nodes = oracle._PANEL_BLOCK, grid.nodes_per_panel
+    count = grid.max_panels
+    work = Counter()
+    first = oracle._panel_integral(1.0, 1e-4, grid, count, work)
+    table = oracle._INVERSE_ROOTS[nodes]
+    assert table.filled == block == table.rows.shape[0]
+    assert work["inverse_roots"] == (count - 1) * nodes
+    work.clear()
+    assert oracle._panel_integral(1.0, 1e-4, grid, count, work) == first
+    assert work["inverse_roots"] == (count - 1 - block) * nodes
+
+
+def test_repeat_pair_reuses_the_table(empty_inverse_roots):
+    a, b = ChirpState(DirectionVector(1.0, 1.0)), ChirpState(DirectionVector(1.0, -1.0))
+    first = overlap_quadrature(a, b)
+    second = overlap_quadrature(a, b)
+    grid = GridSpec()
+    widest = max(oracle._panel_count(1.0, eps, grid, 2)[0] for eps, _ in first.epsilon_sequence)
+    assert widest - 1 <= oracle._PANEL_BLOCK
+    assert first.stats["inverse_roots"] == (widest - 1) * grid.nodes_per_panel
+    assert second.stats["inverse_roots"] == 0
+    assert second.value == first.value
+    assert second.epsilon_sequence == first.epsilon_sequence
 
 
 @pytest.mark.parametrize("du", (10**-2.5, -0.05, 0.4, -1.0, 3.0, -10.0))

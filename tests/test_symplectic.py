@@ -1,5 +1,6 @@
 """Unsigned symplectic form, MU verification, rescaling, transforms."""
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -20,6 +21,7 @@ from mubc import (
     LimitExceeded,
     MUConfiguration,
     ParallelDirections,
+    PreconditionFailed,
     ProductVector,
     QuadNum,
     UnsignedSymplecticClass,
@@ -290,6 +292,21 @@ class TestRescale:
         report = verify_mu(scaled)
         assert report.verdict and report.target_k == QuadNum(4)
 
+    @pytest.mark.parametrize("config, k_prime", [(ASYM_TRIPLE, 4), (SYM_TRIPLE, 1.0)])
+    def test_inferred_source_target(self, config, k_prime):
+        scaled = rescale_config(dataclasses.replace(config, target_k=None), k_prime)
+        assert scaled.vectors == rescale_config(config, k_prime).vectors
+        report = verify_mu(scaled, tolerance=1e-12)
+        assert report.verdict and report.target_k == k_prime
+
+    def test_unverified_source_is_refused(self):
+        off = MUConfiguration(
+            vectors=(ProductVector.of((1, 0)), ProductVector.of((0, 1)), ProductVector.of((1, 3))),
+            target_k=None,
+        )
+        with pytest.raises(PreconditionFailed):
+            rescale_config(off, 1)
+
     def test_invalid_target(self):
         with pytest.raises(InvalidTarget):
             rescale_config(ASYM_TRIPLE, 0)
@@ -490,6 +507,18 @@ class TestConfigJson:
             for fa, fb in zip(a.factors, b.factors):
                 assert fa == fb
         assert verify_mu(back).verdict
+
+    def test_parsed_configs_share_the_ambient(self):
+        first = config_from_json(config_to_json(golden_five()))
+        second = config_from_json(config_to_json(golden_five()))
+        assert first.ambient is second.ambient is GOLDEN
+        assert all(
+            x.ambient is GOLDEN
+            for vec in first.vectors
+            for factor in vec.factors
+            for x in (factor.q, factor.p)
+            if isinstance(x, QuadNum)
+        )
 
     def test_numeric_round_trip(self):
         blob = config_to_json(SYM_TRIPLE)
