@@ -257,15 +257,16 @@ class QuadNum:
         parts = self._parts(other)
         if parts is None:
             return NotImplemented
-        return _product((self._a, self._b, self._d), parts, self._ambient)
+        amb = self._ambient
+        a, b, d = _product_parts((self._a, self._b, self._d), parts, amb)
+        return _reduced(a, b, d, amb)
 
     __rmul__ = __mul__
 
     def norm(self) -> Fraction:
         """self times its conjugate (u - R for R), always rational."""
-        amb = self._ambient
-        a, b = self._a, self._b
-        return Fraction(amb._l * a * a + amb._lu * a * b - amb._lv * b * b, amb._l * self._d ** 2)
+        n = _reciprocal_parts((self._a, self._b, self._d), self._ambient)[2]
+        return Fraction(n, self._ambient._l * self._d ** 2)
 
     def inverse(self) -> "QuadNum":
         return _reduced(*_inverse_parts((self._a, self._b, self._d), self._ambient), self._ambient)
@@ -274,17 +275,17 @@ class QuadNum:
         parts = self._parts(other)
         if parts is None:
             return NotImplemented
-        return _product(
-            (self._a, self._b, self._d), _inverse_parts(parts, self._ambient), self._ambient
-        )
+        amb = self._ambient
+        a, b, d = _product_parts((self._a, self._b, self._d), _inverse_parts(parts, amb), amb)
+        return _reduced(a, b, d, amb)
 
     def __rtruediv__(self, other: object) -> "QuadNum":
         parts = self._parts(other)
         if parts is None:
             return NotImplemented
-        return _product(
-            parts, _inverse_parts((self._a, self._b, self._d), self._ambient), self._ambient
-        )
+        amb = self._ambient
+        a, b, d = _product_parts(parts, _inverse_parts((self._a, self._b, self._d), amb), amb)
+        return _reduced(a, b, d, amb)
 
     def __neg__(self) -> "QuadNum":
         return _reduced(-self._a, -self._b, self._d, self._ambient)
@@ -399,43 +400,49 @@ def _ratio(num: int, den: int) -> float:
 
 def _reduced(a: int, b: int, d: int, ambient: Ambient) -> QuadNum:
     """The element (a + b R) / d, d != 0, brought to lowest terms with d > 0."""
-    if d < 0:
-        a, b, d = -a, -b, -d
-    g = math.gcd(a, b, d)
-    if g != 1:
-        a, b, d = a // g, b // g, d // g
+    # d = 1, the integral case, is in lowest terms already
+    if d != 1:
+        if d < 0:
+            a, b, d = -a, -b, -d
+        g = math.gcd(a, b, d)
+        if g != 1:
+            a, b, d = a // g, b // g, d // g
     x = _new(QuadNum)
     x._a, x._b, x._d, x._ambient = a, b, d, ambient
     return x
 
 
-def _product(x: tuple[int, int, int], y: tuple[int, int, int], ambient: Ambient) -> QuadNum:
-    """(a1 + b1 R)(a2 + b2 R) / (d1 d2) with R^2 = (L u R + L v) / L."""
+def _product_parts(x: tuple, y: tuple, ambient: Ambient) -> tuple:
+    """(a1 + b1 R)(a2 + b2 R) / (d1 d2) with R^2 = (L u R + L v) / L, unreduced.
+    Arithmetic operators only, so integer arrays work as well as ints."""
     a1, b1, d1 = x
     a2, b2, d2 = y
     l = ambient._l
     bb = b1 * b2
-    return _reduced(
-        l * a1 * a2 + ambient._lv * bb,
-        l * (a1 * b2 + b1 * a2) + ambient._lu * bb,
-        l * d1 * d2,
-        ambient,
-    )
+    return l * a1 * a2 + ambient._lv * bb, l * (a1 * b2 + b1 * a2) + ambient._lu * bb, l * d1 * d2
+
+
+def _reciprocal_parts(x: tuple, ambient: Ambient) -> tuple:
+    """1 / ((a + b R) / d) = d (L a + L u b - L b R) / n, unreduced: the conjugate
+    (a + b u) - b R over the norm n / L, n = L a^2 + L u a b - L v b^2. Arithmetic
+    operators only, so integer arrays work as well as ints. n is 0 for x = 0
+    and, in a degenerate ambient, for a zero divisor."""
+    a, b, d = x
+    n = ambient._l * a * a + ambient._lu * a * b - ambient._lv * b * b
+    return d * (ambient._l * a + ambient._lu * b), -d * ambient._l * b, n
 
 
 def _inverse_parts(x: tuple[int, int, int], ambient: Ambient) -> tuple[int, int, int]:
-    """1 / ((a + b R) / d) = d (L a + L u b - L b R) / n, unreduced: the conjugate
-    (a + b u) - b R over the norm n / L, n = L a^2 + L u a b - L v b^2."""
-    a, b, d = x
-    if a == 0 and b == 0:
-        raise DivisionByZero("inverse of zero")
-    n = ambient._l * a * a + ambient._lu * a * b - ambient._lv * b * b
-    if n == 0:
+    """_reciprocal_parts of a scalar x; raises where x has no inverse."""
+    parts = _reciprocal_parts(x, ambient)
+    if parts[2] == 0:
+        if x[0] == 0 and x[1] == 0:
+            raise DivisionByZero("inverse of zero")
         raise DivisionByZero(
             "zero norm: ambient is degenerate (u^2 + 4v a rational square) "
             "and the element is a zero divisor"
         )
-    return d * (ambient._l * a + ambient._lu * b), -d * ambient._l * b, n
+    return parts
 
 
 def _rat_sqrt(r: Fraction) -> Fraction | None:

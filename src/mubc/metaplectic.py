@@ -348,32 +348,35 @@ def random_symplectic(n: int, rng: np.random.Generator) -> np.ndarray:
     """Random product of eight generators that are exactly symplectic in floats.
 
     Generator entries are small dyadic rationals, so every float operation
-    in the product is exact and M^t J M - J vanishes identically.
+    in the product is exact and M^t J M - J vanishes identically. Each
+    generator G acts in place on the column blocks of the running product
+    M = [P | Q], which becomes M G.
     """
-    size = 2 * n
-    result = np.eye(size)
+    result = np.eye(2 * n)
+    left, right = result[:, :n], result[:, n:]
     for _ in range(8):
         kind = rng.integers(0, 4)
-        gen = np.eye(size)
-        if kind == 0:
-            # symmetric shear [[I, 0], [S, I]]
+        if kind < 2:
             s = rng.integers(-8, 9, size=(n, n)) / 8.0
             s = (s + s.T) / 2.0
-            gen[n:, :n] = s
-        elif kind == 1:
-            # symmetric shear [[I, S], [0, I]]
-            s = rng.integers(-8, 9, size=(n, n)) / 8.0
-            s = (s + s.T) / 2.0
-            gen[:n, n:] = s
+            if kind == 0:
+                # symmetric shear [[I, 0], [S, I]]
+                left += right @ s
+            else:
+                # symmetric shear [[I, S], [0, I]]
+                right += left @ s
         elif kind == 2:
             # block scaling diag(A, A^-T) with exact dyadic diagonal A
-            exponents = rng.integers(-2, 3, size=n)
-            diag = np.array([2.0 ** e for e in exponents])
-            gen[:n, :n] = np.diag(diag)
-            gen[n:, n:] = np.diag(1.0 / diag)
+            diag = 2.0 ** rng.integers(-2, 3, size=n)
+            left *= diag
+            right /= diag
         else:
-            gen = stacked_j(n)
-        result = result @ gen
+            # J = [[0, -I], [I, 0]] sends (P, Q) to (Q, -P)
+            swapped = -left
+            left[...] = right
+            right[...] = swapped
+    # zero entries as +0.0, as the matrix products gave them
+    result += 0.0
     return result
 
 

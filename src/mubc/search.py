@@ -6,7 +6,7 @@ symplectic products equal to a common K:
 * certify_no_fourth: for an N = 1 triple, witness that no fourth direction
   exists by solving all eight sign-pattern linear systems and recording
   each contradiction. The golden-lattice search solves the same systems
-  for the last factor of each free vector.
+  for the last factor of each free vector, on integer arrays.
 * find_equivalence: hunt for a rescaled unsigned symplectic map carrying
   one triple onto another up to ordering and per-vector signs.
 * search_extension / enumerate_triples_n1: look for additional product
@@ -16,10 +16,11 @@ symplectic products equal to a common K:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -31,7 +32,7 @@ from .errors import (
     LimitExceeded,
     PreconditionFailed,
 )
-from .exact import GOLDEN, QuadNum
+from .exact import GOLDEN, QuadNum, _product_parts, _reciprocal_parts
 from .symplectic import (
     EXACT,
     NUMERIC,
@@ -405,6 +406,21 @@ class SearchProblem:
 
 @dataclass(frozen=True)
 class SearchReport:
+    """What a search found and what it did.
+
+    stats is empty for zero free slots. A real search reports budget_hit.
+    A lattice search reports the kernel's work: heads (heads run through the
+    divisibility filter), heads_passed (heads past it), sign_pattern_solves
+    (last-factor solves, four sign patterns per head, or two per box value
+    when one fixed vector leaves a line), box_rejects (integral solutions
+    outside the box), completions (last factors passing every check),
+    budget_hit, the wall time of filter_s, solve_s and verify_s (the
+    re-verification of the first completion), and dtype (int64, or object
+    when an intermediate could reach 2^62). The counters count the kernel's
+    work, so when a budget cut falls inside a block after a deeper level
+    ran, heads can exceed evaluations.
+    """
+
     outcome: str  # "extended" | "no-improvement" | "exhausted"
     vectors: tuple[ProductVector, ...]
     residual: float
@@ -417,6 +433,7 @@ class SearchReport:
     # every exact completion found (lattice mode enumerates all of them;
     # each entry is one filling of the free slots)
     solutions: tuple[tuple[ProductVector, ...], ...] = ()
+    stats: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
         return {
@@ -435,6 +452,7 @@ class SearchReport:
                 [[[str(f.q), str(f.p)] for f in v.factors] for v in sol]
                 for sol in self.solutions
             ],
+            "stats": dict(self.stats),
         }
 
 
@@ -626,6 +644,7 @@ def _search_real(problem: SearchProblem, budget: int, restarts: int, seed: int) 
         wall_time=time.perf_counter() - start,
         seed=seed,
         solutions=(tuple(found),) if outcome == "extended" else (),
+        stats={"budget_hit": evaluations >= budget},
     )
 
 
@@ -653,6 +672,193 @@ def _height_box(height: int) -> list[QuadNum]:
     ]
 
 
+# The lattice kernel holds a golden integer a + b R as a coordinate pair
+# (a, b) of ints or of equally shaped integer arrays, and a direction as a
+# pair of those, (q, p). Its field arithmetic is exact's unreduced helpers,
+# which use arithmetic operators only; the golden ambient has L = 1, so a
+# product of integers keeps denominator 1.
+
+_HEAD_BLOCK = 4096  # heads per kernel call, so memory stays bounded for any N and height
+_INT64_LIMIT = 1 << 62
+
+
+def _mul(x, y):
+    a, b, _ = _product_parts((x[0], x[1], 1), (y[0], y[1], 1), GOLDEN)
+    return a, b
+
+
+def _sub(x, y):
+    return x[0] - y[0], x[1] - y[1]
+
+
+def _symp(d, x):
+    """symp2(d, x) = d.p x.q - d.q x.p."""
+    return _sub(_mul(d[1], x[0]), _mul(d[0], x[1]))
+
+
+def _conjugate(x):
+    """The conjugate and the norm n of x, so 1 / x = conjugate / n; n is 0
+    only for x = 0."""
+    a, b, n = _reciprocal_parts((x[0], x[1], 1), GOLDEN)
+    return (a, b), n
+
+
+def _kernel_dtype(m: int, n: int):
+    """int64 when no intermediate of the kernel can reach 2^62, else object
+    (Python ints), so no wraparound ever decides a result. m bounds every
+    coordinate of K, the fixed vectors and the box; a product of
+    coordinates up to x and y, each of its partial terms, a conjugate
+    and a norm stay within g x y."""
+    g = 2 + abs(GOLDEN._lu) + abs(GOLDEN._lv)
+    s = 2 * g * m * m  # symp2 of two directions
+    c = (g * s) ** (n - 1)  # a head's product with a fixed vector
+    r = g * g * m * c  # K times the conjugate of c, and so the quotient K / c
+    e = max(r, m)  # right-hand sides of the solve, box values when pinned
+    # norms of c and of the solve's determinant, and the solve's numerators
+    # e x_i conj(det) - f y_i conj(det)
+    largest = max(g * c * c, r, g * s * s, 2 * g**3 * m * e * s)
+    return np.int64 if largest < _INT64_LIMIT else object
+
+
+def _lattice_vector(v):
+    """A vector's factors as coordinate pairs, checked golden-integral."""
+    coords = []
+    for f in v.factors:
+        q, p = _golden_integer(f.q), _golden_integer(f.p)
+        coords.append(((q.p.numerator, q.q.numerator), (p.p.numerator, p.q.numerator)))
+    return tuple(coords)
+
+
+def _product_vector(coords) -> ProductVector:
+    return ProductVector(tuple(DirectionVector(QuadNum(*q), QuadNum(*p)) for q, p in coords))
+
+
+class _LatticeKernel:
+    """One lattice search's tables and counters.
+
+    Head factors run over the box's directions: q over the box, then p over
+    the box, the zero direction left out. A head is N - 1 of them, numbered
+    with the first factor most significant, so head order is the order of
+    itertools.product over the factor choices.
+    """
+
+    def __init__(self, k, n: int, height: int, m: int, stats: dict) -> None:
+        self.k, self.n, self.stats = k, n, stats
+        self.p_bound, self.q_bound = max(height, 1), height
+        self.dtype = _kernel_dtype(m, n)
+        stats["dtype"] = np.dtype(self.dtype).name
+        self.choice_count = ((2 * self.p_bound + 1) * (2 * height + 1)) ** 2 - 1
+        self.heads = self.choice_count ** (n - 1)
+
+    @functools.cached_property
+    def box(self):
+        """The box's values in box order."""
+        p_values = np.arange(-self.p_bound, self.p_bound + 1)
+        q_values = np.arange(-self.q_bound, self.q_bound + 1)
+        a = np.repeat(p_values, len(q_values)).astype(self.dtype)
+        return a, np.tile(q_values, len(p_values)).astype(self.dtype)
+
+    @functools.cached_property
+    def choices(self):
+        """The head factor choices as ((qa, qb), (pa, pb)) arrays."""
+        a, b = self.box
+        qi, pi = np.divmod(np.arange(len(a) * len(a)), len(a))
+        nonzero = (a[qi] != 0) | (b[qi] != 0) | (a[pi] != 0) | (b[pi] != 0)
+        qi, pi = qi[nonzero], pi[nonzero]
+        return (a[qi], b[qi]), (a[pi], b[pi])
+
+    def head(self, index: int):
+        """The coordinates of head number index."""
+        factors = []
+        for _ in range(self.n - 1):
+            index, i = divmod(index, self.choice_count)
+            factors.append(tuple((int(c[0][i]), int(c[1][i])) for c in self.choices))
+        return tuple(reversed(factors))
+
+    def completions(self, fixed, start: int, stop: int) -> list:
+        """(head index, last factor) for every completion among heads
+        start..stop-1 of one level, in head order and, within a head, in the
+        certificate's sign-pattern order."""
+        stats = self.stats
+        clock = time.perf_counter()
+        # fixed vectors on the second axis: columns[f] is factor f of every one
+        columns = [
+            tuple(
+                tuple(np.array([[x[f][i][j] for x in fixed]], self.dtype) for j in (0, 1))
+                for i in (0, 1)
+            )
+            for f in range(self.n)
+        ]
+        # head filter: K / c must lie in Z[R] for the head's product c with
+        # every fixed vector; a zero c has zero norm and drops out
+        digits, rest = [], np.arange(start, stop)
+        for _ in range(self.n - 1):
+            rest, i = np.divmod(rest, self.choice_count)
+            digits.append(i)
+        c = (np.ones((1, len(fixed)), self.dtype), np.zeros((1, len(fixed)), self.dtype))
+        for i, x in zip(reversed(digits), columns):
+            h = tuple((t[0][i][:, None], t[1][i][:, None]) for t in self.choices)
+            c = _mul(c, _symp(h, x))
+        conjugate, norm = _conjugate(c)
+        ra, rb = _mul(self.k, conjugate)
+        passed = norm != 0
+        norm = np.where(passed, norm, 1)
+        passed &= (ra % norm == 0) & (rb % norm == 0)
+        alive = np.flatnonzero(passed.all(axis=1))
+        ra, rb, norm = ra[alive], rb[alive], norm[alive]
+        rhs = (ra // norm, rb // norm)
+        stats["heads"] += stop - start
+        stats["heads_passed"] += len(alive)
+        now = time.perf_counter()
+        stats["filter_s"] += now - clock
+        if not len(alive):
+            return []
+        clock = now
+
+        # last-factor solve: Cramer's rule on the first two fixed last factors
+        # for every sign pattern at once, patterns on the second axis
+        rows = [x[-1] for x in fixed]
+        if len(rows) == 1:
+            # One constraint leaves a line: a second row pins the coordinate
+            # it does not fix to each box value. The pin's own sign stays +1,
+            # since the box already holds both signs of every value.
+            # symp2(d, (0, -1)) = d.q and symp2(d, (1, 0)) = d.p
+            rows.append(((0, 0), (-1, 0)) if rows[0][0] != (0, 0) else ((1, 0), (0, 0)))
+            s1 = np.tile([1, -1], len(self.box[0]))
+            second = tuple(np.repeat(t, 2)[None, :] for t in self.box)
+        else:
+            s1, s2 = np.array([1, 1, -1, -1]), np.array([1, -1, 1, -1])
+            second = (s2 * rhs[0][:, 1:2], s2 * rhs[1][:, 1:2])
+        e = (s1 * rhs[0][:, :1], s1 * rhs[1][:, :1])
+        a, b = rows[0], rows[1]
+        # det = a.q b.p - a.p b.q, nonzero for unbiased fixed vectors
+        conjugate, det_norm = _conjugate(_symp(b, a))
+        solved, integral = [], True
+        for bx, ax in ((b[0], a[0]), (b[1], a[1])):
+            xa, xb = _sub(_mul(e, _mul(bx, conjugate)), _mul(second, _mul(ax, conjugate)))
+            integral = integral & (xa % det_norm == 0) & (xb % det_norm == 0)
+            solved.append((xa // det_norm, xb // det_norm))
+        (qa, qb), (pa, pb) = solved
+        in_box = (
+            integral
+            & (abs(qa) <= self.p_bound) & (abs(qb) <= self.q_bound)
+            & (abs(pa) <= self.p_bound) & (abs(pb) <= self.q_bound)
+        )
+        stats["sign_pattern_solves"] += qa.size
+        stats["box_rejects"] += int(np.count_nonzero(integral & ~in_box))
+        flat = np.flatnonzero(in_box)
+        head_of = flat // qa.shape[1]
+        d = tuple((u.ravel()[flat][:, None], v.ravel()[flat][:, None]) for u, v in solved)
+        # the remaining fixed vectors are checks: symp2(d, x) = +/- K / c
+        va, vb = _symp(d, tuple((u[:, 2:], v[:, 2:]) for u, v in columns[-1]))
+        ra, rb = rhs[0][head_of, 2:], rhs[1][head_of, 2:]
+        ok = (((va == ra) & (vb == rb)) | ((va == -ra) & (vb == -rb))).all(axis=1)
+        stats["completions"] += int(np.count_nonzero(ok))
+        stats["solve_s"] += time.perf_counter() - clock
+        q, p = ((u[ok, 0].tolist(), v[ok, 0].tolist()) for u, v in d)
+        return list(zip((start + alive[head_of[ok]]).tolist(), zip(zip(*q), zip(*p))))
+
+
 def _search_lattice(problem: SearchProblem, budget: int, seed: int | None) -> SearchReport:
     """Every filling of the free slots by golden-lattice vectors in the box.
 
@@ -662,85 +868,57 @@ def _search_lattice(problem: SearchProblem, budget: int, seed: int | None) -> Se
     factors, so d solves symp2(d, x_N) = +/- K / c for every fixed x: one
     linear system per sign pattern. A head is skipped when some c is zero or
     K / c is not integral, because an integral d has integral products with
-    integral x_N. Further free slots recurse, each accepted vector joining
-    the fixed ones. The budget caps enumerated heads.
+    integral x_N. Further free slots recurse depth-first, each accepted
+    vector joining the fixed ones. Heads go through the integer kernel in
+    blocks; the budget caps the heads visited, in head order, as if one at a
+    time.
     """
     start = time.perf_counter()
     k = _golden_integer(problem.target_k)
     if k.sign() <= 0:
         raise InvalidProblem(f"target K must be positive, got {k}")
-    seeds = [
-        tuple(DirectionVector(_golden_integer(f.q), _golden_integer(f.p)) for f in v.factors)
-        for v in problem.seeds
-    ]
-    components = _height_box(problem.height)
-    box = set(components)
-    # a head is the first N - 1 factors, so an N = 1 search needs no choices
-    factor_choices = []
-    if problem.n >= 2:
-        factor_choices = [
-            DirectionVector(qc, pc)
-            for qc in components
-            for pc in components
-            if not (qc.is_zero and pc.is_zero)
-        ]
-
-    def last_factors(rows: list[DirectionVector], rhs: list[QuadNum]) -> list[DirectionVector]:
-        if len(rows) == 1:
-            # One constraint leaves a line: pin the coordinate it does not
-            # fix to each box value. The pin's own sign stays +1, since the
-            # box already holds both signs of every value.
-            x = rows[0]
-            # symp2(d, (0, -1)) = d.q and symp2(d, (1, 0)) = d.p
-            pin = (
-                DirectionVector(QuadNum(0), QuadNum(-1))
-                if x.q != 0
-                else DirectionVector(QuadNum(1), QuadNum(0))
-            )
-            solved = [
-                s
-                for t in components
-                for s in _solve_sign_patterns((x, pin), (rhs[0], t))
-                if s.signs[1] == 1
-            ]
-        else:
-            # fixed vectors are pairwise unbiased, so every factor slot has rank 2
-            solved = _solve_sign_patterns(rows, rhs)
-        return [
-            s.solution
-            for s in solved
-            if s.consistent and s.solution.q in box and s.solution.p in box
-        ]
-
+    seeds = [_lattice_vector(v) for v in problem.seeds]
+    k = (k.p.numerator, k.q.numerator)
+    m = max(
+        [problem.height, 1, *map(abs, k)]
+        + [abs(t) for v in seeds for f in v for pair in f for t in pair]
+    )
+    stats = dict(
+        heads=0, heads_passed=0, sign_pattern_solves=0, box_rejects=0, completions=0,
+        budget_hit=False, filter_s=0.0, solve_s=0.0, verify_s=0.0,
+    )
+    kernel = _LatticeKernel(k, problem.n, problem.height, m, stats)
     evaluations = 0
-    exhausted = True
     solutions: list[tuple[ProductVector, ...]] = []
 
-    def extend(chosen: list[tuple[DirectionVector, ...]]) -> None:
-        nonlocal evaluations, exhausted
+    def visit(heads: int) -> bool:
+        """Count the next heads; False once the budget cannot cover them."""
+        nonlocal evaluations
+        if evaluations + heads > budget:
+            evaluations = max(evaluations, budget)
+            stats["budget_hit"] = True
+            return False
+        evaluations += heads
+        return True
+
+    def extend(chosen: list) -> None:
         if len(chosen) == problem.free_slots:
-            solutions.append(tuple(ProductVector(v) for v in chosen))
+            solutions.append(tuple(_product_vector(v) for v in chosen))
             return
         fixed = seeds + chosen
-        for head in itertools.product(factor_choices, repeat=problem.n - 1):
-            if evaluations >= budget:
-                exhausted = False
+        for first in range(0, kernel.heads, _HEAD_BLOCK):
+            end = min(first + _HEAD_BLOCK, kernel.heads)
+            # heads past the budget are never visited; recursion only spends more
+            stop = min(end, first + budget - evaluations)
+            found = kernel.completions(fixed, first, stop) if stop > first else []
+            counted = first
+            for index, last in found:
+                if not visit(index + 1 - counted):
+                    return
+                counted = index + 1
+                extend(chosen + [kernel.head(index) + (last,)])
+            if not visit(end - counted):
                 return
-            evaluations += 1
-            rhs = []
-            for x in fixed:
-                c = 1
-                for h, xf in zip(head, x):
-                    c = c * symp2(h, xf)
-                if c == 0:
-                    break
-                r = k / c
-                if not r.is_integral:
-                    break
-                rhs.append(r)
-            else:
-                for d in last_factors([x[-1] for x in fixed], rhs):
-                    extend(chosen + [head + (d,)])
 
     extend([])
     residual = math.inf
@@ -748,12 +926,14 @@ def _search_lattice(problem: SearchProblem, budget: int, seed: int | None) -> Se
         outcome = "extended"
         vectors = solutions[0]
         # the reported residual must match an independent re-verification
+        clock = time.perf_counter()
         residual = verify_mu(
             MUConfiguration(problem.seeds + vectors, problem.target_k, problem.hbar, EXACT),
             tolerance=0.0,
         ).max_deviation
+        stats["verify_s"] = time.perf_counter() - clock
     else:
-        outcome = "exhausted" if exhausted else "no-improvement"
+        outcome = "no-improvement" if stats["budget_hit"] else "exhausted"
         vectors = ()
     return SearchReport(
         outcome=outcome,
@@ -766,6 +946,7 @@ def _search_lattice(problem: SearchProblem, budget: int, seed: int | None) -> Se
         wall_time=time.perf_counter() - start,
         seed=seed,
         solutions=tuple(solutions),
+        stats=stats,
     )
 
 

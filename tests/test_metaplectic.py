@@ -62,6 +62,37 @@ class TestIsSymplectic:
             assert symplectic_defect(m) <= 1e-9
 
 
+    def test_random_products_match_generator_matrices(self):
+        # the in-place column updates reproduce the product of the eight
+        # generator matrices bit for bit, from the same draws
+        def by_matrices(n, rng):
+            result = np.eye(2 * n)
+            for _ in range(8):
+                kind = rng.integers(0, 4)
+                gen = np.eye(2 * n)
+                if kind in (0, 1):
+                    s = rng.integers(-8, 9, size=(n, n)) / 8.0
+                    s = (s + s.T) / 2.0
+                    if kind == 0:
+                        gen[n:, :n] = s
+                    else:
+                        gen[:n, n:] = s
+                elif kind == 2:
+                    diag = np.array([2.0 ** e for e in rng.integers(-2, 3, size=n)])
+                    gen[:n, :n] = np.diag(diag)
+                    gen[n:, n:] = np.diag(1.0 / diag)
+                else:
+                    gen = stacked_j(n)
+                result = result @ gen
+            return result
+
+        for n in (1, 2, 3):
+            for seed in range(200):
+                expected = by_matrices(n, np.random.default_rng(seed))
+                got = random_symplectic(n, np.random.default_rng(seed))
+                assert got.tobytes() == expected.tobytes()
+
+
 class TestCayley:
     def test_quarter_rotation(self):
         out = cayley_matrix(J1)

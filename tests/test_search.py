@@ -326,6 +326,27 @@ class TestObjectiveGradient:
             checked += 1
 
 
+    def test_two_free_slots_match_central_differences(self):
+        # the pair of two free vectors differentiates its first vector too
+        fn = real_objective_fn(dataclasses.replace(asym_problem(), free_slots=2))
+        rng = np.random.default_rng(22)
+        h = 1e-6
+        checked = 0
+        while checked < 100:
+            x = rng.uniform(-3.0, 3.0, size=2)
+            # keep away from the log singularities for stable differences
+            if min(abs(x[0]), abs(x[1]), abs(x[0] - 1.0), abs(x[1] - 1.0), abs(x[0] - x[1])) < 1e-2:
+                continue
+            f, grad = fn(x)
+            for i in range(2):
+                step = np.zeros(2)
+                step[i] = h
+                fd = (fn(x + step)[0] - fn(x - step)[0]) / (2 * h)
+                scale = max(1.0, abs(fd), abs(grad[i]))
+                assert abs(grad[i] - fd) <= 1e-6 * scale
+            checked += 1
+
+
 class TestSearchLattice:
     def test_n1_completion(self):
         prob = SearchProblem(
@@ -343,7 +364,6 @@ class TestSearchLattice:
         assert report.residual == 0
         assert len(report.solutions) >= 1
 
-    @pytest.mark.slow
     def test_golden_recovery_height_two(self):
         prob = SearchProblem(
             target_k=QuadNum(1),
@@ -509,6 +529,159 @@ class TestLatticeParity:
         expected = brute_force_completions(problem)
         assert len(expected) == 28
         assert solver_completions(problem) == expected
+
+
+# Ordered completions of the golden first four, recorded from the per-head
+# QuadNum search the integer kernel replaced: each is ((q, p), ...) per factor
+# with golden integers a + b R as (a, b).
+GOLDEN_FIRST_FOUR_HEIGHT_ONE = (
+    (((-1, 0), (0, 1)), ((1, 0), (-1, 1))),
+    (((-1, 0), (0, 1)), ((-1, 0), (1, -1))),
+    (((-1, 1), (-1, 0)), ((0, -1), (-1, 0))),
+    (((-1, 1), (-1, 0)), ((0, 1), (1, 0))),
+    (((0, -1), (1, -1)), ((1, -1), (0, -1))),
+    (((0, -1), (1, -1)), ((-1, 1), (0, 1))),
+    (((0, 1), (-1, 1)), ((-1, 1), (0, 1))),
+    (((0, 1), (-1, 1)), ((1, -1), (0, -1))),
+    (((1, -1), (1, 0)), ((0, 1), (1, 0))),
+    (((1, -1), (1, 0)), ((0, -1), (-1, 0))),
+    (((1, 0), (0, -1)), ((-1, 0), (1, -1))),
+    (((1, 0), (0, -1)), ((1, 0), (-1, 1))),
+)
+GOLDEN_FIRST_FOUR_HEIGHT_TWO = (
+    (((-2, 1), (-1, 1)), ((1, 1), (0, 1))),
+    (((-2, 1), (-1, 1)), ((-1, -1), (0, -1))),
+    (((-1, -1), (-1, 0)), ((-2, 1), (-1, 0))),
+    (((-1, -1), (-1, 0)), ((2, -1), (1, 0))),
+    (((-1, 0), (-2, 1)), ((-1, 0), (-1, -1))),
+    (((-1, 0), (-2, 1)), ((1, 0), (1, 1))),
+    (((-1, 0), (0, 1)), ((1, 0), (-1, 1))),
+    (((-1, 0), (0, 1)), ((-1, 0), (1, -1))),
+    (((-1, 1), (-1, 0)), ((0, -1), (-1, 0))),
+    (((-1, 1), (-1, 0)), ((0, 1), (1, 0))),
+    (((0, -1), (1, -1)), ((1, -1), (0, -1))),
+    (((0, -1), (1, -1)), ((-1, 1), (0, 1))),
+    (((0, -1), (1, 1)), ((-1, 1), (2, -1))),
+    (((0, -1), (1, 1)), ((1, -1), (-2, 1))),
+    (((0, 1), (-1, -1)), ((1, -1), (-2, 1))),
+    (((0, 1), (-1, -1)), ((-1, 1), (2, -1))),
+    (((0, 1), (-1, 1)), ((-1, 1), (0, 1))),
+    (((0, 1), (-1, 1)), ((1, -1), (0, -1))),
+    (((1, -1), (1, 0)), ((0, 1), (1, 0))),
+    (((1, -1), (1, 0)), ((0, -1), (-1, 0))),
+    (((1, 0), (0, -1)), ((-1, 0), (1, -1))),
+    (((1, 0), (0, -1)), ((1, 0), (-1, 1))),
+    (((1, 0), (2, -1)), ((1, 0), (1, 1))),
+    (((1, 0), (2, -1)), ((-1, 0), (-1, -1))),
+    (((1, 1), (1, 0)), ((2, -1), (1, 0))),
+    (((1, 1), (1, 0)), ((-2, 1), (-1, 0))),
+    (((2, -1), (1, -1)), ((-1, -1), (0, -1))),
+    (((2, -1), (1, -1)), ((1, 1), (0, 1))),
+)
+
+# (case, budget, (evaluations, outcome, completions)), recorded the same way
+BUDGET_SWEEP = (
+    ('first-four', 81, (81, 'no-improvement', 0)),
+    ('first-four', 100, (100, 'extended', 2)),
+    ('first-four', 623, (623, 'extended', 28)),
+    ('first-four', 625, (624, 'extended', 28)),
+    ('q-axis-two-slots', 1, (1, 'no-improvement', 0)),
+    ('q-axis-two-slots', 2, (2, 'extended', 2)),
+    ('q-axis-two-slots', 13, (13, 'extended', 36)),
+    ('q-axis-two-slots', 19, (19, 'extended', 48)),
+    ('q-axis-two-slots', 20, (19, 'extended', 48)),
+    ('n2-one-seed-two-slots', 2, (2, 'no-improvement', 0)),
+    ('n2-one-seed-two-slots', 3, (3, 'extended', 2)),
+    ('n2-one-seed-two-slots', 50, (50, 'extended', 28)),
+    ('n2-one-seed-two-slots', 100, (100, 'extended', 52)),
+    ('n2-two-seeds-two-slots', 13, (13, 'no-improvement', 0)),
+    ('n2-two-seeds-two-slots', 50, (50, 'extended', 20)),
+    ('n2-two-seeds-two-slots', 79, (79, 'extended', 38)),
+    ('n2-two-seeds-two-slots', 100, (100, 'extended', 40)),
+    ('n2-two-seeds-two-slots', 1000, (1000, 'extended', 494)),
+)
+
+
+def _budget_case(name):
+    one, zero = QuadNum(1), QuadNum(0)
+    seeds, height, free_slots = {
+        "first-four": (golden_first_four(), 2, 1),
+        "q-axis-two-slots": (n1((one, zero)), 1, 2),
+        "n2-one-seed-two-slots": ([ProductVector.of((one, zero), (one, R))], 1, 2),
+        "n2-two-seeds-two-slots": (golden_first_four()[:2], 1, 2),
+    }[name]
+    return lattice_problem(seeds, height, free_slots)
+
+
+# heads each budget-sweep case takes with no budget
+BUDGET_SWEEP_HEADS = {
+    "first-four": 624,
+    "q-axis-two-slots": 19,
+    "n2-one-seed-two-slots": 43280,
+    "n2-two-seeds-two-slots": 11600,
+}
+
+
+class TestLatticeKernel:
+    @pytest.mark.parametrize(
+        "height, expected",
+        [(1, GOLDEN_FIRST_FOUR_HEIGHT_ONE), (2, GOLDEN_FIRST_FOUR_HEIGHT_TWO)],
+    )
+    def test_golden_first_four_order(self, height, expected):
+        report = search_extension(lattice_problem(golden_first_four(), height), budget=10**6)
+        found = tuple(_lattice_vector(v) for (v,) in report.solutions)
+        assert found == expected
+        assert report.evaluations == {1: 80, 2: 624}[height]
+        assert report.stats["heads"] == report.evaluations
+        assert report.stats["completions"] == len(expected)
+        assert report.stats["dtype"] == "int64"
+
+    def test_python_int_path_matches(self, monkeypatch):
+        # the same kernel code on arrays of Python ints finds the same completions
+        monkeypatch.setattr(search, "_kernel_dtype", lambda m, n: object)
+        report = search_extension(lattice_problem(golden_first_four(), 2), budget=10**6)
+        assert report.stats["dtype"] == "object"
+        found = tuple(_lattice_vector(v) for (v,) in report.solutions)
+        assert found == GOLDEN_FIRST_FOUR_HEIGHT_TWO
+
+    @pytest.mark.parametrize("block", [7, 4096])
+    @pytest.mark.parametrize("name, budget, expected", BUDGET_SWEEP)
+    def test_budget_sweep(self, name, budget, expected, block, monkeypatch):
+        # blocks of 7 heads put cuts and recursion on every side of a block edge
+        monkeypatch.setattr(search, "_HEAD_BLOCK", block)
+        report = search_extension(_budget_case(name), budget=budget)
+        assert (report.evaluations, report.outcome, len(report.solutions)) == expected
+        assert report.stats["budget_hit"] == (budget < BUDGET_SWEEP_HEADS[name])
+
+    @pytest.mark.parametrize("power, dtype", [(10, "int64"), (100, "object")])
+    def test_large_coordinates(self, power, dtype):
+        # R^100 has coordinates past 2^63, so the kernel runs on Python ints
+        m = QuadNum(1)
+        for _ in range(power):
+            m = m * R
+        problem = lattice_problem(n1((m, QuadNum(1)), (m - 1, QuadNum(1))), 1)
+        report = search_extension(problem, budget=10**6)
+        assert report.stats["dtype"] == dtype
+        expected = brute_force_completions(problem)
+        assert {((((1, 0), (0, 0)),),), ((((-1, 0), (0, 0)),),)} <= expected
+        assert solver_completions(problem) == expected
+
+    def test_sixth_vector_height_eight(self):
+        five = golden_first_four() + (GOLDEN_FIFTH,)
+        report = search_extension(lattice_problem(five, 8), budget=10**6)
+        assert report.outcome == "exhausted"
+        assert report.evaluations == report.stats["heads"] == 83520
+        assert report.solutions == () and report.stats["completions"] == 0
+
+    def test_stats_in_json(self):
+        report = search_extension(lattice_problem(golden_first_four(), 2), budget=100)
+        blob = report.to_json()
+        assert blob["stats"]["budget_hit"] is True
+        assert blob["stats"]["heads"] == 100
+        assert set(blob["stats"]) == {
+            "heads", "heads_passed", "sign_pattern_solves", "box_rejects", "completions",
+            "budget_hit", "filter_s", "solve_s", "verify_s", "dtype",
+        }
 
 
 class TestEnumerate:
