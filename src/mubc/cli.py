@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -483,7 +484,11 @@ def _tolerance_flag(text: str) -> float:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The mubc argument parser, built once per process: parsing keeps no
+    state in it, handlers come from set_defaults and the type functions
+    are pure."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--hbar", type=_hbar_flag, default=None, help="Planck constant scale (default 1)")
     common.add_argument("--tolerance", type=_tolerance_flag, default=None, help="relative tolerance")

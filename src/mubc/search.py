@@ -32,7 +32,7 @@ from .errors import (
     LimitExceeded,
     PreconditionFailed,
 )
-from .exact import GOLDEN, QuadNum, _product_parts, _reciprocal_parts
+from .exact import GOLDEN, QuadNum, _product_parts, _reciprocal_parts, _reduced
 from .symplectic import (
     EXACT,
     NUMERIC,
@@ -408,9 +408,12 @@ class SearchProblem:
 class SearchReport:
     """What a search found and what it did.
 
-    stats is empty for zero free slots. A real search reports budget_hit.
-    A lattice search reports the kernel's work: heads (heads run through the
-    divisibility filter), heads_passed (heads past it), sign_pattern_solves
+    stats is empty for zero free slots. A real search reports budget_hit,
+    charts (chart objectives built, one per chart its restarts used) and
+    gradient_evaluations (evaluations that also computed the gradient: one
+    per restart and one per accepted step). A lattice search reports the
+    kernel's work: heads (heads run through the divisibility filter),
+    heads_passed (heads past it), sign_pattern_solves
     (last-factor solves, four sign patterns per head, or two per box value
     when one fixed vector leaves a line), box_rejects (integral solutions
     outside the box), completions (last factors passing every check),
@@ -469,140 +472,132 @@ def _seed_check(problem: SearchProblem) -> None:
             raise PreconditionFailed("seed vectors do not verify at the target K")
 
 
-def _real_pack(problem: SearchProblem, charts: tuple[int, ...], x: np.ndarray) -> list[list[tuple[float, float]]]:
-    """Free vectors as (q, p) float pairs from gauge-fixed coordinates."""
-    vectors = []
-    idx = 0
-    pos = 0
-    for _ in range(problem.free_slots):
-        factors = []
-        for _ in range(problem.n):
-            if charts[idx] == 0:
-                factors.append((1.0, float(x[pos])))
-                pos += 1
-            else:
-                factors.append((0.0, 1.0))
-            idx += 1
-        vectors.append(factors)
-    return vectors
+class _ChartObjective:
+    """The gauge-fixed objective and its gradient in one chart, built once.
 
+    A chart holds one entry per factor of each free vector: 0 pins the
+    factor's first component to 1 and leaves its second as a coordinate of
+    x, 1 pins the factor to (0, 1). The build fixes each free factor's
+    position in x and the pairs that involve a free vector (seed-seed pairs
+    contribute a constant, exactly zero for verified seeds), so an
+    evaluation only reads floats. The objective is the sum over those pairs
+    of (log |product| - log K)^2; it is inf, with no gradient, where some
+    product vanishes.
+    """
 
-def _real_objective(
-    problem: SearchProblem,
-    charts: tuple[int, ...],
-    seeds: list[list[tuple[float, float]]],
-    log_k: float,
-    x: np.ndarray,
-    want_grad: bool,
-) -> tuple[float, np.ndarray | None]:
-    free = _real_pack(problem, charts, x)
-    all_vectors = seeds + free
-    n_free = len(free)
-    n_seeds = len(seeds)
-    total = 0.0
-    grad = np.zeros_like(x) if want_grad else None
-    # map (slot, factor) -> position in x
-    positions = {}
-    pos = 0
-    idx = 0
-    for slot in range(problem.free_slots):
-        for factor in range(problem.n):
-            if charts[idx] == 0:
-                positions[(slot, factor)] = pos
-                pos += 1
-            idx += 1
-    for i in range(len(all_vectors)):
-        for j in range(i + 1, len(all_vectors)):
-            if i < n_seeds and j < n_seeds:
-                continue  # constant contribution; exactly zero for verified seeds
-            va, vb = all_vectors[i], all_vectors[j]
-            factor_products = [
-                va[f][1] * vb[f][0] - va[f][0] * vb[f][1] for f in range(problem.n)
-            ]
+    def __init__(self, problem: SearchProblem, chart: tuple[int, ...]) -> None:
+        n = problem.n
+        self.seeds = [[f.as_floats() for f in v.factors] for v in problem.seeds]
+        position = itertools.count()
+        flat = [None if pinned else next(position) for pinned in chart]
+        self.slots = [flat[s * n : (s + 1) * n] for s in range(problem.free_slots)]
+        self.dims = chart.count(0)
+        self.factors = range(n)
+        self.log_k = math.log(float(problem.target_k))
+        at = [(None,) * n] * len(self.seeds) + self.slots
+        self.pairs = [
+            (i, j, at[i], at[j])
+            for i, j in itertools.combinations(range(len(at)), 2)
+            if j >= len(self.seeds)
+        ]
+
+    def pack(self, xs: list[float]) -> list[list[tuple[float, float]]]:
+        """Free vectors as (q, p) float pairs from the chart's coordinates."""
+        return [[(0.0, 1.0) if p is None else (1.0, xs[p]) for p in slot] for slot in self.slots]
+
+    def __call__(self, x, want_grad: bool = True) -> tuple[float, np.ndarray | None]:
+        vectors = self.seeds + self.pack(np.asarray(x, dtype=float).tolist())
+        factors, log_k = self.factors, self.log_k
+        total = 0.0
+        grad = [0.0] * self.dims if want_grad else None
+        for i, j, at_i, at_j in self.pairs:
+            va, vb = vectors[i], vectors[j]
+            products = [a[1] * b[0] - a[0] * b[1] for a, b in zip(va, vb)]
             sp = 1.0
-            for fp in factor_products:
+            for fp in products:
                 sp *= fp
             if sp == 0.0:
-                return math.inf, grad
+                return math.inf, None
             diff = math.log(abs(sp)) - log_k
             total += diff * diff
             if not want_grad:
                 continue
-            for f in range(problem.n):
+            for f in factors:
                 rest = 1.0
-                for g in range(problem.n):
+                for g in factors:
                     if g != f:
-                        rest *= factor_products[g]
-                if i >= n_seeds:
-                    key = (i - n_seeds, f)
-                    if key in positions:
-                        # d symp2 / d (va[f].p) = vb[f].q
-                        dsp = vb[f][0] * rest
-                        grad[positions[key]] += 2.0 * diff * dsp / sp
-                if j >= n_seeds:
-                    key = (j - n_seeds, f)
-                    if key in positions:
-                        dsp = -va[f][0] * rest
-                        grad[positions[key]] += 2.0 * diff * dsp / sp
-    return total, grad
+                        rest *= products[g]
+                if at_i[f] is not None:
+                    # d symp2 / d (va[f].p) = vb[f].q
+                    grad[at_i[f]] += 2.0 * diff * (vb[f][0] * rest) / sp
+                if at_j[f] is not None:
+                    grad[at_j[f]] += 2.0 * diff * (-va[f][0] * rest) / sp
+        return total, None if grad is None else np.array(grad)
 
 
-def real_objective_fn(problem: SearchProblem):
-    """Expose the gauge-fixed objective and gradient in the chart that pins
-    every factor's first component to 1 (used by tests)."""
+def real_objective_fn(problem: SearchProblem) -> _ChartObjective:
+    """The gauge-fixed objective and gradient in the chart that pins every
+    factor's first component to 1 (used by tests)."""
     _seed_check(problem)
-    charts = (0,) * (problem.free_slots * problem.n)
-    seeds = [[f.as_floats() for f in v.factors] for v in problem.seeds]
-    log_k = math.log(float(problem.target_k))
-
-    def fn(x: np.ndarray, want_grad: bool = True):
-        return _real_objective(problem, charts, seeds, log_k, np.asarray(x, dtype=float), want_grad)
-
-    return fn
+    return _ChartObjective(problem, (0,) * (problem.free_slots * problem.n))
 
 
-def _chart_sequence(problem: SearchProblem) -> list[tuple[int, ...]]:
-    dims = problem.free_slots * problem.n
-    combos = sorted(itertools.product((0, 1), repeat=dims), key=lambda c: sum(c))
-    return combos
+def _charts(dims: int):
+    """Every chart of dims factors, lazily, by number of pinned factors and
+    then lexicographically: sorted(itertools.product((0, 1), repeat=dims),
+    key=sum) without building it."""
+    for pinned in range(dims + 1):
+        for free in itertools.combinations(range(dims), dims - pinned):
+            chart = [1] * dims
+            for i in free:
+                chart[i] = 0
+            yield tuple(chart)
+
+
+def _restart_charts(dims: int, restarts: int):
+    """The chart of each restart: the all-free chart on even restarts, the
+    other 2^dims - 1 charts in turn on odd ones, wrapping around. Only the
+    charts the restarts reach are made (cycle keeps those it has yielded)."""
+    charts = _charts(dims)
+    free = next(charts)
+    others = itertools.cycle(charts)
+    return (free if r % 2 == 0 else next(others) for r in range(restarts))
 
 
 def _search_real(problem: SearchProblem, budget: int, restarts: int, seed: int) -> SearchReport:
     start = time.perf_counter()
     rng = np.random.default_rng(seed)
-    charts_all = _chart_sequence(problem)
-    rich = charts_all[0]
-    others = charts_all[1:]
-    seeds = [[f.as_floats() for f in v.factors] for v in problem.seeds]
-    log_k = math.log(float(problem.target_k))
+    objectives: dict[tuple[int, ...], _ChartObjective] = {}
     evaluations = 0
+    gradient_evaluations = 0
     iterations = 0
     best_val = math.inf
     best_vectors: list[list[tuple[float, float]]] = []
     restarts_used = 0
-    for r in range(restarts):
+    for chart in _restart_charts(problem.free_slots * problem.n, restarts):
         if evaluations >= budget:
             break
         restarts_used += 1
-        if others and r % 2 == 1:
-            charts = others[(r // 2) % len(others)]
-        else:
-            charts = rich
-        dims = charts.count(0)
+        objective = objectives.get(chart)
+        if objective is None:
+            objective = objectives[chart] = _ChartObjective(problem, chart)
+        dims = objective.dims
         x = rng.uniform(-3.0, 3.0, size=dims)
-        fx, gx = _real_objective(problem, charts, seeds, log_k, x, True)
+        fx, gx = objective(x, True)
         evaluations += 1
+        gradient_evaluations += 1
         for _ in range(400):
             if evaluations >= budget or not math.isfinite(fx):
                 break
-            gnorm = float(np.linalg.norm(gx)) if gx is not None and dims else 0.0
+            # np.linalg.norm's own formula for a real vector, without its dispatch
+            gnorm = math.sqrt(gx.dot(gx)) if dims else 0.0
             if gnorm < GRAD_TOL:
                 break
             step = 1.0
             accepted = False
             while step * gnorm >= STEP_TOL:
                 x_new = x - step * gx
-                f_new, _ = _real_objective(problem, charts, seeds, log_k, x_new, False)
+                f_new, _ = objective(x_new, False)
                 evaluations += 1
                 if f_new <= fx - 1e-4 * step * gnorm * gnorm:
                     accepted = True
@@ -613,12 +608,13 @@ def _search_real(problem: SearchProblem, budget: int, restarts: int, seed: int) 
             if not accepted:
                 break
             x = x_new
-            fx, gx = _real_objective(problem, charts, seeds, log_k, x, True)
+            fx, gx = objective(x, True)
             evaluations += 1
+            gradient_evaluations += 1
             iterations += 1
         if math.isfinite(fx) and fx < best_val:
             best_val = fx
-            best_vectors = _real_pack(problem, charts, x)
+            best_vectors = objective.pack(x.tolist())
     found = [
         ProductVector(tuple(DirectionVector(q, p) for q, p in factors))
         for factors in best_vectors
@@ -644,7 +640,11 @@ def _search_real(problem: SearchProblem, budget: int, restarts: int, seed: int) 
         wall_time=time.perf_counter() - start,
         seed=seed,
         solutions=(tuple(found),) if outcome == "extended" else (),
-        stats={"budget_hit": evaluations >= budget},
+        stats={
+            "budget_hit": evaluations >= budget,
+            "charts": len(objectives),
+            "gradient_evaluations": gradient_evaluations,
+        },
     )
 
 
@@ -730,7 +730,10 @@ def _lattice_vector(v):
 
 
 def _product_vector(coords) -> ProductVector:
-    return ProductVector(tuple(DirectionVector(QuadNum(*q), QuadNum(*p)) for q, p in coords))
+    """A vector from kernel coordinates, which are golden integers (d = 1)."""
+    return ProductVector(
+        tuple(DirectionVector(_reduced(*q, 1, GOLDEN), _reduced(*p, 1, GOLDEN)) for q, p in coords)
+    )
 
 
 class _LatticeKernel:
@@ -959,13 +962,14 @@ def search_extension(
     """Look for free-slot vectors completing the seeds to a larger MU set.
 
     Real domain: seeded multi-start gradient descent with backtracking on
-    the summed squared log-residuals, over gauge-fixed factor coordinates
-    (first nonzero component of each factor pinned to 1; factors with zero
-    first component use the complementary chart). Golden-lattice domain:
-    every exact completion inside the height box, found by enumerating the
-    first N - 1 factors of each free vector and solving one linear system
-    per sign pattern for the last; evaluations counts enumerated heads, and
-    an unsuccessful search returns no vector.
+    the summed squared log-residuals, over gauge-fixed factor coordinates.
+    Even restarts pin every factor's first component to 1; odd ones take
+    the charts that pin some factors to (0, 1) in turn, fewest pinned
+    first. Golden-lattice domain: every exact completion inside the height
+    box, found by enumerating the first N - 1 factors of each free vector
+    and solving one linear system per sign pattern for the last;
+    evaluations counts enumerated heads, and an unsuccessful search returns
+    no vector.
     """
     _seed_check(problem)
     if problem.free_slots == 0:

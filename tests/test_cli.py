@@ -2,9 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import mubc
 from mubc import (
     MUConfiguration,
     ProductVector,
@@ -467,6 +473,25 @@ class TestSearchCommand:
         path = write_json("lat.json", blob)
         assert main(["search", path, "--seed", "0", "--budget", "10000"]) == OK
 
+    def test_many_chart_coordinates_exit_promptly(self, write_json, tmp_path, capsys):
+        # N = 8 and four free slots: 32 chart coordinates, 2^32 charts, of
+        # which the restarts make only the few they use
+        prob = SearchProblem(
+            target_k=1.0,
+            seeds=(ProductVector.of(*[(1.0, 0.0)] * 8), ProductVector.of(*[(0.0, 1.0)] * 8)),
+            free_slots=4,
+            domain="real",
+        )
+        path = write_json("wide.json", prob.to_json())
+        out = tmp_path / "report.json"
+        start = time.perf_counter()
+        rc = main(["search", path, "--seed", "0", "--budget", "300", "--restarts", "8", "--out", str(out)])
+        assert time.perf_counter() - start < 20.0
+        assert rc in (OK, FALSE)
+        assert "Traceback" not in capsys.readouterr().err
+        stats = json.loads(out.read_text())["stats"]
+        assert 1 <= stats["charts"] <= 5
+
 
 class TestReproduceCommand:
     def test_default_all_pass(self, capsys):
@@ -513,6 +538,32 @@ class TestReproduceCommand:
         assert main(["reproduce", "--csv", str(out)]) == OK
         lines = out.read_text().strip().splitlines()
         assert len(lines) >= 13  # header + 12 claims
+
+
+def run_alone(argv):
+    """(exit code, stdout) of mubc run on argv by a fresh interpreter."""
+    src = str(Path(mubc.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys; from mubc.cli import main; sys.exit(main(sys.argv[1:]))", *argv],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    return done.returncode, done.stdout
+
+
+def test_calls_in_one_process_match_fresh_runs(asym_path, capsys):
+    # the parser is built once per process; no call may see another's flags
+    runs = (
+        ["reproduce", "--hbar", "2"],
+        ["reproduce"],
+        ["verify", asym_path, "--infer-k"],
+        ["verify", asym_path],
+    )
+    for argv in runs:
+        code = main(argv)
+        assert (code, capsys.readouterr().out) == run_alone(argv), argv
 
 
 class TestManifest:

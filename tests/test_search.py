@@ -29,6 +29,7 @@ from mubc import (
     verify_mu,
 )
 from mubc import search
+from mubc.manifest import fixture_config
 from mubc.search import MAX_ENUMERATION_HEIGHT, _solve_sign_patterns, real_objective_fn
 
 R = QuadNum.root()
@@ -345,6 +346,141 @@ class TestObjectiveGradient:
                 scale = max(1.0, abs(fd), abs(grad[i]))
                 assert abs(grad[i] - fd) <= 1e-6 * scale
             checked += 1
+
+
+def golden5_problem(indices=(0, 1, 2)):
+    """golden5 vectors as floats: a real N = 2 problem."""
+    golden5 = fixture_config("golden5.json")
+    seeds = tuple(
+        ProductVector(tuple(DirectionVector(*f.as_floats()) for f in golden5.vectors[i].factors))
+        for i in indices
+    )
+    return SearchProblem(float(golden5.target_k), seeds, 1, "real")
+
+
+REAL_PROBLEMS = {"asym": asym_problem, "golden3": golden5_problem}
+
+# search_extension(problem, budget=4000, restarts=8, seed), recorded before
+# the objective was built once per chart; its float operations did not
+# change, so every figure must match exactly: (problem, free slots, seed,
+# outcome, evaluations, iterations, restarts_used, best_objective, vectors
+# as (q, p) factor pairs)
+REAL_TRAJECTORIES = [
+    ("asym", 1, 0, "no-improvement", 586, 108, 8, 0.3942027165964029, (((1.0, -0.7775401040384843),),)),
+    ("asym", 1, 1, "no-improvement", 452, 86, 8, 0.3942027165964029, (((1.0, -0.7775401039902837),),)),
+    ("asym", 1, 2, "no-improvement", 353, 67, 8, 0.3942027165964029, (((1.0, -0.7775401040597553),),)),
+    ("asym", 1, 3, "no-improvement", 726, 106, 8, 0.3942027165964029, (((1.0, -0.7775401037268425),),)),
+    ("asym", 2, 0, "no-improvement", 1730, 291, 8, 1.3707391468826373, (((1.0, -0.6003046863439281),), ((1.0, -1.283957851369844),))),
+    ("asym", 2, 1, "no-improvement", 1839, 362, 8, 1.3707391468826373, (((1.0, 2.2839578515068384),), ((1.0, 1.6003046865283332),))),
+    ("asym", 2, 2, "no-improvement", 904, 150, 8, 1.370739146882637, (((1.0, -0.6003046865483995),), ((1.0, -1.2839578514960623),))),
+    ("asym", 2, 3, "no-improvement", 1269, 271, 8, 1.3707391468826373, (((1.0, -1.2839578523668147),), ((1.0, -0.60030468500552),))),
+    ("golden3", 1, 0, "extended", 1941, 388, 8, 6.831567189168697e-22, (((1.0, -0.6180339887296997), (1.0, 1.6180339887622905)),)),
+    ("golden3", 1, 1, "extended", 1702, 347, 8, 7.925819566507712e-22, (((1.0, 1.6180339887282917), (1.0, -0.6180339887665153)),)),
+    ("golden3", 1, 2, "extended", 1348, 276, 8, 2.526241820598464e-22, (((1.0, 1.618033988756619), (1.0, -0.6180339887377251)),)),
+    ("golden3", 1, 3, "extended", 2082, 420, 8, 4.485980130553669e-22, (((1.0, 1.6180339887336068), (1.0, -0.6180339887592894)),)),
+    ("golden3", 2, 0, "no-improvement", 4000, 613, 7, 0.0003991660055133036, (((1.0, 0.6181559431028402), (1.0, -1.6380898449341859)), ((1.0, 0.3818434549700635), (1.0, 2.5993054320748916)))),
+    ("golden3", 2, 1, "extended", 2765, 506, 8, 1.3962189268084704e-21, (((1.0, 0.3819660112512271), (1.0, 2.6180339887888953)), ((1.0, -0.6180339887337885), (1.0, 1.6180339887660014)))),
+    ("golden3", 2, 2, "no-improvement", 4000, 475, 3, 1.5798848611818834, (((1.0, -0.7384780265937773), (1.0, -0.8215613395681303)), ((1.0, 0.6166451769157679), (1.0, -1.5732536783952182)))),
+    ("golden3", 2, 3, "no-improvement", 4001, 610, 3, 1.3243799026830443, (((1.0, 4.040799359345373), (1.0, 0.6475632732712043)), ((1.0, 2.274965323667925), (1.0, 0.2902607812998942)))),
+]
+
+
+class TestRealTrajectories:
+    @pytest.mark.parametrize(
+        "name, slots, seed, outcome, evaluations, iterations, restarts_used, best, vectors",
+        REAL_TRAJECTORIES,
+    )
+    def test_pinned(self, name, slots, seed, outcome, evaluations, iterations, restarts_used, best, vectors):
+        problem = dataclasses.replace(REAL_PROBLEMS[name](), free_slots=slots)
+        report = search_extension(problem, budget=4000, restarts=8, seed=seed)
+        assert report.outcome == outcome
+        assert report.evaluations == evaluations
+        assert report.iterations == iterations
+        assert report.restarts_used == restarts_used
+        assert report.best_objective == best
+        assert tuple(tuple((f.q, f.p) for f in v.factors) for v in report.vectors) == vectors
+
+    @pytest.mark.parametrize("name, slots, charts", [("asym", 1, 2), ("asym", 2, 4), ("golden3", 2, 5)])
+    def test_stats(self, name, slots, charts):
+        problem = dataclasses.replace(REAL_PROBLEMS[name](), free_slots=slots)
+        report = search_extension(problem, budget=4000, restarts=8, seed=0)
+        # restarts 0, 2, 4, 6 share the all-free chart; 1, 3, 5, 7 take the
+        # others in turn, of which a one-coordinate problem has one
+        assert report.stats["charts"] == min(charts, 1 + report.restarts_used // 2)
+        assert report.stats["gradient_evaluations"] == report.restarts_used + report.iterations
+        assert report.stats["budget_hit"] == (report.evaluations >= 4000)
+        assert report.to_json()["stats"] == report.stats
+
+
+def chart_reference(dims):
+    return sorted(itertools.product((0, 1), repeat=dims), key=sum)
+
+
+class TestCharts:
+    @pytest.mark.parametrize("dims", range(1, 11))
+    def test_order_matches_sorted_product(self, dims):
+        assert list(search._charts(dims)) == chart_reference(dims)
+
+    @pytest.mark.parametrize("dims", range(1, 11))
+    def test_restart_schedule_wraps_around(self, dims):
+        reference = chart_reference(dims)
+        others = reference[1:]
+        # restarts // 2 >= 2^dims - 1 on the longest schedule
+        for restarts in (1, 8, 2 * len(others) + 3):
+            expected = [
+                reference[0] if r % 2 == 0 else others[(r // 2) % len(others)]
+                for r in range(restarts)
+            ]
+            assert list(search._restart_charts(dims, restarts)) == expected
+
+    def test_schedule_is_lazy(self):
+        # 2^64 charts: the first restarts take the first charts only
+        first = list(itertools.islice(search._restart_charts(64, 10**9), 5))
+        free, one_pinned = (0,) * 64, (0,) * 63 + (1,)
+        assert first == [free, one_pinned, free, (0,) * 62 + (1, 0), free]
+
+
+class TestMixedChartGradient:
+    @pytest.mark.parametrize("chart", [(0, 1, 1, 0), (1, 0, 0, 1), (0, 1, 0, 0), (1, 1, 0, 0)])
+    def test_matches_central_differences(self, chart):
+        # N = 2, two free slots: pinned factors (0, 1) next to free ones, so
+        # the rest product and the zero-q derivative both enter the gradient.
+        # No seed factor is (0, 1), so no pinned factor is parallel to one.
+        problem = dataclasses.replace(golden5_problem((0, 2, 3)), free_slots=2)
+        objective = search._ChartObjective(problem, chart)
+        assert objective.dims == chart.count(0)
+        rng = np.random.default_rng(23)
+        h = 1e-6
+        checked = 0
+        for _ in range(1000):
+            if checked == 50:
+                break
+            x = rng.uniform(-3.0, 3.0, size=objective.dims)
+            vectors = objective.seeds + objective.pack(list(x))
+            # keep away from the log singularities for stable differences
+            factor_products = [
+                a[1] * b[0] - a[0] * b[1]
+                for va, vb in itertools.combinations(vectors, 2)
+                for a, b in zip(va, vb)
+            ]
+            if min(abs(fp) for fp in factor_products) < 5e-2:
+                continue
+            f, grad = objective(x)
+            assert math.isfinite(f)
+            assert grad.shape == (objective.dims,)
+            for i in range(objective.dims):
+                step = np.zeros(objective.dims)
+                step[i] = h
+                fd = (objective(x + step, False)[0] - objective(x - step, False)[0]) / (2 * h)
+                scale = max(1.0, abs(fd), abs(grad[i]))
+                assert abs(grad[i] - fd) <= 1e-6 * scale
+            checked += 1
+        assert checked == 50
+
+    def test_vanishing_product_is_infinite(self):
+        # a pinned factor (0, 1) is parallel to the second seed's factors
+        problem = dataclasses.replace(golden5_problem(), free_slots=2)
+        assert search._ChartObjective(problem, (1, 1, 1, 1))([]) == (math.inf, None)
 
 
 class TestSearchLattice:
