@@ -52,7 +52,7 @@ class SingularCayley(MubcError, ValueError):
 
 
 class DegenerateBlock(MubcError, ValueError):
-    """Momentum-momentum block of the Cayley matrix is singular."""
+    """Momentum-momentum block of the Cayley matrix is singular (det M_qp = 0)."""
 
 
 class NonInvertible(MubcError, ValueError):

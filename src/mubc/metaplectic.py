@@ -4,10 +4,19 @@ A symplectic matrix M acting on 2N phase-space coordinates determines a
 unitary image of the position basis; the squared overlap magnitude between
 that image and the position basis itself is
 
-    (2*pi*hbar)^-N / |det(M - I) * det(N_pp)|
+    (2*pi*hbar)^-N / |det(M - I) * det(N_pp)|  =  (2*pi*hbar)^-N / |det M_qp|
 
-where N_c = (1/2) J (M + I) (M - I)^-1 is the (symmetric) Cayley matrix of M
-and N_pp is its momentum-momentum block. Overlaps between the images of two
+where N_c = (1/2) J (M + I) (M - I)^-1 is the (symmetric) Cayley matrix of M,
+N_pp is its momentum-momentum block and M_qp is the position-momentum block
+of M. The two forms agree for any M with M - I invertible:
+
+    N_pp = (1/2) [(M + I)(M - I)^-1]_qp = [(M - I)^-1]_qp, since J X takes the
+    row blocks of X and (M + I)(M - I)^-1 = I + 2 (M - I)^-1;
+    det(M - I) * det([(M - I)^-1]_qp) = +-det((M - I)_qp) = +-det M_qp, by
+    Jacobi's complementary-minor identity.
+
+genmu_overlap_sq evaluates the right-hand form, one N x N determinant;
+cayley_matrix keeps the paper's object. Overlaps between the images of two
 different matrices M, M' reduce to the same law applied to M^-1 M'.
 
 Coordinates are ordered "stacked" (q_1..q_N, p_1..p_N) internally, with
@@ -16,8 +25,9 @@ The "interleaved" ordering (q_1, p_1, q_2, p_2, ...) is accepted
 everywhere and converted by an exact permutation.
 
 Matrices may be float ndarrays (numeric mode) or nested lists of exact
-scalars (Fraction / QuadNum); exact matrices go through exact Gaussian
-elimination so e.g. the Cayley matrix is symmetric identically.
+scalars (Fraction / QuadNum); exact matrices go through one exact Gaussian
+elimination (_exact_solve), so e.g. the Cayley matrix is symmetric
+identically and every exact decision is a test for an exact zero.
 """
 
 from __future__ import annotations
@@ -46,8 +56,8 @@ Matrix = Union[np.ndarray, Sequence[Sequence]]
 STACKED = "stacked"
 INTERLEAVED = "interleaved"
 
-# Below this |det(M - I)| or |det(N_pp)| a float matrix has no Cayley
-# matrix or no finite overlap.
+# Below this |det(M - I)| or |det(N_pp)| = |det M_qp / det(M - I)| a float
+# matrix has no Cayley matrix or no finite overlap.
 _SINGULAR_TOL = 1e-10
 
 
@@ -131,45 +141,62 @@ def _exact_matmul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     return out
 
 
-def _exact_add(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+def _exact_shift(a: ExactMatrix, t: int) -> ExactMatrix:
+    """A + t I."""
+    return [[x + t if i == k else x for k, x in enumerate(row)] for i, row in enumerate(a)]
 
 
-def _exact_sub(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+def _exact_solve(a: ExactMatrix, b: ExactMatrix = ()) -> tuple:
+    """det(A) and A^-1 B by Gaussian elimination with exact division.
 
-
-def _exact_det_inv(matrix: ExactMatrix) -> tuple:
-    """Determinant and inverse by Gauss-Jordan with exact division."""
-    n = len(matrix)
-    work = [list(row) for row in matrix]
-    inv = _exact_identity(n)
-    det = 1
+    B may have zero columns (the default): then only the forward sweep runs,
+    with no augmented columns and no back-substitution, and the solution is
+    []. A singular A gives (0, None).
+    """
+    n = len(a)
+    work = [list(row) + list(extra) for row, extra in zip(a, b)] if b else [list(row) for row in a]
+    pivots = []
+    inverses = [None] * n
+    negate = False
     for col in range(n):
-        pivot_row = None
-        for r in range(col, n):
-            if not work[r][col] == 0:
-                pivot_row = r
-                break
+        pivot_row = next((r for r in range(col, n) if not work[r][col] == 0), None)
         if pivot_row is None:
             return 0, None
         if pivot_row != col:
             work[col], work[pivot_row] = work[pivot_row], work[col]
-            inv[col], inv[pivot_row] = inv[pivot_row], inv[col]
-            det = -det
-        pivot = work[col][col]
-        det = det * pivot
-        work[col] = [x / pivot for x in work[col]]
-        inv[col] = [x / pivot for x in inv[col]]
-        for r in range(n):
-            if r == col:
-                continue
+            negate = not negate
+        top = work[col]
+        pivots.append(top[col])
+        for r in range(col + 1, n):
             factor = work[r][col]
             if factor == 0:
                 continue
-            work[r] = [x - factor * y for x, y in zip(work[r], work[col])]
-            inv[r] = [x - factor * y for x, y in zip(inv[r], inv[col])]
-    return det, inv
+            if inverses[col] is None:
+                inverses[col] = _exact_reciprocal(top[col])
+            factor = factor * inverses[col]
+            row = work[r]
+            row[col + 1 :] = [x - factor * y for x, y in zip(row[col + 1 :], top[col + 1 :])]
+    det = pivots[0]
+    for pivot in pivots[1:]:
+        det = det * pivot
+    if negate:
+        det = -det
+    if not b:
+        return det, []
+    solution = [None] * n
+    for i in reversed(range(n)):
+        rhs = work[i][n:]
+        for k in range(i + 1, n):
+            u = work[i][k]
+            if not u == 0:
+                rhs = [c - u * y for c, y in zip(rhs, solution[k])]
+        inverse = inverses[i] if inverses[i] is not None else _exact_reciprocal(work[i][i])
+        solution[i] = [c * inverse for c in rhs]
+    return det, solution
+
+
+def _exact_reciprocal(x):
+    return Fraction(1, x) if isinstance(x, int) else 1 / x
 
 
 def _exact_j(n: int) -> ExactMatrix:
@@ -187,20 +214,24 @@ def _exact_transpose(a: ExactMatrix) -> ExactMatrix:
 # -- predicates and the Cayley transform --------------------------------
 
 
+def _exact_defect_entries(matrix: ExactMatrix, ordering: str) -> list:
+    """The entries of M^t J M - J for an exact matrix, as field values."""
+    n = _dimension(matrix)
+    if ordering != STACKED:
+        raise InvalidProblem("exact matrices are supported in stacked ordering only")
+    j = _exact_j(n)
+    t = _exact_matmul(_exact_matmul(_exact_transpose(matrix), j), matrix)
+    return [x - y for row_t, row_j in zip(t, j) for x, y in zip(row_t, row_j)]
+
+
 def symplectic_defect(matrix: Matrix, ordering: str = STACKED) -> float:
-    """Max-norm of M^t J M - J (0 for exactly symplectic M)."""
+    """Max-norm of M^t J M - J (0 for exactly symplectic M).
+
+    For exact matrices this is a report only: a nonzero entry may round to
+    0.0, so is_symplectic decides on the exact entries instead.
+    """
     if _is_exact(matrix):
-        n = _dimension(matrix)
-        if ordering != STACKED:
-            raise InvalidProblem("exact matrices are supported in stacked ordering only")
-        j = _exact_j(n)
-        t = _exact_matmul(_exact_matmul(_exact_transpose(matrix), j), matrix)
-        worst = 0.0
-        for i in range(2 * n):
-            for k in range(2 * n):
-                diff = t[i][k] - j[i][k]
-                worst = max(worst, abs(float(diff)))
-        return worst
+        return max(abs(float(d)) for d in _exact_defect_entries(matrix, ordering))
     m = np.asarray(matrix, dtype=float)
     n = _dimension(m)
     j = stacked_j(n) if ordering == STACKED else interleaved_j(n)
@@ -209,9 +240,9 @@ def symplectic_defect(matrix: Matrix, ordering: str = STACKED) -> float:
 
 def is_symplectic(matrix: Matrix, tolerance: float = 1e-12, ordering: str = STACKED) -> bool:
     """True when M^t J M = J (exactly for exact matrices, else within tolerance)."""
-    defect = symplectic_defect(matrix, ordering)
     if _is_exact(matrix):
-        return defect == 0.0
+        return all(d == 0 for d in _exact_defect_entries(matrix, ordering))
+    defect = symplectic_defect(matrix, ordering)
     scale = max(1.0, float(np.max(np.abs(np.asarray(matrix, dtype=float)))) ** 2)
     return defect <= tolerance * scale
 
@@ -225,11 +256,11 @@ def cayley_matrix(matrix: Matrix):
     if _is_exact(matrix):
         n = _dimension(matrix)
         ident = _exact_identity(2 * n)
-        det, inv = _exact_det_inv(_exact_sub(matrix, ident))
+        _, inv = _exact_solve(_exact_shift(matrix, -1), ident)
         if inv is None:
             raise SingularCayley("M - I is singular")
         product = _exact_matmul(
-            _exact_j(n), _exact_matmul(_exact_add(matrix, ident), inv)
+            _exact_j(n), _exact_matmul(_exact_shift(matrix, 1), inv)
         )
         half = Fraction(1, 2)
         return [[half * x for x in row] for row in product]
@@ -262,27 +293,36 @@ class BlockDecomposition:
 def genmu_overlap_sq(matrix: Matrix, hbar: float = 1.0) -> float:
     """Squared overlap magnitude of M's basis image against the position basis.
 
-    (2*pi*hbar)^-N / |det(M - I) * det(N_pp)| with N_pp the momentum-momentum
-    block of the Cayley matrix.
+    The paper's law is (2*pi*hbar)^-N / |det(M - I) * det(N_pp)|, with N_pp
+    the momentum-momentum block of the Cayley matrix. Since J X takes the
+    row blocks of X, N_pp = [(M - I)^-1]_qp, and Jacobi's complementary-minor
+    identity turns the denominator into |det M_qp|, the position-momentum
+    block of M itself; this holds for any M with M - I invertible. So the
+    value is (2*pi*hbar)^-N / |det M_qp|, with no Cayley matrix formed.
+
+    Raises SingularCayley when det(M - I) = 0 (no Cayley matrix) and
+    DegenerateBlock when N_pp is singular, i.e. when det M_qp = 0. Float
+    matrices use the tolerance _SINGULAR_TOL on |det(M - I)| and on
+    |det N_pp| = |det M_qp / det(M - I)|.
     """
-    exact = _is_exact(matrix)
     n = _dimension(matrix)
-    cayley = cayley_matrix(matrix)
-    if exact:
-        ident = _exact_identity(2 * n)
-        det_shift, _ = _exact_det_inv(_exact_sub(matrix, ident))
-        pp = [row[n:] for row in cayley[n:]]
-        det_pp, _ = _exact_det_inv(pp)
-        if det_pp == 0:
+    if _is_exact(matrix):
+        det_shift, _ = _exact_solve(_exact_shift(matrix, -1))
+        if det_shift == 0:
+            raise SingularCayley("M - I is singular")
+        det_qp, _ = _exact_solve([row[n:] for row in matrix[:n]])
+        if det_qp == 0:
             raise DegenerateBlock("momentum-momentum block of the Cayley matrix is singular")
     else:
         m = np.asarray(matrix, dtype=float)
         det_shift = np.linalg.det(m - np.eye(2 * n))
-        pp = BlockDecomposition.of(cayley).pp
-        det_pp = np.linalg.det(pp)
+        if abs(det_shift) <= _SINGULAR_TOL:
+            raise SingularCayley(f"|det(M - I)| = {abs(det_shift):.3e} is below {_SINGULAR_TOL}")
+        det_qp = np.linalg.det(m[:n, n:])
+        det_pp = det_qp / det_shift
         if abs(det_pp) <= _SINGULAR_TOL:
             raise DegenerateBlock(f"|det(N_pp)| = {abs(det_pp):.3e} is below {_SINGULAR_TOL}")
-    denom = abs(float(det_shift * det_pp))
+    denom = abs(float(det_qp))
     if denom == 0.0:
         raise DegenerateBlock("vanishing overlap denominator")
     return (2.0 * math.pi * hbar) ** (-n) / denom
@@ -296,10 +336,9 @@ def compose_overlap_sq(matrix_a: Matrix, matrix_b: Matrix, hbar: float = 1.0) ->
     if _is_exact(matrix_a) != _is_exact(matrix_b):
         raise InvalidProblem("cannot mix exact and numeric matrices")
     if _is_exact(matrix_a):
-        det, inv = _exact_det_inv(matrix_a)
-        if inv is None:
+        _, relative = _exact_solve(matrix_a, matrix_b)
+        if relative is None:
             raise NonInvertible("first matrix is singular")
-        relative = _exact_matmul(inv, matrix_b)
         return genmu_overlap_sq(relative, hbar)
     a = np.asarray(matrix_a, dtype=float)
     b = np.asarray(matrix_b, dtype=float)

@@ -1,17 +1,22 @@
 """Cayley matrices, generalized overlap magnitudes, composition, shear maps."""
 
+import itertools
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from mubc import metaplectic
 from mubc import (
     BlockDecomposition,
     DegenerateBlock,
     DimensionMismatch,
     MetaplecticSpec,
+    NonInvertible,
     ProductVector,
+    QuadNum,
     SingularCayley,
     cayley_matrix,
     compose_overlap_sq,
@@ -336,3 +341,270 @@ class TestMetaplecticSpecJson:
         assert np.allclose(spec.stacked(), np.asarray(m), atol=1e-15)
         back = MetaplecticSpec.from_json(spec.to_json())
         assert np.allclose(back.stacked(), spec.stacked(), atol=0)
+
+
+# -- exact golden-field matrices ------------------------------------------
+
+R = QuadNum.root()
+GOLDEN_GENERATORS = {
+    "shear-up": ((1, 1), (0, 1)),
+    "shear-down": ((1, 0), (1, 1)),
+    "scale-R": ((R, 0), (0, R - 1)),  # R^-1 = R - 1
+    "quarter-turn": ((0, -1), (1, 0)),
+}
+GOLDEN_WORDS = {
+    "a": ("scale-R", "quarter-turn"),
+    "b": ("shear-up", "shear-down", "shear-up", "shear-down", "quarter-turn", "scale-R"),
+    "c": ("quarter-turn", "shear-down", "shear-up", "shear-down"),
+    "d": ("shear-down", "shear-down", "quarter-turn", "scale-R"),
+    "e": ("quarter-turn", "scale-R", "scale-R", "shear-up", "shear-down"),
+    "f": ("shear-up", "scale-R", "quarter-turn", "shear-down"),
+    "g": ("scale-R", "shear-up", "scale-R", "scale-R"),
+}
+
+
+def golden_word(*letters):
+    """Product of golden generators as a 2x2 matrix of QuadNum."""
+    rows = [[QuadNum(1), QuadNum(0)], [QuadNum(0), QuadNum(1)]]
+    for letter in letters:
+        (a, b), (c, d) = GOLDEN_GENERATORS[letter]
+        rows = [[r[0] * a + r[1] * c, r[0] * b + r[1] * d] for r in rows]
+    return rows
+
+
+def named(key):
+    return golden_word(*GOLDEN_WORDS[key])
+
+
+def block_diagonal(m1, m2):
+    """Stacked (q1, q2, p1, p2) matrix acting as m1 on pair 1 and m2 on pair 2."""
+    z = QuadNum(0)
+    (a1, b1), (c1, d1) = m1
+    (a2, b2), (c2, d2) = m2
+    return [[a1, z, b1, z], [z, a2, z, b2], [c1, z, d1, z], [z, c2, z, d2]]
+
+
+def leibniz_det(rows):
+    """Determinant by the permutation expansion: no elimination, no division."""
+    size = len(rows)
+    total = QuadNum(0)
+    for perm in itertools.permutations(range(size)):
+        inversions = sum(perm[i] > perm[k] for i in range(size) for k in range(i + 1, size))
+        term = QuadNum(-1 if inversions % 2 else 1)
+        for i, col in enumerate(perm):
+            term = term * rows[i][col]
+        total = total + term
+    return total
+
+
+class TestExactGolden:
+    # floats pinned from the Cayley-route implementation; the overlap is a
+    # float of one exact field value, so any exact route must match bit for bit
+
+    @pytest.mark.parametrize(
+        "key, hbar, want",
+        [
+            ("a", 1.0, 0.0983631643083466),
+            ("a", 0.5, 0.1967263286166932),
+            ("b", 1.0, 0.05150362148004839),
+            ("b", 0.5, 0.10300724296009678),
+            ("c", 1.0, 0.07957747154594767),
+            ("d", 1.0, 0.25751810740024195),
+            ("e", 1.0, 0.4166730504921373),
+            ("e", 0.5, 0.8333461009842746),
+            ("f", 1.0, 0.0983631643083466),
+            ("g", 1.0, 0.25751810740024195),
+        ],
+    )
+    def test_pinned_overlap_n1(self, key, hbar, want):
+        assert genmu_overlap_sq(named(key), hbar=hbar) == want
+
+    @pytest.mark.parametrize(
+        "keys, want",
+        [
+            ("ab", 0.005066059182116889),
+            ("cd", 0.020492639864209048),
+            ("ef", 0.040985279728418096),
+            ("gb", 0.013263115127800509),
+            ("ae", 0.040985279728418096),
+        ],
+    )
+    def test_pinned_overlap_n2(self, keys, want):
+        m = block_diagonal(named(keys[0]), named(keys[1]))
+        assert genmu_overlap_sq(m) == want
+
+    @pytest.mark.parametrize(
+        "keys, want",
+        [
+            ("ab", 0.05305164769729845),
+            ("bd", 0.059524721498876755),
+            ("ce", 0.03278772143611553),
+            ("fg", 0.4166730504921373),
+            ("ag", 0.4166730504921373),
+        ],
+    )
+    def test_pinned_compose_n1(self, keys, want):
+        assert compose_overlap_sq(named(keys[0]), named(keys[1])) == want
+
+    @pytest.mark.parametrize(
+        "keys, want",
+        [
+            ("abcd", 0.005855039961202585),
+            ("efgb", 0.004942871169861291),
+            ("fcdg", 0.011617590475602698),
+            ("aebd", 0.004039591132503069),
+        ],
+    )
+    def test_pinned_compose_n2(self, keys, want):
+        a = block_diagonal(named(keys[0]), named(keys[1]))
+        b = block_diagonal(named(keys[2]), named(keys[3]))
+        assert compose_overlap_sq(a, b) == want
+
+    def test_singular_cayley(self):
+        # a shear has M - I nilpotent, alone and as one block of two
+        shear = golden_word("shear-up")
+        with pytest.raises(SingularCayley):
+            genmu_overlap_sq(shear)
+        with pytest.raises(SingularCayley):
+            genmu_overlap_sq(block_diagonal(named("a"), shear))
+        with pytest.raises(SingularCayley):
+            compose_overlap_sq(named("b"), named("b"))
+
+    def test_degenerate_block(self):
+        # diag(R, R^-1) has M - I invertible but no momentum-position coupling
+        scale = golden_word("scale-R")
+        with pytest.raises(DegenerateBlock):
+            genmu_overlap_sq(scale)
+        with pytest.raises(DegenerateBlock):
+            genmu_overlap_sq(block_diagonal(scale, named("a")))
+
+    def test_compose_singular_first(self):
+        zero = [[QuadNum(0), QuadNum(0)], [QuadNum(0), QuadNum(0)]]
+        with pytest.raises(NonInvertible):
+            compose_overlap_sq(zero, named("a"))
+
+    def test_special_m_position_direction(self):
+        # q = 0: the quarter-turn branch, exact; its image of (0, p) is (0, 1)
+        # only up to scale, and the position-momentum block vanishes
+        for p, mu, want in (
+            (R, QuadNum(1), [["R", "0"], ["R", "-1 + R"]]),
+            (-R - 1, R, [["-1 - R", "0"], ["-1 - 2 R", "-2 + R"]]),
+        ):
+            m = special_m(QuadNum(0), p, mu)
+            assert [[str(x) for x in row] for row in m] == want
+            assert all(isinstance(x, QuadNum) for row in m for x in row)
+            assert m[0][0] * m[1][1] - m[0][1] * m[1][0] == 1
+            assert is_symplectic(m)
+            with pytest.raises(DegenerateBlock):
+                genmu_overlap_sq(m)
+
+    def test_exactly_symplectic(self):
+        for key in GOLDEN_WORDS:
+            m = named(key)
+            assert is_symplectic(m)
+            assert symplectic_defect(m) == 0.0
+        assert is_symplectic(block_diagonal(named("b"), named("e")))
+
+    def test_defect_below_float_range_is_not_symplectic(self):
+        # det = 1 + R^-1600 != 1, but the defect rounds to 0.0 as a float
+        tiny = QuadNum(1)
+        for _ in range(1600):
+            tiny = tiny * (R - 1)
+        m = [[1 + tiny, QuadNum(0)], [QuadNum(0), QuadNum(1)]]
+        assert not tiny.is_zero
+        assert symplectic_defect(m) == 0.0
+        assert not is_symplectic(m)
+
+
+def _golden_matrices():
+    """The named words, 40 seeded random words, and block diagonals of them."""
+    rng = random.Random(11)
+    letters = tuple(GOLDEN_GENERATORS)
+    singles = [named(key) for key in GOLDEN_WORDS]
+    singles += [
+        golden_word(*(rng.choice(letters) for _ in range(rng.randint(2, 7))))
+        for _ in range(40)
+    ]
+    pairs = [block_diagonal(rng.choice(singles), rng.choice(singles)) for _ in range(30)]
+    return singles + pairs
+
+
+class TestBlockLaw:
+    """det(M - I) det(N_pp) = +-det(M_qp), N_pp from the Cayley matrix."""
+
+    def test_golden_identity(self):
+        checked = 0
+        for m in _golden_matrices():
+            n = len(m) // 2
+            try:
+                cayley = cayley_matrix(m)
+            except SingularCayley:
+                continue
+            shift = [[x - (1 if i == k else 0) for k, x in enumerate(row)] for i, row in enumerate(m)]
+            lhs = leibniz_det(shift) * leibniz_det([row[n:] for row in cayley[n:]])
+            block = leibniz_det([row[n:] for row in m[:n]])
+            assert lhs == block or lhs == -block
+            checked += 1
+        assert checked >= 40
+
+    def test_routes_agree_on_random_symplectic(self):
+        rng = np.random.default_rng(13)
+        for n in (1, 2, 3):
+            checked = 0
+            for _ in range(200):
+                m = random_symplectic(n, rng)
+                try:
+                    cayley = np.asarray(cayley_matrix(m), dtype=float)
+                    got = genmu_overlap_sq(m)
+                except (SingularCayley, DegenerateBlock):
+                    continue
+                det_shift = np.linalg.det(m - np.eye(2 * n))
+                det_pp = np.linalg.det(cayley[n:, n:])
+                want = (2.0 * math.pi) ** (-n) / abs(det_shift * det_pp)
+                assert got == pytest.approx(want, rel=1e-12)
+                checked += 1
+            assert checked >= 100
+
+
+class TestExactSolve:
+    """The one exact elimination: det(A) and A^-1 B."""
+
+    def test_signed_determinant_and_solution(self):
+        matrices = _golden_matrices()
+        for a, b in zip(matrices, matrices[1:] + matrices[:1]):
+            if len(a) != len(b):
+                continue
+            det, solution = metaplectic._exact_solve(a, b)
+            assert det == leibniz_det(a)
+            if det == 0:
+                assert solution is None
+                continue
+            size = len(a)
+            for i in range(size):
+                for k in range(size):
+                    total = QuadNum(0)
+                    for t in range(size):
+                        total = total + a[i][t] * solution[t][k]
+                    assert total == b[i][k]
+
+    def test_pivot_swap_flips_the_sign(self):
+        # quarter-turn has a zero in the first pivot position
+        assert metaplectic._exact_solve(golden_word("quarter-turn")) == (1, [])
+        swap = [[QuadNum(0), QuadNum(1)], [QuadNum(1), QuadNum(0)]]
+        assert metaplectic._exact_solve(swap) == (-1, [])
+
+    def test_singular(self):
+        shear = golden_word("shear-up")
+        shifted = [[x - (1 if i == k else 0) for k, x in enumerate(row)] for i, row in enumerate(shear)]
+        assert metaplectic._exact_solve(shifted) == (0, None)
+        assert metaplectic._exact_solve(shifted, shear) == (0, None)
+
+    def test_rational_entries_stay_exact(self):
+        a = [[2, 1], [1, 1]]
+        det, solution = metaplectic._exact_solve(a, [[1, 0], [0, 1]])
+        assert det == 1
+        assert solution == [[1, -1], [-1, 2]]
+        assert all(isinstance(x, (int, Fraction)) for row in solution for x in row)
+        det, solution = metaplectic._exact_solve([[3, 1], [1, 1]], [[1], [0]])
+        assert det == 2
+        assert solution == [[Fraction(1, 2)], [Fraction(-1, 2)]]
