@@ -17,8 +17,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Union
 
-import mpmath
-
 from .errors import (
     ContextMismatch, DivisionByZero, ExactSqrtUnavailable, InvalidProblem, NotRealEmbeddable
 )
@@ -76,14 +74,6 @@ class Ambient:
             raise NotRealEmbeddable(
                 f"u^2 + 4v = {self.discriminant} <= 0: no real embedding"
             )
-
-    def root_value(self, digits: int = 50) -> mpmath.mpf:
-        # R = (u + sqrt(u^2 + 4v)) / 2, the larger root.
-        self.require_real()
-        with mpmath.workdps(digits + 10):
-            d = mpmath.mpf(self.discriminant.numerator) / self.discriminant.denominator
-            u = mpmath.mpf(self.u.numerator) / self.u.denominator
-            return (u + mpmath.sqrt(d)) / 2
 
     def to_json(self) -> list[int]:
         return [self.u.numerator, self.u.denominator, self.v.numerator, self.v.denominator]
@@ -348,14 +338,6 @@ class QuadNum:
     def __lt__(self, other: object) -> bool:
         diff = self.__sub__(other)
         return diff if diff is NotImplemented else diff.sign() < 0
-
-    def embed(self, digits: int = 50) -> mpmath.mpf:
-        """Real value of the element to the requested digit count."""
-        with mpmath.workdps(digits + 10):
-            r = self._ambient.root_value(digits)
-            p = mpmath.mpf(self.p.numerator) / self.p.denominator
-            q = mpmath.mpf(self.q.numerator) / self.q.denominator
-            return mpmath.mpf(p + q * r)
 
     def __float__(self) -> float:
         """The correctly rounded real embedding, from integers only."""

@@ -48,7 +48,7 @@ from .errors import (
     SingularCayley,
 )
 from .exact import QuadNum
-from .symplectic import _json_number
+from .symplectic import _json_number, _exact_overlap_constant
 
 ExactMatrix = list  # nested lists of QuadNum / Fraction / int
 Matrix = Union[np.ndarray, Sequence[Sequence]]
@@ -313,15 +313,15 @@ def genmu_overlap_sq(matrix: Matrix, hbar: float = 1.0) -> float:
         det_qp, _ = _exact_solve([row[n:] for row in matrix[:n]])
         if det_qp == 0:
             raise DegenerateBlock("momentum-momentum block of the Cayley matrix is singular")
-    else:
-        m = np.asarray(matrix, dtype=float)
-        det_shift = np.linalg.det(m - np.eye(2 * n))
-        if abs(det_shift) <= _SINGULAR_TOL:
-            raise SingularCayley(f"|det(M - I)| = {abs(det_shift):.3e} is below {_SINGULAR_TOL}")
-        det_qp = np.linalg.det(m[:n, n:])
-        det_pp = det_qp / det_shift
-        if abs(det_pp) <= _SINGULAR_TOL:
-            raise DegenerateBlock(f"|det(N_pp)| = {abs(det_pp):.3e} is below {_SINGULAR_TOL}")
+        return _exact_overlap_constant(n, hbar, det_qp, "det M_qp")
+    m = np.asarray(matrix, dtype=float)
+    det_shift = np.linalg.det(m - np.eye(2 * n))
+    if abs(det_shift) <= _SINGULAR_TOL:
+        raise SingularCayley(f"|det(M - I)| = {abs(det_shift):.3e} is below {_SINGULAR_TOL}")
+    det_qp = np.linalg.det(m[:n, n:])
+    det_pp = det_qp / det_shift
+    if abs(det_pp) <= _SINGULAR_TOL:
+        raise DegenerateBlock(f"|det(N_pp)| = {abs(det_pp):.3e} is below {_SINGULAR_TOL}")
     denom = abs(float(det_qp))
     if denom == 0.0:
         raise DegenerateBlock("vanishing overlap denominator")

@@ -25,6 +25,7 @@ import mmap
 import time
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -124,7 +125,7 @@ class GridSpec:
     local_rel_tol: float = 1e-11
     max_panels: int = 400000
 
-    @property
+    @cached_property
     def truncation(self) -> float:
         """Window cut-off T: the integral stops at |t| = T/sqrt(eps), where
         the window exp(-eps t^2) has decayed to _TAIL_MARGIN * local_rel_tol.
@@ -138,6 +139,9 @@ class QuadratureResult:
     """Extrapolated squared overlap with its convergence diagnostics.
 
     ``stats`` reports the work done: ``levels`` (eps levels evaluated),
+    ``stop`` (why the ladder stopped: ``converged``; ``capped``, a level
+    hit ``GridSpec.max_panels``; or ``ladder-end``, the levels ran out
+    first: the default ladder's 13 or the given epsilons),
     ``panels`` (panels over both rules of every level),
     ``complex_exponentials`` (complex exp evaluations: per rule, panel 0's
     and the node factors' 2 * nodes_per_panel, the min(256, count - 1)
@@ -182,11 +186,11 @@ def _gl_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
 
 # Window decay at the truncation, relative to GridSpec.local_rel_tol.
 _TAIL_MARGIN = 1e-3
-# Panels per block in _panel_integral, and rows of an _InverseRoots table:
+# Panels per block in _damped_integrals, and rows of an _InverseRoots table:
 # bounds the (block x nodes) node matrix and the table's memory.
 # A multiple of _EXP_STRIDE, so no block but the last has a short stride row.
 _PANEL_BLOCK = 65536
-# Panels per complex exponential in _panel_integral.
+# Panels per complex exponential in _damped_integrals.
 _EXP_STRIDE = 256
 # The default ladder starts at default_epsilons' 9 levels and deepens to this.
 _MAX_LEVELS = 13
@@ -249,8 +253,11 @@ def _inverse_root_table(nodes_per_panel: int) -> _InverseRoots:
     return _INVERSE_ROOTS[nodes_per_panel]
 
 
-def _panel_integral(du: float, eps: float, grid: GridSpec, count: int, work: Counter) -> complex:
-    """integral of exp((i du - eps) t^2) dt over |t| <= truncation/sqrt(eps).
+def _damped_integrals(
+    du: float, rules: Sequence[tuple[float, int]], grid: GridSpec, work: Counter
+) -> list[complex]:
+    """integral of exp((i du - eps) t^2) dt over |t| <= truncation/sqrt(eps),
+    for each rule (eps, count) of the batch.
 
     Even integrand, so it is 2 * integral_0^L, and with s = t^2 that is
     integral_0^(L^2) exp(a s) s^(-1/2) ds, a = i du - eps. The equal-phase
@@ -264,54 +271,58 @@ def _panel_integral(du: float, eps: float, grid: GridSpec, count: int, work: Cou
     the shared _InverseRoots table; the rest is one real matmul for the node
     sums and per S panels (zero-padded at the end) one dot with the table.
     Panel 0 holds the s^(-1/2) endpoint singularity and is integrated in t.
+
+    Most rules have few panels, so their cost is set-up: the per-rule
+    scalars, panel 0, the node factors and the stride tables of the whole
+    batch come from arrays over the rules. The table matmul, the stride
+    contraction and the heads stay per rule.
     """
-    a = complex(-eps, du)
-    length = grid.truncation / math.sqrt(eps)
     nodes, weights = _gl_rule(grid.nodes_per_panel)
-    half_t = 0.5 * length / math.sqrt(count)
-    t = half_t * (1.0 + nodes)
-    total = 2.0 * half_t * complex(np.dot(weights, np.exp(a * t * t)))
-    half_s = 0.5 * length * length / count
-    node_factor = math.sqrt(half_s) * weights * np.exp(a * half_s * (1.0 + nodes))
-    # one real (nodes, 2) matrix, so a block's node sums are one real matmul
-    # whose (panels, 2) rows read as complex per-panel sums
-    node_factor = np.column_stack((node_factor.real, node_factor.imag))
-    stride = min(_EXP_STRIDE, count - 1)
-    stride_factor = np.exp(a * 2.0 * half_s * np.arange(stride))
+    n = len(nodes)
+    eps = np.array([e for e, _ in rules])
+    counts = np.array([c for _, c in rules])
+    strides = np.minimum(_EXP_STRIDE, counts - 1)
+    a = -eps + 1j * du
+    length = grid.truncation / np.sqrt(eps)
+    half_t = 0.5 * length / np.sqrt(counts)
+    half_s = 0.5 * length * length / counts
+    h = 2.0 * half_s
+    t = np.multiply.outer(half_t, 1.0 + nodes)
+    # per rule, row 0 holds panel 0's exponentials, row 1 the node offsets'
+    exps = np.empty((len(rules), 2, n), dtype=complex)
+    np.multiply(a[:, None] * t, t, out=exps[:, 0])
+    np.multiply.outer(a * half_s, 1.0 + nodes, out=exps[:, 1])
+    np.exp(exps, out=exps)
+    # row r's first strides[r] entries are rule r's stride table
+    steps = np.arange(_EXP_STRIDE)
+    stride_factors = np.multiply.outer(a * h, steps)
+    np.exp(stride_factors, out=stride_factors, where=steps < strides[:, None])
+    # C-contiguous rows, so each reads as one real (nodes, 2) matrix and a
+    # block's node sums are one real matmul whose (panels, 2) rows read as
+    # complex per-panel sums
+    node_factors = np.sqrt(half_s)[:, None] * weights * exps[:, 1]
+    node_factors = node_factors.view(float).reshape(len(rules), n, 2)
+    panel_0 = (2.0 * half_t * (exps[:, 0] @ weights)).tolist()
     table = _inverse_root_table(grid.nodes_per_panel)
-    heads = 0
-    for start in range(1, count, _PANEL_BLOCK):
-        stop = min(start + _PANEL_BLOCK, count)
-        inv_root = table.panels(start, stop, work)
-        rows = -(-(stop - start) // stride)
-        per_panel = np.zeros((rows * stride, 2))
-        np.matmul(inv_root, node_factor, out=per_panel[: stop - start])
-        per_row = per_panel.view(complex).reshape(rows, stride) @ stride_factor
-        head_s = 2.0 * half_s * np.arange(start, stop, stride, dtype=float)
-        total += complex(np.dot(np.exp(a * head_s), per_row))
-        heads += rows
-    work["panels"] += count
-    work["complex_exponentials"] += 2 * grid.nodes_per_panel + stride + heads
-    return total
-
-
-def _damped_square(
-    du: float, prefactor: float, eps: float, grid: GridSpec, work: Counter
-) -> tuple[float, float]:
-    """|I(eps)|^2 for I = prefactor * integral, with a refinement error estimate.
-
-    A level whose fine rule is clamped by max_panels is no refinement of the
-    coarse one, so its error is unknown: inf, and the coarse rule is skipped.
-    """
-    fine_count, capped = _panel_count(du, eps, grid, 2)
-    fine = _panel_integral(du, eps, grid, fine_count, work)
-    value = abs(fine) ** 2 * prefactor * prefactor
-    if capped:
-        work["capped_levels"] += 1
-        return value, math.inf
-    coarse = _panel_integral(du, eps, grid, _panel_count(du, eps, grid, 1)[0], work)
-    err = abs(fine - coarse) * 2.0 * abs(fine) * prefactor * prefactor
-    return value, err
+    integrals = []
+    for r, (count, stride, a_r, h_r) in enumerate(
+        zip(counts.tolist(), strides.tolist(), a.tolist(), h.tolist())
+    ):
+        total = panel_0[r]
+        for start in range(1, count, _PANEL_BLOCK):
+            stop = min(start + _PANEL_BLOCK, count)
+            inv_root = table.panels(start, stop, work)
+            rows = -(-(stop - start) // stride)
+            per_panel = np.zeros((rows * stride, 2))
+            np.matmul(inv_root, node_factors[r], out=per_panel[: stop - start])
+            per_row = per_panel.view(complex).reshape(rows, stride) @ stride_factors[r, :stride]
+            head_s = h_r * np.arange(start, stop, stride, dtype=float)
+            total += complex(np.dot(np.exp(a_r * head_s), per_row))
+            work["complex_exponentials"] += rows
+        integrals.append(total)
+    work["complex_exponentials"] += len(rules) * 2 * n + int(strides.sum())
+    work["panels"] += int(counts.sum())
+    return integrals
 
 
 def _neville_at_zero(xs: Sequence[float], ys: Sequence[float]) -> float:
@@ -353,9 +364,10 @@ def _extrapolate(
     return value, error_estimate, converged, tuple(extrapolants)
 
 
-def _work_stats(work: Counter, levels: int, started: float) -> dict:
+def _work_stats(work: Counter, levels: int, stop: str, started: float) -> dict:
     return {
         "levels": levels,
+        "stop": stop,
         "panels": work["panels"],
         "complex_exponentials": work["complex_exponentials"],
         "inverse_roots": work["inverse_roots"],
@@ -400,7 +412,7 @@ def overlap_quadrature(
             converged=True,
             extrapolants=(value,),
             branch="delta-reduction",
-            stats=_work_stats(work, 0, started),
+            stats=_work_stats(work, 0, "converged", started),
         )
     du = a.quad_rate - b.quad_rate
     # du = 0 with a nonzero symplectic product cannot happen for these
@@ -421,10 +433,25 @@ def overlap_quadrature(
     raws: list[float] = []
     local_errors: list[float] = []
     while True:
-        for eps in eps_list[len(raws):]:
-            raw, err = _damped_square(du, prefactor, eps, grid, work)
-            raws.append(raw)
-            local_errors.append(err)
+        # |I(eps)|^2 per new level, with the gap to the level's coarse rule
+        # as its error; a level whose fine rule max_panels clamped is no
+        # refinement of a coarse one, so it runs only the fine rule and its
+        # error is unknown: inf
+        levels = [(eps, *_panel_count(du, eps, grid, 2)) for eps in eps_list[len(raws) :]]
+        rules = []
+        for eps, fine, capped in levels:
+            # the coarse rule has half the fine rule's panels
+            rules += [(eps, fine)] if capped else [(eps, fine), (eps, fine // 2)]
+        integrals = iter(_damped_integrals(du, rules, grid, work))
+        for _, _, capped in levels:
+            fine = next(integrals)
+            raws.append(abs(fine) ** 2 * prefactor * prefactor)
+            if capped:
+                work["capped_levels"] += 1
+                local_errors.append(math.inf)
+            else:
+                coarse = next(integrals)
+                local_errors.append(abs(fine - coarse) * 2.0 * abs(fine) * prefactor * prefactor)
         value, error_estimate, converged, extrapolants = _extrapolate(
             eps_list, raws, local_errors, grid
         )
@@ -432,6 +459,7 @@ def overlap_quadrature(
         if converged or work["capped_levels"] or len(eps_list) >= max_levels:
             break
         eps_list = default_epsilons(du, len(eps_list) + 1)
+    stop = "converged" if converged else "capped" if work["capped_levels"] else "ladder-end"
     return QuadratureResult(
         value=value,
         error_estimate=error_estimate,
@@ -439,7 +467,7 @@ def overlap_quadrature(
         converged=converged,
         extrapolants=extrapolants,
         local_errors=tuple(local_errors),
-        stats=_work_stats(work, len(eps_list), started),
+        stats=_work_stats(work, len(eps_list), stop, started),
     )
 
 

@@ -215,10 +215,28 @@ def overlap_magnitude_sq(
     sp = symp_product(a, b)
     if sp == 0:
         raise ParallelDirections("parallel directions: zero symplectic product")
-    magnitude = abs(float(sp)) if isinstance(sp, float) else float(abs(sp))
-    if magnitude == 0.0:
-        raise ParallelDirections("symplectic product underflows to zero")
-    return (2.0 * math.pi * hbar) ** (-a.n) / magnitude
+    if isinstance(sp, float):
+        return (2.0 * math.pi * hbar) ** (-a.n) / abs(sp)
+    return _exact_overlap_constant(a.n, hbar, sp, "symplectic product a^t J b")
+
+
+def _exact_overlap_constant(n: int, hbar: float, denominator: Scalar, name: str) -> float:
+    """(2*pi*hbar)^-n / |denominator| for an exact, nonzero denominator.
+
+    Its float, or the constant, can leave the float range while the exact
+    value is nonzero; that raises LimitExceeded naming `name`, never a zero
+    or degenerate verdict.
+    """
+    magnitude = abs(float(denominator))
+    if magnitude in (0.0, math.inf):
+        raise LimitExceeded(f"|{name}| is nonzero, but its float is {magnitude}")
+    try:
+        value = (2.0 * math.pi * hbar) ** (-n) / magnitude
+    except OverflowError:
+        value = math.inf
+    if value in (0.0, math.inf):
+        raise LimitExceeded(f"|{name}| = {magnitude:.6e} gives an overlap constant of {value}")
+    return value
 
 
 class UnsignedSymplecticClass(enum.Enum):

@@ -23,6 +23,8 @@ from mubc import (
 from mubc.cli import main
 from mubc.manifest import build_manifest, fixture_config, load_fixture
 
+from embedding import embed
+
 OK, FALSE, INPUT_ERROR, NO_CONVERGENCE = 0, 1, 2, 3
 
 
@@ -102,7 +104,7 @@ class TestVerifyCommand:
         assert main(["verify", write_json("tiny.json", config), "--out", str(out)]) == code
         blob = json.loads(out.read_text())
         assert blob["max_deviation"] == factor - 1
-        assert blob["pairs"][0]["magnitude"] == float((factor * k).embed(300)) > 0
+        assert blob["pairs"][0]["magnitude"] == float(embed(factor * k, 300)) > 0
 
     def test_malformed_json_exits_two(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
@@ -374,8 +376,10 @@ class TestOracleCommand:
         assert blob["value"] == pytest.approx(1.0 / (4 * math.pi), rel=1e-6)
         assert blob["stats"]["levels"] == len(blob["epsilon_sequence"])
         assert blob["stats"]["capped_levels"] == 0
+        assert blob["stats"]["stop"] == "converged"
         assert set(blob["stats"]) == {
-            "levels", "panels", "complex_exponentials", "inverse_roots", "capped_levels", "wall_s"
+            "levels", "stop", "panels", "complex_exponentials", "inverse_roots", "capped_levels",
+            "wall_s",
         }
         assert blob["stats"]["inverse_roots"] >= 0
 

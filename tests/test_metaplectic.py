@@ -13,6 +13,7 @@ from mubc import (
     BlockDecomposition,
     DegenerateBlock,
     DimensionMismatch,
+    LimitExceeded,
     MetaplecticSpec,
     NonInvertible,
     ProductVector,
@@ -514,6 +515,27 @@ class TestExactGolden:
         assert not tiny.is_zero
         assert symplectic_defect(m) == 0.0
         assert not is_symplectic(m)
+
+    @pytest.mark.parametrize(
+        "exponent, detail",
+        [
+            (-2048, "its float is 0.0"),
+            (2048, "its float is inf"),
+            # det M_qp = -R^-1480 is a subnormal float, and 1 / (2 pi) over it is inf
+            (-1480, "overlap constant of inf"),
+        ],
+    )
+    def test_overlap_out_of_float_range_is_not_a_verdict(self, exponent, detail):
+        # [[0, -t], [1/t, 0]] is symplectic with det M_qp = -t != 0, so it has
+        # an overlap constant; it is out of float range, not degenerate or 0
+        t = QuadNum(1)
+        for _ in range(abs(exponent)):
+            t = t * R if exponent > 0 else t * (R - 1)
+        zero = QuadNum(0)
+        m = [[zero, -t], [t.inverse(), zero]]
+        assert is_symplectic(m)
+        with pytest.raises(LimitExceeded, match=f"det M_qp.*{detail}"):
+            genmu_overlap_sq(m)
 
 
 def _golden_matrices():

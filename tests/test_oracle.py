@@ -173,14 +173,17 @@ class TestQuadrature:
         want = 1.0 / (4 * math.pi)
         assert abs(res.value - want) <= 1e-5 * want
         assert len(res.epsilon_sequence) == len(eps)
+        assert res.stats["stop"] == "converged"
 
     def test_adaptive_ladder_deepens_until_converged(self):
         a, b = ChirpState(DirectionVector(1.0, 0.02)), ChirpState(DirectionVector(1.0, -0.02))
         du = a.quad_rate - b.quad_rate
-        assert not overlap_quadrature(a, b, epsilons=default_epsilons(du)).converged
+        given = overlap_quadrature(a, b, epsilons=default_epsilons(du))
+        assert not given.converged and given.stats["stop"] == "ladder-end"
         res = overlap_quadrature(a, b)
         levels = res.stats["levels"]
         assert res.converged and 9 < levels <= 13
+        assert res.stats["stop"] == "converged"
         assert tuple(e for e, _ in res.epsilon_sequence) == default_epsilons(du, levels)
         shallower = overlap_quadrature(a, b, epsilons=default_epsilons(du, levels - 1))
         assert not shallower.converged
@@ -188,6 +191,12 @@ class TestQuadrature:
         one_pass = overlap_quadrature(a, b, epsilons=default_epsilons(du, levels))
         assert res.stats["panels"] == one_pass.stats["panels"]
         assert abs(res.value - 1.0 / (2 * math.pi * 0.04)) <= 1e-6 * res.value
+        # a gap ten times slower runs all 13 default levels unconverged
+        slow = overlap_quadrature(
+            ChirpState(DirectionVector(1.0, 0.002)), ChirpState(DirectionVector(1.0, -0.002))
+        )
+        assert not slow.converged and slow.stats["levels"] == 13
+        assert slow.stats["stop"] == "ladder-end"
 
     def test_panel_cap_marks_level_unresolved(self):
         # the clamped fine rule equals the coarse one, so a zero local error
@@ -198,6 +207,7 @@ class TestQuadrature:
         assert res.converged is False
         assert not math.isfinite(res.error_estimate) or res.error_estimate > 1.0
         assert res.stats["capped_levels"] >= 1
+        assert res.stats["stop"] == "capped"
         assert math.inf in res.local_errors
 
     def test_stats_count_work(self):
@@ -284,7 +294,7 @@ def test_s_space_panels_match_t_space(level):
     if level in (9, 10, 11):
         assert count > 65536
     want = _t_space_panel_integral(du, eps, grid, count)
-    got = oracle._panel_integral(du, eps, grid, count, Counter())
+    (got,) = oracle._damped_integrals(du, [(eps, count)], grid, Counter())
     assert abs(got - want) <= 1e-11 * abs(want)
 
 
@@ -297,13 +307,54 @@ def test_stride_padding_matches_t_space(count):
     eps = 0.01
     du = -count * grid.panel_phase * eps / grid.truncation**2
     want = _t_space_panel_integral(du, eps, grid, count)
-    got = oracle._panel_integral(du, eps, grid, count, Counter())
+    (got,) = oracle._damped_integrals(du, [(eps, count)], grid, Counter())
     assert abs(got - want) <= 1e-11 * abs(want)
 
 
 @pytest.fixture
 def empty_inverse_roots(monkeypatch):
     monkeypatch.setattr(oracle, "_INVERSE_ROOTS", {})
+
+
+def test_mixed_batch_matches_one_rule_batches(monkeypatch, empty_inverse_roots):
+    # one du; each rule's eps gives it one phase cycle per panel, so one
+    # batch holds a rule below one stride, a partial last stride, exactly
+    # one block and one past it
+    grid = GridSpec()
+    du = -1.0
+    counts = (4, 257, 700, 65537, 65536 + 700)
+    rules = [(-du * grid.truncation**2 / (c * grid.panel_phase), c) for c in counts]
+    singles = []
+    single_work = Counter()
+    for rule in rules:
+        singles += oracle._damped_integrals(du, [rule], grid, single_work)
+    monkeypatch.setattr(oracle, "_INVERSE_ROOTS", {})
+    batch_work = Counter()
+    batch = oracle._damped_integrals(du, rules, grid, batch_work)
+    assert len(batch) == len(rules)
+    for got, single, (eps, count) in zip(batch, singles, rules):
+        assert abs(got - single) <= 1e-15 * abs(single)
+        want = _t_space_panel_integral(du, eps, grid, count)
+        assert abs(got - want) <= 1e-11 * abs(want)
+    assert batch_work == single_work
+    assert set(batch_work) == {"panels", "complex_exponentials", "inverse_roots"}
+
+
+# literals from the one-rule kernel this batch kernel replaced, on an empty
+# table: a ladder that deepens to 11 levels, and one whose levels 3-9 hit
+# max_panels and so run only their fine rules
+@pytest.mark.parametrize(
+    "pair, grid, stats",
+    [
+        (((1.0, 0.02), (1.0, -0.02)), GridSpec(), (11, 6330, 3071, 33616)),
+        (((1.0, 1.5), (0.7, -0.4)), GridSpec(max_panels=300), (9, 2565, 2623, 4784)),
+    ],
+)
+def test_ladder_work_is_pinned(empty_inverse_roots, pair, grid, stats):
+    a, b = (ChirpState(DirectionVector(*d)) for d in pair)
+    res = overlap_quadrature(a, b, grid=grid)
+    keys = ("levels", "panels", "complex_exponentials", "inverse_roots")
+    assert tuple(res.stats[k] for k in keys) == stats
 
 
 @pytest.mark.parametrize("nodes_per_panel", (8, 16))
@@ -335,12 +386,12 @@ def test_largest_rule_keeps_one_block(empty_inverse_roots):
     block, nodes = oracle._PANEL_BLOCK, grid.nodes_per_panel
     count = grid.max_panels
     work = Counter()
-    first = oracle._panel_integral(1.0, 1e-4, grid, count, work)
+    (first,) = oracle._damped_integrals(1.0, [(1e-4, count)], grid, work)
     table = oracle._INVERSE_ROOTS[nodes]
     assert table.filled == block == table.rows.shape[0]
     assert work["inverse_roots"] == (count - 1) * nodes
     work.clear()
-    assert oracle._panel_integral(1.0, 1e-4, grid, count, work) == first
+    assert oracle._damped_integrals(1.0, [(1e-4, count)], grid, work) == [first]
     assert work["inverse_roots"] == (count - 1 - block) * nodes
 
 
@@ -373,7 +424,7 @@ def test_panels_match_erf_reference(du):
             assert abs(abs(want) ** 2 - abs(full) ** 2) <= tail_bound * abs(full) ** 2
             for scale in (1, 2):
                 count = oracle._panel_count(du, eps, grid, scale)[0]
-                got = oracle._panel_integral(du, eps, grid, count, Counter())
+                (got,) = oracle._damped_integrals(du, [(eps, count)], grid, Counter())
                 assert abs(got - want) <= 1e-12 * abs(want)
 
 

@@ -185,6 +185,33 @@ class TestOverlapMagnitude:
         with pytest.raises(ParallelDirections):
             overlap_magnitude_sq(ProductVector.of((1, 1)), ProductVector.of((2, 2)))
 
+    @pytest.mark.parametrize(
+        "exponent, detail",
+        [
+            (-2048, "its float is 0.0"),
+            (2048, "its float is inf"),
+            # a^t J b = -R^-1480 is a subnormal float, and 1 / (2 pi) over it is inf
+            (-1480, "overlap constant of inf"),
+        ],
+    )
+    def test_product_out_of_float_range_is_not_a_verdict(self, exponent, detail):
+        # (t, 0) against (0, 1) is MU for every t != 0: out of float range
+        # is a limit, not parallel directions and not a zero overlap
+        t = QuadNum(1)
+        for _ in range(abs(exponent)):
+            t = t * R if exponent > 0 else t * (R - 1)
+        a, b = ProductVector.of((t, QuadNum(0))), ProductVector.of((QuadNum(0), QuadNum(1)))
+        with pytest.raises(LimitExceeded, match=f"symplectic product.*{detail}"):
+            overlap_magnitude_sq(a, b)
+
+    def test_constant_out_of_float_range_is_a_limit(self):
+        # product 1, but (2 pi hbar)^-2 overflows for hbar = 1e-300
+        a = ProductVector.of((QuadNum(1), QuadNum(0)), (QuadNum(1), QuadNum(0)))
+        b = ProductVector.of((QuadNum(0), QuadNum(1)), (QuadNum(0), QuadNum(1)))
+        assert overlap_magnitude_sq(a, b) == 1.0 / (2.0 * math.pi) ** 2
+        with pytest.raises(LimitExceeded, match="overlap constant of inf"):
+            overlap_magnitude_sq(a, b, hbar=1e-300)
+
 
 class TestVerifyMU:
     def test_asymmetric_triple(self):
