@@ -58,23 +58,16 @@ FALSE = 1
 INPUT_ERROR = 2
 NO_CONVERGENCE = 3
 
-class _Failure(Exception):
-    def __init__(self, code: int, message: str) -> None:
-        super().__init__(message)
-        self.code = code
-
 
 def _load_json(path: str):
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        raise _Failure(INPUT_ERROR, f"input error: {path}: {exc.strerror or exc}")
+        raise InvalidProblem(f"{path}: {exc.strerror or exc}") from exc
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise _Failure(
-            INPUT_ERROR, f"input error: {path}:{exc.lineno}:{exc.colno}: {exc.msg}"
-        )
+        raise InvalidProblem(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
 
 
 def _write_json(path: str | None, data) -> None:
@@ -92,17 +85,11 @@ def _write_csv(path: str | None, fieldnames: Sequence[str], rows: Sequence[dict]
             writer.writerow(row)
 
 
-def _load_config(path: str, args) -> MUConfiguration:
+def _load_config(path: str, mode: str | None) -> MUConfiguration:
     config = config_from_json(_load_json(path))
-    if getattr(args, "mode", None) and config.mode != args.mode:
-        raise _Failure(
-            INPUT_ERROR,
-            f"input error: {path}: field 'mode' is {config.mode!r}, "
-            f"--mode requested {args.mode!r}",
-        )
-    if getattr(args, "hbar", None) is not None:
-        config = MUConfiguration(
-            config.vectors, config.target_k, args.hbar, config.mode, config.ambient
+    if mode and config.mode != mode:
+        raise InvalidProblem(
+            f"{path}: field 'mode' is {config.mode!r}, --mode requested {mode!r}"
         )
     return config
 
@@ -111,9 +98,8 @@ def _load_config(path: str, args) -> MUConfiguration:
 
 
 def cmd_verify(args) -> int:
-    config = _load_config(args.config, args)
-    tolerance = args.tolerance if args.tolerance is not None else 1e-12
-    report = verify_mu(config, tolerance=tolerance, infer_k=args.infer_k)
+    config = _load_config(args.config, args.mode)
+    report = verify_mu(config, tolerance=args.tolerance, infer_k=args.infer_k)
     print(f"verdict: {'MU' if report.verdict else 'not MU'}")
     print(f"mode: {report.mode}  vectors: {len(config.vectors)}  N: {config.n}")
     k_text = "inferred " if report.inferred else ""
@@ -150,11 +136,10 @@ def cmd_verify(args) -> int:
 
 
 def _pair_residual_table(problem: SearchProblem, report) -> list[dict]:
-    mode = EXACT if problem.domain == "golden-lattice" else NUMERIC
     vectors = tuple(problem.seeds) + tuple(report.vectors)
     if len(vectors) < 2:
         return []
-    combined = MUConfiguration(vectors, problem.target_k, problem.hbar, mode)
+    combined = MUConfiguration(vectors, problem.target_k, problem.hbar, problem.mode)
     checked = verify_mu(combined, tolerance=1e-6)
     return [
         {
@@ -193,20 +178,16 @@ def cmd_search(args) -> int:
 
 def _triple_directions(config: MUConfiguration, path: str) -> tuple:
     if config.n != 1 or len(config.vectors) != 3:
-        raise _Failure(
-            INPUT_ERROR,
-            f"input error: {path}: field 'vectors' must hold exactly three N=1 vectors",
-        )
+        raise InvalidProblem(f"{path}: field 'vectors' must hold exactly three N=1 vectors")
     return tuple(v.factors[0] for v in config.vectors)
 
 
 def cmd_certify(args) -> int:
-    config = _load_config(args.config, args)
+    config = _load_config(args.config, args.mode)
     a, b, c = _triple_directions(config, args.config)
     if config.target_k is None:
-        raise _Failure(INPUT_ERROR, f"input error: {args.config}: field 'K' is required")
-    tolerance = args.tolerance if args.tolerance is not None else 1e-12
-    result = certify_no_fourth(a, b, c, config.target_k, tolerance=tolerance)
+        raise InvalidProblem(f"{args.config}: field 'K' is required")
+    result = certify_no_fourth(a, b, c, config.target_k, tolerance=args.tolerance)
     if isinstance(result, CounterexampleFound):
         print("counterexample: a fourth direction exists")
         print(f"direction: ({_fmt(result.direction.q)}, {_fmt(result.direction.p)})")
@@ -233,7 +214,7 @@ def _parse_level(text: str) -> QuadNum:
     try:
         return QuadNum.parse(text, GOLDEN)
     except MubcError as exc:
-        raise _Failure(INPUT_ERROR, f"input error: field 'k': {exc}")
+        raise InvalidProblem(f"field 'k': {exc}") from exc
 
 
 def cmd_enumerate(args) -> int:
@@ -260,10 +241,9 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_equivalence(args) -> int:
-    config_a = _load_config(args.config_a, args)
-    config_b = _load_config(args.config_b, args)
-    tolerance = args.tolerance if args.tolerance is not None else 1e-10
-    result = find_equivalence(config_a, config_b, tolerance=tolerance)
+    config_a = _load_config(args.config_a, args.mode)
+    config_b = _load_config(args.config_b, args.mode)
+    result = find_equivalence(config_a, config_b, tolerance=args.tolerance)
     if result is None:
         print("no equivalence found")
         _write_json(args.out, None)
@@ -282,49 +262,46 @@ def cmd_equivalence(args) -> int:
 # -- metaplectic ----------------------------------------------------------
 
 
-def cmd_metaplectic(args) -> int:
-    hbar = args.hbar if args.hbar is not None else 1.0
-    if args.action == "overlap":
-        spec = MetaplecticSpec.from_json(_load_json(args.matrix))
-        matrix = spec.stacked()
-        defect = symplectic_defect(matrix)
-        value = genmu_overlap_sq(matrix, hbar=hbar)
-        print(f"symplectic defect: {_fmt(defect)}")
-        print(f"overlap_sq: {_fmt(value)}")
-        _write_json(args.out, {"overlap_sq": value, "hbar": hbar, "defect": defect})
-        return OK
-    if args.action == "compose":
-        spec_a = MetaplecticSpec.from_json(_load_json(args.matrix))
-        spec_b = MetaplecticSpec.from_json(_load_json(args.matrix_b))
-        value = compose_overlap_sq(spec_a.stacked(), spec_b.stacked(), hbar=hbar)
-        print(f"composed overlap_sq: {_fmt(value)}")
-        _write_json(args.out, {"overlap_sq": value, "hbar": hbar})
-        return OK
-    # special-m
+def cmd_overlap(args) -> int:
+    matrix = MetaplecticSpec.from_json(_load_json(args.matrix)).stacked()
+    defect = symplectic_defect(matrix)
+    value = genmu_overlap_sq(matrix, hbar=args.hbar)
+    print(f"symplectic defect: {_fmt(defect)}")
+    print(f"overlap_sq: {_fmt(value)}")
+    _write_json(args.out, {"overlap_sq": value, "hbar": args.hbar, "defect": defect})
+    return OK
+
+
+def cmd_compose(args) -> int:
+    spec_a = MetaplecticSpec.from_json(_load_json(args.matrix))
+    spec_b = MetaplecticSpec.from_json(_load_json(args.matrix_b))
+    value = compose_overlap_sq(spec_a.stacked(), spec_b.stacked(), hbar=args.hbar)
+    print(f"composed overlap_sq: {_fmt(value)}")
+    _write_json(args.out, {"overlap_sq": value, "hbar": args.hbar})
+    return OK
+
+
+def cmd_special_m(args) -> int:
+    hbar = args.hbar
     scalar = Fraction if args.mode == EXACT else float
     try:
         q, p, mu = scalar(args.q), scalar(args.p), scalar(args.mu)
     except (ValueError, ZeroDivisionError) as exc:
-        raise _Failure(INPUT_ERROR, f"input error: field 'q/p/mu': {exc}")
+        raise InvalidProblem(f"field 'q/p/mu': {exc}") from exc
     matrix = special_m(q, p, mu)
     print("matrix rows:")
     for row in matrix:
         print(f"  [{_fmt(row[0]):>22} {_fmt(row[1]):>22}]")
-    floats = np.array([[float(x) for x in row] for row in matrix])
-    image = floats @ np.array([float(q), float(p)])
+    rows = [[float(x) for x in row] for row in matrix]
+    image = np.array(rows) @ np.array([float(q), float(p)])
     print(f"image of (Q, P): ({_fmt(image[0])}, {_fmt(image[1])})")
-    value = genmu_overlap_sq(floats, hbar=hbar)
+    # the matrix, not its floats: an exact one is decided in the field
+    value = genmu_overlap_sq(matrix, hbar=hbar)
     print(f"overlap_sq: {_fmt(value)}")
     if float(q) != 0.0:
         print(f"formula 1/(2*pi*hbar*|Q|): {_fmt(1.0 / (2.0 * math.pi * hbar * abs(float(q))))}")
     # emit a readable matrix spec; exact entries ride alongside as strings
-    blob = {
-        "N": 1,
-        "ordering": "stacked",
-        "rows": [[float(x) for x in row] for row in matrix],
-        "overlap_sq": value,
-        "hbar": hbar,
-    }
+    blob = {"N": 1, "ordering": "stacked", "rows": rows, "overlap_sq": value, "hbar": hbar}
     if args.mode == EXACT:
         blob["rows_exact"] = [[str(x) for x in row] for row in matrix]
     _write_json(args.out, blob)
@@ -336,7 +313,7 @@ def cmd_metaplectic(args) -> int:
 
 def _state_from_json(path: str, data, hbar_default: float) -> ChirpState:
     if not isinstance(data, dict):
-        raise _Failure(INPUT_ERROR, f"input error: {path}: expected a JSON object")
+        raise InvalidProblem(f"{path}: expected a JSON object")
 
     def number(field: str, default: float | None = None) -> float:
         if field not in data and default is None:
@@ -347,58 +324,57 @@ def _state_from_json(path: str, data, hbar_default: float) -> ChirpState:
         direction = DirectionVector(number("Q"), number("P"))
         return ChirpState(direction, number("alpha", 0.0), number("hbar", hbar_default))
     except InvalidProblem as exc:
-        raise _Failure(INPUT_ERROR, f"input error: {path}: {exc}")
+        raise InvalidProblem(f"{path}: {exc}") from exc
 
 
 def _float_list(text: str, field: str) -> list[float]:
     try:
         values = [float(x) for x in text.split(",")]
     except ValueError as exc:
-        raise _Failure(INPUT_ERROR, f"input error: field {field!r}: {exc}")
+        raise InvalidProblem(f"field {field!r}: {exc}") from exc
     if not all(math.isfinite(v) for v in values):
-        raise _Failure(INPUT_ERROR, f"input error: field {field!r}: values must be finite")
+        raise InvalidProblem(f"field {field!r}: values must be finite")
     return values
 
 
-def cmd_oracle(args) -> int:
-    hbar = args.hbar if args.hbar is not None else 1.0
-    if args.action == "pair":
-        state_a = _state_from_json(args.state_a, _load_json(args.state_a), hbar)
-        state_b = _state_from_json(args.state_b, _load_json(args.state_b), hbar)
-        epsilons = None
-        if args.epsilons:
-            epsilons = _float_list(args.epsilons, "epsilons")
-        result = overlap_quadrature(state_a, state_b, epsilons=epsilons)
-        formula = overlap_magnitude_sq(state_a.direction, state_b.direction, hbar=state_a.hbar)
-        print(f"branch: {result.branch}")
-        print(f"formula: {_fmt(formula)}")
-        print(f"oracle:  {_fmt(result.value)}")
-        print(f"error estimate: {_fmt(result.error_estimate)}")
-        print(f"converged: {_fmt(result.converged)}")
-        if result.epsilon_sequence:
-            print(f"{'epsilon':>14} {'|I(eps)|^2':>22}")
-            for eps, value in result.epsilon_sequence:
-                print(f"{_fmt(eps):>14} {_fmt(value):>22}")
-        _write_json(
-            args.out,
-            {
-                "branch": result.branch,
-                "formula": formula,
-                "value": result.value,
-                "error_estimate": result.error_estimate,
-                "converged": result.converged,
-                "epsilon_sequence": [list(pair) for pair in result.epsilon_sequence],
-                "stats": result.stats,
-            },
-        )
-        return OK if result.converged else NO_CONVERGENCE
-    # scan
+def cmd_oracle_pair(args) -> int:
+    state_a = _state_from_json(args.state_a, _load_json(args.state_a), args.hbar)
+    state_b = _state_from_json(args.state_b, _load_json(args.state_b), args.hbar)
+    epsilons = None
+    if args.epsilons:
+        epsilons = _float_list(args.epsilons, "epsilons")
+    result = overlap_quadrature(state_a, state_b, epsilons=epsilons)
+    formula = overlap_magnitude_sq(state_a.direction, state_b.direction, hbar=state_a.hbar)
+    print(f"branch: {result.branch}")
+    print(f"formula: {_fmt(formula)}")
+    print(f"oracle:  {_fmt(result.value)}")
+    print(f"error estimate: {_fmt(result.error_estimate)}")
+    print(f"converged: {_fmt(result.converged)}")
+    if result.epsilon_sequence:
+        print(f"{'epsilon':>14} {'|I(eps)|^2':>22}")
+        for eps, value in result.epsilon_sequence:
+            print(f"{_fmt(eps):>14} {_fmt(value):>22}")
+    _write_json(
+        args.out,
+        {
+            "branch": result.branch,
+            "formula": formula,
+            "value": result.value,
+            "error_estimate": result.error_estimate,
+            "converged": result.converged,
+            "epsilon_sequence": [list(pair) for pair in result.epsilon_sequence],
+            "stats": result.stats,
+        },
+    )
+    return OK if result.converged else NO_CONVERGENCE
+
+
+def cmd_oracle_scan(args) -> int:
     if args.thetas:
         thetas = _float_list(args.thetas, "thetas")
     else:
         thetas = [0.0, math.pi / 6, math.pi / 4, math.pi / 3, math.pi / 2]
-    tolerance = args.tolerance if args.tolerance is not None else 1e-5
-    scan = pairwise_unbiased_scan(thetas, hbar=hbar, tolerance=tolerance)
+    scan = pairwise_unbiased_scan(thetas, hbar=args.hbar, tolerance=args.tolerance)
     print(f"{'theta_a':>10} {'theta_b':>10} {'formula':>16} {'oracle':>16} {'agree':>7}")
     for row in scan.rows:
         if row.parallel:
@@ -434,8 +410,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
-    hbar = args.hbar if args.hbar is not None else 1.0
-    tolerance = args.tolerance if args.tolerance is not None else 1e-9
+    hbar, tolerance = args.hbar, args.tolerance
     entries = build_manifest(hbar=hbar, tolerance=tolerance, include_search=args.include_search)
     width = max(len(e.claim) for e in entries)
     print(f"hbar = {_fmt(hbar)}, tolerance = {_fmt(tolerance)}")
@@ -484,17 +459,28 @@ def _tolerance_flag(text: str) -> float:
     return value
 
 
+def _command(sub, name: str, handler: Callable, help: str, *, hbar: bool = False,
+             tolerance: float | None = None, mode: bool = False) -> argparse.ArgumentParser:
+    """A leaf command bound to its handler, with --out and those of --hbar,
+    --tolerance (at the command's own default) and --mode that it reads."""
+    parser = sub.add_parser(name, help=help)
+    if hbar:
+        parser.add_argument("--hbar", type=_hbar_flag, default=1.0, help="Planck constant scale (default 1)")
+    if tolerance is not None:
+        parser.add_argument("--tolerance", type=_tolerance_flag, default=tolerance,
+                            help=f"relative tolerance (default {tolerance:g})")
+    if mode:
+        parser.add_argument("--mode", choices=(EXACT, NUMERIC), help="arithmetic mode")
+    parser.add_argument("--out", help="write the JSON result to this path")
+    parser.set_defaults(handler=handler)
+    return parser
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The mubc argument parser, built once per process: parsing keeps no
     state in it, handlers come from set_defaults and the type functions
     are pure."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--hbar", type=_hbar_flag, default=None, help="Planck constant scale (default 1)")
-    common.add_argument("--tolerance", type=_tolerance_flag, default=None, help="relative tolerance")
-    common.add_argument("--mode", choices=(EXACT, NUMERIC), default=None, help="arithmetic mode")
-    common.add_argument("--out", default=None, help="write the JSON result to this path")
-
     parser = argparse.ArgumentParser(
         prog="mubc",
         description="Mutually unbiased continuous-variable bases: verification, "
@@ -502,89 +488,66 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_verify = sub.add_parser("verify", parents=[common], help="verify a configuration file")
+    p_verify = _command(sub, "verify", cmd_verify, "verify a configuration file", tolerance=1e-12, mode=True)
     p_verify.add_argument("config", help="configuration JSON path")
     p_verify.add_argument("--infer-k", action="store_true", help="infer K from the first pair")
-    p_verify.add_argument("--csv", default=None, help="write pair rows as CSV")
-    p_verify.set_defaults(handler=cmd_verify)
+    p_verify.add_argument("--csv", help="write pair rows as CSV")
 
-    p_search = sub.add_parser("search", parents=[common], help="search for extension vectors")
+    p_search = _command(sub, "search", cmd_search, "search for extension vectors")
     p_search.add_argument("problem", help="search problem JSON path")
     p_search.add_argument("--seed", type=int, required=True, help="RNG seed (required)")
     p_search.add_argument("--budget", type=int, default=200000, help="evaluation budget")
     p_search.add_argument("--restarts", type=int, default=40, help="descent restarts")
-    p_search.set_defaults(handler=cmd_search)
 
-    p_certify = sub.add_parser(
-        "certify-n1", parents=[common], help="certify no fourth direction joins an N=1 triple"
-    )
+    p_certify = _command(sub, "certify-n1", cmd_certify, "certify no fourth direction joins an N=1 triple",
+                         tolerance=1e-12, mode=True)
     p_certify.add_argument("config", help="triple configuration JSON path")
-    p_certify.set_defaults(handler=cmd_certify)
 
-    p_enum = sub.add_parser(
-        "enumerate-n1", parents=[common], help="enumerate golden-lattice triples up to equivalence"
-    )
+    p_enum = _command(sub, "enumerate-n1", cmd_enumerate, "enumerate golden-lattice triples up to equivalence")
     p_enum.add_argument("--k", default="1", help="target level, e.g. '1' or '1 + 1R'")
     p_enum.add_argument("--height", type=int, default=1, help="lattice height bound")
-    p_enum.add_argument("--csv", default=None, help="write vector rows as CSV")
-    p_enum.set_defaults(handler=cmd_enumerate)
+    p_enum.add_argument("--csv", help="write vector rows as CSV")
 
-    p_equiv = sub.add_parser(
-        "equivalence", parents=[common], help="find a linear equivalence between two triples"
-    )
+    p_equiv = _command(sub, "equivalence", cmd_equivalence, "find a linear equivalence between two triples",
+                       tolerance=1e-10, mode=True)
     p_equiv.add_argument("config_a", help="first triple JSON path")
     p_equiv.add_argument("config_b", help="second triple JSON path")
-    p_equiv.set_defaults(handler=cmd_equivalence)
 
-    p_meta = sub.add_parser("metaplectic", parents=[common], help="metaplectic overlap computations")
-    meta_sub = p_meta.add_subparsers(dest="action", required=True)
-    m_overlap = meta_sub.add_parser("overlap", parents=[common], help="overlap of one matrix")
+    p_meta = sub.add_parser("metaplectic", help="metaplectic overlap computations")
+    meta = p_meta.add_subparsers(required=True)
+    m_overlap = _command(meta, "overlap", cmd_overlap, "overlap of one matrix", hbar=True)
     m_overlap.add_argument("matrix", help="matrix spec JSON path")
-    m_overlap.set_defaults(handler=cmd_metaplectic, action="overlap")
-    m_compose = meta_sub.add_parser("compose", parents=[common], help="relative overlap of two matrices")
+    m_compose = _command(meta, "compose", cmd_compose, "relative overlap of two matrices", hbar=True)
     m_compose.add_argument("matrix", help="first matrix spec JSON path")
     m_compose.add_argument("matrix_b", help="second matrix spec JSON path")
-    m_compose.set_defaults(handler=cmd_metaplectic, action="compose")
-    m_special = meta_sub.add_parser("special-m", parents=[common], help="normal form sending (Q,P) to (0,1)")
+    m_special = _command(meta, "special-m", cmd_special_m, "normal form sending (Q,P) to (0,1)",
+                         hbar=True, mode=True)
     m_special.add_argument("--q", required=True, help="Q component")
     m_special.add_argument("--p", required=True, help="P component")
     m_special.add_argument("--mu", default="0", help="residual shear parameter")
-    m_special.set_defaults(handler=cmd_metaplectic, action="special-m")
 
-    p_oracle = sub.add_parser("oracle", parents=[common], help="numerical overlap oracle")
-    oracle_sub = p_oracle.add_subparsers(dest="action", required=True)
-    o_pair = oracle_sub.add_parser("pair", parents=[common], help="overlap of two states")
+    p_oracle = sub.add_parser("oracle", help="numerical overlap oracle")
+    oracle = p_oracle.add_subparsers(required=True)
+    o_pair = _command(oracle, "pair", cmd_oracle_pair, "overlap of two states", hbar=True)
     o_pair.add_argument("state_a", help="first state JSON path")
     o_pair.add_argument("state_b", help="second state JSON path")
-    o_pair.add_argument("--epsilons", default=None, help="comma-separated damping values")
-    o_pair.set_defaults(handler=cmd_oracle, action="pair")
-    o_scan = oracle_sub.add_parser("scan", parents=[common], help="all-pairs angle scan")
-    o_scan.add_argument("--thetas", default=None, help="comma-separated angles (radians)")
-    o_scan.add_argument("--csv", default=None, help="write scan rows as CSV")
-    o_scan.set_defaults(handler=cmd_oracle, action="scan")
+    o_pair.add_argument("--epsilons", help="comma-separated damping values")
+    o_scan = _command(oracle, "scan", cmd_oracle_scan, "all-pairs angle scan", hbar=True, tolerance=1e-5)
+    o_scan.add_argument("--thetas", help="comma-separated angles (radians)")
+    o_scan.add_argument("--csv", help="write scan rows as CSV")
 
-    p_repro = sub.add_parser(
-        "reproduce", parents=[common], help="recompute every bundled numeric claim"
-    )
-    p_repro.add_argument("--csv", default=None, help="write claim rows as CSV")
-    p_repro.add_argument(
-        "--include-search",
-        action="store_true",
-        help="also run the slower search-recovery claims",
-    )
-    p_repro.set_defaults(handler=cmd_reproduce)
+    p_repro = _command(sub, "reproduce", cmd_reproduce, "recompute every bundled numeric claim",
+                       hbar=True, tolerance=1e-9)
+    p_repro.add_argument("--csv", help="write claim rows as CSV")
+    p_repro.add_argument("--include-search", action="store_true",
+                         help="also run the slower search-recovery claims")
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handler: Callable = args.handler
+    args = build_parser().parse_args(argv)
     try:
-        return handler(args)
-    except _Failure as failure:
-        print(str(failure), file=sys.stderr)
-        return failure.code
+        return args.handler(args)
     except MubcError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return INPUT_ERROR

@@ -48,7 +48,7 @@ from .errors import (
     SingularCayley,
 )
 from .exact import QuadNum
-from .symplectic import _json_number, _exact_overlap_constant
+from .symplectic import _json_number, _overlap_constant
 
 ExactMatrix = list  # nested lists of QuadNum / Fraction / int
 Matrix = Union[np.ndarray, Sequence[Sequence]]
@@ -303,7 +303,8 @@ def genmu_overlap_sq(matrix: Matrix, hbar: float = 1.0) -> float:
     Raises SingularCayley when det(M - I) = 0 (no Cayley matrix) and
     DegenerateBlock when N_pp is singular, i.e. when det M_qp = 0. Float
     matrices use the tolerance _SINGULAR_TOL on |det(M - I)| and on
-    |det N_pp| = |det M_qp / det(M - I)|.
+    |det N_pp| = |det M_qp / det(M - I)|. A constant outside the float
+    range raises LimitExceeded.
     """
     n = _dimension(matrix)
     if _is_exact(matrix):
@@ -313,7 +314,7 @@ def genmu_overlap_sq(matrix: Matrix, hbar: float = 1.0) -> float:
         det_qp, _ = _exact_solve([row[n:] for row in matrix[:n]])
         if det_qp == 0:
             raise DegenerateBlock("momentum-momentum block of the Cayley matrix is singular")
-        return _exact_overlap_constant(n, hbar, det_qp, "det M_qp")
+        return _overlap_constant(n, hbar, det_qp, "det M_qp")
     m = np.asarray(matrix, dtype=float)
     det_shift = np.linalg.det(m - np.eye(2 * n))
     if abs(det_shift) <= _SINGULAR_TOL:
@@ -322,10 +323,7 @@ def genmu_overlap_sq(matrix: Matrix, hbar: float = 1.0) -> float:
     det_pp = det_qp / det_shift
     if abs(det_pp) <= _SINGULAR_TOL:
         raise DegenerateBlock(f"|det(N_pp)| = {abs(det_pp):.3e} is below {_SINGULAR_TOL}")
-    denom = abs(float(det_qp))
-    if denom == 0.0:
-        raise DegenerateBlock("vanishing overlap denominator")
-    return (2.0 * math.pi * hbar) ** (-n) / denom
+    return _overlap_constant(n, hbar, det_qp, "det M_qp")
 
 
 def compose_overlap_sq(matrix_a: Matrix, matrix_b: Matrix, hbar: float = 1.0) -> float:

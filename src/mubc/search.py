@@ -356,13 +356,17 @@ class SearchProblem:
     def n(self) -> int:
         return self.seeds[0].n
 
+    @property
+    def mode(self) -> str:
+        """Exact on the golden lattice, numeric over the reals."""
+        return EXACT if self.domain == GOLDEN_LATTICE else NUMERIC
+
     def to_json(self) -> dict:
-        mode = EXACT if self.domain == GOLDEN_LATTICE else NUMERIC
-        config = MUConfiguration(self.seeds, self.target_k, self.hbar, mode)
+        config = MUConfiguration(self.seeds, self.target_k, self.hbar, self.mode)
         data = config_to_json(config)
         return {
             "N": self.n,
-            "mode": mode,
+            "mode": self.mode,
             "K": data["K"],
             "seeds": data["vectors"],
             "free_slots": self.free_slots,
@@ -464,9 +468,8 @@ STEP_TOL = 1e-14
 
 
 def _seed_check(problem: SearchProblem) -> None:
-    mode = EXACT if problem.domain == GOLDEN_LATTICE else NUMERIC
     if len(problem.seeds) >= 2:
-        config = MUConfiguration(problem.seeds, problem.target_k, problem.hbar, mode)
+        config = MUConfiguration(problem.seeds, problem.target_k, problem.hbar, problem.mode)
         report = verify_mu(config, tolerance=1e-9)
         if not report.verdict:
             raise PreconditionFailed("seed vectors do not verify at the target K")

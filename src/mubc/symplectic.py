@@ -215,17 +215,15 @@ def overlap_magnitude_sq(
     sp = symp_product(a, b)
     if sp == 0:
         raise ParallelDirections("parallel directions: zero symplectic product")
-    if isinstance(sp, float):
-        return (2.0 * math.pi * hbar) ** (-a.n) / abs(sp)
-    return _exact_overlap_constant(a.n, hbar, sp, "symplectic product a^t J b")
+    return _overlap_constant(a.n, hbar, sp, "symplectic product a^t J b")
 
 
-def _exact_overlap_constant(n: int, hbar: float, denominator: Scalar, name: str) -> float:
-    """(2*pi*hbar)^-n / |denominator| for an exact, nonzero denominator.
+def _overlap_constant(n: int, hbar: float, denominator: Scalar, name: str) -> float:
+    """(2*pi*hbar)^-n / |denominator| for a nonzero denominator, exact or float.
 
-    Its float, or the constant, can leave the float range while the exact
-    value is nonzero; that raises LimitExceeded naming `name`, never a zero
-    or degenerate verdict.
+    The denominator's float, or the constant, can leave the float range
+    while the denominator is nonzero; that raises LimitExceeded naming
+    `name`, never a zero or degenerate verdict.
     """
     magnitude = abs(float(denominator))
     if magnitude in (0.0, math.inf):

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, file outputs, JSON round-trips."""
 
+import argparse
 import json
 import math
 import os
@@ -20,7 +21,7 @@ from mubc import (
     config_to_json,
     verify_mu,
 )
-from mubc.cli import main
+from mubc.cli import build_parser, main
 from mubc.manifest import build_manifest, fixture_config, load_fixture
 
 from embedding import embed
@@ -156,6 +157,11 @@ class TestVerifyCommand:
 
     def test_tolerance_flag(self, sym_path):
         assert main(["verify", sym_path, "--tolerance", "1e-15"]) == OK
+
+    def test_mode_flag_rejects_the_other_mode(self, golden5_path, capsys):
+        assert main(["verify", golden5_path, "--mode", "exact"]) == OK
+        assert main(["verify", golden5_path, "--mode", "numeric"]) == INPUT_ERROR
+        assert capsys.readouterr().err.endswith("field 'mode' is 'exact', --mode requested 'numeric'\n")
 
     def test_out_report(self, golden5_path, tmp_path):
         out = tmp_path / "report.json"
@@ -339,6 +345,20 @@ class TestMetaplecticCommand:
 
         spec = MetaplecticSpec.from_json(blob)
         assert spec.to_json()["N"] == 1
+
+    def test_special_m_exact_decides_in_the_field(self, capsys):
+        # det(M - I) = 2 - p = -1e-12 is nonzero, though below the float tolerance
+        argv = ["metaplectic", "special-m", "--mode", "exact", "--q", "1", "--p", "2000000000001/1000000000000"]
+        assert main(argv) == OK
+        assert "overlap_sq: 0.159154943092" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("hbar", ["1e-300", "1e300"])
+    def test_overlap_constant_out_of_float_range_exits_two(self, hbar, write_json, capsys):
+        # J at N = 2: (2 pi hbar)^-2 overflows at 1e-300 and underflows at 1e300
+        rows = [[0.0, 0.0, -1.0, 0.0], [0.0, 0.0, 0.0, -1.0], [1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]]
+        path = write_json("j2.json", {"N": 2, "ordering": "stacked", "rows": rows})
+        assert main(["metaplectic", "overlap", path, "--hbar", hbar]) == INPUT_ERROR
+        assert capsys.readouterr().err.startswith("input error:")
 
     def test_matrix_not_symplectic(self, write_json):
         path = write_json("notm.json", {"N": 1, "ordering": "stacked", "rows": [[2.0, 0.0], [0.0, 1.0]]})
@@ -530,6 +550,13 @@ class TestReproduceCommand:
         assert f"argument {flag}" in err
         assert "Traceback" not in err
 
+    def test_negative_tolerance_exits_two(self, capsys):
+        # a bare -1e-9 reads as a flag; the = form reaches the value check
+        with pytest.raises(SystemExit) as exc:
+            main(["reproduce", "--tolerance=-1e-9"])
+        assert exc.value.code == INPUT_ERROR
+        assert "must be nonnegative" in capsys.readouterr().err
+
     def test_out_writes_bool_verdicts(self, tmp_path):
         out = tmp_path / "claims.json"
         assert main(["reproduce", "--out", str(out)]) == OK
@@ -542,6 +569,89 @@ class TestReproduceCommand:
         assert main(["reproduce", "--csv", str(out)]) == OK
         lines = out.read_text().strip().splitlines()
         assert len(lines) >= 13  # header + 12 claims
+
+
+LEAF_FLAGS = {
+    "verify": "--tolerance --mode --out --infer-k --csv",
+    "search": "--out --seed --budget --restarts",
+    "certify-n1": "--tolerance --mode --out",
+    "enumerate-n1": "--out --k --height --csv",
+    "equivalence": "--tolerance --mode --out",
+    "metaplectic overlap": "--hbar --out",
+    "metaplectic compose": "--hbar --out",
+    "metaplectic special-m": "--hbar --mode --out --q --p --mu",
+    "oracle pair": "--hbar --out --epsilons",
+    "oracle scan": "--hbar --tolerance --out --thetas --csv",
+    "reproduce": "--hbar --tolerance --out --csv --include-search",
+}
+TOLERANCE_DEFAULTS = {
+    "verify": 1e-12,
+    "certify-n1": 1e-12,
+    "equivalence": 1e-10,
+    "oracle scan": 1e-5,
+    "reproduce": 1e-9,
+}
+
+
+def _parsers(parser, path=()):
+    """(command path, parser) for every parser under the root, groups included."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, child in action.choices.items():
+                yield path + (name,), child
+                yield from _parsers(child, path + (name,))
+
+
+class TestFlagContract:
+    """Each command takes only the flags whose value can change its output
+    or exit code; the metaplectic and oracle groups take none."""
+
+    def test_each_parser_takes_its_flags(self):
+        taken = {}
+        for path, parser in _parsers(build_parser()):
+            flags = [opt for a in parser._actions for opt in a.option_strings if opt not in ("-h", "--help")]
+            taken[" ".join(path)] = " ".join(flags)
+        assert taken == {**LEAF_FLAGS, "metaplectic": "", "oracle": ""}
+        assert sum(len(flags.split()) for flags in taken.values()) == 42
+
+    def test_defaults(self):
+        for path, parser in _parsers(build_parser()):
+            name = " ".join(path)
+            if "--hbar" in LEAF_FLAGS.get(name, ""):
+                assert parser.get_default("hbar") == 1.0, name
+            assert parser.get_default("tolerance") == TOLERANCE_DEFAULTS.get(name), name
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # a group does not know --hbar takes a value, so it reads 2 as the action
+            (["metaplectic", "--hbar", "2", "overlap", "M"], "invalid choice: '2'"),
+            (["metaplectic", "--hbar=2", "overlap", "M"], "unrecognized arguments: --hbar=2"),
+            (["oracle", "--out", "F", "pair", "A", "B"], "invalid choice: 'F'"),
+            (["oracle", "--out=F", "pair", "A", "B"], "unrecognized arguments: --out=F"),
+            (["verify", "C", "--hbar", "2"], "unrecognized arguments: --hbar 2"),
+            (["search", "P", "--seed", "0", "--tolerance", "1"], "unrecognized arguments: --tolerance 1"),
+            (["certify-n1", "C", "--hbar", "2"], "unrecognized arguments: --hbar 2"),
+            (["enumerate-n1", "--mode", "exact"], "unrecognized arguments: --mode exact"),
+            (["equivalence", "A", "B", "--hbar", "2"], "unrecognized arguments: --hbar 2"),
+            (["metaplectic", "overlap", "M", "--mode", "exact"], "unrecognized arguments: --mode exact"),
+            (["metaplectic", "compose", "A", "B", "--tolerance", "1"], "unrecognized arguments: --tolerance 1"),
+            (["metaplectic", "special-m", "--q", "1", "--p", "1", "--tolerance", "1"], "unrecognized arguments: --tolerance 1"),
+            (["oracle", "pair", "A", "B", "--mode", "numeric"], "unrecognized arguments: --mode numeric"),
+            (["oracle", "scan", "--mode", "numeric"], "unrecognized arguments: --mode numeric"),
+            (["reproduce", "--mode", "exact"], "unrecognized arguments: --mode exact"),
+        ],
+    )
+    def test_flags_a_command_does_not_read_exit_two(self, argv, message, tmp_path, monkeypatch, capsys):
+        # rejected while parsing: no handler runs and no file is written
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == INPUT_ERROR
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+        assert not any(tmp_path.iterdir())
 
 
 def run_alone(argv):
@@ -642,6 +752,7 @@ STATE = {"Q": 1.0, "P": 1.0}
         ("epsilons", None, "0.1,0.05,0.02,0.01,-0.005"),
         ("epsilons", None, "nan,0.1,0.05,0.02,0.01"),
         ("thetas", None, "nan,1"),
+        ("thetas", None, "x,1"),
         ("special-m", None, "abc"),
     ],
 )

@@ -179,6 +179,14 @@ class TestGenmu:
             got = genmu_overlap_sq(J1, hbar=hbar)
             assert got == pytest.approx(1.0 / (2 * math.pi * hbar), rel=1e-14)
 
+    @pytest.mark.parametrize("hbar, value", [(1e-300, "inf"), (1e300, "0.0")])
+    def test_float_overlap_out_of_float_range_is_a_limit(self, hbar, value):
+        # J at N = 2 has det M_qp = 1; (2 pi hbar)^-2 leaves the float range
+        j = np.block([[np.zeros((2, 2)), -np.eye(2)], [np.eye(2), np.zeros((2, 2))]])
+        assert genmu_overlap_sq(j) == 1.0 / (2.0 * math.pi) ** 2
+        with pytest.raises(LimitExceeded, match=f"det M_qp.*overlap constant of {value}"):
+            genmu_overlap_sq(j, hbar=hbar)
+
     def test_inverse_symmetry(self):
         rng = np.random.default_rng(5)
         checked = 0

@@ -212,6 +212,15 @@ class TestOverlapMagnitude:
         with pytest.raises(LimitExceeded, match="overlap constant of inf"):
             overlap_magnitude_sq(a, b, hbar=1e-300)
 
+    @pytest.mark.parametrize("hbar, value", [(1e-300, "inf"), (1e300, "0.0")])
+    def test_float_constant_out_of_float_range_is_a_limit(self, hbar, value):
+        # float products take the same guard: (2 pi hbar)^-2 overflows at
+        # hbar = 1e-300 and underflows to 0 at 1e300
+        a = ProductVector.of((1.0, 0.0), (1.0, 0.0))
+        b = ProductVector.of((0.0, 1.0), (0.0, 1.0))
+        with pytest.raises(LimitExceeded, match=f"overlap constant of {value}"):
+            overlap_magnitude_sq(a, b, hbar=hbar)
+
 
 class TestVerifyMU:
     def test_asymmetric_triple(self):
