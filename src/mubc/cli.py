@@ -59,15 +59,20 @@ INPUT_ERROR = 2
 NO_CONVERGENCE = 3
 
 
-def _load_json(path: str):
+def _load(path: str, parse: Callable):
+    """parse() of the JSON in the file at path; every error names the file."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise InvalidProblem(f"{path}: {exc.strerror or exc}") from exc
     try:
-        return json.loads(text)
+        data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InvalidProblem(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    try:
+        return parse(data)
+    except MubcError as exc:
+        raise InvalidProblem(f"{path}: {exc}") from exc
 
 
 def _write_json(path: str | None, data) -> None:
@@ -86,7 +91,7 @@ def _write_csv(path: str | None, fieldnames: Sequence[str], rows: Sequence[dict]
 
 
 def _load_config(path: str, mode: str | None) -> MUConfiguration:
-    config = config_from_json(_load_json(path))
+    config = _load(path, config_from_json)
     if mode and config.mode != mode:
         raise InvalidProblem(
             f"{path}: field 'mode' is {config.mode!r}, --mode requested {mode!r}"
@@ -153,7 +158,7 @@ def _pair_residual_table(problem: SearchProblem, report) -> list[dict]:
 
 
 def cmd_search(args) -> int:
-    problem = SearchProblem.from_json(_load_json(args.problem))
+    problem = _load(args.problem, SearchProblem.from_json)
     report = search_extension(
         problem, budget=args.budget, restarts=args.restarts, seed=args.seed
     )
@@ -263,7 +268,7 @@ def cmd_equivalence(args) -> int:
 
 
 def cmd_overlap(args) -> int:
-    matrix = MetaplecticSpec.from_json(_load_json(args.matrix)).stacked()
+    matrix = _load(args.matrix, MetaplecticSpec.from_json).stacked()
     defect = symplectic_defect(matrix)
     value = genmu_overlap_sq(matrix, hbar=args.hbar)
     print(f"symplectic defect: {_fmt(defect)}")
@@ -273,8 +278,8 @@ def cmd_overlap(args) -> int:
 
 
 def cmd_compose(args) -> int:
-    spec_a = MetaplecticSpec.from_json(_load_json(args.matrix))
-    spec_b = MetaplecticSpec.from_json(_load_json(args.matrix_b))
+    spec_a = _load(args.matrix, MetaplecticSpec.from_json)
+    spec_b = _load(args.matrix_b, MetaplecticSpec.from_json)
     value = compose_overlap_sq(spec_a.stacked(), spec_b.stacked(), hbar=args.hbar)
     print(f"composed overlap_sq: {_fmt(value)}")
     _write_json(args.out, {"overlap_sq": value, "hbar": args.hbar})
@@ -311,20 +316,17 @@ def cmd_special_m(args) -> int:
 # -- oracle ---------------------------------------------------------------
 
 
-def _state_from_json(path: str, data, hbar_default: float) -> ChirpState:
+def _state_from_json(data, hbar_default: float) -> ChirpState:
     if not isinstance(data, dict):
-        raise InvalidProblem(f"{path}: expected a JSON object")
+        raise InvalidProblem("expected a JSON object")
 
     def number(field: str, default: float | None = None) -> float:
         if field not in data and default is None:
             raise InvalidProblem(f"field {field!r} is required")
         return _json_number(data.get(field, default), f"field {field!r}")
 
-    try:
-        direction = DirectionVector(number("Q"), number("P"))
-        return ChirpState(direction, number("alpha", 0.0), number("hbar", hbar_default))
-    except InvalidProblem as exc:
-        raise InvalidProblem(f"{path}: {exc}") from exc
+    direction = DirectionVector(number("Q"), number("P"))
+    return ChirpState(direction, number("alpha", 0.0), number("hbar", hbar_default))
 
 
 def _float_list(text: str, field: str) -> list[float]:
@@ -338,8 +340,9 @@ def _float_list(text: str, field: str) -> list[float]:
 
 
 def cmd_oracle_pair(args) -> int:
-    state_a = _state_from_json(args.state_a, _load_json(args.state_a), args.hbar)
-    state_b = _state_from_json(args.state_b, _load_json(args.state_b), args.hbar)
+    parse = functools.partial(_state_from_json, hbar_default=args.hbar)
+    state_a = _load(args.state_a, parse)
+    state_b = _load(args.state_b, parse)
     epsilons = None
     if args.epsilons:
         epsilons = _float_list(args.epsilons, "epsilons")

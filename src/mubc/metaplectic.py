@@ -21,8 +21,8 @@ different matrices M, M' reduce to the same law applied to M^-1 M'.
 
 Coordinates are ordered "stacked" (q_1..q_N, p_1..p_N) internally, with
 J = [[0, -I], [I, 0]] matching the 2x2 j = [[0, -1], [1, 0]] at N = 1.
-The "interleaved" ordering (q_1, p_1, q_2, p_2, ...) is accepted
-everywhere and converted by an exact permutation.
+Matrix spec files may use the "interleaved" ordering (q_1, p_1, q_2, p_2,
+...); MetaplecticSpec.stacked converts it by an exact index permutation.
 
 Matrices may be float ndarrays (numeric mode) or nested lists of exact
 scalars (Fraction / QuadNum); exact matrices go through one exact Gaussian
@@ -88,34 +88,12 @@ def stacked_j(n: int) -> np.ndarray:
     return j
 
 
-def interleaved_j(n: int) -> np.ndarray:
-    """J in interleaved ordering: block diagonal of 2x2 j's."""
-    block = np.array([[0.0, -1.0], [1.0, 0.0]])
-    j = np.zeros((2 * n, 2 * n))
-    for k in range(n):
-        j[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = block
-    return j
-
-
-def ordering_permutation(n: int) -> np.ndarray:
-    """Permutation S with x_interleaved = S @ x_stacked."""
-    s = np.zeros((2 * n, 2 * n))
-    for k in range(n):
-        s[2 * k, k] = 1.0
-        s[2 * k + 1, n + k] = 1.0
-    return s
-
-
-def stacked_to_interleaved(matrix: np.ndarray) -> np.ndarray:
-    n = _dimension(matrix)
-    s = ordering_permutation(n)
-    return s @ np.asarray(matrix, dtype=float) @ s.T
-
-
 def interleaved_to_stacked(matrix: np.ndarray) -> np.ndarray:
+    """Reorder a matrix in (q_1, p_1, q_2, p_2, ...) coordinates to
+    (q_1..q_N, p_1..p_N): stacked index k reads interleaved index perm[k]."""
     n = _dimension(matrix)
-    s = ordering_permutation(n)
-    return s.T @ np.asarray(matrix, dtype=float) @ s
+    perm = np.r_[0 : 2 * n : 2, 1 : 2 * n : 2]
+    return np.asarray(matrix, dtype=float)[np.ix_(perm, perm)]
 
 
 # -- exact linear algebra (nested lists of field scalars) ---------------
@@ -214,35 +192,32 @@ def _exact_transpose(a: ExactMatrix) -> ExactMatrix:
 # -- predicates and the Cayley transform --------------------------------
 
 
-def _exact_defect_entries(matrix: ExactMatrix, ordering: str) -> list:
+def _exact_defect_entries(matrix: ExactMatrix) -> list:
     """The entries of M^t J M - J for an exact matrix, as field values."""
     n = _dimension(matrix)
-    if ordering != STACKED:
-        raise InvalidProblem("exact matrices are supported in stacked ordering only")
     j = _exact_j(n)
     t = _exact_matmul(_exact_matmul(_exact_transpose(matrix), j), matrix)
     return [x - y for row_t, row_j in zip(t, j) for x, y in zip(row_t, row_j)]
 
 
-def symplectic_defect(matrix: Matrix, ordering: str = STACKED) -> float:
+def symplectic_defect(matrix: Matrix) -> float:
     """Max-norm of M^t J M - J (0 for exactly symplectic M).
 
     For exact matrices this is a report only: a nonzero entry may round to
     0.0, so is_symplectic decides on the exact entries instead.
     """
     if _is_exact(matrix):
-        return max(abs(float(d)) for d in _exact_defect_entries(matrix, ordering))
+        return max(abs(float(d)) for d in _exact_defect_entries(matrix))
     m = np.asarray(matrix, dtype=float)
-    n = _dimension(m)
-    j = stacked_j(n) if ordering == STACKED else interleaved_j(n)
+    j = stacked_j(_dimension(m))
     return float(np.max(np.abs(m.T @ j @ m - j)))
 
 
-def is_symplectic(matrix: Matrix, tolerance: float = 1e-12, ordering: str = STACKED) -> bool:
+def is_symplectic(matrix: Matrix, tolerance: float = 1e-12) -> bool:
     """True when M^t J M = J (exactly for exact matrices, else within tolerance)."""
     if _is_exact(matrix):
-        return all(d == 0 for d in _exact_defect_entries(matrix, ordering))
-    defect = symplectic_defect(matrix, ordering)
+        return all(d == 0 for d in _exact_defect_entries(matrix))
+    defect = symplectic_defect(matrix)
     scale = max(1.0, float(np.max(np.abs(np.asarray(matrix, dtype=float)))) ** 2)
     return defect <= tolerance * scale
 
@@ -272,22 +247,6 @@ def cayley_matrix(matrix: Matrix):
     if abs(det) <= _SINGULAR_TOL:
         raise SingularCayley(f"|det(M - I)| = {abs(det):.3e} is below {_SINGULAR_TOL}")
     return 0.5 * stacked_j(n) @ (m + ident) @ np.linalg.inv(shifted)
-
-
-@dataclass(frozen=True)
-class BlockDecomposition:
-    """N x N blocks of a 2N x 2N stacked-ordering matrix."""
-
-    qq: np.ndarray
-    qp: np.ndarray
-    pq: np.ndarray
-    pp: np.ndarray
-
-    @classmethod
-    def of(cls, matrix: np.ndarray) -> "BlockDecomposition":
-        m = np.asarray(matrix, dtype=float)
-        n = _dimension(m)
-        return cls(m[:n, :n], m[:n, n:], m[n:, :n], m[n:, n:])
 
 
 def genmu_overlap_sq(matrix: Matrix, hbar: float = 1.0) -> float:

@@ -25,7 +25,6 @@ import mmap
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -117,40 +116,22 @@ def chirp_eval(state: ChirpState, x: float) -> complex:
 
 
 @dataclass(frozen=True)
-class GridSpec:
-    """Panel quadrature controls for one damped oscillatory integral."""
-
-    nodes_per_panel: int = 16
-    panel_phase: float = 2.0 * math.pi
-    local_rel_tol: float = 1e-11
-    max_panels: int = 400000
-
-    @cached_property
-    def truncation(self) -> float:
-        """Window cut-off T: the integral stops at |t| = T/sqrt(eps), where
-        the window exp(-eps t^2) has decayed to _TAIL_MARGIN * local_rel_tol.
-        The tail then moves |I|^2 by less than that, relatively
-        (docs/regularization.md derives the bound)."""
-        return math.sqrt(-math.log(_TAIL_MARGIN * self.local_rel_tol))
-
-
-@dataclass(frozen=True)
 class QuadratureResult:
     """Extrapolated squared overlap with its convergence diagnostics.
 
     ``stats`` reports the work done: ``levels`` (eps levels evaluated),
     ``stop`` (why the ladder stopped: ``converged``; ``capped``, a level
-    hit ``GridSpec.max_panels``; or ``ladder-end``, the levels ran out
+    hit ``_MAX_PANELS``; or ``ladder-end``, the levels ran out
     first: the default ladder's 13 or the given epsilons),
     ``panels`` (panels over both rules of every level),
-    ``complex_exponentials`` (complex exp evaluations: per rule, panel 0's
-    and the node factors' 2 * nodes_per_panel, the min(256, count - 1)
-    entries of the stride table and one head per stride of panels),
+    ``complex_exponentials`` (complex exp evaluations: per rule, 16 for
+    panel 0 and 16 for the node factors, the min(256, count - 1) entries
+    of the stride table and one head per stride of panels),
     ``inverse_roots`` (reciprocal square roots this call computed: rows
     it added to the shared table plus rows past the table's
-    ``_PANEL_BLOCK`` panels, times nodes_per_panel; 0 when the table
+    ``_PANEL_BLOCK`` panels, times the 16 nodes; 0 when the table
     already covered every rule), ``capped_levels`` (levels whose panel
-    count hit ``GridSpec.max_panels``) and ``wall_s``.
+    count hit ``_MAX_PANELS``) and ``wall_s``.
     """
 
     value: float
@@ -175,17 +156,21 @@ def _symplectic_value(a: ChirpState, b: ChirpState) -> float:
     return pa * qb - qa * pb
 
 
-_GL_NODES_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _gl_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
-    if order not in _GL_NODES_CACHE:
-        _GL_NODES_CACHE[order] = np.polynomial.legendre.leggauss(order)
-    return _GL_NODES_CACHE[order]
-
-
-# Window decay at the truncation, relative to GridSpec.local_rel_tol.
+# One 16-node Gauss-Legendre rule on every panel.
+_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(16)
+# Phase of the chirp-rate gap across one equal-phase panel.
+_PANEL_PHASE = 2.0 * math.pi
+# A level's fine and coarse rules must agree to this, relative to |I(eps)|^2.
+_LOCAL_REL_TOL = 1e-11
+# Panels of one rule at most; a level whose fine rule wants more is capped.
+_MAX_PANELS = 400000
+# Window decay at the truncation, relative to _LOCAL_REL_TOL.
 _TAIL_MARGIN = 1e-3
+# Window cut-off T: the integral stops at |t| = T/sqrt(eps), where the window
+# exp(-eps t^2) has decayed to _TAIL_MARGIN * _LOCAL_REL_TOL. The tail then
+# moves |I|^2 by less than that, relatively (docs/regularization.md derives
+# the bound).
+_TRUNCATION = math.sqrt(-math.log(_TAIL_MARGIN * _LOCAL_REL_TOL))
 # Panels per block in _damped_integrals, and rows of an _InverseRoots table:
 # bounds the (block x nodes) node matrix and the table's memory.
 # A multiple of _EXP_STRIDE, so no block but the last has a short stride row.
@@ -198,65 +183,56 @@ _MAX_LEVELS = 13
 _ORDER = 3
 
 
-def _panel_count(du: float, eps: float, grid: GridSpec, panels_scale: int) -> tuple[int, bool]:
-    """Panels for one rule (panels_scale 1 coarse, 2 fine) and whether the
-    grid's max_panels clamped it."""
-    total_phase = abs(du) * grid.truncation**2 / eps
-    wanted = max(4, math.ceil(total_phase / grid.panel_phase)) * panels_scale
-    return min(wanted, grid.max_panels), wanted > grid.max_panels
+def _panel_count(du: float, eps: float, panels_scale: int) -> tuple[int, bool]:
+    """Panels for one rule (panels_scale 1 coarse, 2 fine) and whether
+    _MAX_PANELS clamped it."""
+    total_phase = abs(du) * _TRUNCATION**2 / eps
+    wanted = max(4, math.ceil(total_phase / _PANEL_PHASE)) * panels_scale
+    return min(wanted, _MAX_PANELS), wanted > _MAX_PANELS
 
 
-def _inverse_roots(
-    start: int, stop: int, nodes: np.ndarray, out: np.ndarray | None = None
-) -> np.ndarray:
+def _inverse_roots(start: int, stop: int, out: np.ndarray | None = None) -> np.ndarray:
     """(2k + 1 + x_j)^(-1/2) for panels start <= k < stop and Gauss-Legendre
     nodes x_j: 1/sqrt(s_k + delta_j) without its factor (h/2)^(-1/2)."""
-    out = np.add.outer(2.0 * np.arange(start, stop, dtype=float) + 1.0, nodes, out=out)
+    out = np.add.outer(2.0 * np.arange(start, stop, dtype=float) + 1.0, _NODES, out=out)
     np.sqrt(out, out=out)
     return np.reciprocal(out, out=out)
 
 
 class _InverseRoots:
-    """_inverse_roots of panels 1.._PANEL_BLOCK for one node count, shared by
-    every rule, level and pair. The rows are anonymous zero pages, so none
-    is resident until a rule first needs it; filled in place, never grown."""
+    """_inverse_roots of panels 1.._PANEL_BLOCK, shared by every rule, level
+    and pair. The rows are anonymous zero pages, so none is resident until a
+    rule first needs it; filled in place, never grown."""
 
-    def __init__(self, nodes: np.ndarray) -> None:
-        self.nodes = nodes
-        pages = mmap.mmap(-1, _PANEL_BLOCK * len(nodes) * 8)
+    def __init__(self) -> None:
+        pages = mmap.mmap(-1, _PANEL_BLOCK * len(_NODES) * 8)
         # numpy advises huge pages for arrays this large, and one touched row
         # of a huge page makes 2 MiB resident; small pages keep it to the rows
         if hasattr(mmap, "MADV_NOHUGEPAGE"):
             pages.madvise(mmap.MADV_NOHUGEPAGE)
-        self.rows = np.frombuffer(pages, dtype=float).reshape(_PANEL_BLOCK, len(nodes))
+        self.rows = np.frombuffer(pages, dtype=float).reshape(_PANEL_BLOCK, len(_NODES))
         self.filled = 0
 
     def panels(self, start: int, stop: int, work: Counter) -> np.ndarray:
         """Rows of panels start <= k < stop: kept when stop - 1 <= _PANEL_BLOCK,
         computed and not kept past it."""
         if stop - 1 > _PANEL_BLOCK:
-            work["inverse_roots"] += (stop - start) * len(self.nodes)
-            return _inverse_roots(start, stop, self.nodes)
+            work["inverse_roots"] += (stop - start) * len(_NODES)
+            return _inverse_roots(start, stop)
         if stop - 1 > self.filled:
-            _inverse_roots(self.filled + 1, stop, self.nodes, out=self.rows[self.filled : stop - 1])
-            work["inverse_roots"] += (stop - 1 - self.filled) * len(self.nodes)
+            _inverse_roots(self.filled + 1, stop, out=self.rows[self.filled : stop - 1])
+            work["inverse_roots"] += (stop - 1 - self.filled) * len(_NODES)
             self.filled = stop - 1
         return self.rows[start - 1 : stop - 1]
 
 
-_INVERSE_ROOTS: dict[int, _InverseRoots] = {}
-
-
-def _inverse_root_table(nodes_per_panel: int) -> _InverseRoots:
-    if nodes_per_panel not in _INVERSE_ROOTS:
-        _INVERSE_ROOTS[nodes_per_panel] = _InverseRoots(_gl_rule(nodes_per_panel)[0])
-    return _INVERSE_ROOTS[nodes_per_panel]
+_INVERSE_ROOTS = _InverseRoots()
 
 
 def _damped_integrals(
-    du: float, rules: Sequence[tuple[float, int]], grid: GridSpec, work: Counter
+    du: float, rules: Sequence[tuple[float, int]], work: Counter
 ) -> list[complex]:
-    """integral of exp((i du - eps) t^2) dt over |t| <= truncation/sqrt(eps),
+    """integral of exp((i du - eps) t^2) dt over |t| <= _TRUNCATION/sqrt(eps),
     for each rule (eps, count) of the batch.
 
     Even integrand, so it is 2 * integral_0^L, and with s = t^2 that is
@@ -277,21 +253,20 @@ def _damped_integrals(
     batch come from arrays over the rules. The table matmul, the stride
     contraction and the heads stay per rule.
     """
-    nodes, weights = _gl_rule(grid.nodes_per_panel)
-    n = len(nodes)
+    n = len(_NODES)
     eps = np.array([e for e, _ in rules])
     counts = np.array([c for _, c in rules])
     strides = np.minimum(_EXP_STRIDE, counts - 1)
     a = -eps + 1j * du
-    length = grid.truncation / np.sqrt(eps)
+    length = _TRUNCATION / np.sqrt(eps)
     half_t = 0.5 * length / np.sqrt(counts)
     half_s = 0.5 * length * length / counts
     h = 2.0 * half_s
-    t = np.multiply.outer(half_t, 1.0 + nodes)
+    t = np.multiply.outer(half_t, 1.0 + _NODES)
     # per rule, row 0 holds panel 0's exponentials, row 1 the node offsets'
     exps = np.empty((len(rules), 2, n), dtype=complex)
     np.multiply(a[:, None] * t, t, out=exps[:, 0])
-    np.multiply.outer(a * half_s, 1.0 + nodes, out=exps[:, 1])
+    np.multiply.outer(a * half_s, 1.0 + _NODES, out=exps[:, 1])
     np.exp(exps, out=exps)
     # row r's first strides[r] entries are rule r's stride table
     steps = np.arange(_EXP_STRIDE)
@@ -300,10 +275,9 @@ def _damped_integrals(
     # C-contiguous rows, so each reads as one real (nodes, 2) matrix and a
     # block's node sums are one real matmul whose (panels, 2) rows read as
     # complex per-panel sums
-    node_factors = np.sqrt(half_s)[:, None] * weights * exps[:, 1]
+    node_factors = np.sqrt(half_s)[:, None] * _WEIGHTS * exps[:, 1]
     node_factors = node_factors.view(float).reshape(len(rules), n, 2)
-    panel_0 = (2.0 * half_t * (exps[:, 0] @ weights)).tolist()
-    table = _inverse_root_table(grid.nodes_per_panel)
+    panel_0 = (2.0 * half_t * (exps[:, 0] @ _WEIGHTS)).tolist()
     integrals = []
     for r, (count, stride, a_r, h_r) in enumerate(
         zip(counts.tolist(), strides.tolist(), a.tolist(), h.tolist())
@@ -311,7 +285,7 @@ def _damped_integrals(
         total = panel_0[r]
         for start in range(1, count, _PANEL_BLOCK):
             stop = min(start + _PANEL_BLOCK, count)
-            inv_root = table.panels(start, stop, work)
+            inv_root = _INVERSE_ROOTS.panels(start, stop, work)
             rows = -(-(stop - start) // stride)
             per_panel = np.zeros((rows * stride, 2))
             np.matmul(inv_root, node_factors[r], out=per_panel[: stop - start])
@@ -342,10 +316,7 @@ def default_epsilons(du: float, levels: int = 9) -> tuple[float, ...]:
 
 
 def _extrapolate(
-    eps_list: Sequence[float],
-    raws: Sequence[float],
-    local_errors: Sequence[float],
-    grid: GridSpec,
+    eps_list: Sequence[float], raws: Sequence[float], local_errors: Sequence[float]
 ) -> tuple[float, float, bool, tuple[float, ...]]:
     """Value, error estimate, convergence verdict and extrapolants of a ladder."""
     extrapolants: list[float] = []
@@ -359,7 +330,7 @@ def _extrapolate(
     converged = bool(
         steps
         and steps[-1] <= max(1e-6 * abs(value), 64.0 * floor)
-        and all(e <= grid.local_rel_tol * max(abs(r), abs(value)) for e, r in zip(local_errors, raws))
+        and all(e <= _LOCAL_REL_TOL * max(abs(r), abs(value)) for e, r in zip(local_errors, raws))
     )
     return value, error_estimate, converged, tuple(extrapolants)
 
@@ -380,7 +351,6 @@ def overlap_quadrature(
     a: ChirpState,
     b: ChirpState,
     epsilons: Sequence[float] | None = None,
-    grid: GridSpec | None = None,
 ) -> QuadratureResult:
     """Squared overlap magnitude of two states by damped quadrature.
 
@@ -396,7 +366,6 @@ def overlap_quadrature(
     started = time.perf_counter()
     work: Counter = Counter()
     hbar = _require_shared_hbar(a, b)
-    grid = grid or GridSpec()
     sp = _symplectic_value(a, b)
     if sp == 0.0:
         raise ParallelDirections("parallel directions label the same basis")
@@ -434,15 +403,15 @@ def overlap_quadrature(
     local_errors: list[float] = []
     while True:
         # |I(eps)|^2 per new level, with the gap to the level's coarse rule
-        # as its error; a level whose fine rule max_panels clamped is no
+        # as its error; a level whose fine rule _MAX_PANELS clamped is no
         # refinement of a coarse one, so it runs only the fine rule and its
         # error is unknown: inf
-        levels = [(eps, *_panel_count(du, eps, grid, 2)) for eps in eps_list[len(raws) :]]
+        levels = [(eps, *_panel_count(du, eps, 2)) for eps in eps_list[len(raws) :]]
         rules = []
         for eps, fine, capped in levels:
             # the coarse rule has half the fine rule's panels
             rules += [(eps, fine)] if capped else [(eps, fine), (eps, fine // 2)]
-        integrals = iter(_damped_integrals(du, rules, grid, work))
+        integrals = iter(_damped_integrals(du, rules, work))
         for _, _, capped in levels:
             fine = next(integrals)
             raws.append(abs(fine) ** 2 * prefactor * prefactor)
@@ -452,9 +421,7 @@ def overlap_quadrature(
             else:
                 coarse = next(integrals)
                 local_errors.append(abs(fine - coarse) * 2.0 * abs(fine) * prefactor * prefactor)
-        value, error_estimate, converged, extrapolants = _extrapolate(
-            eps_list, raws, local_errors, grid
-        )
+        value, error_estimate, converged, extrapolants = _extrapolate(eps_list, raws, local_errors)
         # a capped level's error is inf, so deeper levels cannot converge
         if converged or work["capped_levels"] or len(eps_list) >= max_levels:
             break

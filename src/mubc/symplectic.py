@@ -245,28 +245,21 @@ class UnsignedSymplecticClass(enum.Enum):
 
 def _classify_rows(rows: Sequence[Sequence[Scalar]], tolerance: float) -> UnsignedSymplecticClass:
     (a, b), (c, d) = rows
-    # Explicit m^t j m; for 2x2 this lands on det(m) * j, but the identity is
-    # checked entrywise rather than assumed.
-    t11 = -(a * c) + (c * a)
-    t12 = -(a * d) + (c * b)
-    t21 = -(b * c) + (d * a)
-    t22 = -(b * d) + (d * b)
+    # m^t j m = det(m) j for every 2x2 m, entry by entry in any commutative
+    # arithmetic, floats included; so the determinant decides
+    det = a * d - b * c
     mode = _join_modes(*(_strict_mode(x) for x in (a, b, c, d)))
     if mode == NUMERIC:
-        scale = max(1.0, max(abs(float(x)) for x in (a, b, c, d)) ** 2)
-        tol = tolerance * scale
-
-        def near(x: Scalar, y: float) -> bool:
-            return abs(float(x) - y) <= tol
-
-        if near(t11, 0) and near(t22, 0) and near(t12, -1) and near(t21, 1):
-            return UnsignedSymplecticClass.PLUS
-        if near(t11, 0) and near(t22, 0) and near(t12, 1) and near(t21, -1):
-            return UnsignedSymplecticClass.MINUS
-        return UnsignedSymplecticClass.NOT
-    if t11 == 0 and t22 == 0 and t12 == -1 and t21 == 1:
+        det = float(det)
+        tol = tolerance * max(1.0, max(abs(float(x)) for x in (a, b, c, d)) ** 2)
+        # an infinite entry makes tol inf and det inf or nan
+        plus = math.isfinite(det) and abs(det - 1.0) <= tol
+        minus = math.isfinite(det) and abs(det + 1.0) <= tol
+    else:
+        plus, minus = det == 1, det == -1
+    if plus:
         return UnsignedSymplecticClass.PLUS
-    if t11 == 0 and t22 == 0 and t12 == 1 and t21 == -1:
+    if minus:
         return UnsignedSymplecticClass.MINUS
     return UnsignedSymplecticClass.NOT
 

@@ -776,6 +776,30 @@ def test_malformed_input_exits_two(kind, field, value, write_json, capsys):
     assert capsys.readouterr().err.startswith("input error:")
 
 
+@pytest.mark.parametrize(
+    "command, content",
+    [
+        ("equivalence", [1, 2]),
+        ("oracle", {"Q": 0.0, "P": 0.0}),
+        ("search", {**LATTICE_PROBLEM, "domain": "bogus"}),
+        ("metaplectic", {"rows": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]}),
+    ],
+)
+def test_content_errors_name_the_file(command, content, asym_path, write_json, capsys):
+    bad = write_json("bad.json", content)
+    argv = {
+        "equivalence": ["equivalence", asym_path, bad],
+        "oracle": ["oracle", "pair", bad, write_json("b.json", STATE)],
+        "search": ["search", bad, "--seed", "0"],
+        "metaplectic": ["metaplectic", "overlap", bad],
+    }[command]
+    assert main(argv) == INPUT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith(f"input error: {bad}: ")
+    assert err.count(bad) == 1
+    assert "Traceback" not in err
+
+
 def test_matrix_file_hbar_is_not_read(write_json, capsys):
     # --hbar sets hbar; a matrix file's own hbar field is ignored
     path = write_json("m.json", {**QUARTER_TURN, "hbar": "x"})

@@ -1,6 +1,5 @@
 """First-principles quadrature oracle against the closed-form overlap law."""
 
-import dataclasses
 import math
 from collections import Counter
 
@@ -24,7 +23,6 @@ from mubc import (
     overlap_quadrature,
     pairwise_unbiased_scan,
 )
-from mubc.oracle import GridSpec
 
 
 def random_chirp(rng, hbar=1.0, min_q=0.25):
@@ -198,12 +196,13 @@ class TestQuadrature:
         assert not slow.converged and slow.stats["levels"] == 13
         assert slow.stats["stop"] == "ladder-end"
 
-    def test_panel_cap_marks_level_unresolved(self):
+    def test_panel_cap_marks_level_unresolved(self, monkeypatch):
         # the clamped fine rule equals the coarse one, so a zero local error
         # would hide a value that is far off (true value 0.1098)
+        monkeypatch.setattr(oracle, "_MAX_PANELS", 300)
         a = ChirpState(DirectionVector(1.0, 1.5))
         b = ChirpState(DirectionVector(0.7, -0.4))
-        res = overlap_quadrature(a, b, grid=GridSpec(max_panels=300))
+        res = overlap_quadrature(a, b)
         assert res.converged is False
         assert not math.isfinite(res.error_estimate) or res.error_estimate > 1.0
         assert res.stats["capped_levels"] >= 1
@@ -218,10 +217,9 @@ class TestQuadrature:
         assert stats["levels"] == len(res.epsilon_sequence) == 9
         assert stats["capped_levels"] == 0
         assert stats["wall_s"] > 0
-        grid = GridSpec()
         du = 1.0  # chirp rates 0.5 and -0.5
         counts = [
-            oracle._panel_count(du, eps, grid, scale)[0]
+            oracle._panel_count(du, eps, scale)[0]
             for eps, _ in res.epsilon_sequence
             for scale in (1, 2)
         ]
@@ -230,7 +228,7 @@ class TestQuadrature:
         # per started stride of panels 1..count-1
         stride = oracle._EXP_STRIDE
         assert stats["complex_exponentials"] == sum(
-            2 * grid.nodes_per_panel + min(stride, c - 1) + -(-(c - 1) // stride) for c in counts
+            2 * len(oracle._NODES) + min(stride, c - 1) + -(-(c - 1) // stride) for c in counts
         )
 
     def test_never_consults_the_closed_form(self, monkeypatch):
@@ -258,11 +256,11 @@ class TestQuadrature:
         assert wide[0] == pytest.approx(0.5)
 
 
-def _t_space_panel_integral(du, eps, grid, count):
+def _t_space_panel_integral(du, eps, count):
     """Reference: Gauss-Legendre on the equal-phase panels in t, 65536 panels
     per chunk, as the oracle integrated before it moved to s = t^2."""
-    length = grid.truncation / math.sqrt(eps)
-    nodes, weights = np.polynomial.legendre.leggauss(grid.nodes_per_panel)
+    length = oracle._TRUNCATION / math.sqrt(eps)
+    nodes, weights = np.polynomial.legendre.leggauss(16)
     total = 0.0 + 0.0j
     chunk = 65536
     for start in range(0, count, chunk):
@@ -286,15 +284,14 @@ _PARITY_DU = (10**-2.5, -0.05, 0.4, -1.0, 3.0, -10.0)
 
 @pytest.mark.parametrize("level", range(13))
 def test_s_space_panels_match_t_space(level):
-    grid = GridSpec()
     du = _PARITY_DU[level % len(_PARITY_DU)]
     eps = default_epsilons(du, 13)[level]
     scale = 4 if level in (9, 10) else 1 + level % 2
-    count = oracle._panel_count(du, eps, grid, scale)[0]
+    count = oracle._panel_count(du, eps, scale)[0]
     if level in (9, 10, 11):
         assert count > 65536
-    want = _t_space_panel_integral(du, eps, grid, count)
-    (got,) = oracle._damped_integrals(du, [(eps, count)], grid, Counter())
+    want = _t_space_panel_integral(du, eps, count)
+    (got,) = oracle._damped_integrals(du, [(eps, count)], Counter())
     assert abs(got - want) <= 1e-11 * abs(want)
 
 
@@ -302,39 +299,37 @@ def test_s_space_panels_match_t_space(level):
 # stride, and the same after a full 65536-panel block
 @pytest.mark.parametrize("count", (4, 200, 257, 513, 700, 65537, 65538, 65536 + 513, 65536 + 700))
 def test_stride_padding_matches_t_space(count):
-    grid = GridSpec()
     # du for one phase cycle per panel, as _panel_count lays them out
     eps = 0.01
-    du = -count * grid.panel_phase * eps / grid.truncation**2
-    want = _t_space_panel_integral(du, eps, grid, count)
-    (got,) = oracle._damped_integrals(du, [(eps, count)], grid, Counter())
+    du = -count * oracle._PANEL_PHASE * eps / oracle._TRUNCATION**2
+    want = _t_space_panel_integral(du, eps, count)
+    (got,) = oracle._damped_integrals(du, [(eps, count)], Counter())
     assert abs(got - want) <= 1e-11 * abs(want)
 
 
 @pytest.fixture
 def empty_inverse_roots(monkeypatch):
-    monkeypatch.setattr(oracle, "_INVERSE_ROOTS", {})
+    monkeypatch.setattr(oracle, "_INVERSE_ROOTS", oracle._InverseRoots())
 
 
 def test_mixed_batch_matches_one_rule_batches(monkeypatch, empty_inverse_roots):
     # one du; each rule's eps gives it one phase cycle per panel, so one
     # batch holds a rule below one stride, a partial last stride, exactly
     # one block and one past it
-    grid = GridSpec()
     du = -1.0
     counts = (4, 257, 700, 65537, 65536 + 700)
-    rules = [(-du * grid.truncation**2 / (c * grid.panel_phase), c) for c in counts]
+    rules = [(-du * oracle._TRUNCATION**2 / (c * oracle._PANEL_PHASE), c) for c in counts]
     singles = []
     single_work = Counter()
     for rule in rules:
-        singles += oracle._damped_integrals(du, [rule], grid, single_work)
-    monkeypatch.setattr(oracle, "_INVERSE_ROOTS", {})
+        singles += oracle._damped_integrals(du, [rule], single_work)
+    monkeypatch.setattr(oracle, "_INVERSE_ROOTS", oracle._InverseRoots())
     batch_work = Counter()
-    batch = oracle._damped_integrals(du, rules, grid, batch_work)
+    batch = oracle._damped_integrals(du, rules, batch_work)
     assert len(batch) == len(rules)
     for got, single, (eps, count) in zip(batch, singles, rules):
         assert abs(got - single) <= 1e-15 * abs(single)
-        want = _t_space_panel_integral(du, eps, grid, count)
+        want = _t_space_panel_integral(du, eps, count)
         assert abs(got - want) <= 1e-11 * abs(want)
     assert batch_work == single_work
     assert set(batch_work) == {"panels", "complex_exponentials", "inverse_roots"}
@@ -342,56 +337,56 @@ def test_mixed_batch_matches_one_rule_batches(monkeypatch, empty_inverse_roots):
 
 # literals from the one-rule kernel this batch kernel replaced, on an empty
 # table: a ladder that deepens to 11 levels, and one whose levels 3-9 hit
-# max_panels and so run only their fine rules
+# a panel cap of 300 and so run only their fine rules; grid overrides the
+# oracle's grid constants
 @pytest.mark.parametrize(
     "pair, grid, stats",
     [
-        (((1.0, 0.02), (1.0, -0.02)), GridSpec(), (11, 6330, 3071, 33616)),
-        (((1.0, 1.5), (0.7, -0.4)), GridSpec(max_panels=300), (9, 2565, 2623, 4784)),
+        (((1.0, 0.02), (1.0, -0.02)), {}, (11, 6330, 3071, 33616)),
+        (((1.0, 1.5), (0.7, -0.4)), {"_MAX_PANELS": 300}, (9, 2565, 2623, 4784)),
     ],
 )
-def test_ladder_work_is_pinned(empty_inverse_roots, pair, grid, stats):
+def test_ladder_work_is_pinned(monkeypatch, empty_inverse_roots, pair, grid, stats):
+    for name, value in grid.items():
+        monkeypatch.setattr(oracle, name, value)
     a, b = (ChirpState(DirectionVector(*d)) for d in pair)
-    res = overlap_quadrature(a, b, grid=grid)
+    res = overlap_quadrature(a, b)
     keys = ("levels", "panels", "complex_exponentials", "inverse_roots")
     assert tuple(res.stats[k] for k in keys) == stats
 
 
-@pytest.mark.parametrize("nodes_per_panel", (8, 16))
-def test_inverse_root_rows_match_direct(empty_inverse_roots, nodes_per_panel):
+def test_inverse_root_rows_match_direct(empty_inverse_roots):
     # rows times (h/2)^(-1/2) are 1/sqrt(s_k + delta_j), as each rule once
     # built them; counts fill the table, stay below its fill, step past it,
     # and end one block plus one and two panels, past which rows are not kept
     block = oracle._PANEL_BLOCK
-    grid = GridSpec(nodes_per_panel=nodes_per_panel)
-    nodes, _ = oracle._gl_rule(nodes_per_panel)
-    table = oracle._inverse_root_table(nodes_per_panel)
+    nodes = oracle._NODES
+    table = oracle._INVERSE_ROOTS
     for count in (300, 299, 301, 5000, block + 1, block + 2):
         filled = table.filled
         work = Counter()
         rows = np.concatenate(
             [table.panels(start, min(start + block, count), work) for start in range(1, count, block)]
         )
-        half_s = 0.5 * grid.truncation**2 / 0.01 / count
+        half_s = 0.5 * oracle._TRUNCATION**2 / 0.01 / count
         starts = 2.0 * half_s * np.arange(1, count, dtype=float)
         direct = np.sqrt(half_s) / np.sqrt(np.add.outer(starts, half_s * (1.0 + nodes)))
         assert np.all(np.abs(rows - direct) <= 4 * np.spacing(direct))
         assert table.filled == min(max(filled, count - 1), block)
         kept = table.filled - filled
-        assert work["inverse_roots"] == (kept + max(0, count - 1 - block)) * nodes_per_panel
+        assert work["inverse_roots"] == (kept + max(0, count - 1 - block)) * len(nodes)
 
 
 def test_largest_rule_keeps_one_block(empty_inverse_roots):
-    grid = GridSpec()
-    block, nodes = oracle._PANEL_BLOCK, grid.nodes_per_panel
-    count = grid.max_panels
+    block, nodes = oracle._PANEL_BLOCK, len(oracle._NODES)
+    count = oracle._MAX_PANELS
     work = Counter()
-    (first,) = oracle._damped_integrals(1.0, [(1e-4, count)], grid, work)
-    table = oracle._INVERSE_ROOTS[nodes]
+    (first,) = oracle._damped_integrals(1.0, [(1e-4, count)], work)
+    table = oracle._INVERSE_ROOTS
     assert table.filled == block == table.rows.shape[0]
     assert work["inverse_roots"] == (count - 1) * nodes
     work.clear()
-    assert oracle._damped_integrals(1.0, [(1e-4, count)], grid, work) == [first]
+    assert oracle._damped_integrals(1.0, [(1e-4, count)], work) == [first]
     assert work["inverse_roots"] == (count - 1 - block) * nodes
 
 
@@ -399,10 +394,9 @@ def test_repeat_pair_reuses_the_table(empty_inverse_roots):
     a, b = ChirpState(DirectionVector(1.0, 1.0)), ChirpState(DirectionVector(1.0, -1.0))
     first = overlap_quadrature(a, b)
     second = overlap_quadrature(a, b)
-    grid = GridSpec()
-    widest = max(oracle._panel_count(1.0, eps, grid, 2)[0] for eps, _ in first.epsilon_sequence)
+    widest = max(oracle._panel_count(1.0, eps, 2)[0] for eps, _ in first.epsilon_sequence)
     assert widest - 1 <= oracle._PANEL_BLOCK
-    assert first.stats["inverse_roots"] == (widest - 1) * grid.nodes_per_panel
+    assert first.stats["inverse_roots"] == (widest - 1) * len(oracle._NODES)
     assert second.stats["inverse_roots"] == 0
     assert second.value == first.value
     assert second.epsilon_sequence == first.epsilon_sequence
@@ -413,26 +407,23 @@ def test_panels_match_erf_reference(du):
     # the truncated integral is sqrt(pi) erf(sqrt(-a) L) / sqrt(-a) with
     # a = i du - eps and L = truncation / sqrt(eps); the untruncated one
     # drops the erf
-    grid = GridSpec()
-    tail_bound = oracle._TAIL_MARGIN * grid.local_rel_tol
+    tail_bound = oracle._TAIL_MARGIN * oracle._LOCAL_REL_TOL
     with mpmath.workdps(40):
         for eps in default_epsilons(du, 13):
             root = mpmath.sqrt(-mpmath.mpc(-eps, du))
-            length = mpmath.mpf(grid.truncation) / mpmath.sqrt(eps)
+            length = mpmath.mpf(oracle._TRUNCATION) / mpmath.sqrt(eps)
             want = mpmath.sqrt(mpmath.pi) * mpmath.erf(root * length) / root
             full = mpmath.sqrt(mpmath.pi) / root
             assert abs(abs(want) ** 2 - abs(full) ** 2) <= tail_bound * abs(full) ** 2
             for scale in (1, 2):
-                count = oracle._panel_count(du, eps, grid, scale)[0]
-                (got,) = oracle._damped_integrals(du, [(eps, count)], grid, Counter())
+                count = oracle._panel_count(du, eps, scale)[0]
+                (got,) = oracle._damped_integrals(du, [(eps, count)], Counter())
                 assert abs(got - want) <= 1e-12 * abs(want)
 
 
 def test_truncation_follows_the_tolerance():
-    assert GridSpec().truncation == pytest.approx(5.678, abs=1e-3)
-    loose = GridSpec(local_rel_tol=1e-6)
-    assert math.exp(-loose.truncation**2) == pytest.approx(oracle._TAIL_MARGIN * 1e-6)
-    assert "truncation" not in {f.name for f in dataclasses.fields(GridSpec)}
+    assert oracle._TRUNCATION == pytest.approx(5.678, abs=1e-3)
+    assert math.exp(-oracle._TRUNCATION**2) == pytest.approx(oracle._TAIL_MARGIN * oracle._LOCAL_REL_TOL)
 
 
 class TestFresnel:
