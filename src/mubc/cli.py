@@ -69,6 +69,9 @@ def _load(path: str, parse: Callable):
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InvalidProblem(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:  # an integer past int's limit on digits converted from a string
+        limit = sys.get_int_max_str_digits()
+        raise InvalidProblem(f"{path}: an integer has more than {limit} digits") from exc
     try:
         return parse(data)
     except MubcError as exc:

@@ -99,7 +99,7 @@ _TERM_RE = re.compile(
     r"""^\s*
     (?P<sign>[+-]?)\s*
     (?:
-        (?P<coeff>\d+(?:\s*/\s*\d+)?)\s*(?P<rsym>R)?
+        (?P<num>\d+)(?:\s*/\s*(?P<den>\d+))?\s*(?P<rsym>R)?
         |
         (?P<ronly>R)
     )\s*
@@ -116,11 +116,14 @@ class QuadNum:
     __slots__ = ("_a", "_b", "_d", "_ambient")
 
     def __init__(self, p: RatLike = 0, q: RatLike = 0, ambient: Ambient = GOLDEN) -> None:
-        p, q = _as_rat(p), _as_rat(q)
-        # over the lcm of two lowest-terms denominators, gcd(a, b, d) = 1
-        self._d = math.lcm(p.denominator, q.denominator)
-        self._a = p.numerator * (self._d // p.denominator)
-        self._b = q.numerator * (self._d // q.denominator)
+        if type(p) is int and type(q) is int:
+            self._a, self._b, self._d = p, q, 1
+        else:
+            p, q = _as_rat(p), _as_rat(q)
+            # over the lcm of two lowest-terms denominators, gcd(a, b, d) = 1
+            self._d = math.lcm(p.denominator, q.denominator)
+            self._a = p.numerator * (self._d // p.denominator)
+            self._b = q.numerator * (self._d // q.denominator)
         self._ambient = ambient
 
     @property
@@ -139,7 +142,7 @@ class QuadNum:
 
     @classmethod
     def root(cls, ambient: Ambient = GOLDEN) -> "QuadNum":
-        return cls(Fraction(0), Fraction(1), ambient)
+        return cls(0, 1, ambient)
 
     @classmethod
     def parse(cls, text: str, ambient: Ambient = GOLDEN) -> "QuadNum":
@@ -147,8 +150,9 @@ class QuadNum:
         rest = text.strip()
         if not rest:
             raise InvalidProblem("empty QuadNum literal")
-        p = Fraction(0)
-        q = Fraction(0)
+        # sums stay ints until a term with a denominator makes them Fractions
+        p: RatLike = 0
+        q: RatLike = 0
         first = True
         while rest:
             match = _TERM_RE.match(rest)
@@ -160,10 +164,14 @@ class QuadNum:
             if match.group("ronly") is not None:
                 q += sign
             else:
+                num, den = match.group("num", "den")
                 try:
-                    coeff = Fraction(match.group("coeff").replace(" ", ""))
+                    coeff = int(num) if den is None else Fraction(int(num), int(den))
                 except ZeroDivisionError:
                     raise InvalidProblem(f"zero denominator in QuadNum literal {text!r}")
+                except ValueError:  # past int's limit on digits converted from a string
+                    digits = max(len(num), len(den or ""))
+                    raise InvalidProblem(f"QuadNum literal has a {digits}-digit coefficient: too long")
                 if match.group("rsym") is not None:
                     q += sign * coeff
                 else:
@@ -189,15 +197,13 @@ class QuadNum:
         return cls(_json_fraction(data["p"], "p"), _json_fraction(data["q"], "q"), ambient)
 
     def __str__(self) -> str:
-        if self.q == 0:
-            return str(self.p)
-        q_part = "R" if self.q == 1 else ("-R" if self.q == -1 else f"{self.q} R")
-        if self.p == 0:
-            return q_part
-        joiner = "- " if self.q < 0 else "+ "
-        mag = abs(self.q)
-        q_mag = "R" if mag == 1 else f"{mag} R"
-        return f"{self.p} {joiner}{q_mag}"
+        a, b, d = self._a, self._b, self._d
+        if b == 0:
+            return _ratio_str(a, d)
+        q_mag = "R" if abs(b) == d else f"{_ratio_str(abs(b), d)} R"
+        if a == 0:
+            return q_mag if b > 0 else "-" + q_mag
+        return f"{_ratio_str(a, d)} {'-' if b < 0 else '+'} {q_mag}"
 
     def __repr__(self) -> str:
         return f"QuadNum({self.p!r}, {self.q!r})"
@@ -206,6 +212,11 @@ class QuadNum:
 
     def _parts(self, other: object) -> tuple[int, int, int] | None:
         """other as integers (a, b, d) over this ambient; None for foreign types."""
+        # the common operands first: a QuadNum over this very ambient, an int
+        if type(other) is QuadNum and other._ambient is self._ambient:
+            return other._a, other._b, other._d
+        if type(other) is int:
+            return other, 0, 1
         if isinstance(other, QuadNum):
             if other._ambient is not self._ambient and other._ambient != self._ambient:
                 raise ContextMismatch(f"ambient mismatch: {self._ambient} vs {other._ambient}")
@@ -378,6 +389,12 @@ def _ratio(num: int, den: int) -> float:
         return num / den
     except OverflowError:
         return math.inf if (num > 0) == (den > 0) else -math.inf
+
+
+def _ratio_str(num: int, den: int) -> str:
+    """str(Fraction(num, den)) for den > 0, without building the Fraction."""
+    g = math.gcd(num, den)
+    return str(num // g) if g == den else f"{num // g}/{den // g}"
 
 
 def _reduced(a: int, b: int, d: int, ambient: Ambient) -> QuadNum:

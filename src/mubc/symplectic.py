@@ -42,6 +42,8 @@ MAX_FACTORS = 8
 
 def _strict_mode(x: Scalar) -> str | None:
     """Mode a scalar commits to; int commits to neither."""
+    if type(x) is QuadNum:  # the common case, ahead of the isinstance chain
+        return EXACT
     if isinstance(x, float):
         return NUMERIC
     if isinstance(x, (QuadNum, Fraction)):
@@ -128,13 +130,14 @@ class ProductVector:
     @property
     def expanded(self) -> tuple[Scalar, ...]:
         """Components in R^(2^N), first factor most significant."""
-        size = 2 ** self.n
+        n, factors = self.n, self.factors
         out: list[Scalar] = []
-        for index in range(size):
-            value: Scalar = 1
-            for k in range(self.n):
-                bit = (index >> (self.n - 1 - k)) & 1
-                value = value * (self.factors[k].p if bit else self.factors[k].q)
+        for index in range(2 ** n):
+            # the first factor's component as is: N - 1 multiplications, not N
+            value = factors[0].p if index >> (n - 1) else factors[0].q
+            for k in range(1, n):
+                bit = (index >> (n - 1 - k)) & 1
+                value = value * (factors[k].p if bit else factors[k].q)
             out.append(value)
         return tuple(out)
 
@@ -247,21 +250,42 @@ def _classify_rows(rows: Sequence[Sequence[Scalar]], tolerance: float) -> Unsign
     (a, b), (c, d) = rows
     # m^t j m = det(m) j for every 2x2 m, entry by entry in any commutative
     # arithmetic, floats included; so the determinant decides
-    det = a * d - b * c
-    mode = _join_modes(*(_strict_mode(x) for x in (a, b, c, d)))
+    entries = (a, b, c, d)
+    mode = _join_modes(*(_strict_mode(x) for x in entries))
     if mode == NUMERIC:
-        det = float(det)
-        tol = tolerance * max(1.0, max(abs(float(x)) for x in (a, b, c, d)) ** 2)
-        # an infinite entry makes tol inf and det inf or nan
+        if any(isinstance(x, float) and not math.isfinite(x) for x in entries):
+            # det is inf or nan: neither +1 nor -1
+            return UnsignedSymplecticClass.NOT
+        largest = max(entries, key=abs)
+        try:
+            tol = tolerance * max(1.0, float(largest) ** 2)
+            det = float(a * d - b * c)
+        except OverflowError:
+            tol = math.inf
+        if math.isinf(tol):
+            # an inf tolerance would accept any finite det
+            raise LimitExceeded(
+                f"matrix entry scale {_magnitude_text(largest)} puts the tolerance "
+                "scale past the float range"
+            )
         plus = math.isfinite(det) and abs(det - 1.0) <= tol
         minus = math.isfinite(det) and abs(det + 1.0) <= tol
     else:
+        det = a * d - b * c
         plus, minus = det == 1, det == -1
     if plus:
         return UnsignedSymplecticClass.PLUS
     if minus:
         return UnsignedSymplecticClass.MINUS
     return UnsignedSymplecticClass.NOT
+
+
+def _magnitude_text(x: int | float) -> str:
+    """|x| for a message; an int past the float range by its bit length."""
+    try:
+        return f"{abs(float(x)):.6e}"
+    except OverflowError:
+        return f"above 2^{abs(x).bit_length() - 1}"
 
 
 def is_unsigned_symplectic(

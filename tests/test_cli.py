@@ -800,6 +800,46 @@ def test_content_errors_name_the_file(command, content, asym_path, write_json, c
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "form",
+    [
+        '"K": 9_DIGITS, "vectors": [[["0", "-1"]], [["1", "0"]]]',
+        '"K": "1", "vectors": [[[9_DIGITS, "-1"]], [["1", "0"]]]',
+        '"K": "1", "vectors": [[["9_DIGITS", "-1"]], [["1", "0"]]]',
+        '"K": "1", "vectors": [[["1/9_DIGITS + R", "-1"]], [["1", "0"]]]',
+    ],
+    ids=["K-number", "entry-number", "entry-literal", "denominator-literal"],
+)
+def test_over_long_integers_exit_two(form, tmp_path, capsys):
+    # 5000 digits pass Python's 4300-digit limit on converting a string to an int;
+    # written as text, since json.dumps cannot print such an int either
+    path = tmp_path / "long.json"
+    path.write_text('{"N": 1, "mode": "exact", ' + form.replace("9_DIGITS", "9" * 5000) + "}")
+    assert main(["verify", str(path)]) == INPUT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith(f"input error: {path}: ")
+    assert "5000" in err or "4300" in err
+    assert "Traceback" not in err
+
+
+# numpy's column norms of the image overflow on the way (ROADMAP item 5)
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_equivalence_past_the_float_range_exits_two(asym_path, write_json, capsys):
+    # the asymmetric triple's image under diag(1e200, 1e-200), det 1: the map's
+    # tolerance scale 1e200^2 is past the float range, a limit and not a verdict
+    image = {
+        "N": 1,
+        "mode": "numeric",
+        "K": 1.0,
+        "vectors": [[[0.0, -1e-200]], [[1e200, 0.0]], [[1e200, 1e-200]]],
+    }
+    assert main(["equivalence", asym_path, write_json("image.json", image)]) == INPUT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("input error: matrix entry scale 1.000000e+200 puts the tolerance")
+    assert "Traceback" not in err
+
+
 def test_matrix_file_hbar_is_not_read(write_json, capsys):
     # --hbar sets hbar; a matrix file's own hbar field is ignored
     path = write_json("m.json", {**QUARTER_TURN, "hbar": "x"})

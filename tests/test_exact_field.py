@@ -13,6 +13,7 @@ from mubc import (
     ContextMismatch,
     DivisionByZero,
     ExactSqrtUnavailable,
+    InvalidProblem,
     NotRealEmbeddable,
     QuadNum,
     quad_sqrt,
@@ -236,6 +237,41 @@ class TestSerialization:
         assert QuadNum.parse("1/2 + 1/3 R") == QuadNum(Fraction(1, 2), Fraction(1, 3))
         assert QuadNum.parse("3") == qn(3)
 
+    @pytest.mark.parametrize(
+        "text, value",
+        [
+            ("- 3 / 6 R + 1/3", (Fraction(1, 3), Fraction(-1, 2))),
+            ("1 + 2 + R + R", (3, 2)),
+            ("2/1", (2, 0)),
+            ("-0", (0, 0)),
+            ("R+1", (1, 1)),
+            # the grammar allows any blank around "/", a tab included
+            ("1\t/ 2 R", (0, Fraction(1, 2))),
+        ],
+    )
+    def test_parse_table(self, text, value):
+        got = QuadNum.parse(text)
+        assert (got.p, got.q) == value and got == QuadNum(*value)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("1/0", "zero denominator in QuadNum literal '1/0'"),
+            ("3 4", "missing +/- between terms in '3 4'"),
+            ("1/2/3", "cannot parse QuadNum literal '1/2/3' at '/3'"),
+            ("1e3", "cannot parse QuadNum literal '1e3' at 'e3'"),
+            ("", "empty QuadNum literal"),
+            # past Python's 4300-digit limit on converting a string to an int
+            ("9" * 5000 + " R", "QuadNum literal has a 5000-digit coefficient: too long"),
+            ("1/" + "9" * 5000, "QuadNum literal has a 5000-digit coefficient: too long"),
+        ],
+        ids=["zero-den", "no-sign", "two-slashes", "exponent", "empty", "long-num", "long-den"],
+    )
+    def test_parse_errors(self, text, message):
+        with pytest.raises(InvalidProblem) as info:
+            QuadNum.parse(text)
+        assert str(info.value) == message
+
     def test_json_round_trip(self):
         x = QuadNum(Fraction(-7, 3), Fraction(5, 2))
         blob = x.to_json()
@@ -267,7 +303,7 @@ PARITY_AMBIENTS = (
     Ambient(Fraction(1, 2), Fraction(3, 4)),
 )
 pairs = st.tuples(rationals, rationals)
-scalars = st.one_of(st.integers(-30, 30), rationals)
+scalars = st.one_of(st.integers(-30, 30), st.booleans(), rationals)
 
 
 def ref_mul(x, y, amb):
@@ -331,31 +367,36 @@ def assert_is(value, pair, amb):
     assert value.p.denominator > 0 and value.q.denominator > 0
 
 
-@given(st.sampled_from(PARITY_AMBIENTS), pairs, pairs, scalars)
+@given(st.sampled_from(PARITY_AMBIENTS), pairs, pairs, scalars, st.booleans())
 @settings(max_examples=400)
-def test_operations_match_fraction_pair_reference(amb, x, y, c):
-    a, b = QuadNum(*x, amb), QuadNum(*y, amb)
-    c = Fraction(c)
+def test_operations_match_fraction_pair_reference(amb, x, y, c, twin):
+    # b over an equal but distinct ambient instance when twin; c an int, a
+    # bool or a Fraction, on either side of each operator
+    a, b = QuadNum(*x, amb), QuadNum(*y, Ambient(amb.u, amb.v) if twin else amb)
+    rc = Fraction(c)
     assert_is(a + b, (x[0] + y[0], x[1] + y[1]), amb)
     assert_is(a - b, (x[0] - y[0], x[1] - y[1]), amb)
-    assert_is(c + a, (c + x[0], x[1]), amb)
-    assert_is(c - a, (c - x[0], -x[1]), amb)
+    assert_is(c + a, (rc + x[0], x[1]), amb)
+    assert_is(a + c, (x[0] + rc, x[1]), amb)
+    assert_is(c - a, (rc - x[0], -x[1]), amb)
+    assert_is(a - c, (x[0] - rc, x[1]), amb)
     assert_is(-a, (-x[0], -x[1]), amb)
     assert_is(a * b, ref_mul(x, y, amb), amb)
-    assert_is(c * a, ref_mul((c, Fraction(0)), x, amb), amb)
+    assert_is(c * a, ref_mul((rc, Fraction(0)), x, amb), amb)
+    assert_is(a * c, ref_mul(x, (rc, Fraction(0)), amb), amb)
     assert a.norm() == ref_norm(x, amb)
     if y != (0, 0):
         assert_is(b.inverse(), ref_inverse(y, amb), amb)
         assert_is(a / b, ref_mul(x, ref_inverse(y, amb), amb), amb)
-        assert_is(c / b, ref_mul((c, Fraction(0)), ref_inverse(y, amb), amb), amb)
+        assert_is(c / b, ref_mul((rc, Fraction(0)), ref_inverse(y, amb), amb), amb)
     if c != 0:
-        assert_is(a / c, (x[0] / c, x[1] / c), amb)
+        assert_is(a / c, (x[0] / rc, x[1] / rc), amb)
     assert a.sign() == ref_sign(x, amb)
     order = ref_sign((x[0] - y[0], x[1] - y[1]), amb)
     assert (a < b, a <= b, a > b, a >= b) == (order < 0, order <= 0, order > 0, order >= 0)
-    assert (c < a) == (ref_sign((c - x[0], -x[1]), amb) < 0)
+    assert (c < a) == (ref_sign((rc - x[0], -x[1]), amb) < 0)
     assert (a == b) == (x == y)
-    assert (a == c) == (x == (c, 0))
+    assert (a == c) == (x == (rc, 0))
     assert hash(a) == ref_hash(x, amb)
     assert str(a) == ref_str(x)
     assert repr(a) == f"QuadNum({x[0]!r}, {x[1]!r})"
@@ -367,6 +408,25 @@ def test_operations_match_fraction_pair_reference(amb, x, y, c):
     }
     assert QuadNum.from_json(blob) == a
     assert float(a) == ref_float(x, amb)
+
+
+@given(st.sampled_from(PARITY_AMBIENTS), st.integers(-10**30, 10**30), st.integers(-10**30, 10**30))
+def test_int_construction_matches_fraction_construction(amb, p, q):
+    x = QuadNum(p, q, amb)
+    assert (x.p, x.q) == (p, q) and x.is_integral
+    assert x == QuadNum(Fraction(p), Fraction(q), amb)
+    assert str(x) == ref_str((Fraction(p), Fraction(q)))
+    assert repr(x) == f"QuadNum({Fraction(p)!r}, {Fraction(q)!r})"
+    # bool takes the Fraction path and stores plain ints
+    assert repr(QuadNum(True, False, amb)) == "QuadNum(Fraction(1, 1), Fraction(0, 1))"
+    assert str(QuadNum(True, True, amb) * x) == str((1 + QuadNum.root(amb)) * x)
+
+
+@given(st.sampled_from(PARITY_AMBIENTS), pairs)
+@settings(max_examples=300)
+def test_parse_inverts_str(amb, x):
+    value = QuadNum(*x, amb)
+    assert QuadNum.parse(str(value), amb) == value
 
 
 @given(st.sampled_from(PARITY_AMBIENTS), st.integers(-199, 199), pairs)

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -372,6 +373,31 @@ class TestUnsignedSymplecticPredicate:
     def test_from_rows_rejects_non_symplectic(self):
         with pytest.raises(InvalidProblem):
             UnsignedSymplecticMatrix.from_rows([[2, 0], [0, 1]])
+
+    @pytest.mark.parametrize(
+        "rows, tolerance, scale",
+        [
+            # det 1, but the tolerance scale (largest entry)^2 is past the float range
+            ([[1e200, 0.0], [0.0, 1e-200]], 1e-12, "1.000000e+200"),
+            ([[10**400, 0.0], [0, 1]], 1e-12, "above 2^1328"),
+            # finite scale, but tolerance * scale^2 is inf: that would accept any det
+            ([[1e140, 0.0], [0.0, 1e-140]], 1e30, "1.000000e+140"),
+        ],
+    )
+    def test_out_of_range_scale_is_a_limit(self, rows, tolerance, scale):
+        with pytest.raises(LimitExceeded, match=re.escape(f"entry scale {scale} puts the tolerance")):
+            is_unsigned_symplectic(rows, tolerance)
+        with pytest.raises(LimitExceeded):
+            UnsignedSymplecticMatrix.from_rows(rows, tolerance)
+
+    def test_in_range_scale_keeps_its_thresholds(self):
+        plus, never = UnsignedSymplecticClass.PLUS, UnsignedSymplecticClass.NOT
+        assert is_unsigned_symplectic([[1e150, 0.0], [0.0, 1e-150]]) is plus
+        # det 1 + 2e-13 and 1 + 2e-11 against the tolerance 1e-12 * 2^2
+        assert is_unsigned_symplectic([[2.0, 0.0], [0.0, 0.5 + 1e-13]]) is plus
+        assert is_unsigned_symplectic([[2.0, 0.0], [0.0, 0.5 + 1e-11]]) is never
+        assert is_unsigned_symplectic([[math.inf, 0.0], [0.0, 1.0]]) is never
+        assert is_unsigned_symplectic([[math.nan, 0.0], [0.0, 1.0]]) is never
 
     def test_group_closure_signs_multiply(self):
         rng = random.Random(7)
