@@ -29,6 +29,7 @@ from .metaplectic import (
     MetaplecticSpec,
     compose_overlap_sq,
     genmu_overlap_sq,
+    is_symplectic,
     special_m,
     symplectic_defect,
 )
@@ -270,8 +271,16 @@ def cmd_equivalence(args) -> int:
 # -- metaplectic ----------------------------------------------------------
 
 
+def _symplectic_matrix(data) -> np.ndarray:
+    """The stacked matrix of a matrix spec, which must be symplectic."""
+    matrix = MetaplecticSpec.from_json(data).stacked()
+    if not is_symplectic(matrix):
+        raise InvalidProblem(f"matrix is not symplectic: defect {_fmt(symplectic_defect(matrix))}")
+    return matrix
+
+
 def cmd_overlap(args) -> int:
-    matrix = _load(args.matrix, MetaplecticSpec.from_json).stacked()
+    matrix = _load(args.matrix, _symplectic_matrix)
     defect = symplectic_defect(matrix)
     value = genmu_overlap_sq(matrix, hbar=args.hbar)
     print(f"symplectic defect: {_fmt(defect)}")
@@ -281,9 +290,9 @@ def cmd_overlap(args) -> int:
 
 
 def cmd_compose(args) -> int:
-    spec_a = _load(args.matrix, MetaplecticSpec.from_json)
-    spec_b = _load(args.matrix_b, MetaplecticSpec.from_json)
-    value = compose_overlap_sq(spec_a.stacked(), spec_b.stacked(), hbar=args.hbar)
+    matrix_a = _load(args.matrix, _symplectic_matrix)
+    matrix_b = _load(args.matrix_b, _symplectic_matrix)
+    value = compose_overlap_sq(matrix_a, matrix_b, hbar=args.hbar)
     print(f"composed overlap_sq: {_fmt(value)}")
     _write_json(args.out, {"overlap_sq": value, "hbar": args.hbar})
     return OK

@@ -52,7 +52,7 @@ class SingularCayley(MubcError, ValueError):
 
 
 class DegenerateBlock(MubcError, ValueError):
-    """Momentum-momentum block of the Cayley matrix is singular (det M_qp = 0)."""
+    """The position-momentum block M_qp is singular, so no overlap constant exists."""
 
 
 class NonInvertible(MubcError, ValueError):

@@ -13,12 +13,14 @@ from __future__ import annotations
 import functools
 import math
 import re
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Union
 
 from .errors import (
-    ContextMismatch, DivisionByZero, ExactSqrtUnavailable, InvalidProblem, NotRealEmbeddable
+    ContextMismatch, DivisionByZero, ExactSqrtUnavailable, InvalidProblem, LimitExceeded,
+    NotRealEmbeddable
 )
 
 RatLike = Union[int, Fraction]
@@ -394,7 +396,11 @@ def _ratio(num: int, den: int) -> float:
 def _ratio_str(num: int, den: int) -> str:
     """str(Fraction(num, den)) for den > 0, without building the Fraction."""
     g = math.gcd(num, den)
-    return str(num // g) if g == den else f"{num // g}/{den // g}"
+    try:
+        return str(num // g) if g == den else f"{num // g}/{den // g}"
+    except ValueError as exc:  # past int's limit on digits converted to a string
+        limit = sys.get_int_max_str_digits()
+        raise LimitExceeded(f"a coefficient has more than {limit} digits to print") from exc
 
 
 def _reduced(a: int, b: int, d: int, ambient: Ambient) -> QuadNum:

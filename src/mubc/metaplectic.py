@@ -15,9 +15,12 @@ of M. The two forms agree for any M with M - I invertible:
     det(M - I) * det([(M - I)^-1]_qp) = +-det((M - I)_qp) = +-det M_qp, by
     Jacobi's complementary-minor identity.
 
-genmu_overlap_sq evaluates the right-hand form, one N x N determinant;
-cayley_matrix keeps the paper's object. Overlaps between the images of two
-different matrices M, M' reduce to the same law applied to M^-1 M'.
+genmu_overlap_sq evaluates the right-hand form, one N x N determinant. That
+form needs only det M_qp != 0, so it also gives the constant of matrices with
+eigenvalue 1, such as shears, which have no Cayley matrix; cayley_matrix
+keeps the paper's object and is the only function that needs M - I
+invertible. Overlaps between the images of two different matrices M, M'
+reduce to the same law applied to M^-1 M'.
 
 Coordinates are ordered "stacked" (q_1..q_N, p_1..p_N) internally, with
 J = [[0, -I], [I, 0]] matching the 2x2 j = [[0, -1], [1, 0]] at N = 1.
@@ -44,6 +47,7 @@ from .errors import (
     DimensionMismatch,
     DivisionByZero,
     InvalidProblem,
+    LimitExceeded,
     NonInvertible,
     SingularCayley,
 )
@@ -56,8 +60,9 @@ Matrix = Union[np.ndarray, Sequence[Sequence]]
 STACKED = "stacked"
 INTERLEAVED = "interleaved"
 
-# Below this |det(M - I)| or |det(N_pp)| = |det M_qp / det(M - I)| a float
-# matrix has no Cayley matrix or no finite overlap.
+# At or below this |det(M - I)| a float matrix has no Cayley matrix, and at
+# or below it |det M_qp|, with M_qp's columns scaled to a largest |entry| of 1,
+# gives no finite overlap.
 _SINGULAR_TOL = 1e-10
 
 
@@ -214,12 +219,24 @@ def symplectic_defect(matrix: Matrix) -> float:
 
 
 def is_symplectic(matrix: Matrix, tolerance: float = 1e-12) -> bool:
-    """True when M^t J M = J (exactly for exact matrices, else within tolerance)."""
+    """True when M^t J M = J (exactly for exact matrices, else within tolerance).
+
+    A float tolerance is scaled by the largest squared entry (at least 1);
+    a scale past the float range raises LimitExceeded.
+    """
     if _is_exact(matrix):
         return all(d == 0 for d in _exact_defect_entries(matrix))
-    defect = symplectic_defect(matrix)
-    scale = max(1.0, float(np.max(np.abs(np.asarray(matrix, dtype=float)))) ** 2)
-    return defect <= tolerance * scale
+    largest = float(np.max(np.abs(np.asarray(matrix, dtype=float))))
+    try:
+        tol = tolerance * max(1.0, largest ** 2)
+    except OverflowError:
+        tol = math.inf
+    if math.isinf(tol):
+        # an inf tolerance would accept any defect
+        raise LimitExceeded(
+            f"matrix entry scale {largest:.6e} puts the tolerance scale past the float range"
+        )
+    return symplectic_defect(matrix) <= tol
 
 
 def cayley_matrix(matrix: Matrix):
@@ -256,33 +273,28 @@ def genmu_overlap_sq(matrix: Matrix, hbar: float = 1.0) -> float:
     the momentum-momentum block of the Cayley matrix. Since J X takes the
     row blocks of X, N_pp = [(M - I)^-1]_qp, and Jacobi's complementary-minor
     identity turns the denominator into |det M_qp|, the position-momentum
-    block of M itself; this holds for any M with M - I invertible. So the
-    value is (2*pi*hbar)^-N / |det M_qp|, with no Cayley matrix formed.
+    block of M itself. So the value is (2*pi*hbar)^-N / |det M_qp|, with no
+    Cayley matrix formed; it needs only det M_qp != 0, so shears and other
+    matrices with eigenvalue 1 have a constant too.
 
-    Raises SingularCayley when det(M - I) = 0 (no Cayley matrix) and
-    DegenerateBlock when N_pp is singular, i.e. when det M_qp = 0. Float
-    matrices use the tolerance _SINGULAR_TOL on |det(M - I)| and on
-    |det N_pp| = |det M_qp / det(M - I)|. A constant outside the float
-    range raises LimitExceeded.
+    Raises DegenerateBlock when det M_qp = 0. A float M_qp is degenerate when
+    a column is zero or when, with each column divided by its largest
+    |entry|, |det| is at most _SINGULAR_TOL; the test ignores how the
+    columns are scaled. A constant outside the float range raises
+    LimitExceeded.
     """
     n = _dimension(matrix)
     if _is_exact(matrix):
-        det_shift, _ = _exact_solve(_exact_shift(matrix, -1))
-        if det_shift == 0:
-            raise SingularCayley("M - I is singular")
         det_qp, _ = _exact_solve([row[n:] for row in matrix[:n]])
         if det_qp == 0:
-            raise DegenerateBlock("momentum-momentum block of the Cayley matrix is singular")
+            raise DegenerateBlock("position-momentum block M_qp is singular")
         return _overlap_constant(n, hbar, det_qp, "det M_qp")
-    m = np.asarray(matrix, dtype=float)
-    det_shift = np.linalg.det(m - np.eye(2 * n))
-    if abs(det_shift) <= _SINGULAR_TOL:
-        raise SingularCayley(f"|det(M - I)| = {abs(det_shift):.3e} is below {_SINGULAR_TOL}")
-    det_qp = np.linalg.det(m[:n, n:])
-    det_pp = det_qp / det_shift
-    if abs(det_pp) <= _SINGULAR_TOL:
-        raise DegenerateBlock(f"|det(N_pp)| = {abs(det_pp):.3e} is below {_SINGULAR_TOL}")
-    return _overlap_constant(n, hbar, det_qp, "det M_qp")
+    block = np.asarray(matrix, dtype=float)[:n, n:]
+    scale = abs(block).max(axis=0)
+    # min() is nan for a nan column, and nan > 0.0 is False
+    if not scale.min() > 0.0 or abs(np.linalg.det(block / scale)) <= _SINGULAR_TOL:
+        raise DegenerateBlock(f"position-momentum block M_qp is singular to within {_SINGULAR_TOL}")
+    return _overlap_constant(n, hbar, np.linalg.det(block), "det M_qp")
 
 
 def compose_overlap_sq(matrix_a: Matrix, matrix_b: Matrix, hbar: float = 1.0) -> float:

@@ -307,6 +307,32 @@ class TestMetaplecticCommand:
         path = write_json("eye.json", {"N": 1, "ordering": "stacked", "rows": [[1.0, 0.0], [0.0, 1.0]]})
         assert main(["metaplectic", "overlap", path]) == INPUT_ERROR
 
+    def test_overlap_q_shear(self, write_json, capsys):
+        # eigenvalue 1, so no Cayley matrix; M_qp = 0.7 gives 1/(2 pi 0.7)
+        path = write_json("shear.json", {"N": 1, "ordering": "stacked", "rows": [[1.0, 0.7], [0.0, 1.0]]})
+        assert main(["metaplectic", "overlap", path]) == OK
+        assert "overlap_sq: 0.227364204417" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["overlap", "compose"])
+    def test_not_symplectic_exits_two(self, command, write_json, capsys):
+        # det 4, so M^t J M - J = 3 J; M_qp = 1 would give a constant
+        bad = write_json("bad.json", {"N": 1, "ordering": "stacked", "rows": [[2.0, 1.0], [0.0, 2.0]]})
+        shear = write_json("shear.json", {"N": 1, "ordering": "stacked", "rows": [[1.0, 0.7], [0.0, 1.0]]})
+        argv = ["metaplectic", command, bad] + ([shear] if command == "compose" else [])
+        assert main(argv) == INPUT_ERROR
+        err = capsys.readouterr().err
+        assert err == f"input error: {bad}: matrix is not symplectic: defect 3\n"
+
+    @pytest.mark.parametrize("command", ["overlap", "compose"])
+    def test_entry_scale_past_the_float_range_exits_two(self, command, write_json, capsys):
+        # det 1, but the tolerance scale 1e200^2 is past the float range
+        big = write_json("big.json", {"N": 1, "ordering": "stacked", "rows": [[1e200, 0.0], [0.0, 1e-200]]})
+        argv = ["metaplectic", command, big] + ([big] if command == "compose" else [])
+        assert main(argv) == INPUT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith(f"input error: {big}: matrix entry scale 1.000000e+200")
+        assert "Traceback" not in err
+
     def test_overlap_hbar(self, write_json, capsys):
         path = write_json("j.json", {"N": 1, "ordering": "stacked", "rows": [[0.0, -1.0], [1.0, 0.0]]})
         assert main(["metaplectic", "overlap", path, "--hbar", "2"]) == OK
@@ -347,7 +373,7 @@ class TestMetaplecticCommand:
         assert spec.to_json()["N"] == 1
 
     def test_special_m_exact_decides_in_the_field(self, capsys):
-        # det(M - I) = 2 - p = -1e-12 is nonzero, though below the float tolerance
+        # M_qp = -q = -1 decides the overlap; det(M - I) = 2 - p = -1e-12 plays no part
         argv = ["metaplectic", "special-m", "--mode", "exact", "--q", "1", "--p", "2000000000001/1000000000000"]
         assert main(argv) == OK
         assert "overlap_sq: 0.159154943092" in capsys.readouterr().out
@@ -819,6 +845,18 @@ def test_over_long_integers_exit_two(form, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"input error: {path}: ")
     assert "5000" in err or "4300" in err
+    assert "Traceback" not in err
+
+
+def test_printing_past_the_digit_limit_exits_two(tmp_path, capsys):
+    # entries of 2501 digits parse, but K = X^2 has 5001 digits to print
+    x = "9" * 2501
+    path = tmp_path / "long.json"
+    vectors = [[["0", "-" + x]], [[x, "0"]], [[x, x]]]
+    path.write_text(json.dumps({"N": 1, "mode": "exact", "K": "1", "vectors": vectors}))
+    assert main(["verify", str(path), "--infer-k"]) == INPUT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and "4300 digits" in err
     assert "Traceback" not in err
 
 

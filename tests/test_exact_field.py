@@ -14,6 +14,7 @@ from mubc import (
     DivisionByZero,
     ExactSqrtUnavailable,
     InvalidProblem,
+    LimitExceeded,
     NotRealEmbeddable,
     QuadNum,
     quad_sqrt,
@@ -271,6 +272,16 @@ class TestSerialization:
         with pytest.raises(InvalidProblem) as info:
             QuadNum.parse(text)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "x",
+        [QuadNum(10**5000), QuadNum(0, Fraction(1, 10**5000)), QuadNum(1, 10**5000)],
+        ids=["integer", "denominator", "root-coefficient"],
+    )
+    def test_str_past_the_digit_limit_is_a_limit(self, x):
+        # Python converts at most 4300 digits of an int to a string
+        with pytest.raises(LimitExceeded, match="more than 4300 digits"):
+            str(x)
 
     def test_json_round_trip(self):
         x = QuadNum(Fraction(-7, 3), Fraction(5, 2))

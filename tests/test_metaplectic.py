@@ -52,6 +52,11 @@ class TestIsSymplectic:
     def test_diagonal_stretch(self):
         assert not is_symplectic([[2.0, 0.0], [0.0, 1.0]])
 
+    def test_entry_scale_past_the_float_range_is_a_limit(self):
+        # det 1, but the tolerance scale 1e200^2 is past the float range
+        with pytest.raises(LimitExceeded, match=r"entry scale 1\.000000e\+200"):
+            is_symplectic([[1e200, 0.0], [0.0, 1e-200]])
+
     def test_odd_dimension(self):
         with pytest.raises(DimensionMismatch):
             is_symplectic([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
@@ -161,9 +166,42 @@ class TestGenmu:
             want = 1.0 / (2 * math.pi * abs(math.sin(theta)))
             assert got == pytest.approx(want, rel=1e-12)
 
-    def test_identity_singular(self):
-        with pytest.raises(SingularCayley):
+    def test_identity_degenerate_block(self):
+        # M_qp = 0
+        with pytest.raises(DegenerateBlock):
             genmu_overlap_sq([[1.0, 0.0], [0.0, 1.0]])
+
+    def test_q_shear(self):
+        # eigenvalue 1: no Cayley matrix, but M_qp = 0.7 gives a constant
+        assert genmu_overlap_sq([[1.0, 0.7], [0.0, 1.0]]) == pytest.approx(
+            1.0 / (2 * math.pi * 0.7), rel=1e-15
+        )
+
+    def test_rotation_near_minus_identity(self):
+        # theta = pi - 1e-10: det M_qp = sin(theta) is small but not degenerate
+        theta = math.pi - 1e-10
+        got = genmu_overlap_sq(rotation_matrix(theta))
+        assert got == pytest.approx(1.0 / (2 * math.pi * abs(math.sin(theta))), rel=1e-15)
+        assert got == pytest.approx(1.59154735e9, rel=1e-8)
+
+    def test_verdict_and_value_do_not_depend_on_scale(self):
+        # D M with the symplectic D = diag(2^k I, 2^-k I) has M_qp scaled by
+        # 2^k, so its constant is scaled by 2^(-kN) and its verdict is the same
+        rng = np.random.default_rng(17)
+        for _ in range(300):
+            n = int(rng.integers(1, 4))
+            m = random_symplectic(n, rng)
+            results = []
+            for k in (-100, -10, 0, 10, 100):
+                d = np.diag([2.0**k] * n + [2.0**-k] * n)
+                try:
+                    results.append(genmu_overlap_sq(d @ m) * 2.0 ** (k * n))
+                except DegenerateBlock:
+                    results.append(None)
+            if results[2] is None:
+                assert results == [None] * 5
+            else:
+                assert results == pytest.approx([results[2]] * 5, rel=1e-13)
 
     def test_degenerate_block(self):
         # det(M-I) = 4 but the lower-right Cayley block vanishes
@@ -193,7 +231,7 @@ class TestGenmu:
             try:
                 a = genmu_overlap_sq(m)
                 b = genmu_overlap_sq(minv)
-            except (SingularCayley, DegenerateBlock):
+            except DegenerateBlock:
                 continue
             assert a == pytest.approx(b, rel=1e-8)
             checked += 1
@@ -209,9 +247,10 @@ class TestCompose:
             got = compose_overlap_sq(m, mp)
             assert got == pytest.approx(1.0 / (2 * math.pi), rel=1e-10)
 
-    def test_equal_matrices_singular(self):
+    def test_equal_matrices_degenerate_block(self):
+        # M^-1 M = I has M_qp = 0
         m = rot(0.7)
-        with pytest.raises(SingularCayley):
+        with pytest.raises(DegenerateBlock):
             compose_overlap_sq(m, m)
 
     def test_rotation_pairs(self):
@@ -230,10 +269,37 @@ class TestCompose:
             common = random_symplectic(n, rng)
             try:
                 base = compose_overlap_sq(m, mp)
-            except (SingularCayley, DegenerateBlock):
+            except DegenerateBlock:
                 continue
             shifted = compose_overlap_sq(common @ m, common @ mp)
             assert shifted == pytest.approx(base, rel=1e-8)
+
+
+class TestIntegerFiveFamily:
+    """Five Gaussian MU bases at N = 2 with integer matrices, not a product.
+
+    M_0 = I and M_i = [[0, I], [-I, S_i]] for symmetric S_i; the pair (i, j)
+    has |det M_qp| = |det(S_i - S_j)| (or 1 with M_0), which is 1 for all ten
+    pairs. The S_i span all of Sym_2, so no symplectic map makes the family
+    a product one.
+    """
+
+    SYMMETRIC = ([[0, 0], [0, 0]], [[-3, -2], [-2, -1]], [[-3, -1], [-1, 0]], [[2, 1], [1, 1]])
+
+    @staticmethod
+    def frame(s):
+        (a, b), (c, d) = s
+        return [[0, 0, 1, 0], [0, 0, 0, 1], [-1, 0, a, b], [0, -1, c, d]]
+
+    def test_all_pairs_are_unbiased(self):
+        identity = [[1 if i == k else 0 for k in range(4)] for i in range(4)]
+        family = [identity] + [self.frame(s) for s in self.SYMMETRIC]
+        for m in family:
+            assert is_symplectic(m)
+        pairs = list(itertools.combinations(family, 2))
+        assert len(pairs) == 10
+        for a, b in pairs:
+            assert compose_overlap_sq(a, b) == (2.0 * math.pi) ** -2
 
 
 class TestSpecialM:
@@ -466,14 +532,21 @@ class TestExactGolden:
         b = block_diagonal(named(keys[2]), named(keys[3]))
         assert compose_overlap_sq(a, b) == want
 
-    def test_singular_cayley(self):
-        # a shear has M - I nilpotent, alone and as one block of two
+    def test_unit_eigenvalue_has_a_constant(self):
+        # a shear has M - I nilpotent, so no Cayley matrix, alone and as one
+        # block of two; its constant needs only det M_qp, which is 1 and -R
         shear = golden_word("shear-up")
         with pytest.raises(SingularCayley):
-            genmu_overlap_sq(shear)
-        with pytest.raises(SingularCayley):
-            genmu_overlap_sq(block_diagonal(named("a"), shear))
-        with pytest.raises(SingularCayley):
+            cayley_matrix(shear)
+        alone = genmu_overlap_sq(shear)
+        assert alone == 0.15915494309189535
+        assert alone == pytest.approx(1.0 / (2.0 * math.pi), rel=1e-15)
+        paired = genmu_overlap_sq(block_diagonal(named("a"), shear))
+        assert paired == 0.015654983817833652
+        phi = (1.0 + math.sqrt(5.0)) / 2.0
+        assert paired == pytest.approx((2.0 * math.pi) ** -2 / phi, rel=1e-15)
+        # M^-1 M = I has M_qp = 0
+        with pytest.raises(DegenerateBlock):
             compose_overlap_sq(named("b"), named("b"))
 
     def test_degenerate_block(self):
