@@ -434,16 +434,10 @@ def cmd_reproduce(args) -> int:
         print(f"{status}  {entry.claim:<{width}}  {entry.computed}")
     all_passed = all(e.passed for e in entries)
     print(f"{'all claims pass' if all_passed else 'some claims FAILED'}")
-    _write_json(
-        args.out,
-        {
-            "hbar": hbar,
-            "tolerance": tolerance,
-            "all_passed": all_passed,
-            "claims": [asdict(e) for e in entries],
-        },
-    )
-    _write_csv(args.csv, [f.name for f in fields(ManifestEntry)], [asdict(e) for e in entries])
+    if args.out or args.csv:
+        claims = [asdict(e) for e in entries]
+        _write_json(args.out, {"hbar": hbar, "tolerance": tolerance, "all_passed": all_passed, "claims": claims})
+        _write_csv(args.csv, [f.name for f in fields(ManifestEntry)], claims)
     return OK if all_passed else FALSE
 
 
@@ -491,12 +485,27 @@ def _command(sub, name: str, handler: Callable, help: str, *, hbar: bool = False
     return parser
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse, except that a parser with no flags of its own (the root and
+    the metaplectic and oracle groups) names a flag given to it. Plain
+    argparse skips the flag and reads its value as the command."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        args = sys.argv[1:] if args is None else list(args)
+        first = args[0] if args else ""
+        flagless = all(a.option_strings in ([], ["-h", "--help"]) for a in self._actions)
+        help_flag = first == "-h" or (len(first) > 2 and "--help".startswith(first))
+        if flagless and first.startswith("-") and first not in ("-", "--") and not help_flag:
+            self.error(f"unrecognized arguments: {first} (a flag goes after the command it belongs to)")
+        return super().parse_known_args(args, namespace)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The mubc argument parser, built once per process: parsing keeps no
     state in it, handlers come from set_defaults and the type functions
     are pure."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mubc",
         description="Mutually unbiased continuous-variable bases: verification, "
         "search, metaplectic overlaps, and a numerical oracle.",

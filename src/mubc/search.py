@@ -263,10 +263,17 @@ class Equivalence:
         }
 
 
-def _triple_floats(config: MUConfiguration) -> list[np.ndarray]:
+def _triple_floats(config: MUConfiguration) -> tuple[list[np.ndarray], int]:
+    """The triple's vectors times 2^-e, and e: its largest component lands
+    in [0.5, 1), unless its smallest nonzero one would leave the normal
+    range, which bounds the shift. Powers of two scale exactly, so the
+    solve sees the same floats as at unit scale."""
     if config.n != 1 or len(config.vectors) != 3:
         raise DimensionMismatch("equivalence search expects N = 1 triples")
-    return [np.array(v.factors[0].as_floats()) for v in config.vectors]
+    vectors = [v.factors[0].as_floats() for v in config.vectors]
+    sizes = [abs(x) for v in vectors for x in v if x]
+    e = min(math.frexp(max(sizes))[1], math.frexp(min(sizes))[1] + 1021) if sizes else 0
+    return [np.array([math.ldexp(x, -e) for x in v]) for v in vectors], e
 
 
 def _nearly_parallel(cols: np.ndarray) -> bool:
@@ -283,11 +290,12 @@ def find_equivalence(
 
     For each candidate, the matrix is solved linearly from two vector
     correspondences and checked on the third; the determinant fixes the
-    positive scale lambda with |det m| = 1. Returns None when no candidate
-    survives.
+    positive scale lambda with |det m| = 1. Each triple is solved in a
+    power-of-two frame (see _triple_floats), and scale and residual are
+    reported in the caller's. Returns None when no candidate survives.
     """
-    avs = _triple_floats(config_a)
-    bvs = _triple_floats(config_b)
+    avs, exp_a = _triple_floats(config_a)
+    bvs, exp_b = _triple_floats(config_b)
     a_cols = np.column_stack([avs[0], avs[1]])
     if _nearly_parallel(a_cols):
         raise PreconditionFailed("first two vectors of A are parallel")
@@ -315,12 +323,18 @@ def find_equivalence(
                 ((float(m[0, 0]), float(m[0, 1])), (float(m[1, 0]), float(m[1, 1]))),
                 tolerance=1e-8,
             )
+            try:
+                scale = math.ldexp(lam, exp_b - exp_a)
+            except OverflowError:
+                scale = math.inf
+            if not 0.0 < scale < math.inf:
+                raise LimitExceeded("the scale between the triples is past the float range")
             return Equivalence(
                 matrix=matrix,
-                scale=lam,
+                scale=scale,
                 permutation=perm,
                 signs=(s1, s2, best_s3),
-                residual=best_gap,
+                residual=math.ldexp(best_gap, exp_b),
             )
     return None
 
@@ -413,7 +427,8 @@ class SearchReport:
     """What a search found and what it did.
 
     stats is empty for zero free slots. A real search reports budget_hit,
-    charts (chart objectives built, one per chart its restarts used) and
+    charts (chart objectives built, one per chart its restarts used),
+    dead_charts (restarts on a chart whose objective is inf everywhere) and
     gradient_evaluations (evaluations that also computed the gradient: one
     per restart and one per accepted step). A lattice search reports the
     kernel's work: heads (heads run through the divisibility filter),
@@ -476,66 +491,139 @@ def _seed_check(problem: SearchProblem) -> None:
 
 
 class _ChartObjective:
-    """The gauge-fixed objective and its gradient in one chart, built once.
+    """The gauge-fixed objective and its gradient in one chart, compiled once.
 
     A chart holds one entry per factor of each free vector: 0 pins the
     factor's first component to 1 and leaves its second as a coordinate of
-    x, 1 pins the factor to (0, 1). The build fixes each free factor's
-    position in x and the pairs that involve a free vector (seed-seed pairs
-    contribute a constant, exactly zero for verified seeds), so an
-    evaluation only reads floats. The objective is the sum over those pairs
-    of (log |product| - log K)^2; it is inf, with no gradient, where some
-    product vanishes.
+    x, 1 pins the factor to (0, 1). The objective is the sum, over the pairs
+    that involve a free vector (seed-seed pairs contribute a constant,
+    exactly zero for verified seeds), of (log |product| - log K)^2; it is
+    inf, with no gradient, where some product vanishes.
+
+    The build compiles each factor product a.p * b.q - a.q * b.p of those
+    pairs into the float operations left once the gauge's exact 1.0 and 0.0
+    are multiplied out, so at finite x every value is the float the full
+    formula gives:
+
+    * a constant, for a seed or free factor against a pinned (0, 1) one;
+    * ap - aq * x[l], a seed or pinned factor against a free one;
+    * x[k] - x[l], two free factors.
+
+    Each is a term (u, c, v), the float ext[u] - c * ext[v] over
+    ext = x + consts; a constant is c = 0.0 against itself. A chart with a
+    constant-zero product is dead: its objective is inf everywhere.
     """
 
     def __init__(self, problem: SearchProblem, chart: tuple[int, ...]) -> None:
         n = problem.n
-        self.seeds = [[f.as_floats() for f in v.factors] for v in problem.seeds]
         position = itertools.count()
         flat = [None if pinned else next(position) for pinned in chart]
         self.slots = [flat[s * n : (s + 1) * n] for s in range(problem.free_slots)]
         self.dims = chart.count(0)
-        self.factors = range(n)
         self.log_k = math.log(float(problem.target_k))
-        at = [(None,) * n] * len(self.seeds) + self.slots
+        self.consts: list[float] = []
+        self.terms: list[tuple[int, float, int]] = []
+        self.dead = False
+        # each factor as (q, p, k): a seed's floats, (0, 1) for a pinned
+        # factor, (1, x[k]) for a free one
+        at = [[(*f.as_floats(), None) for f in v.factors] for v in problem.seeds]
+        at += [[(0.0, 1.0, None) if k is None else (1.0, None, k) for k in slot] for slot in self.slots]
         self.pairs = [
-            (i, j, at[i], at[j])
+            self._compile(at[i], at[j])
             for i, j in itertools.combinations(range(len(at)), 2)
-            if j >= len(self.seeds)
+            if j >= len(problem.seeds)
         ]
+
+    def _const(self, value: float) -> int:
+        self.consts.append(value)
+        return self.dims + len(self.consts) - 1
+
+    def _compile(self, va, vb) -> tuple[range, list]:
+        """One pair: the indices of its factor products among the terms, and
+        its gradient entries (k, coefficient, the indices of the other
+        factors' products), in the order the formula visits them."""
+        first = len(self.terms)
+        for (aq, ap, k), (bq, bp, l) in zip(va, vb):
+            if l is None:
+                # b = (0, 1): a.p * 0.0 - a.q * 1.0, which is -1.0 for a free a
+                value = -1.0 if k is not None else ap * bq - aq * bp
+                self.dead = self.dead or value == 0.0
+                u = self._const(value)
+                self.terms.append((u, 0.0, u))
+            elif k is not None:
+                self.terms.append((k, 1.0, l))  # x[k] * 1.0 - 1.0 * x[l]
+            else:
+                self.terms.append((self._const(ap), aq, l))  # ap * 1.0 - aq * x[l]
+        own = range(first, len(self.terms))
+        grads = []
+        for t, (aq, _, k), (bq, _, l) in zip(own, va, vb):
+            others = tuple(g for g in own if g != t)
+            if k is not None:
+                # d symp2 / d (va[f].p) = vb[f].q
+                grads.append((k, bq, others))
+            if l is not None:
+                grads.append((l, -aq, others))
+        return own, grads
 
     def pack(self, xs: list[float]) -> list[list[tuple[float, float]]]:
         """Free vectors as (q, p) float pairs from the chart's coordinates."""
         return [[(0.0, 1.0) if p is None else (1.0, xs[p]) for p in slot] for slot in self.slots]
 
-    def __call__(self, x, want_grad: bool = True) -> tuple[float, np.ndarray | None]:
-        vectors = self.seeds + self.pack(np.asarray(x, dtype=float).tolist())
-        factors, log_k = self.factors, self.log_k
+    def evaluate(self, x: list[float], want_grad: bool) -> tuple[float, list[float] | None]:
+        if self.dead:
+            return math.inf, None
+        ext = x + self.consts
+        products = [ext[u] - c * ext[v] for u, c, v in self.terms]
+        log_k = self.log_k
         total = 0.0
         grad = [0.0] * self.dims if want_grad else None
-        for i, j, at_i, at_j in self.pairs:
-            va, vb = vectors[i], vectors[j]
-            products = [a[1] * b[0] - a[0] * b[1] for a, b in zip(va, vb)]
+        for own, grads in self.pairs:
             sp = 1.0
-            for fp in products:
-                sp *= fp
+            for t in own:
+                sp *= products[t]
             if sp == 0.0:
                 return math.inf, None
             diff = math.log(abs(sp)) - log_k
             total += diff * diff
-            if not want_grad:
-                continue
-            for f in factors:
-                rest = 1.0
-                for g in factors:
-                    if g != f:
+            if want_grad:
+                for k, coefficient, others in grads:
+                    rest = 1.0
+                    for g in others:
                         rest *= products[g]
-                if at_i[f] is not None:
-                    # d symp2 / d (va[f].p) = vb[f].q
-                    grad[at_i[f]] += 2.0 * diff * (vb[f][0] * rest) / sp
-                if at_j[f] is not None:
-                    grad[at_j[f]] += 2.0 * diff * (-va[f][0] * rest) / sp
-        return total, None if grad is None else np.array(grad)
+                    grad[k] += 2.0 * diff * (coefficient * rest) / sp
+        return total, grad
+
+    def __call__(self, x, want_grad: bool = True) -> tuple[float, np.ndarray | None]:
+        value, grad = self.evaluate(np.asarray(x, dtype=float).tolist(), want_grad)
+        return value, None if grad is None else np.array(grad)
+
+
+def _norm_sq(v: list[float]) -> float:
+    """v . v accumulated in order with one rounding per term, s = fma(g, g, s).
+
+    This is the float numpy's dot gives for fewer than 16 entries with
+    OpenBLAS on FMA hardware, the arithmetic the pinned descent
+    trajectories were recorded with; it is the same on every host. Where
+    it is exact, g * g is split into p + e (Dekker's product over
+    Veltkamp's split) and fsum rounds s + p + e once; elsewhere the term
+    is added in Fraction.
+    """
+    s = 0.0
+    for g in v:
+        if 1e-140 < abs(g) < 1e140 and s < 1e300:
+            p = g * g
+            c = 134217729.0 * g  # 2^27 + 1
+            hi = c - (c - g)
+            lo = g - hi
+            s = math.fsum((s, p, ((hi * hi - p) + 2.0 * hi * lo) + lo * lo))
+        elif not (math.isfinite(g) and math.isfinite(s)):
+            s += g * g
+        elif g:
+            try:
+                s = float(Fraction(s) + Fraction(g) ** 2)
+            except OverflowError:
+                s = math.inf
+    return s
 
 
 def real_objective_fn(problem: SearchProblem) -> _ChartObjective:
@@ -577,6 +665,7 @@ def _search_real(problem: SearchProblem, budget: int, restarts: int, seed: int) 
     best_val = math.inf
     best_vectors: list[list[tuple[float, float]]] = []
     restarts_used = 0
+    dead_restarts = 0
     for chart in _restart_charts(problem.free_slots * problem.n, restarts):
         if evaluations >= budget:
             break
@@ -584,23 +673,22 @@ def _search_real(problem: SearchProblem, budget: int, restarts: int, seed: int) 
         objective = objectives.get(chart)
         if objective is None:
             objective = objectives[chart] = _ChartObjective(problem, chart)
-        dims = objective.dims
-        x = rng.uniform(-3.0, 3.0, size=dims)
-        fx, gx = objective(x, True)
+        x = rng.uniform(-3.0, 3.0, size=objective.dims).tolist()
+        fx, gx = objective.evaluate(x, True)
         evaluations += 1
         gradient_evaluations += 1
+        dead_restarts += objective.dead
         for _ in range(400):
             if evaluations >= budget or not math.isfinite(fx):
                 break
-            # np.linalg.norm's own formula for a real vector, without its dispatch
-            gnorm = math.sqrt(gx.dot(gx)) if dims else 0.0
+            gnorm = math.sqrt(_norm_sq(gx))
             if gnorm < GRAD_TOL:
                 break
             step = 1.0
             accepted = False
             while step * gnorm >= STEP_TOL:
-                x_new = x - step * gx
-                f_new, _ = objective(x_new, False)
+                x_new = [xi - step * gi for xi, gi in zip(x, gx)]
+                f_new, _ = objective.evaluate(x_new, False)
                 evaluations += 1
                 if f_new <= fx - 1e-4 * step * gnorm * gnorm:
                     accepted = True
@@ -611,13 +699,13 @@ def _search_real(problem: SearchProblem, budget: int, restarts: int, seed: int) 
             if not accepted:
                 break
             x = x_new
-            fx, gx = objective(x, True)
+            fx, gx = objective.evaluate(x, True)
             evaluations += 1
             gradient_evaluations += 1
             iterations += 1
         if math.isfinite(fx) and fx < best_val:
             best_val = fx
-            best_vectors = objective.pack(x.tolist())
+            best_vectors = objective.pack(x)
     found = [
         ProductVector(tuple(DirectionVector(q, p) for q, p in factors))
         for factors in best_vectors
@@ -646,6 +734,7 @@ def _search_real(problem: SearchProblem, budget: int, restarts: int, seed: int) 
         stats={
             "budget_hit": evaluations >= budget,
             "charts": len(objectives),
+            "dead_charts": dead_restarts,
             "gradient_evaluations": gradient_evaluations,
         },
     )

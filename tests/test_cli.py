@@ -650,10 +650,10 @@ class TestFlagContract:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            # a group does not know --hbar takes a value, so it reads 2 as the action
-            (["metaplectic", "--hbar", "2", "overlap", "M"], "invalid choice: '2'"),
+            # a group names the flag, not its value read as the action
+            (["metaplectic", "--hbar", "2", "overlap", "M"], "error: unrecognized arguments: --hbar (a flag goes after"),
             (["metaplectic", "--hbar=2", "overlap", "M"], "unrecognized arguments: --hbar=2"),
-            (["oracle", "--out", "F", "pair", "A", "B"], "invalid choice: 'F'"),
+            (["oracle", "--out", "F", "pair", "A", "B"], "error: unrecognized arguments: --out (a flag goes after"),
             (["oracle", "--out=F", "pair", "A", "B"], "unrecognized arguments: --out=F"),
             (["verify", "C", "--hbar", "2"], "unrecognized arguments: --hbar 2"),
             (["search", "P", "--seed", "0", "--tolerance", "1"], "unrecognized arguments: --tolerance 1"),
@@ -666,6 +666,8 @@ class TestFlagContract:
             (["oracle", "pair", "A", "B", "--mode", "numeric"], "unrecognized arguments: --mode numeric"),
             (["oracle", "scan", "--mode", "numeric"], "unrecognized arguments: --mode numeric"),
             (["reproduce", "--mode", "exact"], "unrecognized arguments: --mode exact"),
+            (["--hbar", "2", "reproduce"], "mubc: error: unrecognized arguments: --hbar (a flag goes after"),
+            (["metaplectic", "--tolerance", "1", "compose", "A", "B"], "unrecognized arguments: --tolerance (a flag"),
         ],
     )
     def test_flags_a_command_does_not_read_exit_two(self, argv, message, tmp_path, monkeypatch, capsys):
@@ -860,9 +862,6 @@ def test_printing_past_the_digit_limit_exits_two(tmp_path, capsys):
     assert "Traceback" not in err
 
 
-# numpy's column norms of the image overflow on the way (ROADMAP item 5)
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_equivalence_past_the_float_range_exits_two(asym_path, write_json, capsys):
     # the asymmetric triple's image under diag(1e200, 1e-200), det 1: the map's
     # tolerance scale 1e200^2 is past the float range, a limit and not a verdict
@@ -876,6 +875,28 @@ def test_equivalence_past_the_float_range_exits_two(asym_path, write_json, capsy
     err = capsys.readouterr().err
     assert err.startswith("input error: matrix entry scale 1.000000e+200 puts the tolerance")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("exponent", [-200, 200])
+def test_equivalence_is_scale_free(asym_path, write_json, capsys, exponent):
+    # the asymmetric triple times 1e+-200, whose column norms' squares under-
+    # or overflow; K is not read by the equivalence search
+    lam = 10.0 ** exponent
+    scaled = {"N": 1, "mode": "numeric", "K": 1.0, "vectors": [[[0.0, -lam]], [[lam, 0.0]], [[lam, lam]]]}
+    path = write_json("scaled.json", scaled)
+    assert main(["equivalence", asym_path, path]) == OK
+    out = capsys.readouterr().out
+    assert f"scale: {lam:.12g}\n" in out and "permutation: [0, 1, 2]" in out
+    assert main(["equivalence", path, asym_path]) == OK
+    assert f"scale: {1 / lam:.12g}\n" in capsys.readouterr().out
+
+
+def test_group_help_still_prints(capsys):
+    for argv in (["metaplectic", "--help"], ["oracle", "-h"], ["--he"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert "usage: mubc" in capsys.readouterr().out
 
 
 def test_matrix_file_hbar_is_not_read(write_json, capsys):

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -187,6 +188,40 @@ class TestEquivalence:
         assert (eq.permutation, eq.signs) == (base.permutation, base.signs)
         assert eq.scale == pytest.approx(base.scale, rel=1e-12)
         assert find_equivalence(scaled(unit, 1.0, lam), scaled(perturbed, 1.0, lam)) is None
+
+    @pytest.mark.parametrize("exponent", [-300, -200, 200, 300])
+    def test_scale_free_past_the_squares_range(self, exponent):
+        # at 10^+-200 a column norm's squares under- or overflow, so the
+        # triples are solved in a power-of-two frame
+        def scaled(pairs, lam):
+            return config_of([DirectionVector(lam * q, lam * p) for q, p in pairs], 1.0, mode=NUMERIC)
+
+        unit = [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0)]
+        genuine = [(2.0, 0.0), (0.0, 3.0), (2.0, 3.0)]
+        perturbed = [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0 + 1e-5)]
+        lam = 10.0 ** exponent
+        base = find_equivalence(scaled(unit, 1.0), scaled(genuine, 1.0))
+        both = find_equivalence(scaled(unit, lam), scaled(genuine, lam))
+        assert (both.permutation, both.signs) == (base.permutation, base.signs)
+        assert both.scale == pytest.approx(base.scale, rel=1e-12)
+        for row, base_row in zip(both.matrix.entries, base.matrix.entries):
+            assert row == pytest.approx(base_row, rel=1e-12, abs=1e-12)
+        assert both.residual <= 1e-12 * lam
+        one = find_equivalence(scaled(unit, 1.0), scaled(unit, lam))
+        assert one.scale == pytest.approx(lam, rel=1e-12)
+        back = find_equivalence(scaled(unit, lam), scaled(unit, 1.0))
+        assert back.scale == pytest.approx(1.0 / lam, rel=1e-12)
+        assert find_equivalence(scaled(unit, lam), scaled(perturbed, lam)) is None
+
+    def test_scale_past_the_float_range_is_a_limit(self):
+        # lambda = 1e600 or 1e-600 has no float: a limit, not a verdict
+        def scaled(lam):
+            return config_of([DirectionVector(lam * q, lam * p) for q, p in ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0))], 1.0, mode=NUMERIC)
+
+        with pytest.raises(LimitExceeded, match="past the float range"):
+            find_equivalence(scaled(1e-300), scaled(1e300))
+        with pytest.raises(LimitExceeded, match="past the float range"):
+            find_equivalence(scaled(1e300), scaled(1e-300))
 
     def test_non_triple_rejected(self):
         pair = MUConfiguration(
@@ -412,6 +447,142 @@ class TestRealTrajectories:
         assert report.to_json()["stats"] == report.stats
 
 
+def reference_vectors(problem, chart, x):
+    """Seeds and free vectors as (q, p) float pairs, the gauge's 1.0 and 0.0
+    written out: (1, x[k]) for a free factor, (0, 1) for a pinned one."""
+    xs = iter(list(x))
+    free = [
+        [(0.0, 1.0) if pinned else (1.0, next(xs)) for pinned in chart[s * problem.n : (s + 1) * problem.n]]
+        for s in range(problem.free_slots)
+    ]
+    return [[f.as_floats() for f in v.factors] for v in problem.seeds] + free
+
+
+def reference_objective(problem, chart, x, want_grad=True):
+    """The chart objective as the search evaluated it before charts were
+    compiled: every factor product a.p * b.q - a.q * b.p in full."""
+    vectors = reference_vectors(problem, chart, x)
+    position = itertools.count()
+    flat = [None if pinned else next(position) for pinned in chart]
+    n, seeds = problem.n, len(problem.seeds)
+    at = [(None,) * n] * seeds + [flat[s * n : (s + 1) * n] for s in range(problem.free_slots)]
+    log_k = math.log(float(problem.target_k))
+    total = 0.0
+    grad = [0.0] * chart.count(0) if want_grad else None
+    for i, j in itertools.combinations(range(len(vectors)), 2):
+        if j < seeds:
+            continue
+        va, vb = vectors[i], vectors[j]
+        products = [a[1] * b[0] - a[0] * b[1] for a, b in zip(va, vb)]
+        sp = 1.0
+        for fp in products:
+            sp *= fp
+        if sp == 0.0:
+            return math.inf, None
+        diff = math.log(abs(sp)) - log_k
+        total += diff * diff
+        if not want_grad:
+            continue
+        for f in range(n):
+            rest = 1.0
+            for g in range(n):
+                if g != f:
+                    rest *= products[g]
+            if at[i][f] is not None:
+                grad[at[i][f]] += 2.0 * diff * (vb[f][0] * rest) / sp
+            if at[j][f] is not None:
+                grad[at[j][f]] += 2.0 * diff * (-va[f][0] * rest) / sp
+    return total, grad
+
+
+def sl2_triple(a, b, c, d):
+    """The asymmetric triple under [[a, b], [c, d]] with ad - bc = 1: the
+    same pairwise products, no factor with q = 0 unless the map keeps one."""
+    return [(a * q + b * p, c * q + d * p) for q, p in ((0.0, -1.0), (1.0, 0.0), (1.0, 1.0))]
+
+
+def n3_problem():
+    """An N = 3 product of three images of the asymmetric triple, K = 1;
+    the first factor keeps (0, -1), so charts pinning it are dead."""
+    maps = [(1.0, 0.0, 0.0, 1.0), (2.0, 1.0, 1.0, 1.0), (1.0, -2.0, 1.0, -1.0)]
+    triples = [sl2_triple(*m) for m in maps]
+    seeds = tuple(ProductVector.of(*(t[i] for t in triples)) for i in range(3))
+    return SearchProblem(1.0, seeds, 1, "real")
+
+
+GUARD_PROBLEMS = {1: asym_problem, 2: golden5_problem, 3: n3_problem}
+
+
+class TestCompiledObjective:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("slots", [1, 2])
+    def test_bit_for_bit_against_full_formula(self, n, slots):
+        problem = dataclasses.replace(GUARD_PROBLEMS[n](), free_slots=slots)
+        assert problem.n == n
+        rng = np.random.default_rng(100 * n + slots)
+        dead = 0
+        for chart in search._charts(n * slots):
+            objective = search._ChartObjective(problem, chart)
+            for _ in range(4):
+                x = rng.uniform(-3.0, 3.0, size=objective.dims).tolist()
+                for want_grad in (True, False):
+                    value, grad = objective.evaluate(list(x), want_grad)
+                    ref_value, ref_grad = reference_objective(problem, chart, x, want_grad)
+                    assert value.hex() == ref_value.hex()
+                    if ref_grad is None:
+                        assert grad is None
+                    else:
+                        assert [g.hex() for g in grad] == [g.hex() for g in ref_grad]
+                    if objective.dead:
+                        assert (value, grad) == (math.inf, None)
+                    else:
+                        assert math.isfinite(value) and (grad is not None) == want_grad
+            dead += objective.dead
+        # golden5's second vector and the N = 3 seeds' first factor have
+        # q = 0, so a chart pinning a factor they hold is dead; so is one
+        # pinning one factor in both free slots
+        expected = {1: {1: 1, 2: 3}, 2: {1: 3, 2: 15}, 3: {1: 4, 2: 55}}
+        assert dead == expected[n][slots]
+
+    def test_dead_restarts_are_counted(self):
+        report = search_extension(golden5_problem(), budget=4000, restarts=8, seed=0)
+        # every chart that pins a factor meets the (0, 1) factor of golden5's
+        # second vector; odd restarts take those charts
+        assert report.stats["dead_charts"] == 4
+        assert report.stats["gradient_evaluations"] == report.restarts_used + report.iterations
+
+    def test_wrapper_returns_arrays(self):
+        objective = search._ChartObjective(golden5_problem(), (0, 0))
+        value, grad = objective(np.array([0.5, -0.25]))
+        assert (value, grad.tolist()) == tuple(objective.evaluate([0.5, -0.25], True))
+        assert objective([0.5, -0.25], False) == (value, None)
+
+    @pytest.mark.parametrize("dims", range(1, 16))
+    def test_norm_rounds_once_per_term(self, dims):
+        # s = fma(g, g, s) in exact arithmetic, on vectors spanning many
+        # binades, with zeros, and with entries past the split's exact range
+        def reference(v):
+            s = 0.0
+            for g in v:
+                if math.isfinite(g) and math.isfinite(s):
+                    try:
+                        s = float(Fraction(s) + Fraction(g) ** 2)
+                    except OverflowError:
+                        s = math.inf
+                else:
+                    s += g * g
+            return s
+
+        rng = np.random.default_rng(dims)
+        for _ in range(300):
+            g = rng.standard_normal(dims) * np.exp(rng.uniform(-30.0, 30.0, dims))
+            g[rng.random(dims) < 0.1] = 0.0
+            assert search._norm_sq(g.tolist()) == reference(g.tolist())
+        for special in (1e-160, 3e-150, 1e150, 1e154, 2e154, math.inf, math.nan):
+            g = [0.75] * (dims - 1) + [special]
+            assert search._norm_sq(g).hex() == reference(g).hex()
+
+
 def chart_reference(dims):
     return sorted(itertools.product((0, 1), repeat=dims), key=sum)
 
@@ -456,7 +627,7 @@ class TestMixedChartGradient:
             if checked == 50:
                 break
             x = rng.uniform(-3.0, 3.0, size=objective.dims)
-            vectors = objective.seeds + objective.pack(list(x))
+            vectors = reference_vectors(problem, chart, x)
             # keep away from the log singularities for stable differences
             factor_products = [
                 a[1] * b[0] - a[0] * b[1]
