@@ -27,10 +27,13 @@ J = [[0, -I], [I, 0]] matching the 2x2 j = [[0, -1], [1, 0]] at N = 1.
 Matrix spec files may use the "interleaved" ordering (q_1, p_1, q_2, p_2,
 ...); MetaplecticSpec.stacked converts it by an exact index permutation.
 
-Matrices may be float ndarrays (numeric mode) or nested lists of exact
-scalars (Fraction / QuadNum); exact matrices go through one exact Gaussian
-elimination (_exact_solve), so e.g. the Cayley matrix is symmetric
-identically and every exact decision is a test for an exact zero.
+Matrices may be float ndarrays or nested lists, and take their mode by the
+scalar rule of the symplectic module: an ndarray, or a list with any float
+entry, is numeric; any other list (QuadNum / Fraction / int entries, all-int
+included) is exact; QuadNum or Fraction beside a float raises
+ContextMismatch. Exact matrices go through one exact Gaussian elimination
+(_exact_solve), so e.g. the Cayley matrix is symmetric identically and every
+exact decision is a test for an exact zero.
 """
 
 from __future__ import annotations
@@ -45,14 +48,20 @@ import numpy as np
 from .errors import (
     DegenerateBlock,
     DimensionMismatch,
-    DivisionByZero,
     InvalidProblem,
     LimitExceeded,
     NonInvertible,
     SingularCayley,
 )
-from .exact import QuadNum
-from .symplectic import _json_number, _overlap_constant
+from .symplectic import (
+    NUMERIC,
+    Scalar,
+    _join_modes,
+    _json_number,
+    _overlap_constant,
+    _quotient,
+    _strict_mode,
+)
 
 ExactMatrix = list  # nested lists of QuadNum / Fraction / int
 Matrix = Union[np.ndarray, Sequence[Sequence]]
@@ -67,10 +76,10 @@ _SINGULAR_TOL = 1e-10
 
 
 def _is_exact(matrix: Matrix) -> bool:
+    """False for an ndarray or a list with a float entry (see the module docstring)."""
     if isinstance(matrix, np.ndarray):
         return False
-    first = matrix[0][0]
-    return isinstance(first, (QuadNum, Fraction, int))
+    return _join_modes(*(_strict_mode(x) for row in matrix for x in row)) != NUMERIC
 
 
 def _dimension(matrix: Matrix) -> int:
@@ -155,7 +164,7 @@ def _exact_solve(a: ExactMatrix, b: ExactMatrix = ()) -> tuple:
             if factor == 0:
                 continue
             if inverses[col] is None:
-                inverses[col] = _exact_reciprocal(top[col])
+                inverses[col] = _quotient(1, top[col])
             factor = factor * inverses[col]
             row = work[r]
             row[col + 1 :] = [x - factor * y for x, y in zip(row[col + 1 :], top[col + 1 :])]
@@ -173,13 +182,9 @@ def _exact_solve(a: ExactMatrix, b: ExactMatrix = ()) -> tuple:
             u = work[i][k]
             if not u == 0:
                 rhs = [c - u * y for c, y in zip(rhs, solution[k])]
-        inverse = inverses[i] if inverses[i] is not None else _exact_reciprocal(work[i][i])
+        inverse = inverses[i] if inverses[i] is not None else _quotient(1, work[i][i])
         solution[i] = [c * inverse for c in rhs]
     return det, solution
-
-
-def _exact_reciprocal(x):
-    return Fraction(1, x) if isinstance(x, int) else 1 / x
 
 
 def _exact_j(n: int) -> ExactMatrix:
@@ -319,15 +324,15 @@ def compose_overlap_sq(matrix_a: Matrix, matrix_b: Matrix, hbar: float = 1.0) ->
     return genmu_overlap_sq(np.linalg.solve(a, b), hbar)
 
 
-def special_m(q: float, p: float, mu: float = 0.0):
+def special_m(q: Scalar, p: Scalar, mu: Scalar = 0):
     """The symplectic matrix sending direction (q, p) to the position direction.
 
     For q != 0 this is [[1,0],[mu,1]] @ [[p,-q],[1/q,0]]; the shear parameter
     mu changes only the phase of the underlying unitary, never the overlap.
-    q = 0 composes the q != 0 form with a quarter rotation.
+    q = 0 composes the q != 0 form with a quarter rotation. The matrix is a
+    nested list when no argument is a float, else an ndarray.
     """
-    exact = isinstance(q, (QuadNum, Fraction)) or isinstance(p, (QuadNum, Fraction)) or isinstance(mu, (QuadNum, Fraction))
-    exact = exact or (isinstance(q, int) and isinstance(p, int) and isinstance(mu, int))
+    exact = _join_modes(_strict_mode(q), _strict_mode(p), _strict_mode(mu)) != NUMERIC
     if q == 0 and p == 0:
         raise InvalidProblem("direction (0, 0) labels no basis")
     if q == 0:
@@ -336,11 +341,7 @@ def special_m(q: float, p: float, mu: float = 0.0):
         if exact:
             return _exact_matmul(base, quarter)
         return np.asarray(base, dtype=float) @ np.asarray(quarter, dtype=float)
-    try:
-        inv_q = Fraction(1, q) if isinstance(q, int) else 1 / q
-    except ZeroDivisionError as err:
-        raise DivisionByZero("1/q in the special matrix") from err
-    rows = [[p, -q], [mu * p + inv_q, -mu * q]]
+    rows = [[p, -q], [mu * p + _quotient(1, q), -mu * q]]
     if exact:
         return rows
     return np.asarray(rows, dtype=float)

@@ -41,6 +41,9 @@ from .symplectic import (
     ProductVector,
     Scalar,
     UnsignedSymplecticMatrix,
+    _join_modes,
+    _quotient,
+    _strict_mode,
     config_from_json,
     config_to_json,
     symp2,
@@ -48,16 +51,6 @@ from .symplectic import (
 )
 
 # -- fourth-vector infeasibility certificates ---------------------------
-
-
-def _div(x: Scalar, y: Scalar) -> Scalar:
-    if isinstance(x, QuadNum) or isinstance(y, QuadNum):
-        if not isinstance(x, QuadNum):
-            x = QuadNum(x, 0, y.ambient)
-        return x / y
-    if isinstance(x, float) or isinstance(y, float):
-        return x / y
-    return Fraction(x) / Fraction(y)
 
 
 @dataclass(frozen=True)
@@ -123,7 +116,7 @@ class CounterexampleFound:
 
 def _is_zero(x: Scalar, scale: Scalar, tolerance: float) -> bool:
     """Exact scalars compare exactly; floats relative to the magnitude of scale."""
-    if isinstance(x, float):
+    if _strict_mode(x) == NUMERIC:
         return abs(x) <= tolerance * abs(float(scale))
     return x == 0
 
@@ -162,7 +155,7 @@ def _solve_sign_patterns(
         f = s2 * rhs[1]
         # Cramer on [[-a.p, a.q], [-b.p, b.q]] (dq, dp) = (e, f)
         d = DirectionVector(
-            _div(e * b.q - a.q * f, det), _div((-a.p) * f - e * (-b.p), det)
+            _quotient(e * b.q - a.q * f, det), _quotient((-a.p) * f - e * (-b.p), det)
         )
         values = [symp2(d, x) for x in rows[2:]]
         for rest in itertools.product((1, -1), repeat=len(values)):
@@ -195,15 +188,12 @@ def certify_no_fourth(
     contradict the remaining constraint. Numeric comparisons are relative
     to k, so rescaling the triple changes no record.
     """
+    mode = _join_modes(_strict_mode(k), a.mode, b.mode, c.mode) or EXACT
     if not k > 0:
         raise PreconditionFailed(f"k must be positive, got {k}")
     for x, y in ((a, b), (b, c), (a, c)):
         mag = abs(symp2(x, y))
-        if isinstance(mag, float):
-            ok = abs(mag - float(k)) <= tolerance * float(k)
-        else:
-            ok = mag == k
-        if not ok:
+        if not _is_zero(mag - k, k, tolerance):
             raise PreconditionFailed(
                 f"pair ({x}, {y}) has |product| {mag}, not the target {k}"
             )
@@ -217,7 +207,7 @@ def certify_no_fourth(
                 MUConfiguration(
                     tuple(ProductVector((v,)) for v in (a, b, c, d)),
                     k,
-                    mode=NUMERIC if d.mode == NUMERIC else EXACT,
+                    mode=mode,
                 ),
                 tolerance=max(tolerance, 1e-9),
             )
@@ -598,34 +588,6 @@ class _ChartObjective:
         return value, None if grad is None else np.array(grad)
 
 
-def _norm_sq(v: list[float]) -> float:
-    """v . v accumulated in order with one rounding per term, s = fma(g, g, s).
-
-    This is the float numpy's dot gives for fewer than 16 entries with
-    OpenBLAS on FMA hardware, the arithmetic the pinned descent
-    trajectories were recorded with; it is the same on every host. Where
-    it is exact, g * g is split into p + e (Dekker's product over
-    Veltkamp's split) and fsum rounds s + p + e once; elsewhere the term
-    is added in Fraction.
-    """
-    s = 0.0
-    for g in v:
-        if 1e-140 < abs(g) < 1e140 and s < 1e300:
-            p = g * g
-            c = 134217729.0 * g  # 2^27 + 1
-            hi = c - (c - g)
-            lo = g - hi
-            s = math.fsum((s, p, ((hi * hi - p) + 2.0 * hi * lo) + lo * lo))
-        elif not (math.isfinite(g) and math.isfinite(s)):
-            s += g * g
-        elif g:
-            try:
-                s = float(Fraction(s) + Fraction(g) ** 2)
-            except OverflowError:
-                s = math.inf
-    return s
-
-
 def real_objective_fn(problem: SearchProblem) -> _ChartObjective:
     """The gauge-fixed objective and gradient in the chart that pins every
     factor's first component to 1 (used by tests)."""
@@ -681,7 +643,10 @@ def _search_real(problem: SearchProblem, budget: int, restarts: int, seed: int) 
         for _ in range(400):
             if evaluations >= budget or not math.isfinite(fx):
                 break
-            gnorm = math.sqrt(_norm_sq(gx))
+            try:
+                gnorm = math.sqrt(math.fsum([g * g for g in gx]))
+            except OverflowError:  # finite squares whose sum passes the float range
+                gnorm = math.inf
             if gnorm < GRAD_TOL:
                 break
             step = 1.0

@@ -8,7 +8,10 @@ of variables the vectors are Kronecker products of N directions and j is
 replaced by its N-fold Kronecker power.
 
 Scalars are either exact (QuadNum / Fraction / int) or numeric (float);
-the two modes never mix inside one computation.
+the two modes never mix inside one computation. _strict_mode and
+_join_modes below are the one rule that decides the mode, here and in the
+metaplectic and search modules: a float commits to numeric, a QuadNum or
+Fraction to exact, and an int to neither.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from .errors import (
     ParallelDirections,
     PreconditionFailed,
 )
-from .exact import GOLDEN, Ambient, QuadNum, quad_sqrt, _rat_sqrt
+from .exact import GOLDEN, Ambient, QuadNum, quad_sqrt
 
 Scalar = Union[QuadNum, Fraction, int, float]
 
@@ -53,13 +56,6 @@ def _strict_mode(x: Scalar) -> str | None:
     raise ContextMismatch(f"unsupported scalar type {type(x).__name__}")
 
 
-def _exact_sign(x: QuadNum | Fraction | int) -> int:
-    """Sign of an exact scalar, decided without floating point."""
-    if isinstance(x, QuadNum):
-        return x.sign()
-    return (x > 0) - (x < 0)
-
-
 def _join_modes(*modes: str | None) -> str | None:
     joined: str | None = None
     for mode in modes:
@@ -70,6 +66,13 @@ def _join_modes(*modes: str | None) -> str | None:
         elif joined != mode:
             raise ContextMismatch("exact and numeric scalars mixed in one value")
     return joined
+
+
+def _quotient(x: Scalar, y: Scalar) -> Scalar:
+    """x / y in the operands' mode: a Fraction for two ints, not int / int's float."""
+    if isinstance(x, int) and isinstance(y, int):
+        return Fraction(x, y)
+    return x / y
 
 
 def scalar_str(x: Scalar) -> str:
@@ -97,9 +100,6 @@ class DirectionVector:
 
     def as_floats(self) -> tuple[float, float]:
         return (float(self.q), float(self.p))
-
-    def __iter__(self):
-        return iter((self.q, self.p))
 
 
 @dataclass(frozen=True)
@@ -289,12 +289,10 @@ def _magnitude_text(x: int | float) -> str:
 
 
 def is_unsigned_symplectic(
-    rows: "Sequence[Sequence[Scalar]] | UnsignedSymplecticMatrix",
+    rows: Sequence[Sequence[Scalar]],
     tolerance: float = 1e-12,
 ) -> UnsignedSymplecticClass:
     """Classify a 2x2 matrix by the identity m^t j m = +/- j."""
-    if isinstance(rows, UnsignedSymplecticMatrix):
-        rows = rows.entries
     rows = tuple(tuple(row) for row in rows)
     if len(rows) != 2 or any(len(row) != 2 for row in rows):
         raise DimensionMismatch("expected a 2x2 matrix")
@@ -321,11 +319,6 @@ class UnsignedSymplecticMatrix:
         sign = 1 if kind is UnsignedSymplecticClass.PLUS else -1
         return cls(rows, sign)
 
-    @property
-    def det(self) -> Scalar:
-        (a, b), (c, d) = self.entries
-        return a * d - b * c
-
     def apply(self, v: DirectionVector) -> DirectionVector:
         (a, b), (c, d) = self.entries
         return DirectionVector(a * v.q + b * v.p, c * v.q + d * v.p)
@@ -349,14 +342,13 @@ class MUConfiguration:
         ns = {v.n for v in self.vectors}
         if len(ns) > 1:
             raise DimensionMismatch(f"mixed factor counts in configuration: {sorted(ns)}")
-        declared = EXACT if self.mode == EXACT else NUMERIC
         for v in self.vectors:
-            if v.mode is not None and v.mode != declared:
-                raise ContextMismatch(f"{v.mode} vector inside a {declared} configuration")
+            if v.mode is not None and v.mode != self.mode:
+                raise ContextMismatch(f"{v.mode} vector inside a {self.mode} configuration")
         if self.target_k is not None:
             k_mode = _strict_mode(self.target_k)
-            if k_mode is not None and k_mode != declared:
-                raise ContextMismatch(f"{k_mode} target K inside a {declared} configuration")
+            if k_mode is not None and k_mode != self.mode:
+                raise ContextMismatch(f"{k_mode} target K inside a {self.mode} configuration")
 
     @property
     def n(self) -> int:
@@ -447,9 +439,7 @@ def verify_mu(
         if target is None:
             raise PreconditionFailed("all pairs are parallel; no K to infer")
     if config.mode == EXACT:
-        if _strict_mode(target) == NUMERIC:
-            raise ContextMismatch("numeric target K for an exact configuration")
-        if _exact_sign(target) <= 0:
+        if target <= 0:
             raise InvalidTarget(f"target K must be positive, got {target}")
     else:
         target_float = float(target)
@@ -463,7 +453,7 @@ def verify_mu(
             verdict = False
             continue
         mag = abs(sp)
-        mag_float = float(mag) if not isinstance(mag, float) else mag
+        mag_float = float(mag)
         if config.mode == EXACT:
             ok = mag == target
             # exact quotient first: float(target) can underflow to 0
@@ -495,9 +485,8 @@ def rescale_config(config: MUConfiguration, k_prime: Scalar) -> MUConfiguration:
     if len(config.vectors) == 0:
         raise PreconditionFailed("empty configuration")
     k_mode = _strict_mode(k_prime)
-    declared = EXACT if config.mode == EXACT else NUMERIC
-    if k_mode is not None and k_mode != declared:
-        raise ContextMismatch(f"{k_mode} target K' for a {declared} configuration")
+    if k_mode is not None and k_mode != config.mode:
+        raise ContextMismatch(f"{k_mode} target K' for a {config.mode} configuration")
     target = config.target_k
     if target is None:
         report = verify_mu(config, infer_k=True)
@@ -511,23 +500,14 @@ def rescale_config(config: MUConfiguration, k_prime: Scalar) -> MUConfiguration:
         lam = math.sqrt(kp / float(target))
         scaled = [v.scale_first_factor(lam) for v in config.vectors]
         return MUConfiguration(tuple(scaled), kp, config.hbar, config.mode, config.ambient)
-    # exact mode
-    if isinstance(k_prime, float):
-        raise ContextMismatch("numeric K' for an exact configuration")
-    kp_exact: Scalar = k_prime
-    if _exact_sign(kp_exact) <= 0:
-        raise InvalidTarget(f"target K' must be positive, got {kp_exact}")
-    ratio_num = kp_exact if isinstance(kp_exact, QuadNum) else QuadNum(Fraction(kp_exact), 0, config.ambient)
-    ratio_den = target if isinstance(target, QuadNum) else QuadNum(Fraction(target), 0, config.ambient)
-    ratio = ratio_num / ratio_den
-    lam_exact: Scalar
-    if ratio.is_rational:
-        rational_root = _rat_sqrt(ratio.p)
-        lam_exact = rational_root if rational_root is not None else quad_sqrt(ratio)
-    else:
-        lam_exact = quad_sqrt(ratio)
-    scaled = [v.scale_first_factor(lam_exact) for v in config.vectors]
-    return MUConfiguration(tuple(scaled), kp_exact, config.hbar, config.mode, config.ambient)
+    if k_prime <= 0:
+        raise InvalidTarget(f"target K' must be positive, got {k_prime}")
+    ratio = _quotient(k_prime, target)
+    if not isinstance(ratio, QuadNum):
+        ratio = QuadNum(ratio, 0, config.ambient)
+    lam = quad_sqrt(ratio)
+    scaled = [v.scale_first_factor(lam) for v in config.vectors]
+    return MUConfiguration(tuple(scaled), k_prime, config.hbar, config.mode, config.ambient)
 
 
 def apply_transform(

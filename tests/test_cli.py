@@ -811,11 +811,22 @@ def test_malformed_input_exits_two(kind, field, value, write_json, capsys):
         ("oracle", {"Q": 0.0, "P": 0.0}),
         ("search", {**LATTICE_PROBLEM, "domain": "bogus"}),
         ("metaplectic", {"rows": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]}),
+        ("verify", {**ASYMMETRIC_EXACT, "mode": "bogus"}),
+        ("verify", {**ASYMMETRIC_EXACT, "vectors": 5}),
+        ("verify", {**ASYMMETRIC_EXACT, "N": 2}),
+        ("verify", {**ASYMMETRIC_EXACT, "K": {"p": [1, 1]}}),
+        ("certify-n1", {**ASYMMETRIC_EXACT, "K": None}),
+        ("oracle", [1.0, 1.0]),
+        ("metaplectic", {"ordering": "diag", "rows": [[0.0, -1.0], [1.0, 0.0]]}),
+        ("metaplectic", {"N": 2, "rows": [[0.0, -1.0], [1.0, 0.0]]}),
+        ("search", {k: v for k, v in LATTICE_PROBLEM.items() if k != "domain"}),
     ],
 )
 def test_content_errors_name_the_file(command, content, asym_path, write_json, capsys):
     bad = write_json("bad.json", content)
     argv = {
+        "verify": ["verify", bad],
+        "certify-n1": ["certify-n1", bad],
         "equivalence": ["equivalence", asym_path, bad],
         "oracle": ["oracle", "pair", bad, write_json("b.json", STATE)],
         "search": ["search", bad, "--seed", "0"],

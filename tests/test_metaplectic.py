@@ -10,6 +10,7 @@ import pytest
 
 from mubc import metaplectic
 from mubc import (
+    ContextMismatch,
     DegenerateBlock,
     DimensionMismatch,
     LimitExceeded,
@@ -338,6 +339,43 @@ class TestSpecialM:
         out = m @ np.array([0.0, 2.0])
         assert np.allclose(out / np.linalg.norm(out), np.array([0.0, 1.0]), atol=1e-14)
         assert abs(np.linalg.det(m) - 1.0) < 1e-14
+
+
+class TestModeRule:
+    """A nested-list matrix is numeric when any entry is a float, as a
+    configuration is; ints commit to neither mode."""
+
+    def test_int_and_float_spellings_agree(self):
+        # [[1, b], [c, 1 + b c]] with two-decimal b, c: spelling the top-left
+        # entry 1 or 1.0 must not change the verdict
+        rng = random.Random(1)
+        for _ in range(2000):
+            b = round(rng.uniform(-2.0, 2.0), 2)
+            c = round(rng.uniform(-2.0, 2.0), 2)
+            d = 1 + b * c
+            assert is_symplectic([[1, b], [c, d]]) == is_symplectic([[1.0, b], [c, d]])
+        assert is_symplectic([[1, 1.94], [1.93, 4.7442]])
+
+    @pytest.mark.parametrize("q, p", [(Fraction(1, 2), Fraction(1, 3)), (QuadNum(2), QuadNum(1))])
+    def test_special_m_of_exact_arguments_is_exact(self, q, p):
+        m = special_m(q, p)
+        assert isinstance(m, list)
+        assert all(isinstance(x, type(q)) for row in m for x in row)
+        assert m[0][0] * m[1][1] - m[0][1] * m[1][0] == 1
+        assert m[0][0] * q + m[0][1] * p == 0 and m[1][0] * q + m[1][1] * p == 1
+
+    def test_exact_beside_float_raises(self):
+        with pytest.raises(ContextMismatch):
+            special_m(0.5, Fraction(1, 3))
+        with pytest.raises(ContextMismatch):
+            genmu_overlap_sq([[QuadNum(1), 0.5], [0.0, 1.0]])
+
+    def test_int_entries_beside_a_float_are_numeric(self):
+        assert compose_overlap_sq(np.eye(2), [[1, 0.5], [0, 1]]) == pytest.approx(1.0 / math.pi)
+
+    def test_numpy_integer_entries_raise(self):
+        with pytest.raises(ContextMismatch):
+            is_symplectic([[np.int64(1), 0], [0, 1]])
 
 
 def test_consistency_with_direction_overlap():

@@ -16,6 +16,7 @@ from mubc import (
     ContextMismatch,
     DimensionMismatch,
     DirectionVector,
+    ExactSqrtUnavailable,
     InvalidDirection,
     InvalidProblem,
     InvalidTarget,
@@ -328,6 +329,20 @@ class TestRescale:
         scaled = rescale_config(golden_five(), QuadNum(4))
         report = verify_mu(scaled)
         assert report.verdict and report.target_k == QuadNum(4)
+
+    def test_irrational_scale(self):
+        # K'/K = 1 + R = R^2, so every vector picks up lambda = R
+        source = golden_five()
+        scaled = rescale_config(source, 1 + R)
+        assert scaled.vectors == tuple(v.scale_first_factor(R) for v in source.vectors)
+        report = verify_mu(scaled)
+        assert report.verdict and report.mode == EXACT and report.target_k == 1 + R
+        assert report.max_deviation == 0.0
+
+    def test_no_exact_scale(self):
+        # sqrt(2) is not in Q(sqrt 5)
+        with pytest.raises(ExactSqrtUnavailable):
+            rescale_config(golden_five(), 2)
 
     @pytest.mark.parametrize("config, k_prime", [(ASYM_TRIPLE, 4), (SYM_TRIPLE, 1.0)])
     def test_inferred_source_target(self, config, k_prime):
