@@ -125,13 +125,13 @@ class QuadratureResult:
     first: the default ladder's 13 or the given epsilons),
     ``panels`` (panels over both rules of every level),
     ``complex_exponentials`` (complex exp evaluations: per rule, 16 for
-    panel 0 and 16 for the node factors, the min(256, count - 1) entries
-    of the stride table and one head per stride of panels),
-    ``inverse_roots`` (reciprocal square roots this call computed: rows
-    it added to the shared table plus rows past the table's
-    ``_PANEL_BLOCK`` panels, times the 16 nodes; 0 when the table
-    already covered every rule), ``capped_levels`` (levels whose panel
-    count hit ``_MAX_PANELS``) and ``wall_s``.
+    panel 0 and 16 for the node factors, min(16, S) + ceil(S / 16) for the
+    two factors of the S = min(256, count - 1) entry stride table and one
+    head per started row of 256 panels), ``inverse_roots`` (entries of the
+    shared _InverseRoots table this call computed: rows it filled plus
+    rows past the table; 0 when the table already covered every rule),
+    ``capped_levels`` (levels whose panel count hit ``_MAX_PANELS``) and
+    ``wall_s``.
     """
 
     value: float
@@ -171,16 +171,30 @@ _TAIL_MARGIN = 1e-3
 # moves |I|^2 by less than that, relatively (docs/regularization.md derives
 # the bound).
 _TRUNCATION = math.sqrt(-math.log(_TAIL_MARGIN * _LOCAL_REL_TOL))
-# Panels per block in _damped_integrals, and rows of an _InverseRoots table:
-# bounds the (block x nodes) node matrix and the table's memory.
-# A multiple of _EXP_STRIDE, so no block but the last has a short stride row.
-_PANEL_BLOCK = 65536
-# Panels per complex exponential in _damped_integrals.
+# Panels per row of _damped_integrals: one complex exponential (the row's
+# head) per row of a rule. The square of _EXP_SPLIT, so a rule's stride
+# table exp(a h r), r < _EXP_STRIDE, is the outer product of two
+# _EXP_SPLIT-entry tables.
 _EXP_STRIDE = 256
+_EXP_SPLIT = 16
+# Rows of the shared _InverseRoots table, and rows per block past it.
+_TABLE_ROWS = 256
+# Terms of the expansion of (2k + 1 + x_j)^(-1/2) in x_j / (2k + 1) kept
+# for the panels after row 0 (k > _EXP_STRIDE, where |x_j| / (2k + 1) <
+# 1/520): the first term left out is below 2^-56 relative
+# (docs/regularization.md).
+_TERMS = 6
+# Row j, column m: binomial(-1/2, m) x_j^m = (-1/4)^m binomial(2m, m) x_j^m,
+# which fold a rule's node factors into its _TERMS moments.
+_MOMENT_WEIGHTS = np.array([math.comb(2 * m, m) * (-0.25) ** m for m in range(_TERMS)]) * (
+    _NODES[:, None] ** np.arange(_TERMS)
+)
 # The default ladder starts at default_epsilons' 9 levels and deepens to this.
 _MAX_LEVELS = 13
 # Degree of the sliding polynomial windows that extrapolate eps -> 0.
 _ORDER = 3
+# Relative error floor of a value from a few float roundings.
+_ROUNDING_FLOOR = 8.0 * np.finfo(float).eps
 
 
 def _panel_count(du: float, eps: float, panels_scale: int) -> tuple[int, bool]:
@@ -199,31 +213,66 @@ def _inverse_roots(start: int, stop: int, out: np.ndarray | None = None) -> np.n
     return np.reciprocal(out, out=out)
 
 
+def _inverse_root_powers(start: int, stop: int, out: np.ndarray | None = None) -> np.ndarray:
+    """(2k + 1)^(-1/2 - m) at [q, m, r] for rows start <= q < stop, panels
+    k = 1 + q _EXP_STRIDE + r and m < _TERMS. Summed against row j of
+    _MOMENT_WEIGHTS they give (2k + 1 + x_j)^(-1/2) for q >= 1."""
+    if out is None:
+        out = np.empty((stop - start, _TERMS, _EXP_STRIDE))
+    panels = np.arange(start * _EXP_STRIDE + 1, stop * _EXP_STRIDE + 1, dtype=float)
+    odd = (2.0 * panels + 1.0).reshape(stop - start, _EXP_STRIDE)
+    np.sqrt(odd, out=out[:, 0])
+    np.reciprocal(out[:, 0], out=out[:, 0])
+    np.reciprocal(odd, out=odd)
+    for m in range(1, _TERMS):
+        np.multiply(out[:, m - 1], odd, out=out[:, m])
+    return out
+
+
 class _InverseRoots:
-    """_inverse_roots of panels 1.._PANEL_BLOCK, shared by every rule, level
-    and pair. The rows are anonymous zero pages, so none is resident until a
-    rule first needs it; filled in place, never grown."""
+    """Inverse-root factors of the first _TABLE_ROWS rows of panels, shared
+    by every rule, level and pair: row 0's _inverse_roots (``roots``, panel
+    by node) and the _inverse_root_powers of rows 1.._TABLE_ROWS - 1
+    (``powers``, index q - 1 for row q). The arrays are anonymous zero pages,
+    so none is resident until a rule first reads it; whole rows are filled
+    in place up to the last row a rule has read, never grown."""
 
     def __init__(self) -> None:
-        pages = mmap.mmap(-1, _PANEL_BLOCK * len(_NODES) * 8)
+        roots = _EXP_STRIDE * len(_NODES)
+        row = _TERMS * _EXP_STRIDE
+        pages = mmap.mmap(-1, (roots + (_TABLE_ROWS - 1) * row) * 8)
         # numpy advises huge pages for arrays this large, and one touched row
         # of a huge page makes 2 MiB resident; small pages keep it to the rows
         if hasattr(mmap, "MADV_NOHUGEPAGE"):
             pages.madvise(mmap.MADV_NOHUGEPAGE)
-        self.rows = np.frombuffer(pages, dtype=float).reshape(_PANEL_BLOCK, len(_NODES))
+        table = np.frombuffer(pages, dtype=float)
+        self.roots = table[:roots].reshape(_EXP_STRIDE, len(_NODES))
+        self.powers = table[roots:].reshape(_TABLE_ROWS - 1, _TERMS, _EXP_STRIDE)
         self.filled = 0
 
-    def panels(self, start: int, stop: int, work: Counter) -> np.ndarray:
-        """Rows of panels start <= k < stop: kept when stop - 1 <= _PANEL_BLOCK,
-        computed and not kept past it."""
-        if stop - 1 > _PANEL_BLOCK:
-            work["inverse_roots"] += (stop - start) * len(_NODES)
-            return _inverse_roots(start, stop)
-        if stop - 1 > self.filled:
-            _inverse_roots(self.filled + 1, stop, out=self.rows[self.filled : stop - 1])
-            work["inverse_roots"] += (stop - 1 - self.filled) * len(_NODES)
-            self.filled = stop - 1
-        return self.rows[start - 1 : stop - 1]
+    def fill(self, stop: int, work: Counter) -> None:
+        """Fill rows up to stop - 1 (at most _TABLE_ROWS - 1), counting the
+        entries computed."""
+        stop = min(stop, _TABLE_ROWS)
+        if stop <= self.filled:
+            return
+        if self.filled == 0:
+            _inverse_roots(1, _EXP_STRIDE + 1, out=self.roots)
+            work["inverse_roots"] += self.roots.size
+            self.filled = 1
+        if stop > self.filled:
+            _inverse_root_powers(self.filled, stop, out=self.powers[self.filled - 1 : stop - 1])
+            work["inverse_roots"] += (stop - self.filled) * _TERMS * _EXP_STRIDE
+        self.filled = stop
+
+    def rows(self, start: int, stop: int, work: Counter) -> np.ndarray:
+        """_inverse_root_powers of rows 1 <= start <= q < stop: kept when
+        stop <= _TABLE_ROWS, computed and not kept when start >= _TABLE_ROWS."""
+        if start >= _TABLE_ROWS:
+            work["inverse_roots"] += (stop - start) * _TERMS * _EXP_STRIDE
+            return _inverse_root_powers(start, stop)
+        self.fill(stop, work)
+        return self.powers[start - 1 : stop - 1]
 
 
 _INVERSE_ROOTS = _InverseRoots()
@@ -240,23 +289,30 @@ def _damped_integrals(
     breakpoints t_k = L sqrt(k / count) are uniform in s, s_k = k h. On
     panel k >= 1 exp(a s) = exp(a s_k) exp(a delta_j) with the same node
     offsets delta_j on every panel, and with k = 1 + q S + r (S =
-    min(_EXP_STRIDE, count - 1)) exp(a s_k) = exp(a s_(1+qS)) exp(a r h).
-    So a rule costs an S-entry table exp(a r h) plus one complex exponential
-    per S panels. s_k + delta_j = (h/2)(2k + 1 + x_j), so 1/sqrt(s_k +
-    delta_j) is (h/2)^(-1/2), folded into the node factors, times a row of
-    the shared _InverseRoots table; the rest is one real matmul for the node
-    sums and per S panels (zero-padded at the end) one dot with the table.
-    Panel 0 holds the s^(-1/2) endpoint singularity and is integrated in t.
+    _EXP_STRIDE) exp(a s_k) = exp(a s_(1+qS)) exp(a r h): one complex
+    exponential (the head) per row q of S panels times a stride table
+    exp(a r h), the outer product of exp(a r0 h) and exp(16 a r1 h) for
+    r = r0 + 16 r1. s_k + delta_j = (h/2)(2k + 1 + x_j), so 1/sqrt(s_k +
+    delta_j) is (h/2)^(-1/2), folded into the node factors, times an
+    entry of the shared _InverseRoots table. Row 0 reads its 16 node
+    values per panel. Past row 0 (2k + 1 + x_j)^(-1/2) = sum_(m < _TERMS)
+    binomial(-1/2, m) x_j^m (2k + 1)^(-1/2 - m), so the node factors fold
+    into _TERMS moments, and a row's sum is its _TERMS x S powers dotted
+    with the moments times the stride table: one real matmul over the
+    rows of a block. Panel 0 holds the s^(-1/2) endpoint singularity and
+    is integrated in t.
 
     Most rules have few panels, so their cost is set-up: the per-rule
-    scalars, panel 0, the node factors and the stride tables of the whole
-    batch come from arrays over the rules. The table matmul, the stride
-    contraction and the heads stay per rule.
+    scalars, panel 0, the node factors and moments, the stride tables,
+    row 0 and the heads of the whole batch come from arrays over the
+    rules, each rule's values computed by the same operations whatever
+    the batch. The matmuls over rows 1 onwards stay per rule.
     """
     n = len(_NODES)
     eps = np.array([e for e, _ in rules])
     counts = np.array([c for _, c in rules])
     strides = np.minimum(_EXP_STRIDE, counts - 1)
+    rows = -(-(counts - 1) // _EXP_STRIDE)
     a = -eps + 1j * du
     length = _TRUNCATION / np.sqrt(eps)
     half_t = 0.5 * length / np.sqrt(counts)
@@ -268,35 +324,61 @@ def _damped_integrals(
     np.multiply(a[:, None] * t, t, out=exps[:, 0])
     np.multiply.outer(a * half_s, 1.0 + _NODES, out=exps[:, 1])
     np.exp(exps, out=exps)
-    # row r's first strides[r] entries are rule r's stride table
-    steps = np.arange(_EXP_STRIDE)
-    stride_factors = np.multiply.outer(a * h, steps)
-    np.exp(stride_factors, out=stride_factors, where=steps < strides[:, None])
-    # C-contiguous rows, so each reads as one real (nodes, 2) matrix and a
-    # block's node sums are one real matmul whose (panels, 2) rows read as
-    # complex per-panel sums
+    # columns 0..15 exp(a h r0), columns 16..31 exp(16 a h r1), evaluated
+    # where r0 < S and 16 r1 < S; entries r >= S of the stride table are
+    # zeroed for row 0
+    split = np.arange(_EXP_SPLIT)
+    steps = np.concatenate([split, _EXP_SPLIT * split])
+    factors = np.multiply.outer(a * h, steps)
+    np.exp(factors, out=factors, where=steps < strides[:, None])
+    stride_table = np.multiply(factors[:, _EXP_SPLIT:, None], factors[:, None, :_EXP_SPLIT])
+    stride_table = stride_table.reshape(len(rules), _EXP_STRIDE)
+    # C-contiguous rows, so each reads as one real (nodes, 2) matrix
     node_factors = np.sqrt(half_s)[:, None] * _WEIGHTS * exps[:, 1]
     node_factors = node_factors.view(float).reshape(len(rules), n, 2)
-    panel_0 = (2.0 * half_t * (exps[:, 0] @ _WEIGHTS)).tolist()
-    integrals = []
-    for r, (count, stride, a_r, h_r) in enumerate(
-        zip(counts.tolist(), strides.tolist(), a.tolist(), h.tolist())
-    ):
-        total = panel_0[r]
-        for start in range(1, count, _PANEL_BLOCK):
-            stop = min(start + _PANEL_BLOCK, count)
-            inv_root = _INVERSE_ROOTS.panels(start, stop, work)
-            rows = -(-(stop - start) // stride)
-            per_panel = np.zeros((rows * stride, 2))
-            np.matmul(inv_root, node_factors[r], out=per_panel[: stop - start])
-            per_row = per_panel.view(complex).reshape(rows, stride) @ stride_factors[r, :stride]
-            head_s = h_r * np.arange(start, stop, stride, dtype=float)
-            total += complex(np.dot(np.exp(a_r * head_s), per_row))
-            work["complex_exponentials"] += rows
-        integrals.append(total)
-    work["complex_exponentials"] += len(rules) * 2 * n + int(strides.sum())
+    # one matmul per rule whatever the batch: row 0's per-panel node sums
+    # and the moments
+    _INVERSE_ROOTS.fill(int(rows.max()), work)
+    per_panel = np.matmul(_INVERSE_ROOTS.roots, node_factors).view(complex)[..., 0]
+    moments = np.matmul(_MOMENT_WEIGHTS.T, node_factors).view(complex)[..., 0]
+    first_row = np.where(np.arange(_EXP_STRIDE) < strides[:, None], stride_table, 0.0)
+    # each rule's row sums at its offset of one flat array, row 0 first
+    starts = np.concatenate([[0], np.cumsum(rows[:-1])])
+    sums = np.empty(int(rows.sum()), dtype=complex)
+    sums[starts] = (per_panel * first_row).sum(axis=1)
+    real_sums = sums.view(float).reshape(-1, 2)
+    width = _TERMS * _EXP_STRIDE
+    for r in np.flatnonzero(rows > 1).tolist():
+        row_factors = np.multiply.outer(moments[r], stride_table[r]).view(float)
+        row_factors = row_factors.reshape(_TERMS, _EXP_STRIDE, 2)
+        last, rest = int(rows[r]) - 1, int(counts[r] - 1) % _EXP_STRIDE
+        # rows 1 onwards, split at each multiple of _TABLE_ROWS: the first
+        # block ends where the table does
+        edges = [1, *range(_TABLE_ROWS, last + 1, _TABLE_ROWS), last + 1]
+        for start, stop in zip(edges, edges[1:]):
+            powers = _INVERSE_ROOTS.rows(start, stop, work)
+            whole = stop - start - (stop == last + 1 and rest > 0)
+            offset = starts[r] + start
+            if whole:
+                np.matmul(
+                    powers[:whole].reshape(whole, width),
+                    row_factors.reshape(width, 2),
+                    out=real_sums[offset : offset + whole],
+                )
+        if rest:
+            # the last row's first rest panels
+            partial = np.matmul(powers[-1, :, None, :rest], row_factors[:, :rest])
+            real_sums[starts[r] + last] = partial.sum(axis=0)
+    # row q's head exp(a s_(1+qS)), at the offset of its row sum
+    row_index = np.arange(len(sums)) - np.repeat(starts, rows)
+    head_s = np.repeat(h, rows) * (1.0 + _EXP_STRIDE * row_index)
+    terms = np.exp(np.repeat(a, rows) * head_s) * sums
+    panel_0 = 2.0 * half_t * (exps[:, 0] * _WEIGHTS).sum(axis=1)
+    integrals = panel_0 + np.add.reduceat(terms, starts)
+    split_exps = np.minimum(_EXP_SPLIT, strides) + -(-strides // _EXP_SPLIT)
+    work["complex_exponentials"] += len(rules) * 2 * n + int(split_exps.sum() + rows.sum())
     work["panels"] += int(counts.sum())
-    return integrals
+    return integrals.tolist()
 
 
 def _neville_at_zero(xs: Sequence[float], ys: Sequence[float]) -> float:
@@ -325,7 +407,7 @@ def _extrapolate(
         extrapolants.append(_neville_at_zero(eps_list[window], raws[window]))
     steps = [abs(x - y) for x, y in zip(extrapolants[1:], extrapolants[:-1])]
     value = extrapolants[-1]
-    floor = 8.0 * np.finfo(float).eps * abs(value) + max(local_errors)
+    floor = _ROUNDING_FLOOR * abs(value) + max(local_errors)
     error_estimate = max(steps[-1] if steps else math.inf, floor)
     converged = bool(
         steps
@@ -376,7 +458,7 @@ def overlap_quadrature(
         value = amplitude * amplitude / abs(dp)
         return QuadratureResult(
             value=value,
-            error_estimate=8.0 * np.finfo(float).eps * value,
+            error_estimate=_ROUNDING_FLOOR * value,
             epsilon_sequence=(),
             converged=True,
             extrapolants=(value,),

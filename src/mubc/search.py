@@ -266,9 +266,17 @@ def _triple_floats(config: MUConfiguration) -> tuple[list[np.ndarray], int]:
     return [np.array([math.ldexp(x, -e) for x in v]) for v in vectors], e
 
 
+def _det2(m: np.ndarray) -> float:
+    """ad - bc: one rounding per product and one for the difference, so
+    scaling a row or column by a power of two scales it exactly (numpy's
+    det goes through an LU factorization and log |det|)."""
+    (a, b), (c, d) = m.tolist()
+    return a * d - b * c
+
+
 def _nearly_parallel(cols: np.ndarray) -> bool:
     # relative to the column norms, so rescaling a column changes no answer
-    return abs(np.linalg.det(cols)) <= 1e-14 * np.prod(np.linalg.norm(cols, axis=0))
+    return abs(_det2(cols)) <= 1e-14 * np.prod(np.linalg.norm(cols, axis=0))
 
 
 def find_equivalence(
@@ -307,7 +315,7 @@ def find_equivalence(
                     best_s3 = s3
             if best_gap > tolerance * reference:
                 continue
-            lam = math.sqrt(abs(np.linalg.det(m_scaled)))
+            lam = math.sqrt(abs(_det2(m_scaled)))
             m = m_scaled / lam
             matrix = UnsignedSymplecticMatrix.from_rows(
                 ((float(m[0, 0]), float(m[0, 1])), (float(m[1, 0]), float(m[1, 1]))),

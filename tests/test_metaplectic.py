@@ -13,6 +13,7 @@ from mubc import (
     ContextMismatch,
     DegenerateBlock,
     DimensionMismatch,
+    InvalidProblem,
     LimitExceeded,
     MetaplecticSpec,
     NonInvertible,
@@ -451,6 +452,36 @@ class TestMetaplecticSpecJson:
         assert np.allclose(spec.stacked(), np.asarray(m), atol=1e-15)
         back = MetaplecticSpec.from_json(spec.to_json())
         assert np.allclose(back.stacked(), spec.stacked(), atol=0)
+
+
+# one case per input-error raise that no other test reaches
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: MetaplecticSpec.from_json({"rows": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]}),
+         DimensionMismatch, "must be square"),
+        (lambda: MetaplecticSpec.from_json({"N": 1}), InvalidProblem, "'rows' field"),
+        (lambda: MetaplecticSpec.from_json({"rows": []}), DimensionMismatch, "form a matrix"),
+        (lambda: compose_overlap_sq(np.eye(2), [[Fraction(1), 0], [0, 1]]),
+         InvalidProblem, "cannot mix"),
+        (lambda: compose_overlap_sq(np.eye(2), np.eye(4)), DimensionMismatch, "shape mismatch"),
+        (lambda: compose_overlap_sq(np.zeros((2, 2)), np.eye(2)),
+         NonInvertible, "numerically singular"),
+        (lambda: special_m(0, 0), InvalidProblem, "labels no basis"),
+    ],
+    ids=[
+        "non-square",
+        "spec-without-rows",
+        "spec-rows-not-a-matrix",
+        "compose-mixed-modes",
+        "compose-shape-mismatch",
+        "compose-singular-first",
+        "special-m-zero-direction",
+    ],
+)
+def test_input_error_raises(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
 
 
 # -- exact golden-field matrices ------------------------------------------

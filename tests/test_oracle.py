@@ -224,12 +224,15 @@ class TestQuadrature:
             for scale in (1, 2)
         ]
         assert stats["panels"] == sum(counts)
-        # per rule: panel 0 and the node factors, the stride table, one head
-        # per started stride of panels 1..count-1
-        stride = oracle._EXP_STRIDE
-        assert stats["complex_exponentials"] == sum(
-            2 * len(oracle._NODES) + min(stride, c - 1) + -(-(c - 1) // stride) for c in counts
-        )
+        # per rule: panel 0 and the node factors; the stride table's two
+        # factors, min(16, S) and ceil(S / 16) entries for S = min(256,
+        # count - 1); one head per started row of 256 panels 1..count-1
+        def exponentials(count):
+            stride = min(oracle._EXP_STRIDE, count - 1)
+            split = min(oracle._EXP_SPLIT, stride) + -(-stride // oracle._EXP_SPLIT)
+            return 2 * len(oracle._NODES) + split + -(-(count - 1) // oracle._EXP_STRIDE)
+
+        assert stats["complex_exponentials"] == sum(exponentials(c) for c in counts)
 
     def test_never_consults_the_closed_form(self, monkeypatch):
         def forbidden(*args, **kwargs):
@@ -335,15 +338,18 @@ def test_mixed_batch_matches_one_rule_batches(monkeypatch, empty_inverse_roots):
     assert set(batch_work) == {"panels", "complex_exponentials", "inverse_roots"}
 
 
-# literals from the one-rule kernel this batch kernel replaced, on an empty
-# table: a ladder that deepens to 11 levels, and one whose levels 3-9 hit
-# a panel cap of 300 and so run only their fine rules; grid overrides the
-# oracle's grid constants
+# literals on an empty table: a ladder that deepens to 11 levels, and one
+# whose levels 3-9 hit a panel cap of 300 and so run only their fine
+# rules; grid overrides the oracle's grid constants. Levels and panels are
+# those of every kernel before this one; the exponentials follow
+# test_stats_count_work's formula, and the table entries are row 0's 4096
+# roots plus 1536 powers per further row the widest rule reads (2102 and
+# 300 panels: 8 rows and 1 row)
 @pytest.mark.parametrize(
     "pair, grid, stats",
     [
-        (((1.0, 0.02), (1.0, -0.02)), {}, (11, 6330, 3071, 33616)),
-        (((1.0, 1.5), (0.7, -0.4)), {"_MAX_PANELS": 300}, (9, 2565, 2623, 4784)),
+        (((1.0, 0.02), (1.0, -0.02)), {}, (11, 6330, 1184, 4096 + 8 * 1536)),
+        (((1.0, 1.5), (0.7, -0.4)), {"_MAX_PANELS": 300}, (9, 2565, 689, 4096 + 1536)),
     ],
 )
 def test_ladder_work_is_pinned(monkeypatch, empty_inverse_roots, pair, grid, stats):
@@ -355,39 +361,72 @@ def test_ladder_work_is_pinned(monkeypatch, empty_inverse_roots, pair, grid, sta
     assert tuple(res.stats[k] for k in keys) == stats
 
 
+def _exact_inverse_roots(panels):
+    """(2k + 1 + x_j)^(-1/2) for each panel k and node x_j, rounded once
+    from 40 digits."""
+    with mpmath.workdps(40):
+        nodes = [mpmath.mpf(x) for x in oracle._NODES]
+        return np.array([[float(1 / mpmath.sqrt(2 * k + 1 + x)) for x in nodes] for k in panels])
+
+
+def _row_roots(powers):
+    """(rows, 256, nodes): the six-term sums of table rows, [q, r, j]."""
+    return np.einsum("jm,qmr->qrj", oracle._MOMENT_WEIGHTS, powers)
+
+
+@pytest.mark.parametrize("panel", (257, 258, 65536, 65537))
+def test_six_term_table_matches_inverse_roots(empty_inverse_roots, panel):
+    # the first two panels past row 0, the table's last panel and the first
+    # panel past the table, which is computed and not kept
+    row, column = divmod(panel - 1, oracle._EXP_STRIDE)
+    powers = oracle._INVERSE_ROOTS.rows(row, row + 1, Counter())
+    (got,) = _row_roots(powers)[:, column]
+    want = _exact_inverse_roots([panel])[0]
+    assert np.all(np.abs(got - want) <= 4 * np.spacing(want))
+    # the first term left out, binomial(-1/2, 6) (x / (2k + 1))^6, relative
+    assert 231 / 1024 * (max(abs(oracle._NODES)) / 515) ** 6 < 2.0**-56
+
+
 def test_inverse_root_rows_match_direct(empty_inverse_roots):
-    # rows times (h/2)^(-1/2) are 1/sqrt(s_k + delta_j), as each rule once
-    # built them; counts fill the table, stay below its fill, step past it,
-    # and end one block plus one and two panels, past which rows are not kept
-    block = oracle._PANEL_BLOCK
-    nodes = oracle._NODES
+    # row 0 holds the node roots of panels 1..256 and fills whole on first
+    # use; rows 1..255 hold powers whose six-term sums are the roots, filled
+    # whole and in place up to the last row read; rows past the table are
+    # computed and counted per read, never kept
     table = oracle._INVERSE_ROOTS
-    for count in (300, 299, 301, 5000, block + 1, block + 2):
+    stride, row_size = oracle._EXP_STRIDE, oracle._TERMS * oracle._EXP_STRIDE
+    work = Counter()
+    table.fill(1, work)
+    assert table.filled == 1
+    assert work["inverse_roots"] == table.roots.size == stride * len(oracle._NODES)
+    want = _exact_inverse_roots(range(1, stride + 1))
+    assert np.all(np.abs(table.roots - want) <= 4 * np.spacing(want))
+    for start, stop in ((1, 2), (1, 20), (5, 19), (10, 256), (256, 258)):
         filled = table.filled
         work = Counter()
-        rows = np.concatenate(
-            [table.panels(start, min(start + block, count), work) for start in range(1, count, block)]
-        )
-        half_s = 0.5 * oracle._TRUNCATION**2 / 0.01 / count
-        starts = 2.0 * half_s * np.arange(1, count, dtype=float)
-        direct = np.sqrt(half_s) / np.sqrt(np.add.outer(starts, half_s * (1.0 + nodes)))
-        assert np.all(np.abs(rows - direct) <= 4 * np.spacing(direct))
-        assert table.filled == min(max(filled, count - 1), block)
-        kept = table.filled - filled
-        assert work["inverse_roots"] == (kept + max(0, count - 1 - block)) * len(nodes)
+        got = _row_roots(table.rows(start, stop, work))
+        panels = 1 + np.arange(start * stride, stop * stride)
+        want = 1.0 / np.sqrt(np.add.outer(2.0 * panels + 1.0, oracle._NODES))
+        assert np.all(np.abs(got.reshape(want.shape) - want) <= 4 * np.spacing(want))
+        if start < oracle._TABLE_ROWS:
+            assert table.filled == max(filled, stop)
+            assert work["inverse_roots"] == (table.filled - filled) * row_size
+        else:
+            assert table.filled == filled == oracle._TABLE_ROWS
+            assert work["inverse_roots"] == (stop - start) * row_size
 
 
 def test_largest_rule_keeps_one_block(empty_inverse_roots):
-    block, nodes = oracle._PANEL_BLOCK, len(oracle._NODES)
     count = oracle._MAX_PANELS
+    rows = -(-(count - 1) // oracle._EXP_STRIDE)
+    row_size = oracle._TERMS * oracle._EXP_STRIDE
     work = Counter()
     (first,) = oracle._damped_integrals(1.0, [(1e-4, count)], work)
     table = oracle._INVERSE_ROOTS
-    assert table.filled == block == table.rows.shape[0]
-    assert work["inverse_roots"] == (count - 1) * nodes
+    assert table.filled == oracle._TABLE_ROWS == table.powers.shape[0] + 1
+    assert work["inverse_roots"] == table.roots.size + (rows - 1) * row_size
     work.clear()
     assert oracle._damped_integrals(1.0, [(1e-4, count)], work) == [first]
-    assert work["inverse_roots"] == (count - 1 - block) * nodes
+    assert work["inverse_roots"] == (rows - oracle._TABLE_ROWS) * row_size
 
 
 def test_repeat_pair_reuses_the_table(empty_inverse_roots):
@@ -395,8 +434,11 @@ def test_repeat_pair_reuses_the_table(empty_inverse_roots):
     first = overlap_quadrature(a, b)
     second = overlap_quadrature(a, b)
     widest = max(oracle._panel_count(1.0, eps, 2)[0] for eps, _ in first.epsilon_sequence)
-    assert widest - 1 <= oracle._PANEL_BLOCK
-    assert first.stats["inverse_roots"] == (widest - 1) * len(oracle._NODES)
+    rows = -(-(widest - 1) // oracle._EXP_STRIDE)
+    assert rows <= oracle._TABLE_ROWS
+    table = oracle._INVERSE_ROOTS
+    row_size = oracle._TERMS * oracle._EXP_STRIDE
+    assert first.stats["inverse_roots"] == table.roots.size + (rows - 1) * row_size
     assert second.stats["inverse_roots"] == 0
     assert second.value == first.value
     assert second.epsilon_sequence == first.epsilon_sequence

@@ -221,6 +221,29 @@ class TestEquivalence:
         assert back.scale == pytest.approx(1.0 / lam, rel=1e-12)
         assert find_equivalence(scaled(unit, lam), scaled(perturbed, lam)) is None
 
+    @pytest.mark.parametrize("k", [-45, -1, 1, 7, 60])
+    def test_power_of_two_scales_exactly(self, k):
+        # scaling a triple by 2^k scales the reported scale by exactly 2^k
+        # (2^-k for the first triple) and the residual, reported in the
+        # second triple's frame, by 2^k; nothing else moves
+        source = [(0.3, -1.1), (1.7, 0.2), (0.9, 0.45)]
+        shear = np.array([[2.0, 1.0], [1.0, 1.0]])
+        target = [tuple(1.37 * (shear @ v)) for v in source]
+
+        def triple(pairs, factor):
+            dirs = [DirectionVector(math.ldexp(q, factor), math.ldexp(p, factor)) for q, p in pairs]
+            return config_of(dirs, 1.0, mode=NUMERIC)
+
+        base = find_equivalence(triple(source, 0), triple(target, 0))
+        assert base is not None and base.residual > 0
+        for eq, factor in (
+            (find_equivalence(triple(source, 0), triple(target, k)), k),
+            (find_equivalence(triple(source, k), triple(target, 0)), -k),
+        ):
+            assert eq.scale == math.ldexp(base.scale, factor)
+            assert (eq.matrix, eq.permutation, eq.signs) == (base.matrix, base.permutation, base.signs)
+        assert find_equivalence(triple(source, 0), triple(target, k)).residual == math.ldexp(base.residual, k)
+
     def test_scale_past_the_float_range_is_a_limit(self):
         # lambda = 1e600 or 1e-600 has no float: a limit, not a verdict
         def scaled(lam):
@@ -813,7 +836,6 @@ class TestLatticeParity:
         assert len(expected) == 12
         assert solver_completions(problem) == expected
 
-    @pytest.mark.slow
     def test_golden_first_four_height_two(self):
         problem = lattice_problem(golden_first_four(), 2)
         expected = brute_force_completions(problem)
