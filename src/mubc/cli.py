@@ -310,7 +310,9 @@ def cmd_special_m(args) -> int:
     for row in matrix:
         print(f"  [{_fmt(row[0]):>22} {_fmt(row[1]):>22}]")
     rows = [[float(x) for x in row] for row in matrix]
-    image = np.array(rows) @ np.array([float(q), float(p)])
+    # in the matrix's own arithmetic: an exact image is exactly (0, 1)
+    dtype = object if args.mode == EXACT else float
+    image = np.array(matrix, dtype=dtype) @ np.array([q, p], dtype=dtype)
     print(f"image of (Q, P): ({_fmt(image[0])}, {_fmt(image[1])})")
     # the matrix, not its floats: an exact one is decided in the field
     value = genmu_overlap_sq(matrix, hbar=hbar)

@@ -340,10 +340,6 @@ class QuadNum:
         return self._a == 0 and self._b == 0
 
     @property
-    def is_rational(self) -> bool:
-        return self._b == 0
-
-    @property
     def is_integral(self) -> bool:
         """Both coordinates p and q are integers."""
         return self._d == 1

@@ -31,9 +31,16 @@ Matrices may be float ndarrays or nested lists, and take their mode by the
 scalar rule of the symplectic module: an ndarray, or a list with any float
 entry, is numeric; any other list (QuadNum / Fraction / int entries, all-int
 included) is exact; QuadNum or Fraction beside a float raises
-ContextMismatch. Exact matrices go through one exact Gaussian elimination
-(_exact_solve), so e.g. the Cayley matrix is symmetric identically and every
-exact decision is a test for an exact zero.
+ContextMismatch. A shape that is not 2N x 2N (ragged, 1-D, empty, non-square
+or odd) raises DimensionMismatch in both modes.
+
+Both modes share one code path. Where a matrix product is taken, the matrix
+becomes an ndarray: float for a numeric matrix, dtype=object for an exact one,
+whose QuadNum / Fraction / int entries numpy multiplies and adds exactly.
+Only the determinant and the solve differ by mode: numpy's for floats, and
+for exact matrices the one exact Gaussian elimination, _exact_solve. So e.g.
+the Cayley matrix of an exact matrix is symmetric identically and every exact
+decision is a test for an exact zero. Exact results come back as nested lists.
 """
 
 from __future__ import annotations
@@ -63,7 +70,6 @@ from .symplectic import (
     _strict_mode,
 )
 
-ExactMatrix = list  # nested lists of QuadNum / Fraction / int
 Matrix = Union[np.ndarray, Sequence[Sequence]]
 
 STACKED = "stacked"
@@ -83,23 +89,41 @@ def _is_exact(matrix: Matrix) -> bool:
 
 
 def _dimension(matrix: Matrix) -> int:
-    rows = len(matrix)
-    if rows == 0 or any(len(row) != rows for row in matrix):
+    """N of a 2N x 2N matrix; any other shape raises DimensionMismatch."""
+    if isinstance(matrix, np.ndarray):
+        shape = matrix.shape
+    else:
+        try:
+            shape = (len(matrix), *{len(row) for row in matrix})
+        except TypeError:  # a scalar, or a row with no length
+            shape = ()
+    if len(shape) != 2:
+        raise DimensionMismatch("rows must form a matrix")
+    size = shape[0]
+    if size == 0 or shape[1] != size:
         raise DimensionMismatch("matrix must be square")
-    if rows % 2 != 0:
-        raise DimensionMismatch(f"matrix size {rows} is odd; expected 2N")
-    return rows // 2
+    if size % 2 != 0:
+        raise DimensionMismatch(f"matrix size {size} is odd; expected 2N")
+    return size // 2
+
+
+def _as_array(matrix: Matrix) -> np.ndarray:
+    """The 2N x 2N matrix as an ndarray: dtype=object, entries kept, if exact; else float."""
+    _dimension(matrix)
+    if _is_exact(matrix):
+        return np.array(matrix, dtype=object)
+    return np.asarray(matrix, dtype=float)
 
 
 # -- orderings ---------------------------------------------------------
 
 
-def stacked_j(n: int) -> np.ndarray:
-    """J in stacked ordering: [[0, -I], [I, 0]]."""
-    j = np.zeros((2 * n, 2 * n))
-    j[:n, n:] = -np.eye(n)
-    j[n:, :n] = np.eye(n)
-    return j
+def stacked_j(n: int, dtype=float) -> np.ndarray:
+    """J in stacked ordering: [[0, -I], [I, 0]]; dtype=object gives exact int entries."""
+    j = np.zeros((2 * n, 2 * n), dtype=int)
+    j[:n, n:] = -np.eye(n, dtype=int)
+    j[n:, :n] = np.eye(n, dtype=int)
+    return j.astype(dtype)
 
 
 def interleaved_to_stacked(matrix: np.ndarray) -> np.ndarray:
@@ -110,43 +134,18 @@ def interleaved_to_stacked(matrix: np.ndarray) -> np.ndarray:
     return np.asarray(matrix, dtype=float)[np.ix_(perm, perm)]
 
 
-# -- exact linear algebra (nested lists of field scalars) ---------------
-
-
-def _exact_identity(n: int) -> ExactMatrix:
-    return [[1 if i == k else 0 for k in range(n)] for i in range(n)]
-
-
-def _exact_matmul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    n = len(a)
-    m = len(b[0])
-    inner = len(b)
-    out = []
-    for i in range(n):
-        row = []
-        for k in range(m):
-            acc = a[i][0] * b[0][k]
-            for t in range(1, inner):
-                acc = acc + a[i][t] * b[t][k]
-            row.append(acc)
-        out.append(row)
-    return out
-
-
-def _exact_shift(a: ExactMatrix, t: int) -> ExactMatrix:
-    """A + t I."""
-    return [[x + t if i == k else x for k, x in enumerate(row)] for i, row in enumerate(a)]
-
-
-def _exact_solve(a: ExactMatrix, b: ExactMatrix = ()) -> tuple:
+def _exact_solve(a: Matrix, b: Matrix = ()) -> tuple:
     """det(A) and A^-1 B by Gaussian elimination with exact division.
 
-    B may have zero columns (the default): then only the forward sweep runs,
+    A and B are square and of one size, as nested lists or object ndarrays.
+    B may have zero rows (the default): then only the forward sweep runs,
     with no augmented columns and no back-substitution, and the solution is
     []. A singular A gives (0, None).
     """
     n = len(a)
-    work = [list(row) + list(extra) for row, extra in zip(a, b)] if b else [list(row) for row in a]
+    work = (
+        [list(row) + list(extra) for row, extra in zip(a, b)] if len(b) else [list(row) for row in a]
+    )
     pivots = []
     inverses = [None] * n
     negate = False
@@ -173,7 +172,7 @@ def _exact_solve(a: ExactMatrix, b: ExactMatrix = ()) -> tuple:
         det = det * pivot
     if negate:
         det = -det
-    if not b:
+    if not len(b):
         return det, []
     solution = [None] * n
     for i in reversed(range(n)):
@@ -187,27 +186,13 @@ def _exact_solve(a: ExactMatrix, b: ExactMatrix = ()) -> tuple:
     return det, solution
 
 
-def _exact_j(n: int) -> ExactMatrix:
-    j = [[0] * (2 * n) for _ in range(2 * n)]
-    for k in range(n):
-        j[k][n + k] = -1
-        j[n + k][k] = 1
-    return j
-
-
-def _exact_transpose(a: ExactMatrix) -> ExactMatrix:
-    return [list(row) for row in zip(*a)]
-
-
 # -- predicates and the Cayley transform --------------------------------
 
 
-def _exact_defect_entries(matrix: ExactMatrix) -> list:
-    """The entries of M^t J M - J for an exact matrix, as field values."""
-    n = _dimension(matrix)
-    j = _exact_j(n)
-    t = _exact_matmul(_exact_matmul(_exact_transpose(matrix), j), matrix)
-    return [x - y for row_t, row_j in zip(t, j) for x, y in zip(row_t, row_j)]
+def _defect(m: np.ndarray) -> np.ndarray:
+    """M^t J M - J in the arithmetic of m's dtype."""
+    j = stacked_j(len(m) // 2, m.dtype)
+    return m.T @ j @ m - j
 
 
 def symplectic_defect(matrix: Matrix) -> float:
@@ -216,11 +201,7 @@ def symplectic_defect(matrix: Matrix) -> float:
     For exact matrices this is a report only: a nonzero entry may round to
     0.0, so is_symplectic decides on the exact entries instead.
     """
-    if _is_exact(matrix):
-        return max(abs(float(d)) for d in _exact_defect_entries(matrix))
-    m = np.asarray(matrix, dtype=float)
-    j = stacked_j(_dimension(m))
-    return float(np.max(np.abs(m.T @ j @ m - j)))
+    return float(np.max(np.abs(_defect(_as_array(matrix)).astype(float))))
 
 
 def is_symplectic(matrix: Matrix, tolerance: float = 1e-12) -> bool:
@@ -229,9 +210,10 @@ def is_symplectic(matrix: Matrix, tolerance: float = 1e-12) -> bool:
     A float tolerance is scaled by the largest squared entry (at least 1);
     a scale past the float range raises LimitExceeded.
     """
-    if _is_exact(matrix):
-        return all(d == 0 for d in _exact_defect_entries(matrix))
-    largest = float(np.max(np.abs(np.asarray(matrix, dtype=float))))
+    m = _as_array(matrix)
+    if m.dtype == object:
+        return all(d == 0 for d in _defect(m).flat)
+    largest = float(np.max(np.abs(m)))
     try:
         tol = tolerance * max(1.0, largest ** 2)
     except OverflowError:
@@ -241,34 +223,33 @@ def is_symplectic(matrix: Matrix, tolerance: float = 1e-12) -> bool:
         raise LimitExceeded(
             f"matrix entry scale {largest:.6e} puts the tolerance scale past the float range"
         )
-    return symplectic_defect(matrix) <= tol
+    return symplectic_defect(m) <= tol
 
 
 def cayley_matrix(matrix: Matrix):
     """Cayley matrix N_c = (1/2) J (M + I) (M - I)^-1 in stacked ordering.
 
     Symmetric whenever M is symplectic. Raises SingularCayley when M - I
-    is singular (unit eigenvalue), where no Cayley matrix exists.
+    is singular (unit eigenvalue), where no Cayley matrix exists. An exact
+    matrix gives nested lists, a numeric one an ndarray.
     """
-    if _is_exact(matrix):
-        n = _dimension(matrix)
-        ident = _exact_identity(2 * n)
-        _, inv = _exact_solve(_exact_shift(matrix, -1), ident)
-        if inv is None:
-            raise SingularCayley("M - I is singular")
-        product = _exact_matmul(
-            _exact_j(n), _exact_matmul(_exact_shift(matrix, 1), inv)
-        )
-        half = Fraction(1, 2)
-        return [[half * x for x in row] for row in product]
-    m = np.asarray(matrix, dtype=float)
-    n = _dimension(m)
-    ident = np.eye(2 * n)
+    m = _as_array(matrix)
+    exact = m.dtype == object
+    ident = np.eye(len(m), dtype=m.dtype)
     shifted = m - ident
-    det = np.linalg.det(shifted)
-    if abs(det) <= _SINGULAR_TOL:
-        raise SingularCayley(f"|det(M - I)| = {abs(det):.3e} is below {_SINGULAR_TOL}")
-    return 0.5 * stacked_j(n) @ (m + ident) @ np.linalg.inv(shifted)
+    if exact:
+        _, inverse = _exact_solve(shifted, ident)
+        if inverse is None:
+            raise SingularCayley("M - I is singular")
+    else:
+        det = np.linalg.det(shifted)
+        if abs(det) <= _SINGULAR_TOL:
+            raise SingularCayley(f"|det(M - I)| = {abs(det):.3e} is below {_SINGULAR_TOL}")
+        inverse = np.linalg.inv(shifted)
+    half = Fraction(1, 2) if exact else 0.5
+    j = stacked_j(len(m) // 2, m.dtype)
+    cayley = half * j @ (m + ident) @ np.asarray(inverse, dtype=m.dtype)
+    return cayley.tolist() if exact else cayley
 
 
 def genmu_overlap_sq(matrix: Matrix, hbar: float = 1.0) -> float:
@@ -288,6 +269,7 @@ def genmu_overlap_sq(matrix: Matrix, hbar: float = 1.0) -> float:
     columns are scaled. A constant outside the float range raises
     LimitExceeded.
     """
+    # sliced as given, with no object-array copy of M: this is the hottest exact call
     n = _dimension(matrix)
     if _is_exact(matrix):
         det_qp, _ = _exact_solve([row[n:] for row in matrix[:n]])
@@ -307,21 +289,22 @@ def compose_overlap_sq(matrix_a: Matrix, matrix_b: Matrix, hbar: float = 1.0) ->
 
     Depends on the pair only through M_a^-1 M_b.
     """
-    if _is_exact(matrix_a) != _is_exact(matrix_b):
+    n_a, n_b = _dimension(matrix_a), _dimension(matrix_b)
+    exact = _is_exact(matrix_a)
+    if exact != _is_exact(matrix_b):
         raise InvalidProblem("cannot mix exact and numeric matrices")
-    if _is_exact(matrix_a):
+    if n_a != n_b:
+        raise DimensionMismatch(f"shape mismatch: {(2 * n_a, 2 * n_a)} vs {(2 * n_b, 2 * n_b)}")
+    if exact:
         _, relative = _exact_solve(matrix_a, matrix_b)
         if relative is None:
             raise NonInvertible("first matrix is singular")
-        return genmu_overlap_sq(relative, hbar)
-    a = np.asarray(matrix_a, dtype=float)
-    b = np.asarray(matrix_b, dtype=float)
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"shape mismatch: {a.shape} vs {b.shape}")
-    det = np.linalg.det(a)
-    if abs(det) < 1e-300:
-        raise NonInvertible("first matrix is numerically singular")
-    return genmu_overlap_sq(np.linalg.solve(a, b), hbar)
+    else:
+        a = np.asarray(matrix_a, dtype=float)
+        if abs(np.linalg.det(a)) < 1e-300:
+            raise NonInvertible("first matrix is numerically singular")
+        relative = np.linalg.solve(a, np.asarray(matrix_b, dtype=float))
+    return genmu_overlap_sq(relative, hbar)
 
 
 def special_m(q: Scalar, p: Scalar, mu: Scalar = 0):
@@ -329,18 +312,16 @@ def special_m(q: Scalar, p: Scalar, mu: Scalar = 0):
 
     For q != 0 this is [[1,0],[mu,1]] @ [[p,-q],[1/q,0]]; the shear parameter
     mu changes only the phase of the underlying unitary, never the overlap.
-    q = 0 composes the q != 0 form with a quarter rotation. The matrix is a
-    nested list when no argument is a float, else an ndarray.
+    q = 0 composes the q != 0 form with a quarter rotation, J at N = 1. The
+    matrix is a nested list when no argument is a float, else an ndarray.
     """
     exact = _join_modes(_strict_mode(q), _strict_mode(p), _strict_mode(mu)) != NUMERIC
     if q == 0 and p == 0:
         raise InvalidProblem("direction (0, 0) labels no basis")
     if q == 0:
-        quarter = [[0, -1], [1, 0]]
-        base = special_m(-p, 0 if exact else 0.0, mu)
-        if exact:
-            return _exact_matmul(base, quarter)
-        return np.asarray(base, dtype=float) @ np.asarray(quarter, dtype=float)
+        base = _as_array(special_m(-p, 0 if exact else 0.0, mu))
+        turned = base @ stacked_j(1, base.dtype)
+        return turned.tolist() if exact else turned
     rows = [[p, -q], [mu * p + _quotient(1, q), -mu * q]]
     if exact:
         return rows
@@ -422,8 +403,6 @@ class MetaplecticSpec:
         if len({len(row) for row in rows}) > 1:
             raise InvalidProblem("rows of the matrix differ in length")
         matrix = np.array([[_json_number(x, "matrix entries") for x in row] for row in rows])
-        if matrix.ndim != 2:
-            raise DimensionMismatch("rows must form a matrix")
         n = _dimension(matrix)
         declared = data.get("N")
         if declared is not None and (isinstance(declared, bool) or not isinstance(declared, int)):

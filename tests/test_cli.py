@@ -378,6 +378,12 @@ class TestMetaplecticCommand:
         assert main(argv) == OK
         assert "overlap_sq: 0.159154943092" in capsys.readouterr().out
 
+    def test_special_m_exact_image_is_exact(self, capsys):
+        # 2/3 has no float: the image from float rows read 1.85037170771e-18
+        argv = ["metaplectic", "special-m", "--mode", "exact", "--q", "2/3", "--p", "1/5", "--mu", "1/7"]
+        assert main(argv) == OK
+        assert "image of (Q, P): (0, 1)\n" in capsys.readouterr().out
+
     @pytest.mark.parametrize("hbar", ["1e-300", "1e300"])
     def test_overlap_constant_out_of_float_range_exits_two(self, hbar, write_json, capsys):
         # J at N = 2: (2 pi hbar)^-2 overflows at 1e-300 and underflows at 1e300

@@ -454,6 +454,25 @@ class TestMetaplecticSpecJson:
         assert np.allclose(back.stacked(), spec.stacked(), atol=0)
 
 
+# malformed shapes, each with a J of its own mode for compose_overlap_sq
+MALFORMED = {
+    "ragged-float": ([[1.0, 2.0], [3.0]], J1, "must form a matrix"),
+    "ragged-exact": ([[1, 2], [3]], [[0, -1], [1, 0]], "must form a matrix"),
+    "1-d": (np.zeros(4), np.asarray(J1), "must form a matrix"),
+    "1-d-exact": ([1, 0], [[0, -1], [1, 0]], "must form a matrix"),
+    "empty": (np.zeros((0, 0)), np.asarray(J1), "must be square"),
+    "3-d": (np.zeros((2, 2, 2)), np.asarray(J1), "must form a matrix"),
+    "3x2-exact": ([[1, 0], [0, 1], [1, 1]], [[0, -1], [1, 0]], "must be square"),
+}
+SHAPE_CHECKED = {
+    "defect": lambda m, j: symplectic_defect(m),
+    "is-symplectic": lambda m, j: is_symplectic(m),
+    "cayley": lambda m, j: cayley_matrix(m),
+    "overlap": lambda m, j: genmu_overlap_sq(m),
+    "compose": compose_overlap_sq,
+}
+
+
 # one case per input-error raise that no other test reaches
 @pytest.mark.parametrize(
     "call, error, message",
@@ -465,9 +484,18 @@ class TestMetaplecticSpecJson:
         (lambda: compose_overlap_sq(np.eye(2), [[Fraction(1), 0], [0, 1]]),
          InvalidProblem, "cannot mix"),
         (lambda: compose_overlap_sq(np.eye(2), np.eye(4)), DimensionMismatch, "shape mismatch"),
+        (lambda: compose_overlap_sq([[int(i == k) for k in range(4)] for i in range(4)],
+                                    [[0, -1], [1, 0]]),
+         DimensionMismatch, "shape mismatch"),
+        (lambda: compose_overlap_sq([[0, -1], [1, 0]], [[1, 0], [0, 1], [1, 1]]),
+         DimensionMismatch, "must be square"),
         (lambda: compose_overlap_sq(np.zeros((2, 2)), np.eye(2)),
          NonInvertible, "numerically singular"),
         (lambda: special_m(0, 0), InvalidProblem, "labels no basis"),
+    ] + [
+        (lambda call=call, m=m, j=j: call(m, j), DimensionMismatch, message)
+        for call in SHAPE_CHECKED.values()
+        for m, j, message in MALFORMED.values()
     ],
     ids=[
         "non-square",
@@ -475,9 +503,11 @@ class TestMetaplecticSpecJson:
         "spec-rows-not-a-matrix",
         "compose-mixed-modes",
         "compose-shape-mismatch",
+        "compose-exact-shape-mismatch",
+        "compose-exact-malformed-second",
         "compose-singular-first",
         "special-m-zero-direction",
-    ],
+    ] + [f"{name}-{shape}" for name in SHAPE_CHECKED for shape in MALFORMED],
 )
 def test_input_error_raises(call, error, message):
     with pytest.raises(error, match=message):
