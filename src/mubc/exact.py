@@ -6,6 +6,12 @@ for ambient rationals (u, v). The default ambient is the golden one
 are decided algebraically, never through floating point. An element is
 stored as integers (a + b*R) / d with gcd(a, b, d) = 1 and d > 0, so every
 operation is integer arithmetic followed by at most one gcd.
+
+The hot path: +, - and * read the two common operands, a QuadNum over the
+identical ambient and an int, inline and build an integral result (d = 1)
+directly; every other operand goes through QuadNum._parts. _product_parts
+is the one product formula, for scalars and for the lattice kernel's
+integer arrays alike, and _reduced is the one reduction wherever d != 1.
 """
 
 from __future__ import annotations
@@ -213,8 +219,8 @@ class QuadNum:
     # -- arithmetic ---------------------------------------------------
 
     def _parts(self, other: object) -> tuple[int, int, int] | None:
-        """other as integers (a, b, d) over this ambient; None for foreign types."""
-        # the common operands first: a QuadNum over this very ambient, an int
+        """other as integers (a, b, d) over this ambient; None for foreign types.
+        +, - and * read the first two cases inline before calling this."""
         if type(other) is QuadNum and other._ambient is self._ambient:
             return other._a, other._b, other._d
         if type(other) is int:
@@ -228,24 +234,46 @@ class QuadNum:
         return None
 
     def __add__(self, other: object) -> "QuadNum":
-        parts = self._parts(other)
-        if parts is None:
-            return NotImplemented
-        a, b, d = parts
-        return _reduced(
-            self._a * d + a * self._d, self._b * d + b * self._d, self._d * d, self._ambient
-        )
+        if type(other) is QuadNum and other._ambient is self._ambient:
+            a, b, d = other._a, other._b, other._d
+        elif type(other) is int:
+            a, b, d = other, 0, 1
+        else:
+            parts = self._parts(other)
+            if parts is None:
+                return NotImplemented
+            a, b, d = parts
+        sd = self._d
+        if sd == 1 and d == 1:
+            x = _new(QuadNum)
+            x._a = self._a + a
+            x._b = self._b + b
+            x._d = 1
+            x._ambient = self._ambient
+            return x
+        return _reduced(self._a * d + a * sd, self._b * d + b * sd, sd * d, self._ambient)
 
     __radd__ = __add__
 
     def __sub__(self, other: object) -> "QuadNum":
-        parts = self._parts(other)
-        if parts is None:
-            return NotImplemented
-        a, b, d = parts
-        return _reduced(
-            self._a * d - a * self._d, self._b * d - b * self._d, self._d * d, self._ambient
-        )
+        if type(other) is QuadNum and other._ambient is self._ambient:
+            a, b, d = other._a, other._b, other._d
+        elif type(other) is int:
+            a, b, d = other, 0, 1
+        else:
+            parts = self._parts(other)
+            if parts is None:
+                return NotImplemented
+            a, b, d = parts
+        sd = self._d
+        if sd == 1 and d == 1:
+            x = _new(QuadNum)
+            x._a = self._a - a
+            x._b = self._b - b
+            x._d = 1
+            x._ambient = self._ambient
+            return x
+        return _reduced(self._a * d - a * sd, self._b * d - b * sd, sd * d, self._ambient)
 
     def __rsub__(self, other: object) -> "QuadNum":
         parts = self._parts(other)
@@ -257,11 +285,24 @@ class QuadNum:
         )
 
     def __mul__(self, other: object) -> "QuadNum":
-        parts = self._parts(other)
-        if parts is None:
-            return NotImplemented
+        if type(other) is QuadNum and other._ambient is self._ambient:
+            a2, b2, d2 = other._a, other._b, other._d
+        elif type(other) is int:
+            a2, b2, d2 = other, 0, 1
+        else:
+            parts = self._parts(other)
+            if parts is None:
+                return NotImplemented
+            a2, b2, d2 = parts
         amb = self._ambient
-        a, b, d = _product_parts((self._a, self._b, self._d), parts, amb)
+        a, b, d = _product_parts(self._a, self._b, self._d, a2, b2, d2, amb)
+        if d == 1:
+            x = _new(QuadNum)
+            x._a = a
+            x._b = b
+            x._d = 1
+            x._ambient = amb
+            return x
         return _reduced(a, b, d, amb)
 
     __rmul__ = __mul__
@@ -279,16 +320,16 @@ class QuadNum:
         if parts is None:
             return NotImplemented
         amb = self._ambient
-        a, b, d = _product_parts((self._a, self._b, self._d), _inverse_parts(parts, amb), amb)
-        return _reduced(a, b, d, amb)
+        inv = _inverse_parts(parts, amb)
+        return _reduced(*_product_parts(self._a, self._b, self._d, *inv, amb), amb)
 
     def __rtruediv__(self, other: object) -> "QuadNum":
         parts = self._parts(other)
         if parts is None:
             return NotImplemented
         amb = self._ambient
-        a, b, d = _product_parts(parts, _inverse_parts((self._a, self._b, self._d), amb), amb)
-        return _reduced(a, b, d, amb)
+        inv = _inverse_parts((self._a, self._b, self._d), amb)
+        return _reduced(*_product_parts(*parts, *inv, amb), amb)
 
     def __neg__(self) -> "QuadNum":
         return _reduced(-self._a, -self._b, self._d, self._ambient)
@@ -409,15 +450,16 @@ def _reduced(a: int, b: int, d: int, ambient: Ambient) -> QuadNum:
         if g != 1:
             a, b, d = a // g, b // g, d // g
     x = _new(QuadNum)
-    x._a, x._b, x._d, x._ambient = a, b, d, ambient
+    x._a = a
+    x._b = b
+    x._d = d
+    x._ambient = ambient
     return x
 
 
-def _product_parts(x: tuple, y: tuple, ambient: Ambient) -> tuple:
+def _product_parts(a1, b1, d1, a2, b2, d2, ambient: Ambient) -> tuple:
     """(a1 + b1 R)(a2 + b2 R) / (d1 d2) with R^2 = (L u R + L v) / L, unreduced.
     Arithmetic operators only, so integer arrays work as well as ints."""
-    a1, b1, d1 = x
-    a2, b2, d2 = y
     l = ambient._l
     bb = b1 * b2
     return l * a1 * a2 + ambient._lv * bb, l * (a1 * b2 + b1 * a2) + ambient._lu * bb, l * d1 * d2

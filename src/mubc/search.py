@@ -748,7 +748,7 @@ _INT64_LIMIT = 1 << 62
 
 
 def _mul(x, y):
-    a, b, _ = _product_parts((x[0], x[1], 1), (y[0], y[1], 1), GOLDEN)
+    a, b, _ = _product_parts(x[0], x[1], 1, y[0], y[1], 1, GOLDEN)
     return a, b
 
 

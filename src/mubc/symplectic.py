@@ -17,6 +17,7 @@ Fraction to exact, and an int to neither.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -160,9 +161,12 @@ def symp_product(a: ProductVector, b: ProductVector) -> Scalar:
     if a.n != b.n:
         raise DimensionMismatch(f"factor counts differ: {a.n} vs {b.n}")
     _join_modes(a.mode, b.mode)
-    result: Scalar = 1
-    for fa, fb in zip(a.factors, b.factors):
-        # symp2(fa, fb), whose mode check the vectors' check above covers
+    # symp2 per factor, whose mode check the vectors' check above covers;
+    # the first factor's starts the product: N - 1 multiplications, not N
+    pairs = zip(a.factors, b.factors)
+    fa, fb = next(pairs)
+    result = fa.p * fb.q - fa.q * fb.p
+    for fa, fb in pairs:
         result = result * (fa.p * fb.q - fa.q * fb.p)
     return result
 
@@ -190,18 +194,28 @@ def build_jN(n: int) -> list[list[int]]:
     return result
 
 
+@functools.cache
+def _jn_entries(n: int) -> tuple[tuple[int, int, int], ...]:
+    """j_N's nonzero entries as (row, column, +-1), in row-major order."""
+    return tuple(
+        (i, k, sign) for i, row in enumerate(build_jN(n)) for k, sign in enumerate(row) if sign
+    )
+
+
 def expanded_product(a: ProductVector, b: ProductVector) -> Scalar:
     """Independent route: sandwich expanded coordinates around j_N."""
     if a.n != b.n:
         raise DimensionMismatch(f"factor counts differ: {a.n} vs {b.n}")
-    jn = build_jN(a.n)
+    entries = _jn_entries(a.n)
     av = a.expanded
     bv = b.expanded
+    # each entry is +-1: add or subtract the term, never multiply by the sign
     total: Scalar = 0
-    for i, row in enumerate(jn):
-        for k, sign in enumerate(row):
-            if sign:
-                total = total + sign * (av[i] * bv[k])
+    for i, k, sign in entries:
+        if sign > 0:
+            total = total + av[i] * bv[k]
+        else:
+            total = total - av[i] * bv[k]
     return total
 
 

@@ -248,6 +248,42 @@ class TestEnumerateCommand:
 ASYMMETRIC_EXACT = {"N": 1, "mode": "exact", "K": "1", "vectors": [[["0", "-1"]], [["1", "0"]], [["1", "1"]]]}
 
 
+# Over R^2 = 2 (R = sqrt 2) the pair (1, 0), (1, 1 + R) has product -1 - R,
+# of magnitude 2.414..., where the golden 1 + R would read 2.618...
+SQRT2_TRIPLE = {
+    "N": 1, "mode": "exact", "K": "1", "ambient": [0, 1, 2, 1],
+    "vectors": [[["0", "-1"]], [["1", "0"]], [["1", "1 + R"]]],
+}
+
+
+def test_exact_scalars_as_ints_and_dicts(write_json, tmp_path, capsys):
+    # a bare int, a dict naming the config's ambient and a dict naming none
+    # (which takes the config's) read as the same elements as the strings
+    ints_and_dicts = {
+        **SQRT2_TRIPLE,
+        "K": {"p": [2, 2], "q": [0, 1]},
+        "vectors": [
+            [[0, -1]],
+            [[1, 0]],
+            [[{"p": [1, 1], "q": [0, 1], "ambient": [0, 1, 2, 1]}, {"p": [3, 3], "q": [2, 2]}]],
+        ],
+    }
+    reports = []
+    for name, config in (("strings", SQRT2_TRIPLE), ("ints-and-dicts", ints_and_dicts)):
+        out = tmp_path / f"{name}-report.json"
+        assert main(["verify", write_json(f"{name}.json", config), "--out", str(out)]) == FALSE
+        reports.append(json.loads(out.read_text()))
+    assert reports[0] == reports[1]
+    assert reports[1]["pairs"][2]["value"] == "-1 - R"
+    assert math.isclose(reports[1]["pairs"][2]["magnitude"], 1 + math.sqrt(2), rel_tol=1e-15)
+    capsys.readouterr()
+    # a dict over another ambient is refused, not read over the config's
+    golden_entry = {"p": [1, 1], "q": [1, 1], "ambient": [1, 1, 1, 1]}
+    mixed = {**SQRT2_TRIPLE, "vectors": [[[0, -1]], [[1, 0]], [[1, golden_entry]]]}
+    assert main(["verify", write_json("mixed.json", mixed)]) == INPUT_ERROR
+    assert "ambient mismatch" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "field, value",
     [

@@ -226,6 +226,12 @@ class TestSqrt:
         with pytest.raises(ExactSqrtUnavailable):
             quad_sqrt(qn(-4))
 
+    def test_rational_without_rational_root(self):
+        # q = 0 but 5 is no rational square: the root is a pure multiple of
+        # sqrt(D) = 2R - 1, here sqrt(5) = -1 + 2R
+        assert quad_sqrt(QuadNum(5)) == QuadNum(-1, 2)
+        assert quad_sqrt(QuadNum(Fraction(5, 4))) == QuadNum(Fraction(-1, 2), 1)
+
 
 class TestSerialization:
     def test_string_round_trip(self):
@@ -419,6 +425,69 @@ def test_operations_match_fraction_pair_reference(amb, x, y, c, twin):
     }
     assert QuadNum.from_json(blob) == a
     assert float(a) == ref_float(x, amb)
+
+
+# +, - and * read a QuadNum over the identical ambient and an int inline;
+# every other operand goes through _parts. Each kind of operand, on either
+# side, must give the reference pair in lowest terms over the left
+# QuadNum's own ambient instance. The fractional ambient has L = 2, so even
+# a product of integral elements is reduced.
+INLINE_AMBIENTS = (GOLDEN, Ambient(Fraction(1, 2), Fraction(3, 4)))
+INLINE_OPERANDS = {
+    "int": lambda amb: 3,
+    "bool": lambda amb: True,
+    "Fraction": lambda amb: Fraction(-5, 6),
+    "integral QuadNum": lambda amb: QuadNum(2, -3, amb),
+    "fractional QuadNum": lambda amb: QuadNum(Fraction(1, 4), Fraction(-2, 3), amb),
+    "QuadNum over an equal ambient": lambda amb: QuadNum(-1, 5, Ambient(amb.u, amb.v)),
+    "fractional QuadNum over an equal ambient": lambda amb: QuadNum(
+        Fraction(7, 3), Fraction(1, 2), Ambient(amb.u, amb.v)
+    ),
+}
+
+
+def assert_lowest(value, pair, ambient):
+    assert_is(value, pair, ambient)
+    assert value.ambient is ambient
+    # the stored integers, not only the Fractions read from them
+    assert value == QuadNum(*pair, ambient) and value.is_integral == (
+        pair[0].denominator == pair[1].denominator == 1
+    )
+
+
+@pytest.mark.parametrize("amb", INLINE_AMBIENTS, ids=["golden", "fractional"])
+@pytest.mark.parametrize("x", [(4, -1), (Fraction(3, 2), Fraction(5, 7))], ids=["integral", "fractional"])
+@pytest.mark.parametrize("kind", INLINE_OPERANDS)
+def test_inline_operands_match_reference(amb, x, kind):
+    x = (Fraction(x[0]), Fraction(x[1]))
+    a, o = QuadNum(*x, amb), INLINE_OPERANDS[kind](amb)
+    y = (o.p, o.q) if isinstance(o, QuadNum) else (Fraction(o), Fraction(0))
+    # o on the left keeps its own ambient instance when it is a QuadNum
+    left = o.ambient if isinstance(o, QuadNum) else amb
+    assert_lowest(a + o, (x[0] + y[0], x[1] + y[1]), amb)
+    assert_lowest(o + a, (x[0] + y[0], x[1] + y[1]), left)
+    assert_lowest(a - o, (x[0] - y[0], x[1] - y[1]), amb)
+    assert_lowest(o - a, (y[0] - x[0], y[1] - x[1]), left)
+    assert_lowest(a * o, ref_mul(x, y, amb), amb)
+    assert_lowest(o * a, ref_mul(y, x, amb), left)
+    assert_lowest(a - a, (Fraction(0), Fraction(0)), amb)
+
+
+@pytest.mark.parametrize("amb", INLINE_AMBIENTS, ids=["golden", "fractional"])
+@pytest.mark.parametrize("x", [(4, -1), (Fraction(3, 2), Fraction(5, 7))], ids=["integral", "fractional"])
+def test_inline_operators_refuse_foreign_operands(amb, x):
+    a = QuadNum(*x, amb)
+    foreign = QuadNum(1, 1, Ambient(Fraction(0), Fraction(2)))
+    for op in (lambda s, t: s + t, lambda s, t: s - t, lambda s, t: s * t):
+        with pytest.raises(ContextMismatch):
+            op(a, foreign)
+        with pytest.raises(ContextMismatch):
+            op(foreign, a)
+        for other in (1.5, "1", None):
+            with pytest.raises(TypeError):
+                op(a, other)
+            with pytest.raises(TypeError):
+                op(other, a)
 
 
 @given(st.sampled_from(PARITY_AMBIENTS), st.integers(-10**30, 10**30), st.integers(-10**30, 10**30))

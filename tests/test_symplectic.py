@@ -533,6 +533,52 @@ def test_factorization_cross_check_numeric():
         assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs), abs(rhs))
 
 
+def test_product_multiplication_counts(monkeypatch):
+    # N = 2: symp_product forms two factor products and one product of
+    # them; expanded_product expands each vector (one multiplication per
+    # component) and multiplies each of j_2's four +-1 entries' terms, never
+    # the sign
+    five = golden_five().vectors
+    calls = []
+    original = QuadNum.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return original(self, other)
+
+    monkeypatch.setattr(QuadNum, "__mul__", counted)
+    monkeypatch.setattr(QuadNum, "__rmul__", counted)
+    for a, b in ((five[3], five[4]), (five[0], five[2])):
+        calls.clear()
+        value = symp_product(a, b)
+        assert len(calls) == 5
+        calls.clear()
+        assert expanded_product(a, b) == value
+        assert len(calls) == 12
+    nine = ProductVector.of(*[(1, 0)] * 9)
+    with pytest.raises(LimitExceeded):
+        expanded_product(nine, nine)
+
+
+def test_numeric_products_equal_the_reference_sums():
+    # the same floats as summing sign * a_i * b_k over every nonzero entry
+    # of j_N, and as multiplying the factor forms from 1
+    rng = random.Random(15)
+    for _ in range(300):
+        n = rng.randint(1, 4)
+        a = ProductVector.of(*[(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(n)])
+        b = ProductVector.of(*[(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(n)])
+        av, bv = a.expanded, b.expanded
+        reference = sum(
+            sign * av[i] * bv[k]
+            for i, row in enumerate(build_jN(n))
+            for k, sign in enumerate(row)
+            if sign
+        )
+        assert expanded_product(a, b) == reference
+        assert symp_product(a, b) == math.prod(symp2(fa, fb) for fa, fb in zip(a.factors, b.factors))
+
+
 def test_transform_invariance():
     rng = random.Random(13)
     mats = [[[1, 0], [1, 1]], [[0, -1], [1, 0]], [[0, 1], [1, 0]], [[1, -3], [0, 1]]]
