@@ -10,7 +10,7 @@ symplectic products equal to a common K:
 * find_equivalence: hunt for a rescaled unsigned symplectic map carrying
   one triple onto another up to ordering and per-vector signs.
 * search_extension / enumerate_triples_n1: look for additional product
-  vectors by seeded descent or exhaustively over the golden lattice; find
+  vectors by seeded Newton descent or exhaustively over the golden lattice; find
   the one class of N = 1 lattice triples at K (every c is +/-a +/- b).
 """
 
@@ -426,9 +426,10 @@ class SearchReport:
 
     stats is empty for zero free slots. A real search reports budget_hit,
     charts (chart objectives built, one per chart its restarts used),
-    dead_charts (restarts on a chart whose objective is inf everywhere) and
-    gradient_evaluations (evaluations that also computed the gradient: one
-    per restart and one per accepted step). A lattice search reports the
+    dead_charts (restarts on a chart whose objective is inf everywhere),
+    gradient_evaluations (evaluations that also formed the gradient and
+    Hessian: one per restart and per accepted step) and gauss_newton_steps
+    (steps that took the Gauss-Newton fallback). A lattice search reports the
     kernel's work: heads (heads run through the divisibility filter),
     heads_passed (heads past it), sign_pattern_solves
     (last-factor solves, four sign patterns per head, or two per box value
@@ -476,10 +477,6 @@ class SearchReport:
         }
 
 
-GRAD_TOL = 1e-10
-STEP_TOL = 1e-14
-
-
 def _seed_check(problem: SearchProblem) -> None:
     if len(problem.seeds) >= 2:
         config = MUConfiguration(problem.seeds, problem.target_k, problem.hbar, problem.mode)
@@ -489,7 +486,7 @@ def _seed_check(problem: SearchProblem) -> None:
 
 
 class _ChartObjective:
-    """The gauge-fixed objective and its gradient in one chart, compiled once.
+    """The gauge-fixed objective and its derivatives in one chart, compiled once.
 
     A chart holds one entry per factor of each free vector: 0 pins the
     factor's first component to 1 and leaves its second as a coordinate of
@@ -538,8 +535,8 @@ class _ChartObjective:
 
     def _compile(self, va, vb) -> tuple[range, list]:
         """One pair: the indices of its factor products among the terms, and
-        its gradient entries (k, coefficient, the indices of the other
-        factors' products), in the order the formula visits them."""
+        its gradient entries (k, coefficient, the index t of the term holding
+        x[k], the indices of the others), in the order the formula visits them."""
         first = len(self.terms)
         for (aq, ap, k), (bq, bp, l) in zip(va, vb):
             if l is None:
@@ -558,37 +555,54 @@ class _ChartObjective:
             others = tuple(g for g in own if g != t)
             if k is not None:
                 # d symp2 / d (va[f].p) = vb[f].q
-                grads.append((k, bq, others))
+                grads.append((k, bq, t, others))
             if l is not None:
-                grads.append((l, -aq, others))
+                grads.append((l, -aq, t, others))
         return own, grads
 
     def pack(self, xs: list[float]) -> list[list[tuple[float, float]]]:
         """Free vectors as (q, p) float pairs from the chart's coordinates."""
         return [[(0.0, 1.0) if p is None else (1.0, xs[p]) for p in slot] for slot in self.slots]
 
-    def evaluate(self, x: list[float], want_grad: bool) -> tuple[float, list[float] | None]:
+    def evaluate(self, x: list[float], want_grad: bool, want_hessian: bool = False):
+        """(f, gradient), or (f, gradient, H, G) with want_hessian too: per pair d =
+        log|prod t| - log K has grad d_k = (dt/dx_k) / t over the one term t with x_k
+        and hess d = -sum_t grad t grad t^T / t^2; H = 2 sum (grad d grad d^T + d hess d),
+        G = 2 sum grad d grad d^T."""
+        none = (math.inf, None, None, None) if want_hessian else (math.inf, None)
         if self.dead:
-            return math.inf, None
+            return none
         ext = x + self.consts
         products = [ext[u] - c * ext[v] for u, c, v in self.terms]
         log_k = self.log_k
         total = 0.0
         grad = [0.0] * self.dims if want_grad else None
+        if want_hessian:
+            hessian = [[0.0] * self.dims for _ in range(self.dims)]
+            gauss_newton = [[0.0] * self.dims for _ in range(self.dims)]
         for own, grads in self.pairs:
             sp = 1.0
             for t in own:
                 sp *= products[t]
             if sp == 0.0:
-                return math.inf, None
+                return none
             diff = math.log(abs(sp)) - log_k
             total += diff * diff
             if want_grad:
-                for k, coefficient, others in grads:
+                dd = []
+                for k, coefficient, t, others in grads:
                     rest = 1.0
                     for g in others:
                         rest *= products[g]
                     grad[k] += 2.0 * diff * (coefficient * rest) / sp
+                    if want_hessian:
+                        dd.append((k, coefficient * rest / sp, t))
+                for k, a, t in dd:
+                    for l, b, u in dd:
+                        gauss_newton[k][l] += 2.0 * a * b
+                        hessian[k][l] += 2.0 * a * b * (1.0 - diff if t == u else 1.0)
+        if want_hessian:
+            return total, grad, hessian, gauss_newton
         return total, grad
 
     def __call__(self, x, want_grad: bool = True) -> tuple[float, np.ndarray | None]:
@@ -625,6 +639,23 @@ def _restart_charts(dims: int, restarts: int):
     return (free if r % 2 == 0 else next(others) for r in range(restarts))
 
 
+def _cholesky_solve(a: list[list[float]], b: list[float], shift: float = 0.0) -> list[float] | None:
+    """The x with (a + shift I) x = b by square-root-free Cholesky (L D L^T, by
+    elimination without pivoting); None when a pivot is not positive and
+    finite, so when a + shift I is not positive definite in floats."""
+    rows = [row[:i] + [row[i] + shift] + row[i + 1 :] + [bi] for i, (row, bi) in enumerate(zip(a, b))]
+    for i, pivot in enumerate(rows):
+        if not 0.0 < pivot[i] < math.inf:
+            return None
+        for row in rows[i + 1 :]:
+            ratio = row[i] / pivot[i]
+            row[i:] = [r - ratio * p for r, p in zip(row[i:], pivot[i:])]
+    x = [0.0] * len(rows)
+    for i in reversed(range(len(rows))):
+        x[i] = (rows[i][-1] - sum(rows[i][c] * x[c] for c in range(i + 1, len(rows)))) / rows[i][i]
+    return x
+
+
 def _search_real(problem: SearchProblem, budget: int, restarts: int, seed: int) -> SearchReport:
     start = time.perf_counter()
     rng = np.random.default_rng(seed)
@@ -636,6 +667,7 @@ def _search_real(problem: SearchProblem, budget: int, restarts: int, seed: int) 
     best_vectors: list[list[tuple[float, float]]] = []
     restarts_used = 0
     dead_restarts = 0
+    gauss_newton_steps = 0
     for chart in _restart_charts(problem.free_slots * problem.n, restarts):
         if evaluations >= budget:
             break
@@ -644,38 +676,42 @@ def _search_real(problem: SearchProblem, budget: int, restarts: int, seed: int) 
         if objective is None:
             objective = objectives[chart] = _ChartObjective(problem, chart)
         x = rng.uniform(-3.0, 3.0, size=objective.dims).tolist()
-        fx, gx = objective.evaluate(x, True)
+        fx, gx, hx, gnx = objective.evaluate(x, True, True)
         evaluations += 1
         gradient_evaluations += 1
         dead_restarts += objective.dead
         for _ in range(400):
             if evaluations >= budget or not math.isfinite(fx):
                 break
-            try:
-                gnorm = math.sqrt(math.fsum([g * g for g in gx]))
-            except OverflowError:  # finite squares whose sum passes the float range
-                gnorm = math.inf
-            if gnorm < GRAD_TOL:
+            minus = [-g for g in gx]
+            delta = _cholesky_solve(hx, minus)
+            if delta is None:  # H is not positive definite: G, shifted as little as will do
+                gauss_newton_steps += 1
+                top = max(row[i] for i, row in enumerate(gnx))
+                solves = (_cholesky_solve(gnx, minus, s) for s in (0.0, *(top * 10.0**e for e in range(-15, 1))))
+                delta = next((d for d in solves if d is not None), None)
+            # -slope is the squared Newton decrement; f is dimensionless, so the test is scale-free
+            slope = math.inf if delta is None else sum(g * d for g, d in zip(gx, delta))
+            if not (math.isfinite(slope) and -slope > 1e-12 * max(fx, 1e-300)):
                 break
-            step = 1.0
-            accepted = False
-            while step * gnorm >= STEP_TOL:
-                x_new = [xi - step * gi for xi, gi in zip(x, gx)]
+            step, accepted = 1.0, False
+            while not accepted and evaluations < budget:
+                x_new = [xi + step * di for xi, di in zip(x, delta)]
+                if x_new == x:  # the step is below the rounding of x
+                    break
                 f_new, _ = objective.evaluate(x_new, False)
                 evaluations += 1
-                if f_new <= fx - 1e-4 * step * gnorm * gnorm:
-                    accepted = True
-                    break
+                accepted = f_new <= fx + 1e-4 * step * slope
                 step *= 0.5
-                if evaluations >= budget:
-                    break
             if not accepted:
                 break
-            x = x_new
-            fx, gx = objective.evaluate(x, True)
+            x, decrease = x_new, fx - f_new
+            fx, gx, hx, gnx = objective.evaluate(x, True, True)
             evaluations += 1
             gradient_evaluations += 1
             iterations += 1
+            if decrease <= 1e-15 * fx:  # f is at its rounding level
+                break
         if math.isfinite(fx) and fx < best_val:
             best_val = fx
             best_vectors = objective.pack(x)
@@ -709,6 +745,7 @@ def _search_real(problem: SearchProblem, budget: int, restarts: int, seed: int) 
             "charts": len(objectives),
             "dead_charts": dead_restarts,
             "gradient_evaluations": gradient_evaluations,
+            "gauss_newton_steps": gauss_newton_steps,
         },
     )
 
@@ -1026,15 +1063,18 @@ def search_extension(
 ) -> SearchReport:
     """Look for free-slot vectors completing the seeds to a larger MU set.
 
-    Real domain: seeded multi-start gradient descent with backtracking on
-    the summed squared log-residuals, over gauge-fixed factor coordinates.
-    Even restarts pin every factor's first component to 1; odd ones take
-    the charts that pin some factors to (0, 1) in turn, fewest pinned
-    first. Golden-lattice domain: every exact completion inside the height
-    box, found by enumerating the first N - 1 factors of each free vector
-    and solving one linear system per sign pattern for the last;
-    evaluations counts enumerated heads, and an unsuccessful search returns
-    no vector.
+    Real domain: seeded multi-start damped Newton on the summed squared
+    log-residuals over gauge-fixed factor coordinates. Each step solves with
+    the Hessian, or where it is not positive definite with the Gauss-Newton
+    matrix shifted just enough to be, then backtracks (Armijo); a restart
+    stops once the Newton decrement is tiny beside f, f or the step is at
+    rounding level, or the budget is spent. Even restarts pin every factor's
+    first component to 1; odd ones take the charts that pin some factors to
+    (0, 1) in turn, fewest pinned first. Golden-lattice domain: every exact
+    completion inside the height box, found by enumerating the first N - 1
+    factors of each free vector and solving one linear system per sign
+    pattern for the last; evaluations counts enumerated heads, and an
+    unsuccessful search returns no vector.
     """
     _seed_check(problem)
     if problem.free_slots == 0:

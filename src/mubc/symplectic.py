@@ -579,6 +579,8 @@ def _parse_scalar(value, mode: str, ambient: Ambient) -> Scalar:
         parsed = QuadNum.from_json(value)
         if "ambient" not in value:
             parsed = QuadNum(parsed.p, parsed.q, ambient)
+        elif parsed.ambient != ambient:
+            raise ContextMismatch(f"ambient mismatch: scalar over {parsed.ambient} in a file over {ambient}")
         return parsed
     if isinstance(value, float):
         raise ContextMismatch(f"float {value!r} not allowed in exact mode")

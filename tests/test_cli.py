@@ -284,6 +284,27 @@ def test_exact_scalars_as_ints_and_dicts(write_json, tmp_path, capsys):
     assert "ambient mismatch" in capsys.readouterr().err
 
 
+# every entry and K name the golden ambient, the file the sqrt-2 one
+FOREIGN_ENTRIES = {
+    "N": 1, "mode": "exact", "ambient": [0, 1, 2, 1],
+    "K": {"p": [1, 1], "q": [0, 1], "ambient": [1, 1, 1, 1]},
+    "vectors": [
+        [[{"p": [1, 1], "q": [0, 1], "ambient": [1, 1, 1, 1]}, {"p": [0, 1], "q": [1, 1], "ambient": [1, 1, 1, 1]}]],
+        [[{"p": [1, 1], "q": [0, 1], "ambient": [1, 1, 1, 1]}, {"p": [0, 1], "q": [0, 1], "ambient": [1, 1, 1, 1]}]],
+    ],
+}
+# only K names the golden ambient
+FOREIGN_K = {**SQRT2_TRIPLE, "K": {"p": [1, 1], "q": [1, 1], "ambient": [1, 1, 1, 1]}}
+
+
+@pytest.mark.parametrize("config", [FOREIGN_ENTRIES, FOREIGN_K], ids=["entries", "k"])
+@pytest.mark.parametrize("flags", [[], ["--infer-k"]], ids=["plain", "infer-k"])
+def test_foreign_ambient_scalars_exit_two(config, flags, write_json, capsys):
+    # a dict over another ambient is never read over it, with or without K
+    assert main(["verify", write_json("foreign.json", config), *flags]) == INPUT_ERROR
+    assert "ambient mismatch" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "field, value",
     [

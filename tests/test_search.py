@@ -426,28 +426,27 @@ def golden5_problem(indices=(0, 1, 2)):
 
 REAL_PROBLEMS = {"asym": asym_problem, "golden3": golden5_problem}
 
-# search_extension(problem, budget=4000, restarts=8, seed), recorded before
-# the objective was built once per chart; its float operations did not
-# change, so every figure must match exactly: (problem, free slots, seed,
-# outcome, evaluations, iterations, restarts_used, best_objective, vectors
-# as (q, p) factor pairs)
+# search_extension(problem, budget=4000, restarts=8, seed), recorded with
+# the damped Newton steps; every figure must match exactly: (problem, free
+# slots, seed, outcome, evaluations, iterations, restarts_used,
+# best_objective, vectors as (q, p) factor pairs)
 REAL_TRAJECTORIES = [
-    ("asym", 1, 0, "no-improvement", 586, 108, 8, 0.3942027165964029, (((1.0, -0.7775401040384843),),)),
-    ("asym", 1, 1, "no-improvement", 452, 86, 8, 0.3942027165964029, (((1.0, -0.7775401039902837),),)),
-    ("asym", 1, 2, "no-improvement", 353, 67, 8, 0.3942027165964029, (((1.0, -0.7775401040597553),),)),
-    ("asym", 1, 3, "no-improvement", 726, 106, 8, 0.3942027165964029, (((1.0, -0.7775401037268425),),)),
-    ("asym", 2, 0, "no-improvement", 1730, 291, 8, 1.3707391468826373, (((1.0, -0.6003046863439281),), ((1.0, -1.283957851369844),))),
-    ("asym", 2, 1, "no-improvement", 1839, 362, 8, 1.3707391468826373, (((1.0, 2.2839578515068384),), ((1.0, 1.6003046865283332),))),
-    ("asym", 2, 2, "no-improvement", 904, 150, 8, 1.370739146882637, (((1.0, -0.6003046865483995),), ((1.0, -1.2839578514960623),))),
-    ("asym", 2, 3, "no-improvement", 1269, 271, 8, 1.3707391468826373, (((1.0, -1.2839578523668147),), ((1.0, -0.60030468500552),))),
-    ("golden3", 1, 0, "extended", 1941, 388, 8, 6.831567189168697e-22, (((1.0, -0.6180339887296997), (1.0, 1.6180339887622905)),)),
-    ("golden3", 1, 1, "extended", 1702, 347, 8, 7.925819566507712e-22, (((1.0, 1.6180339887282917), (1.0, -0.6180339887665153)),)),
-    ("golden3", 1, 2, "extended", 1348, 276, 8, 2.526241820598464e-22, (((1.0, 1.618033988756619), (1.0, -0.6180339887377251)),)),
-    ("golden3", 1, 3, "extended", 2082, 420, 8, 4.485980130553669e-22, (((1.0, 1.6180339887336068), (1.0, -0.6180339887592894)),)),
-    ("golden3", 2, 0, "no-improvement", 4000, 613, 7, 0.0003991660055133036, (((1.0, 0.6181559431028402), (1.0, -1.6380898449341859)), ((1.0, 0.3818434549700635), (1.0, 2.5993054320748916)))),
-    ("golden3", 2, 1, "extended", 2765, 506, 8, 1.3962189268084704e-21, (((1.0, 0.3819660112512271), (1.0, 2.6180339887888953)), ((1.0, -0.6180339887337885), (1.0, 1.6180339887660014)))),
-    ("golden3", 2, 2, "no-improvement", 4000, 475, 3, 1.5798848611818834, (((1.0, -0.7384780265937773), (1.0, -0.8215613395681303)), ((1.0, 0.6166451769157679), (1.0, -1.5732536783952182)))),
-    ("golden3", 2, 3, "no-improvement", 4001, 610, 3, 1.3243799026830443, (((1.0, 4.040799359345373), (1.0, 0.6475632732712043)), ((1.0, 2.274965323667925), (1.0, 0.2902607812998942)))),
+    ("asym", 1, 0, "no-improvement", 50, 20, 8, 0.39420271659640305, (((1.0, -0.7775400992458505),),)),
+    ("asym", 1, 1, "no-improvement", 63, 24, 8, 0.39420271659640294, (((1.0, 1.7775401040269656),),)),
+    ("asym", 1, 2, "no-improvement", 42, 16, 8, 0.39420271659640294, (((1.0, -0.7775401040300226),),)),
+    ("asym", 1, 3, "no-improvement", 34, 12, 8, 0.394202716596403, (((1.0, 1.7775401039943337),),)),
+    ("asym", 2, 0, "no-improvement", 60, 24, 8, 1.4005177251102936, (((1.0, 0.48863191480481255),), ((1.0, -0.7152039426161553),))),
+    ("asym", 2, 1, "no-improvement", 56, 22, 8, 1.370739146882638, (((1.0, -1.283957843759599),), ((1.0, -0.6003046785588456),))),
+    ("asym", 2, 2, "no-improvement", 64, 25, 8, 1.3707391468826378, (((1.0, -1.283957851549784),), ((1.0, -0.600304686439974),))),
+    ("asym", 2, 3, "no-improvement", 65, 26, 8, 1.3707391468826375, (((1.0, -1.2839578515513097),), ((1.0, -0.6003046864365671),))),
+    ("golden3", 1, 0, "extended", 78, 31, 8, 1.232595164407831e-32, (((1.0, 0.6180339887498949), (1.0, -1.6180339887498947)),)),
+    ("golden3", 1, 1, "extended", 82, 33, 8, 4.9303806576313227e-32, (((1.0, 0.38196601125010515), (1.0, 2.618033988749895)),)),
+    ("golden3", 1, 2, "extended", 86, 29, 8, 4.9303806576313227e-32, (((1.0, 2.618033988749895), (1.0, 0.38196601125010515)),)),
+    ("golden3", 1, 3, "extended", 77, 30, 8, 4.9303806576313227e-32, (((1.0, 2.618033988749895), (1.0, 0.38196601125010515)),)),
+    ("golden3", 2, 0, "extended", 90, 38, 8, 1.2325951644078307e-31, (((1.0, 0.6180339887498949), (1.0, -1.618033988749895)), ((1.0, 1.618033988749895), (1.0, -0.6180339887498948)))),
+    ("golden3", 2, 1, "extended", 72, 30, 8, 1.232595164407831e-31, (((1.0, -1.618033988749895), (1.0, 0.6180339887498948)), ((1.0, -0.6180339887498949), (1.0, 1.6180339887498947)))),
+    ("golden3", 2, 2, "no-improvement", 72, 31, 8, 0.7110039995508055, (((1.0, -1.8800359544572143), (1.0, 0.4175435869493911)), ((1.0, 2.880035465941302), (1.0, 0.5824564347370956)))),
+    ("golden3", 2, 3, "extended", 75, 32, 8, 3.697785493223493e-32, (((1.0, 2.6180339887498945), (1.0, 0.38196601125010515)), ((1.0, -1.6180339887498947), (1.0, 0.6180339887498949)))),
 ]
 
 
@@ -455,6 +454,7 @@ class TestRealTrajectories:
     @pytest.mark.parametrize(
         "name, slots, seed, outcome, evaluations, iterations, restarts_used, best, vectors",
         REAL_TRAJECTORIES,
+        ids=[f"{name}-{slots}-{seed}" for name, slots, seed, *_ in REAL_TRAJECTORIES],
     )
     def test_pinned(self, name, slots, seed, outcome, evaluations, iterations, restarts_used, best, vectors):
         problem = dataclasses.replace(REAL_PROBLEMS[name](), free_slots=slots)
@@ -474,8 +474,44 @@ class TestRealTrajectories:
         # others in turn, of which a one-coordinate problem has one
         assert report.stats["charts"] == min(charts, 1 + report.restarts_used // 2)
         assert report.stats["gradient_evaluations"] == report.restarts_used + report.iterations
+        # at most one direction per accepted step, plus one per restart
+        assert 0 <= report.stats["gauss_newton_steps"] <= report.restarts_used + report.iterations
         assert report.stats["budget_hit"] == (report.evaluations >= 4000)
         assert report.to_json()["stats"] == report.stats
+
+
+def extended_seeds(name, slots):
+    problem = dataclasses.replace(REAL_PROBLEMS[name](), free_slots=slots)
+    return [
+        seed
+        for seed in range(4)
+        if search_extension(problem, budget=4000, restarts=8, seed=seed).outcome == "extended"
+    ]
+
+
+class TestRealOutcomes:
+    """What the search finds, whatever trajectories it takes to find it."""
+
+    @pytest.mark.parametrize("slots", [1, 2])
+    def test_asymmetric_triple_never_extends(self, slots):
+        assert extended_seeds("asym", slots) == []
+
+    def test_golden_three_extends_by_one_at_every_seed(self):
+        assert extended_seeds("golden3", 1) == [0, 1, 2, 3]
+
+    def test_golden_three_extends_by_two_at_least_as_often_as_descent(self):
+        # gradient descent with backtracking extended at 1 of these 4 seeds
+        assert len(extended_seeds("golden3", 2)) >= 1
+
+    @pytest.mark.parametrize("j", range(-12, 13))
+    def test_two_seed_family_extends_at_every_scale(self, j):
+        # (1, 0), (0, K) has the extension (1, +-K) for every K; the stop
+        # tests are relative to f, so no scale is too small or too large
+        k = 10.0**j
+        problem = SearchProblem(k, (ProductVector.of((1.0, 0.0)), ProductVector.of((0.0, k))), 1, "real")
+        report = search_extension(problem, budget=4000, restarts=8, seed=0)
+        assert report.outcome == "extended"
+        assert report.residual <= 1e-9
 
 
 def reference_vectors(problem, chart, x):
@@ -658,6 +694,60 @@ class TestMixedChartGradient:
         # a pinned factor (0, 1) is parallel to the second seed's factors
         problem = dataclasses.replace(golden5_problem(), free_slots=2)
         assert search._ChartObjective(problem, (1, 1, 1, 1))([]) == (math.inf, None)
+
+
+def live_points(problem, objective, chart, rng, count, margin=5e-2):
+    """count points of the chart whose factor products all pass margin in
+    magnitude, away from the log singularities."""
+    points = []
+    while len(points) < count:
+        x = rng.uniform(-3.0, 3.0, size=objective.dims).tolist()
+        vectors = reference_vectors(problem, chart, x)
+        products = [
+            a[1] * b[0] - a[0] * b[1]
+            for va, vb in itertools.combinations(vectors, 2)
+            for a, b in zip(va, vb)
+        ]
+        if min(abs(fp) for fp in products) >= margin:
+            points.append(x)
+    return points
+
+
+class TestSecondDerivatives:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("slots", [1, 2])
+    def test_every_live_chart(self, n, slots):
+        problem = dataclasses.replace(GUARD_PROBLEMS[n](), free_slots=slots)
+        rng = np.random.default_rng(300 + 10 * n + slots)
+        h = 1e-6
+        live = 0
+        for chart in search._charts(n * slots):
+            objective = search._ChartObjective(problem, chart)
+            if objective.dead:
+                x = [0.5] * objective.dims
+                assert objective.evaluate(x, True, True) == (math.inf, None, None, None)
+                continue
+            live += 1
+            for x in live_points(problem, objective, chart, rng, 3):
+                value, grad, hessian, gauss_newton = objective.evaluate(x, True, True)
+                # asking for second derivatives changes neither f nor the gradient
+                assert (value, grad) == objective.evaluate(x, True)
+                hessian, gauss_newton = np.array(hessian), np.array(gauss_newton)
+                assert hessian.shape == gauss_newton.shape == (objective.dims,) * 2
+                for i in range(objective.dims):
+                    up, down = list(x), list(x)
+                    up[i] += h
+                    down[i] -= h
+                    fd = (np.array(objective(up)[1]) - np.array(objective(down)[1])) / (2 * h)
+                    scale = max(1.0, float(np.abs(fd).max()), float(np.abs(hessian[i]).max()))
+                    assert np.abs(hessian[i] - fd).max() <= 1e-6 * scale
+                assert (gauss_newton == gauss_newton.T).all()
+                assert (hessian == hessian.T).all()
+                top = float(np.abs(gauss_newton).max())
+                assert np.linalg.eigvalsh(gauss_newton).min() >= -1e-12 * top
+        # golden5's second vector and the N = 3 seeds' first factor kill
+        # the charts pinning a factor they hold (see TestCompiledObjective)
+        assert live == {1: {1: 1, 2: 1}, 2: {1: 1, 2: 1}, 3: {1: 4, 2: 9}}[n][slots]
 
 
 class TestSearchLattice:

@@ -643,6 +643,25 @@ class TestConfigJson:
             if isinstance(x, QuadNum)
         )
 
+    @pytest.mark.parametrize("where", ["entry", "K"])
+    def test_dict_over_a_foreign_ambient_is_refused(self, where):
+        golden_r = {"p": [0, 1], "q": [1, 1], "ambient": [1, 1, 1, 1]}
+        blob = {"N": 1, "mode": "exact", "ambient": [0, 1, 2, 1], "K": "1"}
+        blob["vectors"] = [[["1", "R"]], [["1", "0"]]]
+        if where == "K":
+            blob["K"] = golden_r
+        else:
+            blob["vectors"][0][0][1] = golden_r
+        with pytest.raises(ContextMismatch, match="ambient mismatch"):
+            config_from_json(blob)
+        # the same dict naming the file's ambient, or none, reads over it
+        for entry in ({**golden_r, "ambient": [0, 1, 2, 1]}, {"p": [0, 1], "q": [1, 1]}):
+            blob["vectors"][0][0][1] = entry
+            blob["K"] = "1"
+            config = config_from_json(blob)
+            r = config.vectors[0].factors[0].p
+            assert r == QuadNum.parse("R", config.ambient) and r.ambient is config.ambient
+
     def test_numeric_round_trip(self):
         blob = config_to_json(SYM_TRIPLE)
         back = config_from_json(blob)
