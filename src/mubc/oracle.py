@@ -10,7 +10,7 @@ position variable). Overlaps of two such delta-normalized states are not
 absolutely convergent integrals; the oracle damps the integrand with a
 Gaussian window exp(-eps (x - x_c)^2) centered at the stationary point x_c
 of the phase difference, integrates by high-order panel quadrature, and
-extrapolates eps -> 0 polynomially. The limit is the squared overlap
+extrapolates eps^2 -> 0 polynomially. The limit is the squared overlap
 density 1/(2*pi*hbar*|a^t j b|), which this module computes without ever
 consulting the symplectic product (that identity is what the tests check).
 
@@ -29,7 +29,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ContextMismatch, InvalidDirection, InvalidProblem, ParallelDirections
+from .errors import (
+    ContextMismatch,
+    InvalidDirection,
+    InvalidProblem,
+    LimitExceeded,
+    ParallelDirections,
+)
 from .symplectic import DirectionVector
 
 CHIRP = "chirp"
@@ -122,8 +128,9 @@ class QuadratureResult:
     ``stats`` reports the work done: ``levels`` (eps levels evaluated),
     ``stop`` (why the ladder stopped: ``converged``; ``capped``, a level
     hit ``_MAX_PANELS``; or ``ladder-end``, the levels ran out
-    first: the default ladder's 13 or the given epsilons),
-    ``panels`` (panels over both rules of every level),
+    first: the default ladder's _MAX_LEVELS = 12 or the given epsilons),
+    ``panels`` (panels over both rules of every level: 4,779 for every
+    pair the default ladder settles in its first 5 levels),
     ``complex_exponentials`` (complex exp evaluations: per rule, 16 for
     panel 0 and 16 for the node factors, min(16, S) + ceil(S / 16) for the
     two factors of the S = min(256, count - 1) entry stride table and one
@@ -189,19 +196,29 @@ _TERMS = 6
 _MOMENT_WEIGHTS = np.array([math.comb(2 * m, m) * (-0.25) ** m for m in range(_TERMS)]) * (
     _NODES[:, None] ** np.arange(_TERMS)
 )
-# The default ladder starts at default_epsilons' 9 levels and deepens to this.
-_MAX_LEVELS = 13
-# Degree of the sliding polynomial windows that extrapolate eps -> 0.
+# Degree of the sliding polynomial windows that extrapolate eps^2 -> 0.
 _ORDER = 3
+# The default ladder starts at default_epsilons' _ORDER + 2 levels and
+# deepens to this. Panel counts are the same for every du, and level m's
+# fine rule wants 2 ceil(10 * 2^m * _TRUNCATION^2 / _PANEL_PHASE) panels:
+# 210,148 at m = 11 and 420,296 at m = 12, past _MAX_PANELS. So a 13th
+# level could never resolve.
+_MAX_LEVELS = 12
 # Relative error floor of a value from a few float roundings.
 _ROUNDING_FLOOR = 8.0 * np.finfo(float).eps
+# Smallest normal float.
+_NORMAL_MIN = np.finfo(float).tiny
 
 
 def _panel_count(du: float, eps: float, panels_scale: int) -> tuple[int, bool]:
     """Panels for one rule (panels_scale 1 coarse, 2 fine) and whether
-    _MAX_PANELS clamped it."""
-    total_phase = abs(du) * _TRUNCATION**2 / eps
-    wanted = max(4, math.ceil(total_phase / _PANEL_PHASE)) * panels_scale
+    _MAX_PANELS clamped it. The phase du T^2 / eps is formed from the ratio
+    du / eps, so it stays finite wherever the ratio does."""
+    # eps underflows to 0 only past where T^2 / eps overflows
+    if eps == 0.0 or _TRUNCATION**2 / eps == math.inf:
+        raise LimitExceeded(f"eps = {eps!r} puts the window's s-range past the float range")
+    cycles = _TRUNCATION**2 * (abs(du) / eps) / _PANEL_PHASE
+    wanted = max(4, math.ceil(min(cycles, _MAX_PANELS + 1))) * panels_scale
     return min(wanted, _MAX_PANELS), wanted > _MAX_PANELS
 
 
@@ -391,20 +408,36 @@ def _neville_at_zero(xs: Sequence[float], ys: Sequence[float]) -> float:
     return table[0]
 
 
-def default_epsilons(du: float, levels: int = 9) -> tuple[float, ...]:
-    """Geometric eps sequence scaled to the chirp-rate gap: 0.1*max(1,|du|)*2^-m."""
-    scale = 0.1 * max(1.0, abs(du))
+def default_epsilons(du: float, levels: int = _ORDER + 2) -> tuple[float, ...]:
+    """Geometric eps ladder proportional to the chirp-rate gap,
+    0.1*|du|*2^-m for m < levels.
+
+    The damped integral at (du, eps) equals the one at (1, eps/|du|) under
+    t -> t/sqrt(|du|), so every pair sees the same ladder in eps/|du| and
+    the same panel counts (docs/regularization.md).
+    """
+    if du == 0.0 or not math.isfinite(du):
+        raise InvalidProblem(f"chirp-rate gap must be finite and nonzero, got {du!r}")
+    scale = 0.1 * abs(du)
     return tuple(scale * 2.0**-m for m in range(levels))
 
 
 def _extrapolate(
     eps_list: Sequence[float], raws: Sequence[float], local_errors: Sequence[float]
 ) -> tuple[float, float, bool, tuple[float, ...]]:
-    """Value, error estimate, convergence verdict and extrapolants of a ladder."""
+    """Value, error estimate, convergence verdict and extrapolants of a ladder.
+
+    The centered |I(eps)|^2 depends on eps only through eps^2 + du^2, so
+    the windows run in x = eps^2 (Romberg's h^2). Each eps is first scaled
+    by the power of two 2^-e that puts eps_list[0] in [1/2, 1): exact, and
+    it keeps the squares inside the float range at any du.
+    """
+    shift = -math.frexp(eps_list[0])[1]
+    xs = [math.ldexp(eps, shift) ** 2 for eps in eps_list]
     extrapolants: list[float] = []
     for end in range(_ORDER, len(eps_list)):
         window = slice(end - _ORDER, end + 1)
-        extrapolants.append(_neville_at_zero(eps_list[window], raws[window]))
+        extrapolants.append(_neville_at_zero(xs[window], raws[window]))
     steps = [abs(x - y) for x, y in zip(extrapolants[1:], extrapolants[:-1])]
     value = extrapolants[-1]
     floor = _ROUNDING_FLOOR * abs(value) + max(local_errors)
@@ -437,13 +470,16 @@ def overlap_quadrature(
     """Squared overlap magnitude of two states by damped quadrature.
 
     Runs the damped integral at every eps, extrapolates |I(eps)|^2 to
-    eps -> 0 with sliding degree-3 polynomial windows, and reports the
-    last extrapolant with the spread of the final window step as the error
-    estimate. Without explicit `epsilons` the ladder starts at
-    default_epsilons' 9 levels and, while unconverged, adds one level at a
-    time up to 13; explicit `epsilons` are used as given. Position-eigenstate
-    branches reduce to a pointwise evaluation of the partner wavefunction
-    (no eps sequence).
+    eps -> 0 with sliding degree-3 polynomial windows in eps^2, and reports
+    the last extrapolant with the spread of the final window step as the
+    error estimate. Without explicit `epsilons` the ladder starts at
+    default_epsilons' 5 levels, eps proportional to |du|, and, while
+    unconverged, adds one level at a time up to 12; explicit `epsilons` are
+    used as given. Position-eigenstate branches reduce to a pointwise
+    evaluation of the partner wavefunction (no eps sequence).
+
+    Raises LimitExceeded where du, the window's s-range T^2/eps or a
+    |I(eps)|^2 leaves the float range (a subnormal |I(eps)|^2 included).
     """
     started = time.perf_counter()
     work: Counter = Counter()
@@ -470,10 +506,12 @@ def overlap_quadrature(
     # branches; guard against float underflow anyway.
     if du == 0.0:
         raise ParallelDirections("chirp rates coincide; directions are parallel")
+    if not math.isfinite(du):
+        raise LimitExceeded("the chirp-rate gap is past the float range")
     if epsilons is not None:
         eps_list = tuple(sorted((float(e) for e in epsilons), reverse=True))
-        if any(e <= 0 for e in eps_list):
-            raise InvalidProblem("eps levels must be positive")
+        if not all(0 < e < math.inf for e in eps_list):
+            raise InvalidProblem("eps levels must be positive and finite")
         max_levels = len(eps_list)
     else:
         eps_list = default_epsilons(du)
@@ -504,6 +542,10 @@ def overlap_quadrature(
                 coarse = next(integrals)
                 local_errors.append(abs(fine - coarse) * 2.0 * abs(fine) * prefactor * prefactor)
         value, error_estimate, converged, extrapolants = _extrapolate(eps_list, raws, local_errors)
+        # a subnormal carries fewer bits than _ROUNDING_FLOOR assumes, and an
+        # overflow none: such a value would be reported as more exact than it is
+        if not (all(_NORMAL_MIN <= raw < math.inf for raw in raws) and math.isfinite(value)):
+            raise LimitExceeded("|I(eps)|^2 is past the normal float range")
         # a capped level's error is inf, so deeper levels cannot converge
         if converged or work["capped_levels"] or len(eps_list) >= max_levels:
             break

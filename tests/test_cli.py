@@ -492,6 +492,35 @@ class TestOracleCommand:
         }
         assert blob["stats"]["inverse_roots"] >= 0
 
+    @pytest.mark.parametrize(
+        "q, p",
+        [
+            # |I(eps)|^2, and the overlap itself, below the normal range
+            (1.0, 1e307),
+            (1.0, -1e307),
+            # the window's s-range T^2 / eps past the largest float; at
+            # 1e-323 the first eps underflows to 0
+            (1.0, 2.0**-1020),
+            (1.0, -(2.0**-1020)),
+            (1.0, 1e-323),
+            # the chirp-rate gap itself overflows
+            (0.5, 1.5e308),
+        ],
+    )
+    def test_pair_past_the_float_range_exits_two(self, q, p, write_json, capsys):
+        a = write_json("A.json", {"Q": q, "P": p})
+        b = write_json("B.json", {"Q": q, "P": -p})
+        assert main(["oracle", "pair", a, b]) == INPUT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and "float range" in err
+
+    @pytest.mark.parametrize("p", [2.0**1000, -(2.0**1000), 2.0**-1000, -(2.0**-1000)])
+    def test_pair_converges_near_the_float_range_ends(self, p, write_json, capsys):
+        a = write_json("A.json", {"Q": 1.0, "P": p})
+        b = write_json("B.json", {"Q": 1.0, "P": -p})
+        assert main(["oracle", "pair", a, b]) == OK
+        assert "converged: yes" in capsys.readouterr().out
+
     def test_pair_unconverged_exits_three(self, write_json, capsys):
         # explicit eps levels are never deepened, and five are too few here
         a = write_json("A.json", {"Q": 1.0, "P": 0.05})

@@ -6,6 +6,7 @@ from collections import Counter
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mubc import oracle, symplectic
 from mubc import (
@@ -13,6 +14,7 @@ from mubc import (
     ContextMismatch,
     DirectionVector,
     InvalidDirection,
+    InvalidProblem,
     ParallelDirections,
     ProductVector,
     chirp_eval,
@@ -143,10 +145,14 @@ class TestQuadrature:
         assert res.error_estimate >= 0
 
     def test_extrapolant_differences_shrink(self):
+        # the default ladder settles at 5 levels, one step; 7 give three
         res = overlap_quadrature(
-            ChirpState(DirectionVector(1.0, 1.0)), ChirpState(DirectionVector(1.0, -1.0))
+            ChirpState(DirectionVector(1.0, 1.0)),
+            ChirpState(DirectionVector(1.0, -1.0)),
+            epsilons=default_epsilons(1.0, 7),
         )
         assert res.converged
+        assert len(res.extrapolants) == 4
         diffs = [
             abs(res.extrapolants[i + 1] - res.extrapolants[i])
             for i in range(len(res.extrapolants) - 1)
@@ -173,28 +179,59 @@ class TestQuadrature:
         assert len(res.epsilon_sequence) == len(eps)
         assert res.stats["stop"] == "converged"
 
-    def test_adaptive_ladder_deepens_until_converged(self):
+    @pytest.mark.parametrize("bad", (0.0, -0.003125, math.inf, math.nan))
+    def test_custom_epsilons_must_be_positive_and_finite(self, bad):
+        with pytest.raises(InvalidProblem):
+            overlap_quadrature(
+                ChirpState(DirectionVector(1.0, 1.0)),
+                ChirpState(DirectionVector(1.0, -1.0)),
+                epsilons=[0.05, 0.025, 0.0125, 0.00625, bad],
+            )
+
+    def test_adaptive_ladder_deepens_until_converged(self, monkeypatch):
+        # every default ladder settles in its first 5 levels, so a verdict
+        # withheld below 8 levels drives the deepening, as a lowered
+        # _MAX_PANELS drives the cap below
         a, b = ChirpState(DirectionVector(1.0, 0.02)), ChirpState(DirectionVector(1.0, -0.02))
         du = a.quad_rate - b.quad_rate
-        given = overlap_quadrature(a, b, epsilons=default_epsilons(du))
-        assert not given.converged and given.stats["stop"] == "ladder-end"
+        extrapolate = oracle._extrapolate
+        ladders = []
+
+        def withheld_below(levels):
+            def wrapped(eps_list, raws, local_errors):
+                ladders.append(len(eps_list))
+                value, error, converged, extrapolants = extrapolate(eps_list, raws, local_errors)
+                return value, error, converged and len(eps_list) >= levels, extrapolants
+
+            return wrapped
+
+        monkeypatch.setattr(oracle, "_extrapolate", withheld_below(8))
         res = overlap_quadrature(a, b)
-        levels = res.stats["levels"]
-        assert res.converged and 9 < levels <= 13
+        assert ladders == [5, 6, 7, 8]
+        assert res.converged and res.stats["levels"] == 8
         assert res.stats["stop"] == "converged"
-        assert tuple(e for e, _ in res.epsilon_sequence) == default_epsilons(du, levels)
-        shallower = overlap_quadrature(a, b, epsilons=default_epsilons(du, levels - 1))
-        assert not shallower.converged
+        assert tuple(e for e, _ in res.epsilon_sequence) == default_epsilons(du, 8)
+        shallower = overlap_quadrature(a, b, epsilons=default_epsilons(du, 7))
+        assert not shallower.converged and shallower.stats["stop"] == "ladder-end"
         # levels already evaluated are reused, not recomputed
-        one_pass = overlap_quadrature(a, b, epsilons=default_epsilons(du, levels))
+        one_pass = overlap_quadrature(a, b, epsilons=default_epsilons(du, 8))
         assert res.stats["panels"] == one_pass.stats["panels"]
-        assert abs(res.value - 1.0 / (2 * math.pi * 0.04)) <= 1e-6 * res.value
-        # a gap ten times slower runs all 13 default levels unconverged
+        assert res.value == one_pass.value
+        assert abs(res.value - 1.0 / (2 * math.pi * 0.04)) <= 1e-12 * res.value
+        # a verdict never given runs the ladder to its end, uncapped
+        monkeypatch.setattr(oracle, "_extrapolate", withheld_below(math.inf))
+        ended = overlap_quadrature(a, b)
+        assert not ended.converged and ended.stats["levels"] == oracle._MAX_LEVELS == 12
+        assert ended.stats["stop"] == "ladder-end" and ended.stats["capped_levels"] == 0
+        monkeypatch.undo()
+        # the gap ten times slower, which ran all 13 levels of the ladder
+        # with a floor unconverged, settles like every other pair
         slow = overlap_quadrature(
             ChirpState(DirectionVector(1.0, 0.002)), ChirpState(DirectionVector(1.0, -0.002))
         )
-        assert not slow.converged and slow.stats["levels"] == 13
-        assert slow.stats["stop"] == "ladder-end"
+        assert slow.converged and slow.stats["levels"] == 5
+        assert slow.stats["panels"] == 4779
+        assert abs(slow.value - 1.0 / (2 * math.pi * 0.004)) <= 1e-12 * slow.value
 
     def test_panel_cap_marks_level_unresolved(self, monkeypatch):
         # the clamped fine rule equals the coarse one, so a zero local error
@@ -214,7 +251,7 @@ class TestQuadrature:
             ChirpState(DirectionVector(1.0, 1.0)), ChirpState(DirectionVector(1.0, -1.0))
         )
         stats = res.stats
-        assert stats["levels"] == len(res.epsilon_sequence) == 9
+        assert stats["levels"] == len(res.epsilon_sequence) == 5
         assert stats["capped_levels"] == 0
         assert stats["wall_s"] > 0
         du = 1.0  # chirp rates 0.5 and -0.5
@@ -223,7 +260,8 @@ class TestQuadrature:
             for eps, _ in res.epsilon_sequence
             for scale in (1, 2)
         ]
-        assert stats["panels"] == sum(counts)
+        assert counts == [52, 104, 103, 206, 206, 412, 411, 822, 821, 1642]
+        assert stats["panels"] == sum(counts) == 4779
         # per rule: panel 0 and the node factors; the stride table's two
         # factors, min(16, S) and ceil(S / 16) entries for S = min(256,
         # count - 1); one head per started row of 256 panels 1..count-1
@@ -232,7 +270,7 @@ class TestQuadrature:
             split = min(oracle._EXP_SPLIT, stride) + -(-stride // oracle._EXP_SPLIT)
             return 2 * len(oracle._NODES) + split + -(-(count - 1) // oracle._EXP_STRIDE)
 
-        assert stats["complex_exponentials"] == sum(exponentials(c) for c in counts)
+        assert stats["complex_exponentials"] == sum(exponentials(c) for c in counts) == 628
 
     def test_never_consults_the_closed_form(self, monkeypatch):
         def forbidden(*args, **kwargs):
@@ -250,13 +288,30 @@ class TestQuadrature:
 
     def test_default_epsilons_shape(self):
         eps = default_epsilons(1.0)
-        assert len(eps) == 9
+        assert len(eps) == oracle._ORDER + 2 == 5
         assert eps[0] == pytest.approx(0.1)
         for a, b in zip(eps, eps[1:]):
             assert b == pytest.approx(a / 2)
-        # damping scale tracks the chirp-rate gap
-        wide = default_epsilons(5.0)
-        assert wide[0] == pytest.approx(0.5)
+        # damping scale tracks the chirp-rate gap, on both sides of 1
+        assert default_epsilons(5.0)[0] == pytest.approx(0.5)
+        assert default_epsilons(-0.004)[0] == pytest.approx(0.0004)
+        assert default_epsilons(0.004, 12)[-1] == pytest.approx(0.0004 * 2.0**-11)
+
+    @pytest.mark.parametrize("du", (0.0, -0.0, math.inf, -math.inf, math.nan))
+    def test_default_epsilons_need_a_finite_gap(self, du):
+        with pytest.raises(InvalidProblem):
+            default_epsilons(du)
+
+    @pytest.mark.parametrize("k", range(-1000, 1024, 41))
+    def test_default_levels_fit_under_the_panel_cap(self, k):
+        # panel counts do not depend on du, so no default level is capped
+        # by construction; the one past the ladder would be
+        du = 2.0**k
+        for eps in default_epsilons(du, oracle._MAX_LEVELS):
+            assert oracle._panel_count(du, eps, 2) == oracle._panel_count(1.0, eps / du, 2)
+            assert not oracle._panel_count(du, eps, 2)[1]
+        past = default_epsilons(du, oracle._MAX_LEVELS + 1)[-1]
+        assert oracle._panel_count(du, past, 2) == (oracle._MAX_PANELS, True)
 
 
 def _t_space_panel_integral(du, eps, count):
@@ -278,10 +333,11 @@ def _t_space_panel_integral(du, eps, count):
     return 2.0 * total
 
 
-# one (du, panels_scale) per level of the 13-level ladder: both signs,
-# 10^-2.5 <= |du| <= 10, and counts past one 65536-panel block at levels
-# 9-11. The rules levels 9 and 10 draw here have 52538 panels, so those
-# two take panels_scale 4; the kernel integrates any count.
+# one (du, panels_scale) per level of a 13-level default ladder: both
+# signs, 10^-2.5 <= |du| <= 10, and counts past one 65536-panel block at
+# levels 9-12. A level's counts do not depend on du, and level 9's rule has
+# only 26,269 panels per unit of panels_scale, so levels 9 and 10 take
+# panels_scale 4; the kernel integrates any count.
 _PARITY_DU = (10**-2.5, -0.05, 0.4, -1.0, 3.0, -10.0)
 
 
@@ -291,7 +347,7 @@ def test_s_space_panels_match_t_space(level):
     eps = default_epsilons(du, 13)[level]
     scale = 4 if level in (9, 10) else 1 + level % 2
     count = oracle._panel_count(du, eps, scale)[0]
-    if level in (9, 10, 11):
+    if level >= 9:
         assert count > 65536
     want = _t_space_panel_integral(du, eps, count)
     (got,) = oracle._damped_integrals(du, [(eps, count)], Counter())
@@ -338,18 +394,18 @@ def test_mixed_batch_matches_one_rule_batches(monkeypatch, empty_inverse_roots):
     assert set(batch_work) == {"panels", "complex_exponentials", "inverse_roots"}
 
 
-# literals on an empty table: a ladder that deepens to 11 levels, and one
-# whose levels 3-9 hit a panel cap of 300 and so run only their fine
-# rules; grid overrides the oracle's grid constants. Levels and panels are
-# those of every kernel before this one; the exponentials follow
-# test_stats_count_work's formula, and the table entries are row 0's 4096
-# roots plus 1536 powers per further row the widest rule reads (2102 and
-# 300 panels: 8 rows and 1 row)
+# literals on an empty table: the slow pair that deepened to 11 levels
+# under the ladder with a floor now settles in the 5 levels every pair
+# takes, and a pair whose levels 2-4 hit a panel cap of 300 and so run only
+# their fine rules; grid overrides the oracle's grid constants. The
+# exponentials follow test_stats_count_work's formula, and the table
+# entries are row 0's 4096 roots plus 1536 powers per further row the
+# widest rule reads (1642 and 300 panels: 6 rows and 1 row)
 @pytest.mark.parametrize(
     "pair, grid, stats",
     [
-        (((1.0, 0.02), (1.0, -0.02)), {}, (11, 6330, 1184, 4096 + 8 * 1536)),
-        (((1.0, 1.5), (0.7, -0.4)), {"_MAX_PANELS": 300}, (9, 2565, 689, 4096 + 1536)),
+        (((1.0, 0.02), (1.0, -0.02)), {}, (5, 4779, 628, 4096 + 6 * 1536)),
+        (((1.0, 1.5), (0.7, -0.4)), {"_MAX_PANELS": 300}, (5, 1365, 425, 4096 + 1536)),
     ],
 )
 def test_ladder_work_is_pinned(monkeypatch, empty_inverse_roots, pair, grid, stats):
@@ -461,6 +517,37 @@ def test_panels_match_erf_reference(du):
                 count = oracle._panel_count(du, eps, scale)[0]
                 (got,) = oracle._damped_integrals(du, [(eps, count)], Counter())
                 assert abs(got - want) <= 1e-12 * abs(want)
+
+
+@pytest.mark.parametrize("k", range(-1000, 1001, 50))
+def test_ladder_is_scale_covariant(k):
+    # the damped integral at (du, eps) is the one at (1, eps / |du|), and
+    # the ladder's eps are proportional to |du|: every scale takes the same
+    # levels and panels
+    p = 2.0**k
+    res = overlap_quadrature(ChirpState(DirectionVector(1.0, p)), ChirpState(DirectionVector(1.0, -p)))
+    want = 1.0 / (2 * math.pi * 2 * p)
+    assert res.converged and res.stats["levels"] == 5
+    assert res.stats["panels"] == 4779
+    assert abs(res.value - want) <= min(1e-12 * want, res.error_estimate)
+
+
+@given(
+    st.floats(1.0, 2.0, exclude_max=True),
+    st.floats(1.0, 2.0, exclude_max=True),
+    st.floats(1.0, 2.0, exclude_max=True),
+    st.integers(-1000, 1000),
+)
+@settings(max_examples=40, deadline=None)
+def test_ladder_is_scale_covariant_at_drawn_mantissas(qa, pa, pb, k):
+    pa, pb = math.ldexp(pa, k), math.ldexp(pb, k)
+    res = overlap_quadrature(
+        ChirpState(DirectionVector(qa, pa)), ChirpState(DirectionVector(1.0, -pb))
+    )
+    want = 1.0 / (2 * math.pi * (pa + qa * pb))
+    assert res.converged and res.stats["levels"] == 5
+    assert res.stats["panels"] == 4779
+    assert abs(res.value - want) <= min(1e-12 * want, res.error_estimate)
 
 
 def test_truncation_follows_the_tolerance():
