@@ -129,16 +129,19 @@ class QuadratureResult:
     ``stop`` (why the ladder stopped: ``converged``; ``capped``, a level
     hit ``_MAX_PANELS``; or ``ladder-end``, the levels ran out
     first: the default ladder's _MAX_LEVELS = 12 or the given epsilons),
-    ``panels`` (panels over both rules of every level: 4,779 for every
-    pair the default ladder settles in its first 5 levels),
-    ``complex_exponentials`` (complex exp evaluations: per rule, 16 for
-    panel 0 and 16 for the node factors, min(16, S) + ceil(S / 16) for the
-    two factors of the S = min(256, count - 1) entry stride table and one
-    head per started row of 256 panels), ``inverse_roots`` (entries of the
-    shared _InverseRoots table this call computed: rows it filled plus
-    rows past the table; 0 when the table already covered every rule),
-    ``capped_levels`` (levels whose panel count hit ``_MAX_PANELS``) and
-    ``wall_s``.
+    ``panels`` (panels of the rules behind the value, both rules of every
+    level, whether integrated by this call or read from the shared
+    unit-frame table: 4,779 for every pair the default ladder settles in
+    its first 5 levels), ``reused_levels`` (levels whose integrals came
+    from the shared table), ``complex_exponentials`` (complex exp
+    evaluations this call made: per rule integrated, 16 for panel 0 and 16
+    for the node factors, min(16, S) + ceil(S / 16) for the two factors of
+    the S = min(256, count - 1) entry stride table and one head per
+    started row of 256 panels; 0 when every level was reused),
+    ``inverse_roots`` (entries of the shared _InverseRoots table this call
+    computed: rows it filled plus rows past the table; 0 when the table
+    already covered every rule integrated), ``capped_levels`` (levels
+    whose panel count hit ``_MAX_PANELS``) and ``wall_s``.
     """
 
     value: float
@@ -208,15 +211,13 @@ _MAX_LEVELS = 12
 _ROUNDING_FLOOR = 8.0 * np.finfo(float).eps
 # Smallest normal float.
 _NORMAL_MIN = np.finfo(float).tiny
+_GAP_UNDERFLOWS = "the chirp-rate gap underflows the normal float range"
 
 
 def _panel_count(du: float, eps: float, panels_scale: int) -> tuple[int, bool]:
     """Panels for one rule (panels_scale 1 coarse, 2 fine) and whether
     _MAX_PANELS clamped it. The phase du T^2 / eps is formed from the ratio
     du / eps, so it stays finite wherever the ratio does."""
-    # eps underflows to 0 only past where T^2 / eps overflows
-    if eps == 0.0 or _TRUNCATION**2 / eps == math.inf:
-        raise LimitExceeded(f"eps = {eps!r} puts the window's s-range past the float range")
     cycles = _TRUNCATION**2 * (abs(du) / eps) / _PANEL_PHASE
     wanted = max(4, math.ceil(min(cycles, _MAX_PANELS + 1))) * panels_scale
     return min(wanted, _MAX_PANELS), wanted > _MAX_PANELS
@@ -293,6 +294,12 @@ class _InverseRoots:
 
 
 _INVERSE_ROOTS = _InverseRoots()
+
+# _damped_integrals at du = 1 of the default ladder's rules in the unit
+# frame, keyed by (eps / |du|, count) and shared by every pair. A normal eps
+# of the default ladder divided by |du| is one of at most 3 roundings of
+# 0.1 * 2^-m, so the table holds at most 3 * 2 * _MAX_LEVELS rules.
+_UNIT_INTEGRALS: dict[tuple[float, int], complex] = {}
 
 
 def _damped_integrals(
@@ -455,6 +462,7 @@ def _work_stats(work: Counter, levels: int, stop: str, started: float) -> dict:
         "levels": levels,
         "stop": stop,
         "panels": work["panels"],
+        "reused_levels": work["reused_levels"],
         "complex_exponentials": work["complex_exponentials"],
         "inverse_roots": work["inverse_roots"],
         "capped_levels": work["capped_levels"],
@@ -478,8 +486,16 @@ def overlap_quadrature(
     used as given. Position-eigenstate branches reduce to a pointwise
     evaluation of the partner wavefunction (no eps sequence).
 
-    Raises LimitExceeded where du, the window's s-range T^2/eps or a
-    |I(eps)|^2 leaves the float range (a subnormal |I(eps)|^2 included).
+    The integrals run in the unit frame: under t -> t / sqrt(|du|),
+    I(du, eps) = |du|^(-1/2) I(1, eps / |du|), conjugated for du < 0. A
+    level's rules at du = 1 are read from the shared _UNIT_INTEGRALS table
+    where it holds them and integrated otherwise; only a default ladder
+    adds them to it. The extrapolation, its errors and the range checks
+    run per pair in the caller's frame, and `epsilon_sequence` reports the
+    caller's eps.
+
+    Raises LimitExceeded where du, eps / |du|, the unit window's s-range
+    T^2 |du| / eps or a |I(eps)|^2 leaves the normal float range.
     """
     started = time.perf_counter()
     work: Counter = Counter()
@@ -502,16 +518,18 @@ def overlap_quadrature(
             stats=_work_stats(work, 0, "converged", started),
         )
     du = a.quad_rate - b.quad_rate
-    # du = 0 with a nonzero symplectic product cannot happen for these
-    # branches; guard against float underflow anyway.
-    if du == 0.0:
-        raise ParallelDirections("chirp rates coincide; directions are parallel")
+    # the symplectic product is nonzero, so a du of 0 has underflowed; a
+    # subnormal du carries too few bits to scale the ladder by
+    if abs(du) < _NORMAL_MIN:
+        raise LimitExceeded(_GAP_UNDERFLOWS)
     if not math.isfinite(du):
         raise LimitExceeded("the chirp-rate gap is past the float range")
     if epsilons is not None:
         eps_list = tuple(sorted((float(e) for e in epsilons), reverse=True))
         if not all(0 < e < math.inf for e in eps_list):
             raise InvalidProblem("eps levels must be positive and finite")
+        if len(set(eps_list)) < len(eps_list):
+            raise InvalidProblem("eps levels must be distinct")
         max_levels = len(eps_list)
     else:
         eps_list = default_epsilons(du)
@@ -519,28 +537,45 @@ def overlap_quadrature(
     if len(eps_list) < _ORDER + 2:
         raise InvalidProblem(f"need at least {_ORDER + 2} eps levels")
     prefactor = a.amplitude * b.amplitude
+    root = abs(du) ** -0.5
     raws: list[float] = []
     local_errors: list[float] = []
     while True:
+        # each new level's rules in the unit frame: the fine rule, and the
+        # coarse one with half its panels; a level whose fine rule
+        # _MAX_PANELS clamped is no refinement of a coarse one, so it runs
+        # only the fine rule
+        levels = []
+        for eps in eps_list[len(raws) :]:
+            unit = eps / abs(du)
+            if not 0.0 < unit < math.inf or _TRUNCATION**2 / unit == math.inf:
+                raise LimitExceeded(f"eps / |du| = {eps!r} / {abs(du)!r} is past the float range")
+            fine, capped = _panel_count(1.0, unit, 2)
+            levels.append([(unit, fine)] if capped else [(unit, fine), (unit, fine // 2)])
+        rules = [rule for level in levels for rule in level]
+        known = {rule: _UNIT_INTEGRALS[rule] for rule in rules if rule in _UNIT_INTEGRALS}
+        missing = [rule for rule in rules if rule not in known]
+        integrals = dict(known)
+        if missing:
+            integrals.update(zip(missing, _damped_integrals(1.0, missing, work)))
+            # only a default ladder of normal eps keeps its rules, so the
+            # table stays within its few roundings per level
+            if epsilons is None and eps_list[-1] >= _NORMAL_MIN:
+                _UNIT_INTEGRALS.update((rule, integrals[rule]) for rule in missing)
+        work["panels"] += sum(count for _, count in known)
         # |I(eps)|^2 per new level, with the gap to the level's coarse rule
-        # as its error; a level whose fine rule _MAX_PANELS clamped is no
-        # refinement of a coarse one, so it runs only the fine rule and its
-        # error is unknown: inf
-        levels = [(eps, *_panel_count(du, eps, 2)) for eps in eps_list[len(raws) :]]
-        rules = []
-        for eps, fine, capped in levels:
-            # the coarse rule has half the fine rule's panels
-            rules += [(eps, fine)] if capped else [(eps, fine), (eps, fine // 2)]
-        integrals = iter(_damped_integrals(du, rules, work))
-        for _, _, capped in levels:
-            fine = next(integrals)
+        # as its error; a capped level's error is unknown: inf
+        for level in levels:
+            work["reused_levels"] += all(rule in known for rule in level)
+            fine, *coarse = (
+                root * (integrals[rule] if du > 0 else integrals[rule].conjugate()) for rule in level
+            )
             raws.append(abs(fine) ** 2 * prefactor * prefactor)
-            if capped:
+            if coarse:
+                local_errors.append(abs(fine - coarse[0]) * 2.0 * abs(fine) * prefactor * prefactor)
+            else:
                 work["capped_levels"] += 1
                 local_errors.append(math.inf)
-            else:
-                coarse = next(integrals)
-                local_errors.append(abs(fine - coarse) * 2.0 * abs(fine) * prefactor * prefactor)
         value, error_estimate, converged, extrapolants = _extrapolate(eps_list, raws, local_errors)
         # a subnormal carries fewer bits than _ROUNDING_FLOOR assumes, and an
         # overflow none: such a value would be reported as more exact than it is
@@ -580,8 +615,10 @@ def fresnel_reference(a: ChirpState, b: ChirpState) -> float:
         return amplitude * amplitude / abs(dp)
     du = a.quad_rate - b.quad_rate
     dw = a.linear_rate - b.linear_rate
-    if du == 0.0:
-        raise ParallelDirections("chirp rates coincide; directions are parallel")
+    # the symplectic product is nonzero, so a du of 0 has underflowed, and
+    # pi / |du| overflows from just below the normal range
+    if abs(du) < _NORMAL_MIN:
+        raise LimitExceeded(_GAP_UNDERFLOWS)
     gauss = cmath.sqrt(math.pi / complex(0.0, -du))
     shift = cmath.exp(complex(0.0, dw) ** 2 / complex(0.0, -4.0 * du))
     value = a.amplitude * b.amplitude * abs(gauss * shift)

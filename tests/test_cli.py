@@ -487,8 +487,8 @@ class TestOracleCommand:
         assert blob["stats"]["capped_levels"] == 0
         assert blob["stats"]["stop"] == "converged"
         assert set(blob["stats"]) == {
-            "levels", "stop", "panels", "complex_exponentials", "inverse_roots", "capped_levels",
-            "wall_s",
+            "levels", "stop", "panels", "reused_levels", "complex_exponentials", "inverse_roots",
+            "capped_levels", "wall_s",
         }
         assert blob["stats"]["inverse_roots"] >= 0
 
@@ -498,10 +498,7 @@ class TestOracleCommand:
             # |I(eps)|^2, and the overlap itself, below the normal range
             (1.0, 1e307),
             (1.0, -1e307),
-            # the window's s-range T^2 / eps past the largest float; at
-            # 1e-323 the first eps underflows to 0
-            (1.0, 2.0**-1020),
-            (1.0, -(2.0**-1020)),
+            # the chirp-rate gap below the normal range
             (1.0, 1e-323),
             # the chirp-rate gap itself overflows
             (0.5, 1.5e308),
@@ -514,12 +511,19 @@ class TestOracleCommand:
         err = capsys.readouterr().err
         assert err.startswith("input error:") and "float range" in err
 
-    @pytest.mark.parametrize("p", [2.0**1000, -(2.0**1000), 2.0**-1000, -(2.0**-1000)])
-    def test_pair_converges_near_the_float_range_ends(self, p, write_json, capsys):
+    # at 2^-1020 the default eps are subnormal, but the unit frame's
+    # eps / |du| and window are not, and the overlap 2^1019 / (2 pi) is in range
+    @pytest.mark.parametrize(
+        "p", [2.0**1000, -(2.0**1000), 2.0**-1000, -(2.0**-1000), 2.0**-1020, -(2.0**-1020)]
+    )
+    def test_pair_converges_near_the_float_range_ends(self, p, write_json, capsys, tmp_path):
         a = write_json("A.json", {"Q": 1.0, "P": p})
         b = write_json("B.json", {"Q": 1.0, "P": -p})
-        assert main(["oracle", "pair", a, b]) == OK
+        out = tmp_path / "quad.json"
+        assert main(["oracle", "pair", a, b, "--out", str(out)]) == OK
         assert "converged: yes" in capsys.readouterr().out
+        want = 1.0 / (2 * math.pi * 2 * abs(p))
+        assert json.loads(out.read_text())["value"] == pytest.approx(want, rel=1e-12)
 
     def test_pair_unconverged_exits_three(self, write_json, capsys):
         # explicit eps levels are never deepened, and five are too few here

@@ -15,6 +15,7 @@ from mubc import (
     DirectionVector,
     InvalidDirection,
     InvalidProblem,
+    LimitExceeded,
     ParallelDirections,
     ProductVector,
     chirp_eval,
@@ -188,6 +189,44 @@ class TestQuadrature:
                 epsilons=[0.05, 0.025, 0.0125, 0.00625, bad],
             )
 
+    def test_custom_epsilons_must_be_distinct(self):
+        # a repeated level would put two equal abscissae in one Neville window
+        with pytest.raises(InvalidProblem, match="distinct"):
+            overlap_quadrature(
+                ChirpState(DirectionVector(1.0, 1.0)),
+                ChirpState(DirectionVector(1.0, -1.0)),
+                epsilons=[0.1, 0.1, 0.05, 0.025, 0.0125],
+            )
+
+    @pytest.mark.parametrize(
+        "p, eps",
+        [
+            # eps / |du| overflows
+            (1e-300, 1e10),
+            # eps / |du| is finite but the unit window's s-range T^2 |du| / eps is not
+            (1e300, 1e-10),
+            # eps / |du| underflows to 0
+            (1e10, 5e-324),
+        ],
+    )
+    def test_custom_epsilons_past_the_float_range_relative_to_the_gap(self, p, eps):
+        # the pair (1, p), (1, -p) has chirp-rate gap p
+        with pytest.raises(LimitExceeded, match="float range"):
+            overlap_quadrature(
+                ChirpState(DirectionVector(1.0, p)),
+                ChirpState(DirectionVector(1.0, -p)),
+                epsilons=[eps * 2.0**m for m in range(5)],
+            )
+
+    @pytest.mark.parametrize("p", (5e-324, -5e-324, 1e-320))
+    def test_underflowing_chirp_rate_gap_is_a_limit(self, p):
+        # symplectic product 2 p, not parallel; the chirp rates p / 2 round
+        # to 0 at +-5e-324 and the gap is subnormal at 1e-320
+        a, b = ChirpState(DirectionVector(1.0, p)), ChirpState(DirectionVector(1.0, -p))
+        for route in (overlap_quadrature, fresnel_reference):
+            with pytest.raises(LimitExceeded, match="chirp-rate gap underflows"):
+                route(a, b)
+
     def test_adaptive_ladder_deepens_until_converged(self, monkeypatch):
         # every default ladder settles in its first 5 levels, so a verdict
         # withheld below 8 levels drives the deepening, as a lowered
@@ -246,13 +285,14 @@ class TestQuadrature:
         assert res.stats["stop"] == "capped"
         assert math.inf in res.local_errors
 
-    def test_stats_count_work(self):
+    def test_stats_count_work(self, empty_inverse_roots):
         res = overlap_quadrature(
             ChirpState(DirectionVector(1.0, 1.0)), ChirpState(DirectionVector(1.0, -1.0))
         )
         stats = res.stats
         assert stats["levels"] == len(res.epsilon_sequence) == 5
         assert stats["capped_levels"] == 0
+        assert stats["reused_levels"] == 0
         assert stats["wall_s"] > 0
         du = 1.0  # chirp rates 0.5 and -0.5
         counts = [
@@ -368,7 +408,9 @@ def test_stride_padding_matches_t_space(count):
 
 @pytest.fixture
 def empty_inverse_roots(monkeypatch):
+    # both shared tables empty: the inverse roots and the unit-frame integrals
     monkeypatch.setattr(oracle, "_INVERSE_ROOTS", oracle._InverseRoots())
+    monkeypatch.setattr(oracle, "_UNIT_INTEGRALS", {})
 
 
 def test_mixed_batch_matches_one_rule_batches(monkeypatch, empty_inverse_roots):
@@ -394,18 +436,18 @@ def test_mixed_batch_matches_one_rule_batches(monkeypatch, empty_inverse_roots):
     assert set(batch_work) == {"panels", "complex_exponentials", "inverse_roots"}
 
 
-# literals on an empty table: the slow pair that deepened to 11 levels
-# under the ladder with a floor now settles in the 5 levels every pair
-# takes, and a pair whose levels 2-4 hit a panel cap of 300 and so run only
-# their fine rules; grid overrides the oracle's grid constants. The
-# exponentials follow test_stats_count_work's formula, and the table
-# entries are row 0's 4096 roots plus 1536 powers per further row the
-# widest rule reads (1642 and 300 panels: 6 rows and 1 row)
+# literals on empty tables, so no level is reused: the slow pair that
+# deepened to 11 levels under the ladder with a floor now settles in the 5
+# levels every pair takes, and a pair whose levels 2-4 hit a panel cap of
+# 300 and so run only their fine rules; grid overrides the oracle's grid
+# constants. The exponentials follow test_stats_count_work's formula, and
+# the table entries are row 0's 4096 roots plus 1536 powers per further
+# row the widest rule reads (1642 and 300 panels: 6 rows and 1 row)
 @pytest.mark.parametrize(
     "pair, grid, stats",
     [
-        (((1.0, 0.02), (1.0, -0.02)), {}, (5, 4779, 628, 4096 + 6 * 1536)),
-        (((1.0, 1.5), (0.7, -0.4)), {"_MAX_PANELS": 300}, (5, 1365, 425, 4096 + 1536)),
+        (((1.0, 0.02), (1.0, -0.02)), {}, (5, 4779, 0, 628, 4096 + 6 * 1536)),
+        (((1.0, 1.5), (0.7, -0.4)), {"_MAX_PANELS": 300}, (5, 1365, 0, 425, 4096 + 1536)),
     ],
 )
 def test_ladder_work_is_pinned(monkeypatch, empty_inverse_roots, pair, grid, stats):
@@ -413,7 +455,7 @@ def test_ladder_work_is_pinned(monkeypatch, empty_inverse_roots, pair, grid, sta
         monkeypatch.setattr(oracle, name, value)
     a, b = (ChirpState(DirectionVector(*d)) for d in pair)
     res = overlap_quadrature(a, b)
-    keys = ("levels", "panels", "complex_exponentials", "inverse_roots")
+    keys = ("levels", "panels", "reused_levels", "complex_exponentials", "inverse_roots")
     assert tuple(res.stats[k] for k in keys) == stats
 
 
@@ -496,8 +538,68 @@ def test_repeat_pair_reuses_the_table(empty_inverse_roots):
     row_size = oracle._TERMS * oracle._EXP_STRIDE
     assert first.stats["inverse_roots"] == table.roots.size + (rows - 1) * row_size
     assert second.stats["inverse_roots"] == 0
+    # every level's integrals come from the unit-frame table
+    assert first.stats["reused_levels"] == 0
+    assert second.stats["complex_exponentials"] == 0
+    assert second.stats["reused_levels"] == 5
+    assert second.stats["panels"] == first.stats["panels"] == 4779
     assert second.value == first.value
     assert second.epsilon_sequence == first.epsilon_sequence
+
+
+def _check_unit_frame(du, shift):
+    """The pair (1, du), (1, -du), chirp-rate gap du, fills or reads the
+    unit-frame table; each default rule at du itself is the table's value
+    times |du|^(-1/2), conjugated for du < 0. The pair at gap -du 2^shift
+    then reads every level from the table."""
+    res = overlap_quadrature(ChirpState(DirectionVector(1.0, du)), ChirpState(DirectionVector(1.0, -du)))
+    assert res.converged and res.stats["levels"] == 5
+    for eps in default_epsilons(du):
+        fine = oracle._panel_count(1.0, eps / abs(du), 2)[0]
+        for count in (fine, fine // 2):
+            (want,) = oracle._damped_integrals(du, [(eps, count)], Counter())
+            unit = oracle._UNIT_INTEGRALS[(eps / abs(du), count)]
+            got = abs(du) ** -0.5 * (unit if du > 0 else unit.conjugate())
+            assert abs(got - want) <= 1e-13 * abs(want)
+    p = -math.ldexp(du, shift)
+    again = overlap_quadrature(ChirpState(DirectionVector(1.0, p)), ChirpState(DirectionVector(1.0, -p)))
+    want = 1.0 / (2 * math.pi * 2 * abs(p))
+    assert again.stats["reused_levels"] == 5 and again.stats["complex_exponentials"] == 0
+    assert again.converged and again.stats["panels"] == 4779
+    assert abs(again.value - want) <= min(1e-12 * want, again.error_estimate)
+
+
+@pytest.mark.parametrize("sign", (1.0, -1.0))
+@pytest.mark.parametrize("k", range(-60, 61, 6))
+def test_unit_frame_matches_quadrature_at_the_gap(sign, k):
+    _check_unit_frame(sign * 2.0**k, 7)
+
+
+@given(
+    st.floats(1.0, 2.0, exclude_max=True),
+    st.integers(-60, 60),
+    st.sampled_from((1.0, -1.0)),
+    st.integers(-20, 20).filter(bool),
+)
+@settings(max_examples=20, deadline=None)
+def test_unit_frame_matches_quadrature_at_drawn_gaps(mantissa, k, sign, shift):
+    _check_unit_frame(sign * math.ldexp(mantissa, k), shift)
+
+
+def test_only_default_ladders_of_normal_eps_fill_the_unit_table(empty_inverse_roots):
+    a, b = ChirpState(DirectionVector(1.0, 1.0)), ChirpState(DirectionVector(1.0, -1.0))
+    explicit = overlap_quadrature(a, b, epsilons=default_epsilons(2.0))
+    assert not oracle._UNIT_INTEGRALS and explicit.stats["reused_levels"] == 0
+    # at du = 2^-1020 the default eps are subnormal, so their unit rules are
+    # computed and not kept
+    p = 2.0**-1020
+    tiny = overlap_quadrature(ChirpState(DirectionVector(1.0, p)), ChirpState(DirectionVector(1.0, -p)))
+    assert tiny.converged and not oracle._UNIT_INTEGRALS
+    overlap_quadrature(a, b)
+    assert len(oracle._UNIT_INTEGRALS) == 10
+    # an explicit ladder reads what a default one left
+    again = overlap_quadrature(a, b, epsilons=default_epsilons(1.0))
+    assert again.stats["reused_levels"] == 5 and len(oracle._UNIT_INTEGRALS) == 10
 
 
 @pytest.mark.parametrize("du", (10**-2.5, -0.05, 0.4, -1.0, 3.0, -10.0))
