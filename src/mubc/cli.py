@@ -79,9 +79,22 @@ def _load(path: str, parse: Callable):
         raise InvalidProblem(f"{path}: {exc}") from exc
 
 
+def _strict_json(data):
+    """data with every non-finite float as the string "inf", "-inf" or
+    "nan": JSON (RFC 8259) has no token for them."""
+    if isinstance(data, float) and not math.isfinite(data):
+        return str(float(data))
+    if isinstance(data, dict):
+        return {key: _strict_json(value) for key, value in data.items()}
+    if isinstance(data, (list, tuple)):
+        return [_strict_json(value) for value in data]
+    return data
+
+
 def _write_json(path: str | None, data) -> None:
     if path:
-        Path(path).write_text(json.dumps(data, indent=2) + "\n", encoding="utf-8")
+        text = json.dumps(_strict_json(data), indent=2, allow_nan=False)
+        Path(path).write_text(text + "\n", encoding="utf-8")
 
 
 def _write_csv(path: str | None, fieldnames: Sequence[str], rows: Sequence[dict]) -> None:

@@ -126,22 +126,21 @@ class QuadratureResult:
     """Extrapolated squared overlap with its convergence diagnostics.
 
     ``stats`` reports the work done: ``levels`` (eps levels evaluated),
-    ``stop`` (why the ladder stopped: ``converged``; ``capped``, a level
-    hit ``_MAX_PANELS``; or ``ladder-end``, the levels ran out
-    first: the default ladder's _MAX_LEVELS = 12 or the given epsilons),
-    ``panels`` (panels of the rules behind the value, both rules of every
-    level, whether integrated by this call or read from the shared
-    unit-frame table: 4,779 for every pair the default ladder settles in
-    its first 5 levels), ``reused_levels`` (levels whose integrals came
-    from the shared table), ``complex_exponentials`` (complex exp
-    evaluations this call made: per rule integrated, 16 for panel 0 and 16
-    for the node factors, min(16, S) + ceil(S / 16) for the two factors of
-    the S = min(256, count - 1) entry stride table and one head per
-    started row of 256 panels; 0 when every level was reused),
-    ``inverse_roots`` (entries of the shared _InverseRoots table this call
-    computed: rows it filled plus rows past the table; 0 when the table
-    already covered every rule integrated), ``capped_levels`` (levels
-    whose panel count hit ``_MAX_PANELS``) and ``wall_s``.
+    ``stop`` (``converged``; ``capped``, a level hit ``_MAX_PANELS``; or
+    ``ladder-end``, the levels ran out first), ``panels`` (panels of the
+    rules behind the value, both rules of every level, whether integrated
+    by this call or read from the shared default ladder: 4,779 for every
+    default pair), ``reused_levels`` (levels read from the default ladder
+    an earlier call built: 5 for every default pair but the first),
+    ``complex_exponentials`` (complex exp evaluations this call made: per
+    rule integrated, 16 for panel 0 and 16 for the node factors,
+    min(16, S) + ceil(S / 16) for the two factors of the S = min(256,
+    count - 1) entry stride table and one head per started row of 256
+    panels; 0 when every level was reused), ``inverse_roots`` (entries of
+    the shared _InverseRoots table this call computed: rows it filled plus
+    rows past the table; 0 when the table already covered every rule
+    integrated), ``capped_levels`` (levels whose panel count hit
+    ``_MAX_PANELS``) and ``wall_s``.
     """
 
     value: float
@@ -201,12 +200,6 @@ _MOMENT_WEIGHTS = np.array([math.comb(2 * m, m) * (-0.25) ** m for m in range(_T
 )
 # Degree of the sliding polynomial windows that extrapolate eps^2 -> 0.
 _ORDER = 3
-# The default ladder starts at default_epsilons' _ORDER + 2 levels and
-# deepens to this. Panel counts are the same for every du, and level m's
-# fine rule wants 2 ceil(10 * 2^m * _TRUNCATION^2 / _PANEL_PHASE) panels:
-# 210,148 at m = 11 and 420,296 at m = 12, past _MAX_PANELS. So a 13th
-# level could never resolve.
-_MAX_LEVELS = 12
 # Relative error floor of a value from a few float roundings.
 _ROUNDING_FLOOR = 8.0 * np.finfo(float).eps
 # Smallest normal float.
@@ -294,12 +287,6 @@ class _InverseRoots:
 
 
 _INVERSE_ROOTS = _InverseRoots()
-
-# _damped_integrals at du = 1 of the default ladder's rules in the unit
-# frame, keyed by (eps / |du|, count) and shared by every pair. A normal eps
-# of the default ladder divided by |du| is one of at most 3 roundings of
-# 0.1 * 2^-m, so the table holds at most 3 * 2 * _MAX_LEVELS rules.
-_UNIT_INTEGRALS: dict[tuple[float, int], complex] = {}
 
 
 def _damped_integrals(
@@ -470,6 +457,46 @@ def _work_stats(work: Counter, levels: int, stop: str, started: float) -> dict:
     }
 
 
+def _unit_ladder(units: Sequence[float]) -> QuadratureResult:
+    """The ladder eps / |du| = units at du = 1, every level's rules in one
+    batch: the fine rule, and the coarse one with half its panels. A level
+    whose fine rule _MAX_PANELS clamped is no refinement of a coarse one,
+    so it runs only the fine rule, and its error is unknown: inf."""
+    started = time.perf_counter()
+    work: Counter = Counter()
+    levels = []
+    for unit in units:
+        fine, capped = _panel_count(1.0, unit, 2)
+        levels.append([(unit, fine)] if capped else [(unit, fine), (unit, fine // 2)])
+    integrals = iter(_damped_integrals(1.0, [rule for level in levels for rule in level], work))
+    raws: list[float] = []
+    local_errors: list[float] = []
+    for level in levels:
+        fine = next(integrals)
+        raws.append(abs(fine) ** 2)
+        if len(level) == 2:
+            local_errors.append(abs(fine - next(integrals)) * 2.0 * abs(fine))
+        else:
+            work["capped_levels"] += 1
+            local_errors.append(math.inf)
+    value, error_estimate, converged, extrapolants = _extrapolate(units, raws, local_errors)
+    stop = "converged" if converged else "capped" if work["capped_levels"] else "ladder-end"
+    return QuadratureResult(
+        value=value,
+        error_estimate=error_estimate,
+        epsilon_sequence=tuple(zip(units, raws)),
+        converged=converged,
+        extrapolants=extrapolants,
+        local_errors=tuple(local_errors),
+        stats=_work_stats(work, len(units), stop, started),
+    )
+
+
+# The default ladder in the unit frame, eps / |du| = 0.1 * 2^-m for m < 5:
+# built by the first default call, then rescaled by every pair.
+_DEFAULT_LADDER: QuadratureResult | None = None
+
+
 def overlap_quadrature(
     a: ChirpState,
     b: ChirpState,
@@ -480,26 +507,27 @@ def overlap_quadrature(
     Runs the damped integral at every eps, extrapolates |I(eps)|^2 to
     eps -> 0 with sliding degree-3 polynomial windows in eps^2, and reports
     the last extrapolant with the spread of the final window step as the
-    error estimate. Without explicit `epsilons` the ladder starts at
-    default_epsilons' 5 levels, eps proportional to |du|, and, while
-    unconverged, adds one level at a time up to 12; explicit `epsilons` are
-    used as given. Position-eigenstate branches reduce to a pointwise
-    evaluation of the partner wavefunction (no eps sequence).
+    error estimate. Without explicit `epsilons` the ladder is
+    default_epsilons' 5 levels, eps proportional to |du|; explicit
+    `epsilons` are used as given, in one pass. Position-eigenstate
+    branches reduce to a pointwise evaluation of the partner wavefunction
+    (no eps sequence).
 
-    The integrals run in the unit frame: under t -> t / sqrt(|du|),
-    I(du, eps) = |du|^(-1/2) I(1, eps / |du|), conjugated for du < 0. A
-    level's rules at du = 1 are read from the shared _UNIT_INTEGRALS table
-    where it holds them and integrated otherwise; only a default ladder
-    adds them to it. The extrapolation, its errors and the range checks
-    run per pair in the caller's frame, and `epsilon_sequence` reports the
-    caller's eps.
+    The ladder runs in the unit frame: under t -> t / sqrt(|du|),
+    |I(du, eps)| = |du|^(-1/2) |I(1, eps / |du|)|, so the pair's numbers
+    are the unit ladder's times prefactor^2 / |du| and its verdict is the
+    unit one (Neville at zero does not change when the eps are rescaled,
+    and every convergence test is a ratio). The first default call
+    integrates the default ladder and every later one only rescales it; an
+    explicit ladder is integrated per call and not kept.
+    `epsilon_sequence` reports the caller's eps.
 
     Raises LimitExceeded where du, eps / |du|, the unit window's s-range
     T^2 |du| / eps or a |I(eps)|^2 leaves the normal float range.
     """
+    global _DEFAULT_LADDER
     started = time.perf_counter()
-    work: Counter = Counter()
-    hbar = _require_shared_hbar(a, b)
+    _require_shared_hbar(a, b)
     sp = _symplectic_value(a, b)
     if sp == 0.0:
         raise ParallelDirections("parallel directions label the same basis")
@@ -515,7 +543,7 @@ def overlap_quadrature(
             converged=True,
             extrapolants=(value,),
             branch="delta-reduction",
-            stats=_work_stats(work, 0, "converged", started),
+            stats=_work_stats(Counter(), 0, "converged", started),
         )
     du = a.quad_rate - b.quad_rate
     # the symplectic product is nonzero, so a du of 0 has underflowed; a
@@ -524,76 +552,46 @@ def overlap_quadrature(
         raise LimitExceeded(_GAP_UNDERFLOWS)
     if not math.isfinite(du):
         raise LimitExceeded("the chirp-rate gap is past the float range")
-    if epsilons is not None:
+    if epsilons is None:
+        eps_list = default_epsilons(du)
+        if _DEFAULT_LADDER is None:
+            ladder = _DEFAULT_LADDER = _unit_ladder(default_epsilons(1.0))
+            stats = ladder.stats
+        else:
+            ladder = _DEFAULT_LADDER
+            reused = {"reused_levels": len(eps_list), "complex_exponentials": 0, "inverse_roots": 0}
+            stats = {**ladder.stats, **reused}
+    else:
         eps_list = tuple(sorted((float(e) for e in epsilons), reverse=True))
         if not all(0 < e < math.inf for e in eps_list):
             raise InvalidProblem("eps levels must be positive and finite")
         if len(set(eps_list)) < len(eps_list):
             raise InvalidProblem("eps levels must be distinct")
-        max_levels = len(eps_list)
-    else:
-        eps_list = default_epsilons(du)
-        max_levels = _MAX_LEVELS
-    if len(eps_list) < _ORDER + 2:
-        raise InvalidProblem(f"need at least {_ORDER + 2} eps levels")
-    prefactor = a.amplitude * b.amplitude
-    root = abs(du) ** -0.5
-    raws: list[float] = []
-    local_errors: list[float] = []
-    while True:
-        # each new level's rules in the unit frame: the fine rule, and the
-        # coarse one with half its panels; a level whose fine rule
-        # _MAX_PANELS clamped is no refinement of a coarse one, so it runs
-        # only the fine rule
-        levels = []
-        for eps in eps_list[len(raws) :]:
-            unit = eps / abs(du)
+        if len(eps_list) < _ORDER + 2:
+            raise InvalidProblem(f"need at least {_ORDER + 2} eps levels")
+        units = tuple(eps / abs(du) for eps in eps_list)
+        for eps, unit in zip(eps_list, units):
             if not 0.0 < unit < math.inf or _TRUNCATION**2 / unit == math.inf:
                 raise LimitExceeded(f"eps / |du| = {eps!r} / {abs(du)!r} is past the float range")
-            fine, capped = _panel_count(1.0, unit, 2)
-            levels.append([(unit, fine)] if capped else [(unit, fine), (unit, fine // 2)])
-        rules = [rule for level in levels for rule in level]
-        known = {rule: _UNIT_INTEGRALS[rule] for rule in rules if rule in _UNIT_INTEGRALS}
-        missing = [rule for rule in rules if rule not in known]
-        integrals = dict(known)
-        if missing:
-            integrals.update(zip(missing, _damped_integrals(1.0, missing, work)))
-            # only a default ladder of normal eps keeps its rules, so the
-            # table stays within its few roundings per level
-            if epsilons is None and eps_list[-1] >= _NORMAL_MIN:
-                _UNIT_INTEGRALS.update((rule, integrals[rule]) for rule in missing)
-        work["panels"] += sum(count for _, count in known)
-        # |I(eps)|^2 per new level, with the gap to the level's coarse rule
-        # as its error; a capped level's error is unknown: inf
-        for level in levels:
-            work["reused_levels"] += all(rule in known for rule in level)
-            fine, *coarse = (
-                root * (integrals[rule] if du > 0 else integrals[rule].conjugate()) for rule in level
-            )
-            raws.append(abs(fine) ** 2 * prefactor * prefactor)
-            if coarse:
-                local_errors.append(abs(fine - coarse[0]) * 2.0 * abs(fine) * prefactor * prefactor)
-            else:
-                work["capped_levels"] += 1
-                local_errors.append(math.inf)
-        value, error_estimate, converged, extrapolants = _extrapolate(eps_list, raws, local_errors)
-        # a subnormal carries fewer bits than _ROUNDING_FLOOR assumes, and an
-        # overflow none: such a value would be reported as more exact than it is
-        if not (all(_NORMAL_MIN <= raw < math.inf for raw in raws) and math.isfinite(value)):
-            raise LimitExceeded("|I(eps)|^2 is past the normal float range")
-        # a capped level's error is inf, so deeper levels cannot converge
-        if converged or work["capped_levels"] or len(eps_list) >= max_levels:
-            break
-        eps_list = default_epsilons(du, len(eps_list) + 1)
-    stop = "converged" if converged else "capped" if work["capped_levels"] else "ladder-end"
+        ladder = _unit_ladder(units)
+        stats = ladder.stats
+    # prefactor^2 / |du|, squared last so that it stays finite wherever the
+    # overlap does
+    scale = (a.amplitude * b.amplitude * abs(du) ** -0.5) ** 2
+    raws = tuple(scale * raw for _, raw in ladder.epsilon_sequence)
+    value = scale * ladder.value
+    # a subnormal carries fewer bits than _ROUNDING_FLOOR assumes, and an
+    # overflow none: such a value would be reported as more exact than it is
+    if not (all(_NORMAL_MIN <= raw < math.inf for raw in raws) and math.isfinite(value)):
+        raise LimitExceeded("|I(eps)|^2 is past the normal float range")
     return QuadratureResult(
         value=value,
-        error_estimate=error_estimate,
+        error_estimate=scale * ladder.error_estimate,
         epsilon_sequence=tuple(zip(eps_list, raws)),
-        converged=converged,
-        extrapolants=extrapolants,
-        local_errors=tuple(local_errors),
-        stats=_work_stats(work, len(eps_list), stop, started),
+        converged=ladder.converged,
+        extrapolants=tuple(scale * x for x in ladder.extrapolants),
+        local_errors=tuple(scale * e for e in ladder.local_errors),
+        stats={**stats, "wall_s": time.perf_counter() - started},
     )
 
 

@@ -475,7 +475,9 @@ def verify_mu(
         else:
             deviation = abs(mag_float - target_float) / abs(target_float)
             ok = deviation <= tolerance
-        max_dev = max(max_dev, 0.0 if ok and config.mode == EXACT else deviation)
+        # max(0.0, nan) is 0.0, and a NaN deviation must not read as agreement
+        if math.isnan(deviation) or deviation > max_dev:
+            max_dev = deviation
         verdict = verdict and ok
         checks.append(PairCheck(i, j, sp, mag_float, deviation, False, ok))
     return VerificationReport(

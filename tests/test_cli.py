@@ -29,6 +29,16 @@ from embedding import embed
 OK, FALSE, INPUT_ERROR, NO_CONVERGENCE = 0, 1, 2, 3
 
 
+def read_out(path):
+    """The JSON a command's --out wrote, parsed strictly: a bare NaN,
+    Infinity or -Infinity token is not JSON (RFC 8259) and fails."""
+
+    def refuse(token):
+        raise AssertionError(f"{path} holds the bare token {token}, which is not JSON")
+
+    return json.loads(Path(path).read_text(encoding="utf-8"), parse_constant=refuse)
+
+
 @pytest.fixture()
 def write_json(tmp_path):
     def _write(name, obj):
@@ -103,7 +113,7 @@ class TestVerifyCommand:
         }
         out = tmp_path / "report.json"
         assert main(["verify", write_json("tiny.json", config), "--out", str(out)]) == code
-        blob = json.loads(out.read_text())
+        blob = read_out(out)
         assert blob["max_deviation"] == factor - 1
         assert blob["pairs"][0]["magnitude"] == float(embed(factor * k, 300)) > 0
 
@@ -166,7 +176,7 @@ class TestVerifyCommand:
     def test_out_report(self, golden5_path, tmp_path):
         out = tmp_path / "report.json"
         assert main(["verify", golden5_path, "--out", str(out)]) == OK
-        blob = json.loads(out.read_text())
+        blob = read_out(out)
         assert blob["verdict"] is True
         assert len(blob["pairs"]) == 10
 
@@ -195,7 +205,7 @@ class TestCertifyCommand:
     def test_certificate_out(self, asym_path, tmp_path):
         out = tmp_path / "cert.json"
         assert main(["certify-n1", asym_path, "--out", str(out)]) == OK
-        blob = json.loads(out.read_text())
+        blob = read_out(out)
         assert blob["valid"] is True
         assert len(blob["records"]) == 8
 
@@ -207,7 +217,7 @@ class TestCertifyCommand:
         printed = capsys.readouterr().out
         assert "counterexample: a fourth direction exists" in printed
         assert "direction: (" in printed
-        blob = json.loads(out.read_text())
+        blob = read_out(out)
         assert len(blob["direction"]) == 2
         assert len(blob["signs"]) == 3
 
@@ -221,7 +231,7 @@ class TestEnumerateCommand:
     def test_emitted_configs_are_readable(self, tmp_path):
         out = tmp_path / "classes.json"
         assert main(["enumerate-n1", "--k", "1", "--height", "1", "--out", str(out)]) == OK
-        blobs = json.loads(out.read_text())
+        blobs = read_out(out)
         assert blobs
         for blob in blobs:
             cfg = config_from_json(blob)
@@ -272,7 +282,7 @@ def test_exact_scalars_as_ints_and_dicts(write_json, tmp_path, capsys):
     for name, config in (("strings", SQRT2_TRIPLE), ("ints-and-dicts", ints_and_dicts)):
         out = tmp_path / f"{name}-report.json"
         assert main(["verify", write_json(f"{name}.json", config), "--out", str(out)]) == FALSE
-        reports.append(json.loads(out.read_text()))
+        reports.append(read_out(out))
     assert reports[0] == reports[1]
     assert reports[1]["pairs"][2]["value"] == "-1 - R"
     assert math.isclose(reports[1]["pairs"][2]["magnitude"], 1 + math.sqrt(2), rel_tol=1e-15)
@@ -348,7 +358,7 @@ class TestEquivalenceCommand:
     def test_out(self, asym_path, sym_path, tmp_path):
         out = tmp_path / "eq.json"
         assert main(["equivalence", asym_path, sym_path, "--out", str(out)]) == OK
-        blob = json.loads(out.read_text())
+        blob = read_out(out)
         assert blob["residual"] < 1e-10
         assert blob["scale"] == pytest.approx(math.sqrt(math.sqrt(3.0) / 2.0), rel=1e-12)
 
@@ -421,7 +431,7 @@ class TestMetaplecticCommand:
             "--mu", "1/3", "--mode", "exact", "--out", str(out),
         ])
         assert rc == OK
-        blob = json.loads(out.read_text())
+        blob = read_out(out)
         assert blob["ordering"] == "stacked"
         # emitted matrix spec is accepted back by the reader
         from mubc import MetaplecticSpec
@@ -480,7 +490,7 @@ class TestOracleCommand:
         b = write_json("B.json", {"Q": 1.0, "P": -1.0})
         out = tmp_path / "quad.json"
         assert main(["oracle", "pair", a, b, "--out", str(out)]) == OK
-        blob = json.loads(out.read_text())
+        blob = read_out(out)
         assert blob["converged"] is True
         assert blob["value"] == pytest.approx(1.0 / (4 * math.pi), rel=1e-6)
         assert blob["stats"]["levels"] == len(blob["epsilon_sequence"])
@@ -523,7 +533,19 @@ class TestOracleCommand:
         assert main(["oracle", "pair", a, b, "--out", str(out)]) == OK
         assert "converged: yes" in capsys.readouterr().out
         want = 1.0 / (2 * math.pi * 2 * abs(p))
-        assert json.loads(out.read_text())["value"] == pytest.approx(want, rel=1e-12)
+        assert read_out(out)["value"] == pytest.approx(want, rel=1e-12)
+
+    def test_pair_out_writes_an_unbounded_error_as_a_string(self, write_json, tmp_path):
+        # eps levels so small that every fine rule hits the panel cap: each
+        # local error, and so the error estimate, is inf
+        a = write_json("A.json", {"Q": 1, "P": 1.5})
+        b = write_json("B.json", {"Q": 0.7, "P": -0.4})
+        out = tmp_path / "quad.json"
+        epsilons = "1e-9,5e-10,2.5e-10,1.25e-10,6e-11"
+        assert main(["oracle", "pair", a, b, "--epsilons", epsilons, "--out", str(out)]) == NO_CONVERGENCE
+        blob = read_out(out)
+        assert blob["error_estimate"] == "inf"
+        assert blob["stats"]["stop"] == "capped" and blob["stats"]["capped_levels"] == 5
 
     def test_pair_unconverged_exits_three(self, write_json, capsys):
         # explicit eps levels are never deepened, and five are too few here
@@ -597,7 +619,7 @@ class TestSearchCommand:
             "--restarts", "10", "--out", str(out),
         ])
         assert rc == OK
-        blob = json.loads(out.read_text())
+        blob = read_out(out)
         assert blob["outcome"] == "extended"
         assert blob["residual"] <= 1e-9
         assert blob["pair_residuals"]
@@ -635,7 +657,7 @@ class TestSearchCommand:
         assert time.perf_counter() - start < 20.0
         assert rc in (OK, FALSE)
         assert "Traceback" not in capsys.readouterr().err
-        stats = json.loads(out.read_text())["stats"]
+        stats = read_out(out)["stats"]
         assert 1 <= stats["charts"] <= 5
 
 
@@ -682,7 +704,7 @@ class TestReproduceCommand:
     def test_out_writes_bool_verdicts(self, tmp_path):
         out = tmp_path / "claims.json"
         assert main(["reproduce", "--out", str(out)]) == OK
-        blob = json.loads(out.read_text())
+        blob = read_out(out)
         assert blob["all_passed"] is True
         assert all(type(claim["passed"]) is bool for claim in blob["claims"])
 
@@ -1025,3 +1047,29 @@ class TestRoundTripInvariant:
             blob = load_fixture(name)
             emitted = config_to_json(config_from_json(blob))
             assert config_to_json(config_from_json(emitted)) == emitted
+
+
+def test_verify_past_the_float_range_writes_strict_json(write_json, tmp_path, capsys):
+    # the triple (1, 0), (0, 1), (1, 1) times 1e200: every product overflows
+    # to inf, so the inferred K is inf and each deviation inf / inf is NaN,
+    # which the maximum must show rather than drop (the verdict itself is a
+    # false negative past the float range and is not pinned here)
+    config = {"N": 1, "mode": "numeric", "vectors": [[[1e200, 0.0]], [[0.0, 1e200]], [[1e200, 1e200]]]}
+    out = tmp_path / "report.json"
+    main(["verify", write_json("big.json", config), "--infer-k", "--out", str(out)])
+    assert "max relative deviation: nan" in capsys.readouterr().out
+    blob = read_out(out)
+    assert blob["max_deviation"] == "nan"
+    assert [pair["deviation"] for pair in blob["pairs"]] == ["nan"] * 3
+    assert [pair["magnitude"] for pair in blob["pairs"]] == ["inf"] * 3
+
+
+@pytest.mark.parametrize("fixture", ["golden5.json", "symmetric-triple.json", "asymmetric-triple.json", None])
+def test_finite_out_is_plain_json(fixture, write_json, tmp_path):
+    # an --out of finite numbers only is what json.dumps writes unchanged:
+    # verify on each bundled fixture, and reproduce
+    argv = ["verify", write_json(fixture, load_fixture(fixture))] if fixture else ["reproduce"]
+    out = tmp_path / "out.json"
+    assert main([*argv, "--out", str(out)]) == OK
+    text = out.read_text(encoding="utf-8")
+    assert text == json.dumps(read_out(out), indent=2) + "\n"

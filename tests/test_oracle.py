@@ -227,58 +227,26 @@ class TestQuadrature:
             with pytest.raises(LimitExceeded, match="chirp-rate gap underflows"):
                 route(a, b)
 
-    def test_adaptive_ladder_deepens_until_converged(self, monkeypatch):
-        # every default ladder settles in its first 5 levels, so a verdict
-        # withheld below 8 levels drives the deepening, as a lowered
-        # _MAX_PANELS drives the cap below
-        a, b = ChirpState(DirectionVector(1.0, 0.02)), ChirpState(DirectionVector(1.0, -0.02))
-        du = a.quad_rate - b.quad_rate
-        extrapolate = oracle._extrapolate
-        ladders = []
-
-        def withheld_below(levels):
-            def wrapped(eps_list, raws, local_errors):
-                ladders.append(len(eps_list))
-                value, error, converged, extrapolants = extrapolate(eps_list, raws, local_errors)
-                return value, error, converged and len(eps_list) >= levels, extrapolants
-
-            return wrapped
-
-        monkeypatch.setattr(oracle, "_extrapolate", withheld_below(8))
-        res = overlap_quadrature(a, b)
-        assert ladders == [5, 6, 7, 8]
-        assert res.converged and res.stats["levels"] == 8
-        assert res.stats["stop"] == "converged"
-        assert tuple(e for e, _ in res.epsilon_sequence) == default_epsilons(du, 8)
-        shallower = overlap_quadrature(a, b, epsilons=default_epsilons(du, 7))
-        assert not shallower.converged and shallower.stats["stop"] == "ladder-end"
-        # levels already evaluated are reused, not recomputed
-        one_pass = overlap_quadrature(a, b, epsilons=default_epsilons(du, 8))
-        assert res.stats["panels"] == one_pass.stats["panels"]
-        assert res.value == one_pass.value
-        assert abs(res.value - 1.0 / (2 * math.pi * 0.04)) <= 1e-12 * res.value
-        # a verdict never given runs the ladder to its end, uncapped
-        monkeypatch.setattr(oracle, "_extrapolate", withheld_below(math.inf))
-        ended = overlap_quadrature(a, b)
-        assert not ended.converged and ended.stats["levels"] == oracle._MAX_LEVELS == 12
-        assert ended.stats["stop"] == "ladder-end" and ended.stats["capped_levels"] == 0
-        monkeypatch.undo()
-        # the gap ten times slower, which ran all 13 levels of the ladder
-        # with a floor unconverged, settles like every other pair
+    def test_adaptive_ladder_deepens_until_converged(self):
+        # the default ladder no longer deepens: the gap ten times slower
+        # than (1, +-0.02), which ran all 13 levels of the former ladder
+        # with a floor unconverged, settles in the 5 levels every pair takes
         slow = overlap_quadrature(
             ChirpState(DirectionVector(1.0, 0.002)), ChirpState(DirectionVector(1.0, -0.002))
         )
         assert slow.converged and slow.stats["levels"] == 5
+        assert slow.stats["stop"] == "converged"
         assert slow.stats["panels"] == 4779
         assert abs(slow.value - 1.0 / (2 * math.pi * 0.004)) <= 1e-12 * slow.value
 
     def test_panel_cap_marks_level_unresolved(self, monkeypatch):
         # the clamped fine rule equals the coarse one, so a zero local error
-        # would hide a value that is far off (true value 0.1098)
+        # would hide a value that is far off (true value 0.1098); an
+        # explicit ladder, integrated under the lowered cap
         monkeypatch.setattr(oracle, "_MAX_PANELS", 300)
         a = ChirpState(DirectionVector(1.0, 1.5))
         b = ChirpState(DirectionVector(0.7, -0.4))
-        res = overlap_quadrature(a, b)
+        res = overlap_quadrature(a, b, epsilons=default_epsilons(a.quad_rate - b.quad_rate))
         assert res.converged is False
         assert not math.isfinite(res.error_estimate) or res.error_estimate > 1.0
         assert res.stats["capped_levels"] >= 1
@@ -344,13 +312,13 @@ class TestQuadrature:
 
     @pytest.mark.parametrize("k", range(-1000, 1024, 41))
     def test_default_levels_fit_under_the_panel_cap(self, k):
-        # panel counts do not depend on du, so no default level is capped
-        # by construction; the one past the ladder would be
+        # panel counts do not depend on du, so no level of a 12-level
+        # ladder is capped by construction; a 13th would be
         du = 2.0**k
-        for eps in default_epsilons(du, oracle._MAX_LEVELS):
+        for eps in default_epsilons(du, 12):
             assert oracle._panel_count(du, eps, 2) == oracle._panel_count(1.0, eps / du, 2)
             assert not oracle._panel_count(du, eps, 2)[1]
-        past = default_epsilons(du, oracle._MAX_LEVELS + 1)[-1]
+        past = default_epsilons(du, 13)[-1]
         assert oracle._panel_count(du, past, 2) == (oracle._MAX_PANELS, True)
 
 
@@ -408,9 +376,9 @@ def test_stride_padding_matches_t_space(count):
 
 @pytest.fixture
 def empty_inverse_roots(monkeypatch):
-    # both shared tables empty: the inverse roots and the unit-frame integrals
+    # the shared inverse-root table empty and no default ladder built yet
     monkeypatch.setattr(oracle, "_INVERSE_ROOTS", oracle._InverseRoots())
-    monkeypatch.setattr(oracle, "_UNIT_INTEGRALS", {})
+    monkeypatch.setattr(oracle, "_DEFAULT_LADDER", None)
 
 
 def test_mixed_batch_matches_one_rule_batches(monkeypatch, empty_inverse_roots):
@@ -436,7 +404,8 @@ def test_mixed_batch_matches_one_rule_batches(monkeypatch, empty_inverse_roots):
     assert set(batch_work) == {"panels", "complex_exponentials", "inverse_roots"}
 
 
-# literals on empty tables, so no level is reused: the slow pair that
+# literals on an empty inverse-root table, each pair on the explicit ladder
+# default_epsilons(du), integrated in one pass: the slow pair that
 # deepened to 11 levels under the ladder with a floor now settles in the 5
 # levels every pair takes, and a pair whose levels 2-4 hit a panel cap of
 # 300 and so run only their fine rules; grid overrides the oracle's grid
@@ -454,9 +423,14 @@ def test_ladder_work_is_pinned(monkeypatch, empty_inverse_roots, pair, grid, sta
     for name, value in grid.items():
         monkeypatch.setattr(oracle, name, value)
     a, b = (ChirpState(DirectionVector(*d)) for d in pair)
-    res = overlap_quadrature(a, b)
     keys = ("levels", "panels", "reused_levels", "complex_exponentials", "inverse_roots")
-    assert tuple(res.stats[k] for k in keys) == stats
+    ladder = default_epsilons(a.quad_rate - b.quad_rate)
+    first, again = (overlap_quadrature(a, b, epsilons=ladder) for _ in range(2))
+    assert tuple(first.stats[k] for k in keys) == stats
+    # an explicit ladder is integrated by every call and never kept; only
+    # the inverse-root rows are shared
+    assert tuple(again.stats[k] for k in keys) == (*stats[:4], 0)
+    assert oracle._DEFAULT_LADDER is None
 
 
 def _exact_inverse_roots(panels):
@@ -537,8 +511,9 @@ def test_repeat_pair_reuses_the_table(empty_inverse_roots):
     table = oracle._INVERSE_ROOTS
     row_size = oracle._TERMS * oracle._EXP_STRIDE
     assert first.stats["inverse_roots"] == table.roots.size + (rows - 1) * row_size
+    assert first.stats["complex_exponentials"] == 628
     assert second.stats["inverse_roots"] == 0
-    # every level's integrals come from the unit-frame table
+    # the first default call builds the unit ladder, the second rescales it
     assert first.stats["reused_levels"] == 0
     assert second.stats["complex_exponentials"] == 0
     assert second.stats["reused_levels"] == 5
@@ -547,20 +522,47 @@ def test_repeat_pair_reuses_the_table(empty_inverse_roots):
     assert second.epsilon_sequence == first.epsilon_sequence
 
 
+def test_second_default_pair_only_rescales(monkeypatch, empty_inverse_roots):
+    first = overlap_quadrature(ChirpState(DirectionVector(1.0, 1.0)), ChirpState(DirectionVector(1.0, -1.0)))
+    integrate = oracle._damped_integrals
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return integrate(*args)
+
+    monkeypatch.setattr(oracle, "_damped_integrals", counted)
+    a, b = ChirpState(DirectionVector(0.7, -0.4), hbar=2.0), ChirpState(DirectionVector(1.0, 1.5), hbar=2.0)
+    second = overlap_quadrature(a, b)
+    assert calls == []
+    stats = second.stats
+    assert (stats["complex_exponentials"], stats["inverse_roots"]) == (0, 0)
+    assert (stats["reused_levels"], stats["panels"], stats["levels"]) == (5, 4779, 5)
+    assert (stats["stop"], stats["capped_levels"]) == ("converged", 0)
+    assert list(stats) == list(first.stats)
+    want = 1.0 / (2 * math.pi * 2.0 * abs(-0.4 * 1.0 - 0.7 * 1.5))
+    assert second.converged and abs(second.value - want) <= min(1e-12 * want, second.error_estimate)
+    # an explicit ladder, even the default one spelled out, integrates
+    # every level in one pass
+    explicit = overlap_quadrature(a, b, epsilons=default_epsilons(a.quad_rate - b.quad_rate))
+    assert len(calls) == 1 and explicit.stats["reused_levels"] == 0
+    assert explicit.converged and abs(explicit.value - want) <= min(1e-12 * want, explicit.error_estimate)
+
+
 def _check_unit_frame(du, shift):
-    """The pair (1, du), (1, -du), chirp-rate gap du, fills or reads the
-    unit-frame table; each default rule at du itself is the table's value
-    times |du|^(-1/2), conjugated for du < 0. The pair at gap -du 2^shift
-    then reads every level from the table."""
-    res = overlap_quadrature(ChirpState(DirectionVector(1.0, du)), ChirpState(DirectionVector(1.0, -du)))
+    """The pair (1, du), (1, -du), chirp-rate gap du, on the default
+    ladder: each |I(eps)|^2 it reports, the unit ladder's rescaled, is
+    prefactor^2 |I|^2 for the fine rule integrated at du itself. The pair
+    at gap -du 2^shift then rescales every level too."""
+    a, b = ChirpState(DirectionVector(1.0, du)), ChirpState(DirectionVector(1.0, -du))
+    res = overlap_quadrature(a, b)
     assert res.converged and res.stats["levels"] == 5
-    for eps in default_epsilons(du):
+    prefactor = a.amplitude * b.amplitude
+    for eps, raw in res.epsilon_sequence:
         fine = oracle._panel_count(1.0, eps / abs(du), 2)[0]
-        for count in (fine, fine // 2):
-            (want,) = oracle._damped_integrals(du, [(eps, count)], Counter())
-            unit = oracle._UNIT_INTEGRALS[(eps / abs(du), count)]
-            got = abs(du) ** -0.5 * (unit if du > 0 else unit.conjugate())
-            assert abs(got - want) <= 1e-13 * abs(want)
+        (integral,) = oracle._damped_integrals(du, [(eps, fine)], Counter())
+        want = prefactor**2 * abs(integral) ** 2
+        assert abs(raw - want) <= 1e-13 * want
     p = -math.ldexp(du, shift)
     again = overlap_quadrature(ChirpState(DirectionVector(1.0, p)), ChirpState(DirectionVector(1.0, -p)))
     want = 1.0 / (2 * math.pi * 2 * abs(p))
@@ -584,22 +586,6 @@ def test_unit_frame_matches_quadrature_at_the_gap(sign, k):
 @settings(max_examples=20, deadline=None)
 def test_unit_frame_matches_quadrature_at_drawn_gaps(mantissa, k, sign, shift):
     _check_unit_frame(sign * math.ldexp(mantissa, k), shift)
-
-
-def test_only_default_ladders_of_normal_eps_fill_the_unit_table(empty_inverse_roots):
-    a, b = ChirpState(DirectionVector(1.0, 1.0)), ChirpState(DirectionVector(1.0, -1.0))
-    explicit = overlap_quadrature(a, b, epsilons=default_epsilons(2.0))
-    assert not oracle._UNIT_INTEGRALS and explicit.stats["reused_levels"] == 0
-    # at du = 2^-1020 the default eps are subnormal, so their unit rules are
-    # computed and not kept
-    p = 2.0**-1020
-    tiny = overlap_quadrature(ChirpState(DirectionVector(1.0, p)), ChirpState(DirectionVector(1.0, -p)))
-    assert tiny.converged and not oracle._UNIT_INTEGRALS
-    overlap_quadrature(a, b)
-    assert len(oracle._UNIT_INTEGRALS) == 10
-    # an explicit ladder reads what a default one left
-    again = overlap_quadrature(a, b, epsilons=default_epsilons(1.0))
-    assert again.stats["reused_levels"] == 5 and len(oracle._UNIT_INTEGRALS) == 10
 
 
 @pytest.mark.parametrize("du", (10**-2.5, -0.05, 0.4, -1.0, 3.0, -10.0))

@@ -301,6 +301,23 @@ class TestVerifyMU:
         assert not report.verdict
         assert report.parallel_pairs == ((0, 1),)
 
+    @pytest.mark.parametrize(
+        "vectors, nans",
+        [
+            # every product overflows: K = inf, each deviation inf / inf
+            (((1e200, 0.0), (0.0, 1e200), (1e200, 1e200)), 3),
+            # K = 1 and large finite deviations first; the last pair's
+            # product is inf - inf
+            (((1.0, 0.0), (0.0, 1.0), (1e200, 1e200), (1e200, 1e200)), 1),
+        ],
+    )
+    def test_nan_deviation_shows_in_the_maximum(self, vectors, nans):
+        cfg = MUConfiguration(tuple(ProductVector.of(v) for v in vectors), None, mode=NUMERIC)
+        report = verify_mu(cfg, infer_k=True)
+        assert sum(math.isnan(pair.deviation) for pair in report.pairs) == nans
+        assert math.isnan(report.max_deviation)
+        assert not report.verdict
+
 
 class TestRescale:
     def test_quadruple_doubles(self):
