@@ -166,13 +166,13 @@ class QuadNum:
             match = _TERM_RE.match(rest)
             if match is None:
                 raise InvalidProblem(f"cannot parse QuadNum literal {text!r} at {rest!r}")
-            sign = -1 if match.group("sign") == "-" else 1
-            if match.group("sign") == "" and not first:
+            sign_text, num, den, rsym, ronly = match.groups()
+            sign = -1 if sign_text == "-" else 1
+            if sign_text == "" and not first:
                 raise InvalidProblem(f"missing +/- between terms in {text!r}")
-            if match.group("ronly") is not None:
+            if ronly is not None:
                 q += sign
             else:
-                num, den = match.group("num", "den")
                 try:
                     coeff = int(num) if den is None else Fraction(int(num), int(den))
                 except ZeroDivisionError:
@@ -180,7 +180,7 @@ class QuadNum:
                 except ValueError:  # past int's limit on digits converted from a string
                     digits = max(len(num), len(den or ""))
                     raise InvalidProblem(f"QuadNum literal has a {digits}-digit coefficient: too long")
-                if match.group("rsym") is not None:
+                if rsym is not None:
                     q += sign * coeff
                 else:
                     p += sign * coeff
@@ -460,9 +460,13 @@ def _reduced(a: int, b: int, d: int, ambient: Ambient) -> QuadNum:
 def _product_parts(a1, b1, d1, a2, b2, d2, ambient: Ambient) -> tuple:
     """(a1 + b1 R)(a2 + b2 R) / (d1 d2) with R^2 = (L u R + L v) / L, unreduced.
     Arithmetic operators only, so integer arrays work as well as ints."""
-    l = ambient._l
+    l, lu, lv = ambient._l, ambient._lu, ambient._lv
     bb = b1 * b2
-    return l * a1 * a2 + ambient._lv * bb, l * (a1 * b2 + b1 * a2) + ambient._lu * bb, l * d1 * d2
+    a, b, d = a1 * a2, a1 * b2 + b1 * a2, d1 * d2
+    # L, L u and L v are all 1 in the golden ambient: no multiplication by 1
+    if l != 1:
+        a, b, d = l * a, l * b, l * d
+    return a + (bb if lv == 1 else lv * bb), b + (bb if lu == 1 else lu * bb), d
 
 
 def _reciprocal_parts(x: tuple, ambient: Ambient) -> tuple:

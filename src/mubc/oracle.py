@@ -50,9 +50,14 @@ class ChirpState:
     direction: DirectionVector
     alpha: float = 0.0
     hbar: float = 1.0
+    # the direction's floats, derived once, outside ==/hash/repr
+    _q: float = field(init=False, compare=False, repr=False)
+    _p: float = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         q, p = self.direction.as_floats()
+        object.__setattr__(self, "_q", q)
+        object.__setattr__(self, "_p", p)
         if q == 0.0 and p == 0.0:
             raise InvalidDirection("direction (0, 0) labels no state")
         if self.hbar <= 0:
@@ -60,7 +65,7 @@ class ChirpState:
 
     @property
     def branch(self) -> str:
-        q, p = self.direction.as_floats()
+        q, p = self._q, self._p
         if q == 0.0:
             return DELTA
         if p == 0.0:
@@ -70,7 +75,7 @@ class ChirpState:
     @property
     def amplitude(self) -> float:
         """Flat magnitude (2 pi hbar |q|)^(-1/2) of the chirp/plane branches."""
-        q, _ = self.direction.as_floats()
+        q = self._q
         if q == 0.0:
             raise InvalidDirection("position-eigenstate branch has no flat magnitude")
         return (2.0 * math.pi * self.hbar * abs(q)) ** -0.5
@@ -78,7 +83,7 @@ class ChirpState:
     @property
     def quad_rate(self) -> float:
         """Coefficient u of x^2 in the phase."""
-        q, p = self.direction.as_floats()
+        q, p = self._q, self._p
         if q == 0.0:
             raise InvalidDirection("position-eigenstate branch has no chirp rate")
         return p / (2.0 * self.hbar * q)
@@ -86,7 +91,7 @@ class ChirpState:
     @property
     def linear_rate(self) -> float:
         """Coefficient w of x in the phase."""
-        q, _ = self.direction.as_floats()
+        q = self._q
         if q == 0.0:
             raise InvalidDirection("position-eigenstate branch has no chirp rate")
         return -self.alpha / (self.hbar * q)
@@ -94,7 +99,7 @@ class ChirpState:
     @property
     def phase_offset(self) -> float:
         """Constant phase term; zero on the plane-wave branch by convention."""
-        q, p = self.direction.as_floats()
+        q, p = self._q, self._p
         if q == 0.0:
             raise InvalidDirection("position-eigenstate branch has no phase offset")
         if p == 0.0:
@@ -104,7 +109,7 @@ class ChirpState:
     @property
     def delta_position(self) -> float:
         """Support point of the position-eigenstate branch."""
-        q, p = self.direction.as_floats()
+        q, p = self._q, self._p
         if q != 0.0:
             raise InvalidDirection("not a position-eigenstate branch")
         return self.alpha / p
@@ -128,7 +133,7 @@ class QuadratureResult:
     ``stats`` reports the work done: ``levels`` (eps levels evaluated),
     ``stop`` (``converged``; ``capped``, a level hit ``_MAX_PANELS``; or
     ``ladder-end``, the levels ran out first), ``panels`` (panels of the
-    rules behind the value, both rules of every level, whether integrated
+    rules behind the value, both rules of every uncapped level, whether integrated
     by this call or read from the shared default ladder: 4,779 for every
     default pair), ``reused_levels`` (levels read from the default ladder
     an earlier call built: 5 for every default pair but the first),
@@ -140,7 +145,8 @@ class QuadratureResult:
     the shared _InverseRoots table this call computed: rows it filled plus
     rows past the table; 0 when the table already covered every rule
     integrated), ``capped_levels`` (levels whose panel count hit
-    ``_MAX_PANELS``) and ``wall_s``.
+    ``_MAX_PANELS``: not integrated, raw nan and local error inf, and the
+    value nan and the error estimate inf) and ``wall_s``.
     """
 
     value: float
@@ -160,9 +166,7 @@ def _require_shared_hbar(a: ChirpState, b: ChirpState) -> float:
 
 
 def _symplectic_value(a: ChirpState, b: ChirpState) -> float:
-    qa, pa = a.direction.as_floats()
-    qb, pb = b.direction.as_floats()
-    return pa * qb - qa * pb
+    return a._p * b._q - a._q * b._p
 
 
 # One 16-node Gauss-Legendre rule on every panel.
@@ -460,26 +464,35 @@ def _work_stats(work: Counter, levels: int, stop: str, started: float) -> dict:
 def _unit_ladder(units: Sequence[float]) -> QuadratureResult:
     """The ladder eps / |du| = units at du = 1, every level's rules in one
     batch: the fine rule, and the coarse one with half its panels. A level
-    whose fine rule _MAX_PANELS clamped is no refinement of a coarse one,
-    so it runs only the fine rule, and its error is unknown: inf."""
+    whose fine rule _MAX_PANELS would clamp is no refinement of a coarse
+    one, and a ladder holding one cannot converge, so such a level is not
+    integrated: its raw is nan and its local error inf, and the ladder's
+    value is nan and its error estimate inf."""
     started = time.perf_counter()
     work: Counter = Counter()
-    levels = []
-    for unit in units:
-        fine, capped = _panel_count(1.0, unit, 2)
-        levels.append([(unit, fine)] if capped else [(unit, fine), (unit, fine // 2)])
-    integrals = iter(_damped_integrals(1.0, [rule for level in levels for rule in level], work))
+    levels = [(unit, *_panel_count(1.0, unit, 2)) for unit in units]
+    rules = [
+        rule
+        for unit, fine, capped in levels
+        if not capped
+        for rule in ((unit, fine), (unit, fine // 2))
+    ]
+    integrals = iter(_damped_integrals(1.0, rules, work) if rules else ())
     raws: list[float] = []
     local_errors: list[float] = []
-    for level in levels:
-        fine = next(integrals)
-        raws.append(abs(fine) ** 2)
-        if len(level) == 2:
-            local_errors.append(abs(fine - next(integrals)) * 2.0 * abs(fine))
-        else:
+    for _, _, capped in levels:
+        if capped:
             work["capped_levels"] += 1
+            raws.append(math.nan)
             local_errors.append(math.inf)
-    value, error_estimate, converged, extrapolants = _extrapolate(units, raws, local_errors)
+        else:
+            fine, coarse = next(integrals), next(integrals)
+            raws.append(abs(fine) ** 2)
+            local_errors.append(abs(fine - coarse) * 2.0 * abs(fine))
+    if work["capped_levels"]:
+        value, error_estimate, converged, extrapolants = math.nan, math.inf, False, ()
+    else:
+        value, error_estimate, converged, extrapolants = _extrapolate(units, raws, local_errors)
     stop = "converged" if converged else "capped" if work["capped_levels"] else "ladder-end"
     return QuadratureResult(
         value=value,
@@ -533,9 +546,8 @@ def overlap_quadrature(
         raise ParallelDirections("parallel directions label the same basis")
     if a.branch == DELTA or b.branch == DELTA:
         delta, partner = (a, b) if a.branch == DELTA else (b, a)
-        _, dp = delta.direction.as_floats()
         amplitude = abs(chirp_eval(partner, delta.delta_position))
-        value = amplitude * amplitude / abs(dp)
+        value = amplitude * amplitude / abs(delta._p)
         return QuadratureResult(
             value=value,
             error_estimate=_ROUNDING_FLOOR * value,
@@ -552,15 +564,14 @@ def overlap_quadrature(
         raise LimitExceeded(_GAP_UNDERFLOWS)
     if not math.isfinite(du):
         raise LimitExceeded("the chirp-rate gap is past the float range")
+    reused: dict = {}
     if epsilons is None:
         eps_list = default_epsilons(du)
         if _DEFAULT_LADDER is None:
             ladder = _DEFAULT_LADDER = _unit_ladder(default_epsilons(1.0))
-            stats = ladder.stats
         else:
             ladder = _DEFAULT_LADDER
             reused = {"reused_levels": len(eps_list), "complex_exponentials": 0, "inverse_roots": 0}
-            stats = {**ladder.stats, **reused}
     else:
         eps_list = tuple(sorted((float(e) for e in epsilons), reverse=True))
         if not all(0 < e < math.inf for e in eps_list):
@@ -574,24 +585,26 @@ def overlap_quadrature(
             if not 0.0 < unit < math.inf or _TRUNCATION**2 / unit == math.inf:
                 raise LimitExceeded(f"eps / |du| = {eps!r} / {abs(du)!r} is past the float range")
         ladder = _unit_ladder(units)
-        stats = ladder.stats
     # prefactor^2 / |du|, squared last so that it stays finite wherever the
     # overlap does
     scale = (a.amplitude * b.amplitude * abs(du) ** -0.5) ** 2
-    raws = tuple(scale * raw for _, raw in ladder.epsilon_sequence)
+    sequence = tuple((eps, scale * raw) for eps, (_, raw) in zip(eps_list, ladder.epsilon_sequence))
     value = scale * ladder.value
     # a subnormal carries fewer bits than _ROUNDING_FLOOR assumes, and an
-    # overflow none: such a value would be reported as more exact than it is
-    if not (all(_NORMAL_MIN <= raw < math.inf for raw in raws) and math.isfinite(value)):
+    # overflow none: such a value would be reported as more exact than it
+    # is. A capped level's raw, and so the value, is nan by design.
+    capped = ladder.stats["capped_levels"]
+    normal = all(_NORMAL_MIN <= raw < math.inf or capped and math.isnan(raw) for _, raw in sequence)
+    if not (normal and (capped or math.isfinite(value))):
         raise LimitExceeded("|I(eps)|^2 is past the normal float range")
     return QuadratureResult(
         value=value,
         error_estimate=scale * ladder.error_estimate,
-        epsilon_sequence=tuple(zip(eps_list, raws)),
+        epsilon_sequence=sequence,
         converged=ladder.converged,
         extrapolants=tuple(scale * x for x in ladder.extrapolants),
         local_errors=tuple(scale * e for e in ladder.local_errors),
-        stats={**stats, "wall_s": time.perf_counter() - started},
+        stats={**ladder.stats, **reused, "wall_s": time.perf_counter() - started},
     )
 
 
@@ -608,9 +621,8 @@ def fresnel_reference(a: ChirpState, b: ChirpState) -> float:
         raise ParallelDirections("parallel directions label the same basis")
     if a.branch == DELTA or b.branch == DELTA:
         delta, partner = (a, b) if a.branch == DELTA else (b, a)
-        _, dp = delta.direction.as_floats()
         amplitude = abs(chirp_eval(partner, delta.delta_position))
-        return amplitude * amplitude / abs(dp)
+        return amplitude * amplitude / abs(delta._p)
     du = a.quad_rate - b.quad_rate
     dw = a.linear_rate - b.linear_rate
     # the symplectic product is nonzero, so a du of 0 has underflowed, and

@@ -428,8 +428,10 @@ class SearchReport:
     charts (chart objectives built, one per chart its restarts used),
     dead_charts (restarts on a chart whose objective is inf everywhere),
     gradient_evaluations (evaluations that also formed the gradient and
-    Hessian: one per restart and per accepted step) and gauss_newton_steps
-    (steps that took the Gauss-Newton fallback). A lattice search reports the
+    Hessian: one per restart and per accepted step), gauss_newton_steps
+    (steps that took the Gauss-Newton fallback) and share_stops (restarts
+    that spent their share of the budget while later restarts were still
+    owed theirs). A lattice search reports the
     kernel's work: heads (heads run through the divisibility filter),
     heads_passed (heads past it), sign_pattern_solves
     (last-factor solves, four sign patterns per head, or two per box value
@@ -668,9 +670,13 @@ def _search_real(problem: SearchProblem, budget: int, restarts: int, seed: int) 
     restarts_used = 0
     dead_restarts = 0
     gauss_newton_steps = 0
+    share_stops = 0
     for chart in _restart_charts(problem.free_slots * problem.n, restarts):
         if evaluations >= budget:
             break
+        # an equal share of what is left, at least the starting point, so
+        # one hopeless restart cannot starve the others
+        limit = evaluations + max(1, (budget - evaluations) // (restarts - restarts_used))
         restarts_used += 1
         objective = objectives.get(chart)
         if objective is None:
@@ -681,7 +687,7 @@ def _search_real(problem: SearchProblem, budget: int, restarts: int, seed: int) 
         gradient_evaluations += 1
         dead_restarts += objective.dead
         for _ in range(400):
-            if evaluations >= budget or not math.isfinite(fx):
+            if evaluations >= limit or not math.isfinite(fx):
                 break
             minus = [-g for g in gx]
             delta = _cholesky_solve(hx, minus)
@@ -695,7 +701,7 @@ def _search_real(problem: SearchProblem, budget: int, restarts: int, seed: int) 
             if not (math.isfinite(slope) and -slope > 1e-12 * max(fx, 1e-300)):
                 break
             step, accepted = 1.0, False
-            while not accepted and evaluations < budget:
+            while not accepted and evaluations < limit:
                 x_new = [xi + step * di for xi, di in zip(x, delta)]
                 if x_new == x:  # the step is below the rounding of x
                     break
@@ -712,6 +718,7 @@ def _search_real(problem: SearchProblem, budget: int, restarts: int, seed: int) 
             iterations += 1
             if decrease <= 1e-15 * fx:  # f is at its rounding level
                 break
+        share_stops += limit <= evaluations and limit < budget
         if math.isfinite(fx) and fx < best_val:
             best_val = fx
             best_vectors = objective.pack(x)
@@ -746,6 +753,7 @@ def _search_real(problem: SearchProblem, budget: int, restarts: int, seed: int) 
             "dead_charts": dead_restarts,
             "gradient_evaluations": gradient_evaluations,
             "gauss_newton_steps": gauss_newton_steps,
+            "share_stops": share_stops,
         },
     )
 
@@ -827,7 +835,8 @@ def _lattice_vector(v):
     coords = []
     for f in v.factors:
         q, p = _golden_integer(f.q), _golden_integer(f.p)
-        coords.append(((q.p.numerator, q.q.numerator), (p.p.numerator, p.q.numerator)))
+        # integral, so the stored integers are the coordinates (d = 1)
+        coords.append(((q._a, q._b), (p._a, p._b)))
     return tuple(coords)
 
 
@@ -838,13 +847,39 @@ def _product_vector(coords) -> ProductVector:
     )
 
 
+# Tables depend only on (p_bound, q_bound, dtype), so searches share them;
+# read-only, since every caller gets the same arrays.
+@functools.lru_cache(maxsize=4)
+def _box_values(p_bound: int, q_bound: int, dtype):
+    """The box's values (a, b) in box order."""
+    p_values = np.arange(-p_bound, p_bound + 1)
+    q_values = np.arange(-q_bound, q_bound + 1)
+    a = np.repeat(p_values, len(q_values)).astype(dtype)
+    b = np.tile(q_values, len(p_values)).astype(dtype)
+    a.flags.writeable = b.flags.writeable = False
+    return a, b
+
+
+@functools.lru_cache(maxsize=4)
+def _head_choices(p_bound: int, q_bound: int, dtype):
+    """The head factor choices as ((qa, qb), (pa, pb)) arrays: q over the
+    box, then p over the box, the zero direction left out."""
+    a, b = _box_values(p_bound, q_bound, dtype)
+    qi, pi = np.divmod(np.arange(len(a) * len(a)), len(a))
+    nonzero = (a[qi] != 0) | (b[qi] != 0) | (a[pi] != 0) | (b[pi] != 0)
+    qi, pi = qi[nonzero], pi[nonzero]
+    q, p = (a[qi], b[qi]), (a[pi], b[pi])
+    for table in (*q, *p):
+        table.flags.writeable = False
+    return q, p
+
+
 class _LatticeKernel:
     """One lattice search's tables and counters.
 
-    Head factors run over the box's directions: q over the box, then p over
-    the box, the zero direction left out. A head is N - 1 of them, numbered
-    with the first factor most significant, so head order is the order of
-    itertools.product over the factor choices.
+    Head factors run over the box's directions (_head_choices). A head is
+    N - 1 of them, numbered with the first factor most significant, so head
+    order is the order of itertools.product over the factor choices.
     """
 
     def __init__(self, k, n: int, height: int, m: int, stats: dict) -> None:
@@ -855,22 +890,14 @@ class _LatticeKernel:
         self.choice_count = ((2 * self.p_bound + 1) * (2 * height + 1)) ** 2 - 1
         self.heads = self.choice_count ** (n - 1)
 
-    @functools.cached_property
+    # looked up where used, so a search builds no table it does not read
+    @property
     def box(self):
-        """The box's values in box order."""
-        p_values = np.arange(-self.p_bound, self.p_bound + 1)
-        q_values = np.arange(-self.q_bound, self.q_bound + 1)
-        a = np.repeat(p_values, len(q_values)).astype(self.dtype)
-        return a, np.tile(q_values, len(p_values)).astype(self.dtype)
+        return _box_values(self.p_bound, self.q_bound, self.dtype)
 
-    @functools.cached_property
+    @property
     def choices(self):
-        """The head factor choices as ((qa, qb), (pa, pb)) arrays."""
-        a, b = self.box
-        qi, pi = np.divmod(np.arange(len(a) * len(a)), len(a))
-        nonzero = (a[qi] != 0) | (b[qi] != 0) | (a[pi] != 0) | (b[pi] != 0)
-        qi, pi = qi[nonzero], pi[nonzero]
-        return (a[qi], b[qi]), (a[pi], b[pi])
+        return _head_choices(self.p_bound, self.q_bound, self.dtype)
 
     def head(self, index: int):
         """The coordinates of head number index."""
@@ -900,18 +927,25 @@ class _LatticeKernel:
         for _ in range(self.n - 1):
             rest, i = np.divmod(rest, self.choice_count)
             digits.append(i)
-        c = (np.ones((1, len(fixed)), self.dtype), np.zeros((1, len(fixed)), self.dtype))
-        for i, x in zip(reversed(digits), columns):
-            h = tuple((t[0][i][:, None], t[1][i][:, None]) for t in self.choices)
-            c = _mul(c, _symp(h, x))
-        conjugate, norm = _conjugate(c)
-        ra, rb = _mul(self.k, conjugate)
-        passed = norm != 0
-        norm = np.where(passed, norm, 1)
-        passed &= (ra % norm == 0) & (rb % norm == 0)
-        alive = np.flatnonzero(passed.all(axis=1))
-        ra, rb, norm = ra[alive], rb[alive], norm[alive]
-        rhs = (ra // norm, rb // norm)
+        if digits:
+            # c is the product over head factors, the first one's products as is
+            choices = self.choices
+            c = functools.reduce(_mul, (
+                _symp(tuple((t[0][i][:, None], t[1][i][:, None]) for t in choices), x)
+                for i, x in zip(reversed(digits), columns)
+            ))
+            conjugate, norm = _conjugate(c)
+            ra, rb = _mul(self.k, conjugate)
+            passed = norm != 0
+            norm = np.where(passed, norm, 1)
+            passed &= (ra % norm == 0) & (rb % norm == 0)
+            alive = np.flatnonzero(passed.all(axis=1))
+            ra, rb, norm = ra[alive], rb[alive], norm[alive]
+            rhs = (ra // norm, rb // norm)
+        else:
+            # no head factor (N = 1): c = 1 and every right-hand side is K
+            alive = np.arange(stop - start)
+            rhs = tuple(np.full((stop - start, len(fixed)), t, self.dtype) for t in self.k)
         stats["heads"] += stop - start
         stats["heads_passed"] += len(alive)
         now = time.perf_counter()
@@ -983,7 +1017,7 @@ def _search_lattice(problem: SearchProblem, budget: int, seed: int | None) -> Se
     if k.sign() <= 0:
         raise InvalidProblem(f"target K must be positive, got {k}")
     seeds = [_lattice_vector(v) for v in problem.seeds]
-    k = (k.p.numerator, k.q.numerator)
+    k = (k._a, k._b)
     m = max(
         [problem.height, 1, *map(abs, k)]
         + [abs(t) for v in seeds for f in v for pair in f for t in pair]
@@ -1068,7 +1102,9 @@ def search_extension(
     the Hessian, or where it is not positive definite with the Gauss-Newton
     matrix shifted just enough to be, then backtracks (Armijo); a restart
     stops once the Newton decrement is tiny beside f, f or the step is at
-    rounding level, or the budget is spent. Even restarts pin every factor's
+    rounding level, or its share of the budget is spent: what is left over
+    the restarts still to run, at least one evaluation, so budget an
+    earlier restart leaves passes to the later ones. Even restarts pin every factor's
     first component to 1; odd ones take the charts that pin some factors to
     (0, 1) in turn, fewest pinned first. Golden-lattice domain: every exact
     completion inside the height box, found by enumerating the first N - 1

@@ -130,16 +130,17 @@ class ProductVector:
 
     @property
     def expanded(self) -> tuple[Scalar, ...]:
-        """Components in R^(2^N), first factor most significant."""
-        n, factors = self.n, self.factors
-        out: list[Scalar] = []
-        for index in range(2 ** n):
-            # the first factor's component as is: N - 1 multiplications, not N
-            value = factors[0].p if index >> (n - 1) else factors[0].q
-            for k in range(1, n):
-                bit = (index >> (n - 1 - k)) & 1
-                value = value * (factors[k].p if bit else factors[k].q)
-            out.append(value)
+        """Components in R^(2^N), first factor most significant.
+
+        The iterated Kronecker product: each further factor f replaces every
+        component v by v f.q, v f.p. So a component is its factors'
+        components multiplied left to right, the first one as is: N - 1
+        multiplications, not N."""
+        first, *rest = self.factors
+        out: list[Scalar] = [first.q, first.p]
+        for f in rest:
+            q, p = f.q, f.p
+            out = [x for v in out for x in (v * q, v * p)]
         return tuple(out)
 
     def scale_first_factor(self, factor: Scalar) -> "ProductVector":

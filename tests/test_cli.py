@@ -536,16 +536,20 @@ class TestOracleCommand:
         assert read_out(out)["value"] == pytest.approx(want, rel=1e-12)
 
     def test_pair_out_writes_an_unbounded_error_as_a_string(self, write_json, tmp_path):
-        # eps levels so small that every fine rule hits the panel cap: each
-        # local error, and so the error estimate, is inf
+        # eps levels so small that every fine rule hits the panel cap: no
+        # level is integrated, each raw and the value are nan and the error
+        # estimate is inf
         a = write_json("A.json", {"Q": 1, "P": 1.5})
         b = write_json("B.json", {"Q": 0.7, "P": -0.4})
         out = tmp_path / "quad.json"
         epsilons = "1e-9,5e-10,2.5e-10,1.25e-10,6e-11"
         assert main(["oracle", "pair", a, b, "--epsilons", epsilons, "--out", str(out)]) == NO_CONVERGENCE
         blob = read_out(out)
-        assert blob["error_estimate"] == "inf"
+        assert blob["error_estimate"] == "inf" and blob["value"] == "nan"
+        assert [raw for _, raw in blob["epsilon_sequence"]] == ["nan"] * 5
         assert blob["stats"]["stop"] == "capped" and blob["stats"]["capped_levels"] == 5
+        work = ("panels", "complex_exponentials", "inverse_roots")
+        assert [blob["stats"][k] for k in work] == [0, 0, 0]
 
     def test_pair_unconverged_exits_three(self, write_json, capsys):
         # explicit eps levels are never deepened, and five are too few here

@@ -271,8 +271,14 @@ class TestSerialization:
             # past Python's 4300-digit limit on converting a string to an int
             ("9" * 5000 + " R", "QuadNum literal has a 5000-digit coefficient: too long"),
             ("1/" + "9" * 5000, "QuadNum literal has a 5000-digit coefficient: too long"),
+            ("R R", "missing +/- between terms in 'R R'"),
+            ("1 +", "cannot parse QuadNum literal '1 +' at '+'"),
+            ("R/2", "cannot parse QuadNum literal 'R/2' at '/2'"),
         ],
-        ids=["zero-den", "no-sign", "two-slashes", "exponent", "empty", "long-num", "long-den"],
+        ids=[
+            "zero-den", "no-sign", "two-slashes", "exponent", "empty", "long-num", "long-den",
+            "no-sign-after-root", "dangling-sign", "root-over",
+        ],
     )
     def test_parse_errors(self, text, message):
         with pytest.raises(InvalidProblem) as info:
@@ -507,6 +513,14 @@ def test_int_construction_matches_fraction_construction(amb, p, q):
 def test_parse_inverts_str(amb, x):
     value = QuadNum(*x, amb)
     assert QuadNum.parse(str(value), amb) == value
+
+
+@given(st.integers(-(10**40), 10**40), st.integers(-(10**40), 10**40), st.integers(1, 10**20))
+@settings(max_examples=300)
+def test_parse_inverts_str_of_drawn_parts(a, b, d):
+    # (a + b R) / d with wide coefficients and a shared denominator
+    value = QuadNum(Fraction(a, d), Fraction(b, d))
+    assert QuadNum.parse(str(value)) == value
 
 
 @given(st.sampled_from(PARITY_AMBIENTS), st.integers(-199, 199), pairs)

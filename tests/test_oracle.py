@@ -2,6 +2,7 @@
 
 import math
 from collections import Counter
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -87,6 +88,17 @@ class TestChirpEval:
     def test_degenerate_direction(self):
         with pytest.raises(InvalidDirection):
             ChirpState(DirectionVector(0.0, 0.0))
+
+    def test_identity_is_direction_alpha_and_hbar(self):
+        # the floats derived from the direction stay out of ==, hash and repr
+        a = ChirpState(DirectionVector(1.0, 0.5), alpha=0.3, hbar=2.0)
+        b = ChirpState(DirectionVector(1.0, 0.5), alpha=0.3, hbar=2.0)
+        assert a == b and hash(a) == hash(b) == hash((a.direction, 0.3, 2.0))
+        assert repr(a) == "ChirpState(direction=DirectionVector(q=1.0, p=0.5), alpha=0.3, hbar=2.0)"
+        assert a != ChirpState(DirectionVector(1.0, 0.5), alpha=0.3)
+        # an exact direction is read through its floats
+        exact = ChirpState(DirectionVector(1, Fraction(1, 3)), alpha=0.3, hbar=2.0)
+        assert exact.quad_rate == (1 / 3) / 4.0 and exact.linear_rate == -0.3 / 2.0
 
 
 class TestQuadrature:
@@ -246,12 +258,24 @@ class TestQuadrature:
         monkeypatch.setattr(oracle, "_MAX_PANELS", 300)
         a = ChirpState(DirectionVector(1.0, 1.5))
         b = ChirpState(DirectionVector(0.7, -0.4))
-        res = overlap_quadrature(a, b, epsilons=default_epsilons(a.quad_rate - b.quad_rate))
+        ladder = default_epsilons(a.quad_rate - b.quad_rate)
+        res = overlap_quadrature(a, b, epsilons=ladder)
         assert res.converged is False
         assert not math.isfinite(res.error_estimate) or res.error_estimate > 1.0
         assert res.stats["capped_levels"] >= 1
         assert res.stats["stop"] == "capped"
         assert math.inf in res.local_errors
+        # a capped level is not integrated, and a ladder holding one has no value
+        capped = res.stats["capped_levels"]
+        raws = [raw for _, raw in res.epsilon_sequence]
+        assert all(math.isnan(raw) for raw in raws[-capped:])
+        assert res.local_errors[-capped:] == (math.inf,) * capped
+        assert math.isnan(res.value) and res.error_estimate == math.inf
+        # the levels below the cap are integrated as they are without it
+        monkeypatch.undo()
+        full = overlap_quadrature(a, b, epsilons=ladder)
+        assert raws[:-capped] == [raw for _, raw in full.epsilon_sequence][:-capped]
+        assert res.local_errors[:-capped] == full.local_errors[:-capped]
 
     def test_stats_count_work(self, empty_inverse_roots):
         res = overlap_quadrature(
@@ -408,15 +432,16 @@ def test_mixed_batch_matches_one_rule_batches(monkeypatch, empty_inverse_roots):
 # default_epsilons(du), integrated in one pass: the slow pair that
 # deepened to 11 levels under the ladder with a floor now settles in the 5
 # levels every pair takes, and a pair whose levels 2-4 hit a panel cap of
-# 300 and so run only their fine rules; grid overrides the oracle's grid
-# constants. The exponentials follow test_stats_count_work's formula, and
-# the table entries are row 0's 4096 roots plus 1536 powers per further
-# row the widest rule reads (1642 and 300 panels: 6 rows and 1 row)
+# 300 and so are not integrated: only levels 0 and 1 run, 104 + 52 and
+# 206 + 103 panels; grid overrides the oracle's grid constants. The
+# exponentials follow test_stats_count_work's formula, and the table
+# entries are row 0's 4096 roots plus 1536 powers per further row the
+# widest rule reads (1642 and 206 panels: 6 rows and none)
 @pytest.mark.parametrize(
     "pair, grid, stats",
     [
         (((1.0, 0.02), (1.0, -0.02)), {}, (5, 4779, 0, 628, 4096 + 6 * 1536)),
-        (((1.0, 1.5), (0.7, -0.4)), {"_MAX_PANELS": 300}, (5, 1365, 0, 425, 4096 + 1536)),
+        (((1.0, 1.5), (0.7, -0.4)), {"_MAX_PANELS": 300}, (5, 465, 0, 227, 4096)),
     ],
 )
 def test_ladder_work_is_pinned(monkeypatch, empty_inverse_roots, pair, grid, stats):

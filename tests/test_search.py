@@ -477,6 +477,8 @@ class TestRealTrajectories:
         # at most one direction per accepted step, plus one per restart
         assert 0 <= report.stats["gauss_newton_steps"] <= report.restarts_used + report.iterations
         assert report.stats["budget_hit"] == (report.evaluations >= 4000)
+        # no pinned trajectory comes near its share of 500 evaluations
+        assert report.stats["share_stops"] == 0
         assert report.to_json()["stats"] == report.stats
 
 
@@ -512,6 +514,26 @@ class TestRealOutcomes:
         report = search_extension(problem, budget=4000, restarts=8, seed=0)
         assert report.outcome == "extended"
         assert report.residual <= 1e-9
+
+    @pytest.mark.parametrize("k", [1e-150, 1e-200, 1e-300])
+    def test_a_hopeless_restart_leaves_the_rest_their_share(self, k):
+        # the first restart shrinks x geometrically toward an extension it
+        # cannot reach; it once spent the whole budget (one restart at
+        # 1e-300, three at 1e-150 and 1e-200)
+        problem = SearchProblem(k, (ProductVector.of((1.0, 0.0)), ProductVector.of((0.0, k))), 1, "real")
+        report = search_extension(problem, budget=4000, restarts=8, seed=0)
+        assert report.restarts_used == 8
+        assert report.stats["share_stops"] >= 1
+        assert report.evaluations <= 4000
+
+    @pytest.mark.parametrize("budget, restarts, used", [(3, 8, 3), (16, 8, 8), (17, 4, 4)])
+    def test_every_started_restart_gets_its_starting_point(self, budget, restarts, used):
+        # a share below one evaluation still buys the starting point; the
+        # restarts stop when the budget does
+        problem = dataclasses.replace(REAL_PROBLEMS["asym"](), free_slots=1)
+        report = search_extension(problem, budget=budget, restarts=restarts, seed=0)
+        assert report.restarts_used == used
+        assert report.evaluations <= budget
 
 
 def reference_vectors(problem, chart, x):
@@ -1074,6 +1096,27 @@ class TestLatticeKernel:
         assert report.outcome == "exhausted"
         assert report.evaluations == report.stats["heads"] == 83520
         assert report.solutions == () and report.stats["completions"] == 0
+
+    def test_n1_head_has_no_factor(self):
+        # N = 1: the one head passes with K itself on every right-hand side,
+        # and the triple's first two fixed vectors give four sign patterns
+        triple = fixture_config("asymmetric-triple.json")
+        report = search_extension(lattice_problem(triple.vectors, 2, k=triple.target_k))
+        assert report.outcome == "exhausted" and report.evaluations == 1
+        stats = report.stats
+        assert (stats["heads"], stats["heads_passed"], stats["sign_pattern_solves"]) == (1, 1, 4)
+
+    def test_tables_are_shared_read_only_and_built_when_read(self):
+        search._head_choices.cache_clear()
+        search_extension(lattice_problem(n1((QuadNum(1), QuadNum(0))), 3), budget=10**6)
+        # an N = 1 head has no factor, so no factor table is built
+        assert search._head_choices.cache_info().currsize == 0
+        first, second = (search._LatticeKernel((1, 0), 2, 2, 4, {}) for _ in range(2))
+        assert first.choices is second.choices and first.box is second.box
+        with pytest.raises(ValueError):
+            first.choices[0][0][0] = 0
+        with pytest.raises(ValueError):
+            first.box[0][0] = 0
 
     def test_stats_in_json(self):
         report = search_extension(lattice_problem(golden_first_four(), 2), budget=100)

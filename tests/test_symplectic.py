@@ -621,10 +621,53 @@ def test_scaling_law():
         assert abs(symp2(scaled_a, scaled_b) - lam**2 * symp2(a, b)) <= 1e-11
 
 
+def expanded_by_index_bits(v):
+    """Reference: component i as the product of its factors' components,
+    picked by the bits of i (first factor most significant) and multiplied
+    left to right."""
+    n, factors = v.n, v.factors
+    out = []
+    for index in range(2**n):
+        value = factors[0].p if index >> (n - 1) else factors[0].q
+        for k in range(1, n):
+            bit = (index >> (n - 1 - k)) & 1
+            value = value * (factors[k].p if bit else factors[k].q)
+        out.append(value)
+    return tuple(out)
+
+
 class TestProductVector:
     def test_expanded_is_kronecker(self):
         v = ProductVector.of((1, 2), (3, 4))
         assert v.expanded == (1 * 3, 1 * 4, 2 * 3, 2 * 4)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_expanded_floats_match_the_index_bit_reference(self, n):
+        # bit for bit: signed zeros, and magnitudes whose products overflow,
+        # underflow or round differently if reassociated
+        rng = random.Random(n)
+        pool = [0.0, -0.0, 1e-300, -3e-200, 1e300, -7e150, 1.1, -0.3, math.pi, 1 / 3]
+        for _ in range(300):
+            factors = []
+            for _ in range(n):
+                q, p = rng.choice(pool), rng.choice(pool)
+                factors.append((q, p) if q or p else (q, rng.uniform(-2, 2)))
+            v = ProductVector.of(*factors)
+            got, want = v.expanded, expanded_by_index_bits(v)
+            assert [x.hex() for x in got] == [x.hex() for x in want]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_expanded_exact_match_the_index_bit_reference(self, n):
+        rng = random.Random(100 + n)
+        pool = [QuadNum(1), R, -R, QuadNum(Fraction(-3, 4), 2), 0, -2, Fraction(5, 3)]
+        for _ in range(100):
+            factors = []
+            for _ in range(n):
+                q, p = rng.choice(pool), rng.choice(pool)
+                factors.append((q, p) if q != 0 or p != 0 else (q, R))
+            v = ProductVector.of(*factors)
+            got, want = v.expanded, expanded_by_index_bits(v)
+            assert got == want and [type(x) for x in got] == [type(x) for x in want]
 
     def test_n(self):
         assert ProductVector.of((1, 0)).n == 1
