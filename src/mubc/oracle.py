@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import mmap
 import time
 from collections import Counter
 from dataclasses import dataclass, field
@@ -138,13 +137,9 @@ class QuadratureResult:
     default pair), ``reused_levels`` (levels read from the default ladder
     an earlier call built: 5 for every default pair but the first),
     ``complex_exponentials`` (complex exp evaluations this call made: per
-    rule integrated, 16 for panel 0 and 16 for the node factors,
-    min(16, S) + ceil(S / 16) for the two factors of the S = min(256,
-    count - 1) entry stride table and one head per started row of 256
-    panels; 0 when every level was reused), ``inverse_roots`` (entries of
-    the shared _InverseRoots table this call computed: rows it filled plus
-    rows past the table; 0 when the table already covered every rule
-    integrated), ``capped_levels`` (levels whose panel count hit
+    rule integrated, 16 for panel 0, 16 for the node factors and one per
+    further panel, count + 31; 0 when every level was reused),
+    ``capped_levels`` (levels whose panel count hit
     ``_MAX_PANELS``: not integrated, raw nan and local error inf, and the
     value nan and the error estimate inf) and ``wall_s``.
     """
@@ -184,24 +179,12 @@ _TAIL_MARGIN = 1e-3
 # moves |I|^2 by less than that, relatively (docs/regularization.md derives
 # the bound).
 _TRUNCATION = math.sqrt(-math.log(_TAIL_MARGIN * _LOCAL_REL_TOL))
-# Panels per row of _damped_integrals: one complex exponential (the row's
-# head) per row of a rule. The square of _EXP_SPLIT, so a rule's stride
-# table exp(a h r), r < _EXP_STRIDE, is the outer product of two
-# _EXP_SPLIT-entry tables.
-_EXP_STRIDE = 256
-_EXP_SPLIT = 16
-# Rows of the shared _InverseRoots table, and rows per block past it.
-_TABLE_ROWS = 256
-# Terms of the expansion of (2k + 1 + x_j)^(-1/2) in x_j / (2k + 1) kept
-# for the panels after row 0 (k > _EXP_STRIDE, where |x_j| / (2k + 1) <
-# 1/520): the first term left out is below 2^-56 relative
-# (docs/regularization.md).
-_TERMS = 6
-# Row j, column m: binomial(-1/2, m) x_j^m = (-1/4)^m binomial(2m, m) x_j^m,
-# which fold a rule's node factors into its _TERMS moments.
-_MOMENT_WEIGHTS = np.array([math.comb(2 * m, m) * (-0.25) ** m for m in range(_TERMS)]) * (
-    _NODES[:, None] ** np.arange(_TERMS)
-)
+# Panels per block of _damped_integral, so a rule's arrays stay bounded up
+# to _MAX_PANELS.
+_BLOCK = 4096
+# 2^27 + 1: x * _SPLITTER - (x * _SPLITTER - x) keeps the high 26 bits of x
+# (Veltkamp's split).
+_SPLITTER = 134217729.0
 # Degree of the sliding polynomial windows that extrapolate eps^2 -> 0.
 _ORDER = 3
 # Relative error floor of a value from a few float roundings.
@@ -220,180 +203,45 @@ def _panel_count(du: float, eps: float, panels_scale: int) -> tuple[int, bool]:
     return min(wanted, _MAX_PANELS), wanted > _MAX_PANELS
 
 
-def _inverse_roots(start: int, stop: int, out: np.ndarray | None = None) -> np.ndarray:
-    """(2k + 1 + x_j)^(-1/2) for panels start <= k < stop and Gauss-Legendre
-    nodes x_j: 1/sqrt(s_k + delta_j) without its factor (h/2)^(-1/2)."""
-    out = np.add.outer(2.0 * np.arange(start, stop, dtype=float) + 1.0, _NODES, out=out)
-    np.sqrt(out, out=out)
-    return np.reciprocal(out, out=out)
-
-
-def _inverse_root_powers(start: int, stop: int, out: np.ndarray | None = None) -> np.ndarray:
-    """(2k + 1)^(-1/2 - m) at [q, m, r] for rows start <= q < stop, panels
-    k = 1 + q _EXP_STRIDE + r and m < _TERMS. Summed against row j of
-    _MOMENT_WEIGHTS they give (2k + 1 + x_j)^(-1/2) for q >= 1."""
-    if out is None:
-        out = np.empty((stop - start, _TERMS, _EXP_STRIDE))
-    panels = np.arange(start * _EXP_STRIDE + 1, stop * _EXP_STRIDE + 1, dtype=float)
-    odd = (2.0 * panels + 1.0).reshape(stop - start, _EXP_STRIDE)
-    np.sqrt(odd, out=out[:, 0])
-    np.reciprocal(out[:, 0], out=out[:, 0])
-    np.reciprocal(odd, out=odd)
-    for m in range(1, _TERMS):
-        np.multiply(out[:, m - 1], odd, out=out[:, m])
-    return out
-
-
-class _InverseRoots:
-    """Inverse-root factors of the first _TABLE_ROWS rows of panels, shared
-    by every rule, level and pair: row 0's _inverse_roots (``roots``, panel
-    by node) and the _inverse_root_powers of rows 1.._TABLE_ROWS - 1
-    (``powers``, index q - 1 for row q). The arrays are anonymous zero pages,
-    so none is resident until a rule first reads it; whole rows are filled
-    in place up to the last row a rule has read, never grown."""
-
-    def __init__(self) -> None:
-        roots = _EXP_STRIDE * len(_NODES)
-        row = _TERMS * _EXP_STRIDE
-        pages = mmap.mmap(-1, (roots + (_TABLE_ROWS - 1) * row) * 8)
-        # numpy advises huge pages for arrays this large, and one touched row
-        # of a huge page makes 2 MiB resident; small pages keep it to the rows
-        if hasattr(mmap, "MADV_NOHUGEPAGE"):
-            pages.madvise(mmap.MADV_NOHUGEPAGE)
-        table = np.frombuffer(pages, dtype=float)
-        self.roots = table[:roots].reshape(_EXP_STRIDE, len(_NODES))
-        self.powers = table[roots:].reshape(_TABLE_ROWS - 1, _TERMS, _EXP_STRIDE)
-        self.filled = 0
-
-    def fill(self, stop: int, work: Counter) -> None:
-        """Fill rows up to stop - 1 (at most _TABLE_ROWS - 1), counting the
-        entries computed."""
-        stop = min(stop, _TABLE_ROWS)
-        if stop <= self.filled:
-            return
-        if self.filled == 0:
-            _inverse_roots(1, _EXP_STRIDE + 1, out=self.roots)
-            work["inverse_roots"] += self.roots.size
-            self.filled = 1
-        if stop > self.filled:
-            _inverse_root_powers(self.filled, stop, out=self.powers[self.filled - 1 : stop - 1])
-            work["inverse_roots"] += (stop - self.filled) * _TERMS * _EXP_STRIDE
-        self.filled = stop
-
-    def rows(self, start: int, stop: int, work: Counter) -> np.ndarray:
-        """_inverse_root_powers of rows 1 <= start <= q < stop: kept when
-        stop <= _TABLE_ROWS, computed and not kept when start >= _TABLE_ROWS."""
-        if start >= _TABLE_ROWS:
-            work["inverse_roots"] += (stop - start) * _TERMS * _EXP_STRIDE
-            return _inverse_root_powers(start, stop)
-        self.fill(stop, work)
-        return self.powers[start - 1 : stop - 1]
-
-
-_INVERSE_ROOTS = _InverseRoots()
-
-
-def _damped_integrals(
-    du: float, rules: Sequence[tuple[float, int]], work: Counter
-) -> list[complex]:
-    """integral of exp((i du - eps) t^2) dt over |t| <= _TRUNCATION/sqrt(eps),
-    for each rule (eps, count) of the batch.
+def _damped_integral(du: float, eps: float, count: int, work: Counter) -> complex:
+    """integral of exp((i du - eps) t^2) dt over |t| <= _TRUNCATION/sqrt(eps)
+    on count equal-phase panels.
 
     Even integrand, so it is 2 * integral_0^L, and with s = t^2 that is
     integral_0^(L^2) exp(a s) s^(-1/2) ds, a = i du - eps. The equal-phase
-    breakpoints t_k = L sqrt(k / count) are uniform in s, s_k = k h. On
-    panel k >= 1 exp(a s) = exp(a s_k) exp(a delta_j) with the same node
-    offsets delta_j on every panel, and with k = 1 + q S + r (S =
-    _EXP_STRIDE) exp(a s_k) = exp(a s_(1+qS)) exp(a r h): one complex
-    exponential (the head) per row q of S panels times a stride table
-    exp(a r h), the outer product of exp(a r0 h) and exp(16 a r1 h) for
-    r = r0 + 16 r1. s_k + delta_j = (h/2)(2k + 1 + x_j), so 1/sqrt(s_k +
-    delta_j) is (h/2)^(-1/2), folded into the node factors, times an
-    entry of the shared _InverseRoots table. Row 0 reads its 16 node
-    values per panel. Past row 0 (2k + 1 + x_j)^(-1/2) = sum_(m < _TERMS)
-    binomial(-1/2, m) x_j^m (2k + 1)^(-1/2 - m), so the node factors fold
-    into _TERMS moments, and a row's sum is its _TERMS x S powers dotted
-    with the moments times the stride table: one real matmul over the
-    rows of a block. Panel 0 holds the s^(-1/2) endpoint singularity and
-    is integrated in t.
+    breakpoints t_k = L sqrt(k / count) are uniform in s, s_k = k h. Panel 0
+    holds the s^(-1/2) endpoint singularity and is integrated in t. On
+    panel k >= 1 the nodes are s_k + delta_j, delta_j = (h/2)(1 + x_j), so
+    exp(a s) = exp(a k h) exp(a delta_j) and 1/sqrt(s) = (h/2)^(-1/2)
+    (2k + 1 + x_j)^(-1/2): one complex exponential per panel times node
+    factors (h/2)^(1/2) w_j exp(a delta_j) shared by every panel.
 
-    Most rules have few panels, so their cost is set-up: the per-rule
-    scalars, panel 0, the node factors and moments, the stride tables,
-    row 0 and the heads of the whole batch come from arrays over the
-    rules, each rule's values computed by the same operations whatever
-    the batch. The matmuls over rows 1 onwards stay per rule.
+    The phase du h k is reduced mod 2 pi from an exact product: du h = hi +
+    lo with hi of 26 bits, so hi k is exact for k < 2^27 and fmod is exact.
+    Rounding du h k itself would err by up to an ulp of a phase of
+    2 pi count, in a pattern that repeats with k and so adds up over the
+    panels instead of averaging out (docs/regularization.md).
     """
-    n = len(_NODES)
-    eps = np.array([e for e, _ in rules])
-    counts = np.array([c for _, c in rules])
-    strides = np.minimum(_EXP_STRIDE, counts - 1)
-    rows = -(-(counts - 1) // _EXP_STRIDE)
-    a = -eps + 1j * du
-    length = _TRUNCATION / np.sqrt(eps)
-    half_t = 0.5 * length / np.sqrt(counts)
-    half_s = 0.5 * length * length / counts
+    a = complex(-eps, du)
+    length = _TRUNCATION / math.sqrt(eps)
+    half_t = 0.5 * length / math.sqrt(count)
+    half_s = 0.5 * length * length / count
+    t = half_t * (1.0 + _NODES)
+    panel_0 = 2.0 * half_t * np.dot(np.exp(a * t * t), _WEIGHTS)
+    node_factors = math.sqrt(half_s) * _WEIGHTS * np.exp(a * half_s * (1.0 + _NODES))
     h = 2.0 * half_s
-    t = np.multiply.outer(half_t, 1.0 + _NODES)
-    # per rule, row 0 holds panel 0's exponentials, row 1 the node offsets'
-    exps = np.empty((len(rules), 2, n), dtype=complex)
-    np.multiply(a[:, None] * t, t, out=exps[:, 0])
-    np.multiply.outer(a * half_s, 1.0 + _NODES, out=exps[:, 1])
-    np.exp(exps, out=exps)
-    # columns 0..15 exp(a h r0), columns 16..31 exp(16 a h r1), evaluated
-    # where r0 < S and 16 r1 < S; entries r >= S of the stride table are
-    # zeroed for row 0
-    split = np.arange(_EXP_SPLIT)
-    steps = np.concatenate([split, _EXP_SPLIT * split])
-    factors = np.multiply.outer(a * h, steps)
-    np.exp(factors, out=factors, where=steps < strides[:, None])
-    stride_table = np.multiply(factors[:, _EXP_SPLIT:, None], factors[:, None, :_EXP_SPLIT])
-    stride_table = stride_table.reshape(len(rules), _EXP_STRIDE)
-    # C-contiguous rows, so each reads as one real (nodes, 2) matrix
-    node_factors = np.sqrt(half_s)[:, None] * _WEIGHTS * exps[:, 1]
-    node_factors = node_factors.view(float).reshape(len(rules), n, 2)
-    # one matmul per rule whatever the batch: row 0's per-panel node sums
-    # and the moments
-    _INVERSE_ROOTS.fill(int(rows.max()), work)
-    per_panel = np.matmul(_INVERSE_ROOTS.roots, node_factors).view(complex)[..., 0]
-    moments = np.matmul(_MOMENT_WEIGHTS.T, node_factors).view(complex)[..., 0]
-    first_row = np.where(np.arange(_EXP_STRIDE) < strides[:, None], stride_table, 0.0)
-    # each rule's row sums at its offset of one flat array, row 0 first
-    starts = np.concatenate([[0], np.cumsum(rows[:-1])])
-    sums = np.empty(int(rows.sum()), dtype=complex)
-    sums[starts] = (per_panel * first_row).sum(axis=1)
-    real_sums = sums.view(float).reshape(-1, 2)
-    width = _TERMS * _EXP_STRIDE
-    for r in np.flatnonzero(rows > 1).tolist():
-        row_factors = np.multiply.outer(moments[r], stride_table[r]).view(float)
-        row_factors = row_factors.reshape(_TERMS, _EXP_STRIDE, 2)
-        last, rest = int(rows[r]) - 1, int(counts[r] - 1) % _EXP_STRIDE
-        # rows 1 onwards, split at each multiple of _TABLE_ROWS: the first
-        # block ends where the table does
-        edges = [1, *range(_TABLE_ROWS, last + 1, _TABLE_ROWS), last + 1]
-        for start, stop in zip(edges, edges[1:]):
-            powers = _INVERSE_ROOTS.rows(start, stop, work)
-            whole = stop - start - (stop == last + 1 and rest > 0)
-            offset = starts[r] + start
-            if whole:
-                np.matmul(
-                    powers[:whole].reshape(whole, width),
-                    row_factors.reshape(width, 2),
-                    out=real_sums[offset : offset + whole],
-                )
-        if rest:
-            # the last row's first rest panels
-            partial = np.matmul(powers[-1, :, None, :rest], row_factors[:, :rest])
-            real_sums[starts[r] + last] = partial.sum(axis=0)
-    # row q's head exp(a s_(1+qS)), at the offset of its row sum
-    row_index = np.arange(len(sums)) - np.repeat(starts, rows)
-    head_s = np.repeat(h, rows) * (1.0 + _EXP_STRIDE * row_index)
-    terms = np.exp(np.repeat(a, rows) * head_s) * sums
-    panel_0 = 2.0 * half_t * (exps[:, 0] * _WEIGHTS).sum(axis=1)
-    integrals = panel_0 + np.add.reduceat(terms, starts)
-    split_exps = np.minimum(_EXP_SPLIT, strides) + -(-strides // _EXP_SPLIT)
-    work["complex_exponentials"] += len(rules) * 2 * n + int(split_exps.sum() + rows.sum())
-    work["panels"] += int(counts.sum())
-    return integrals.tolist()
+    rate = du * h
+    hi = rate * _SPLITTER - (rate * _SPLITTER - rate)
+    total = 0j
+    for start in range(1, count, _BLOCK):
+        k = np.arange(start, min(start + _BLOCK, count), dtype=float)
+        phase = np.fmod(hi * k, 2.0 * math.pi) + (rate - hi) * k
+        exps = np.exp(-eps * h * k + 1j * phase)
+        roots = 1.0 / np.sqrt(np.add.outer(2.0 * k + 1.0, _NODES))
+        total += (exps * (roots @ node_factors)).sum()
+    work["complex_exponentials"] += count - 1 + 2 * len(_NODES)
+    work["panels"] += count
+    return complex(panel_0 + total)
 
 
 def _neville_at_zero(xs: Sequence[float], ys: Sequence[float]) -> float:
@@ -455,38 +303,31 @@ def _work_stats(work: Counter, levels: int, stop: str, started: float) -> dict:
         "panels": work["panels"],
         "reused_levels": work["reused_levels"],
         "complex_exponentials": work["complex_exponentials"],
-        "inverse_roots": work["inverse_roots"],
         "capped_levels": work["capped_levels"],
         "wall_s": time.perf_counter() - started,
     }
 
 
 def _unit_ladder(units: Sequence[float]) -> QuadratureResult:
-    """The ladder eps / |du| = units at du = 1, every level's rules in one
-    batch: the fine rule, and the coarse one with half its panels. A level
+    """The ladder eps / |du| = units at du = 1, two rules per level: the
+    fine rule, and the coarse one with half its panels. A level
     whose fine rule _MAX_PANELS would clamp is no refinement of a coarse
     one, and a ladder holding one cannot converge, so such a level is not
     integrated: its raw is nan and its local error inf, and the ladder's
     value is nan and its error estimate inf."""
     started = time.perf_counter()
     work: Counter = Counter()
-    levels = [(unit, *_panel_count(1.0, unit, 2)) for unit in units]
-    rules = [
-        rule
-        for unit, fine, capped in levels
-        if not capped
-        for rule in ((unit, fine), (unit, fine // 2))
-    ]
-    integrals = iter(_damped_integrals(1.0, rules, work) if rules else ())
     raws: list[float] = []
     local_errors: list[float] = []
-    for _, _, capped in levels:
+    for unit in units:
+        count, capped = _panel_count(1.0, unit, 2)
         if capped:
             work["capped_levels"] += 1
             raws.append(math.nan)
             local_errors.append(math.inf)
         else:
-            fine, coarse = next(integrals), next(integrals)
+            fine = _damped_integral(1.0, unit, count, work)
+            coarse = _damped_integral(1.0, unit, count // 2, work)
             raws.append(abs(fine) ** 2)
             local_errors.append(abs(fine - coarse) * 2.0 * abs(fine))
     if work["capped_levels"]:
@@ -571,7 +412,7 @@ def overlap_quadrature(
             ladder = _DEFAULT_LADDER = _unit_ladder(default_epsilons(1.0))
         else:
             ladder = _DEFAULT_LADDER
-            reused = {"reused_levels": len(eps_list), "complex_exponentials": 0, "inverse_roots": 0}
+            reused = {"reused_levels": len(eps_list), "complex_exponentials": 0}
     else:
         eps_list = tuple(sorted((float(e) for e in epsilons), reverse=True))
         if not all(0 < e < math.inf for e in eps_list):

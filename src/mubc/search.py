@@ -789,6 +789,11 @@ def _height_box(height: int) -> list[QuadNum]:
 # product of integers keeps denominator 1.
 
 _HEAD_BLOCK = 4096  # heads per kernel call, so memory stays bounded for any N and height
+# Entries of the largest table a search may build: the box, which an N = 1
+# search with one fixed vector solves over, or the head choices of N >= 2,
+# the box squared. Height 18 is the last whose choices fit (1,874,160;
+# golden5's height 16 has 1,185,920), and height 723 the last box.
+_TABLE_LIMIT = 1 << 21
 _INT64_LIMIT = 1 << 62
 
 
@@ -887,16 +892,27 @@ class _LatticeKernel:
         self.p_bound, self.q_bound = max(height, 1), height
         self.dtype = _kernel_dtype(m, n)
         stats["dtype"] = np.dtype(self.dtype).name
-        self.choice_count = ((2 * self.p_bound + 1) * (2 * height + 1)) ** 2 - 1
+        self.box_size = (2 * self.p_bound + 1) * (2 * height + 1)
+        self.choice_count = self.box_size**2 - 1
         self.heads = self.choice_count ** (n - 1)
 
-    # looked up where used, so a search builds no table it does not read
+    def _check_table(self, entries: int) -> None:
+        if entries > _TABLE_LIMIT:
+            raise LimitExceeded(
+                f"lattice height {self.q_bound} needs a table of {entries} entries, "
+                f"past the bound {_TABLE_LIMIT}"
+            )
+
+    # looked up where used, so a search builds no table it does not read,
+    # and checked before one is built
     @property
     def box(self):
+        self._check_table(self.box_size)
         return _box_values(self.p_bound, self.q_bound, self.dtype)
 
     @property
     def choices(self):
+        self._check_table(self.choice_count + 1)
         return _head_choices(self.p_bound, self.q_bound, self.dtype)
 
     def head(self, index: int):
@@ -923,13 +939,13 @@ class _LatticeKernel:
         ]
         # head filter: K / c must lie in Z[R] for the head's product c with
         # every fixed vector; a zero c has zero norm and drops out
-        digits, rest = [], np.arange(start, stop)
-        for _ in range(self.n - 1):
-            rest, i = np.divmod(rest, self.choice_count)
-            digits.append(i)
-        if digits:
-            # c is the product over head factors, the first one's products as is
+        if self.n > 1:
             choices = self.choices
+            digits, rest = [], np.arange(start, stop)
+            for _ in range(self.n - 1):
+                rest, i = np.divmod(rest, self.choice_count)
+                digits.append(i)
+            # c is the product over head factors, the first one's products as is
             c = functools.reduce(_mul, (
                 _symp(tuple((t[0][i][:, None], t[1][i][:, None]) for t in choices), x)
                 for i, x in zip(reversed(digits), columns)

@@ -497,10 +497,9 @@ class TestOracleCommand:
         assert blob["stats"]["capped_levels"] == 0
         assert blob["stats"]["stop"] == "converged"
         assert set(blob["stats"]) == {
-            "levels", "stop", "panels", "reused_levels", "complex_exponentials", "inverse_roots",
+            "levels", "stop", "panels", "reused_levels", "complex_exponentials",
             "capped_levels", "wall_s",
         }
-        assert blob["stats"]["inverse_roots"] >= 0
 
     @pytest.mark.parametrize(
         "q, p",
@@ -548,8 +547,8 @@ class TestOracleCommand:
         assert blob["error_estimate"] == "inf" and blob["value"] == "nan"
         assert [raw for _, raw in blob["epsilon_sequence"]] == ["nan"] * 5
         assert blob["stats"]["stop"] == "capped" and blob["stats"]["capped_levels"] == 5
-        work = ("panels", "complex_exponentials", "inverse_roots")
-        assert [blob["stats"][k] for k in work] == [0, 0, 0]
+        work = ("panels", "complex_exponentials")
+        assert [blob["stats"][k] for k in work] == [0, 0]
 
     def test_pair_unconverged_exits_three(self, write_json, capsys):
         # explicit eps levels are never deepened, and five are too few here
@@ -958,6 +957,25 @@ def test_content_errors_name_the_file(command, content, asym_path, write_json, c
     err = capsys.readouterr().err
     assert err.startswith(f"input error: {bad}: ")
     assert err.count(bad) == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "seeds, free_slots, entries",
+    [
+        # N = 1, one seed: the box, 200001^2 values (298 GiB as int64 pairs)
+        ([[["0", "-1"]]], 2, "40000400001"),
+        # N = 2: the head choices, past int64 as well
+        ([[["0", "-1"], ["1", "0"]]], 1, "1600032000240000800001"),
+    ],
+    ids=["n1-box", "n2-choices"],
+)
+def test_lattice_height_past_the_table_bound_exits_two(seeds, free_slots, entries, write_json, capsys):
+    problem = {**LATTICE_PROBLEM, "seeds": seeds, "free_slots": free_slots, "height": 100000}
+    assert main(["search", write_json("tall.json", problem), "--seed", "0"]) == INPUT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("input error:")
+    assert f"table of {entries} entries" in err and "lattice height 100000" in err
     assert "Traceback" not in err
 
 

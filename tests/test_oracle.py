@@ -277,7 +277,7 @@ class TestQuadrature:
         assert raws[:-capped] == [raw for _, raw in full.epsilon_sequence][:-capped]
         assert res.local_errors[:-capped] == full.local_errors[:-capped]
 
-    def test_stats_count_work(self, empty_inverse_roots):
+    def test_stats_count_work(self, no_default_ladder):
         res = overlap_quadrature(
             ChirpState(DirectionVector(1.0, 1.0)), ChirpState(DirectionVector(1.0, -1.0))
         )
@@ -294,15 +294,9 @@ class TestQuadrature:
         ]
         assert counts == [52, 104, 103, 206, 206, 412, 411, 822, 821, 1642]
         assert stats["panels"] == sum(counts) == 4779
-        # per rule: panel 0 and the node factors; the stride table's two
-        # factors, min(16, S) and ceil(S / 16) entries for S = min(256,
-        # count - 1); one head per started row of 256 panels 1..count-1
-        def exponentials(count):
-            stride = min(oracle._EXP_STRIDE, count - 1)
-            split = min(oracle._EXP_SPLIT, stride) + -(-stride // oracle._EXP_SPLIT)
-            return 2 * len(oracle._NODES) + split + -(-(count - 1) // oracle._EXP_STRIDE)
-
-        assert stats["complex_exponentials"] == sum(exponentials(c) for c in counts) == 628
+        # per rule: panel 0, the node factors and one per panel 1..count-1
+        exponentials = sum(count - 1 + 2 * len(oracle._NODES) for count in counts)
+        assert stats["complex_exponentials"] == exponentials == 5089
 
     def test_never_consults_the_closed_form(self, monkeypatch):
         def forbidden(*args, **kwargs):
@@ -382,162 +376,68 @@ def test_s_space_panels_match_t_space(level):
     if level >= 9:
         assert count > 65536
     want = _t_space_panel_integral(du, eps, count)
-    (got,) = oracle._damped_integrals(du, [(eps, count)], Counter())
+    got = oracle._damped_integral(du, eps, count, Counter())
     assert abs(got - want) <= 1e-11 * abs(want)
 
 
-# count - 1 panels in s: below one stride, whole strides, a partial last
-# stride, and the same after a full 65536-panel block
-@pytest.mark.parametrize("count", (4, 200, 257, 513, 700, 65537, 65538, 65536 + 513, 65536 + 700))
+# count - 1 panels in s: one block, one block and one panel, several
+# blocks with a partial last one, the largest rule, and counts on either
+# side of 256 and 65536 panels
+@pytest.mark.parametrize(
+    "count",
+    (
+        4, 200, 257, 513, 700,
+        oracle._BLOCK, oracle._BLOCK + 1, oracle._BLOCK + 2,
+        65537, 65538, 65536 + 513, 65536 + 700, oracle._MAX_PANELS,
+    ),
+)
 def test_stride_padding_matches_t_space(count):
     # du for one phase cycle per panel, as _panel_count lays them out
     eps = 0.01
     du = -count * oracle._PANEL_PHASE * eps / oracle._TRUNCATION**2
     want = _t_space_panel_integral(du, eps, count)
-    (got,) = oracle._damped_integrals(du, [(eps, count)], Counter())
+    got = oracle._damped_integral(du, eps, count, Counter())
     assert abs(got - want) <= 1e-11 * abs(want)
 
 
 @pytest.fixture
-def empty_inverse_roots(monkeypatch):
-    # the shared inverse-root table empty and no default ladder built yet
-    monkeypatch.setattr(oracle, "_INVERSE_ROOTS", oracle._InverseRoots())
+def no_default_ladder(monkeypatch):
+    # no default ladder built yet
     monkeypatch.setattr(oracle, "_DEFAULT_LADDER", None)
 
 
-def test_mixed_batch_matches_one_rule_batches(monkeypatch, empty_inverse_roots):
-    # one du; each rule's eps gives it one phase cycle per panel, so one
-    # batch holds a rule below one stride, a partial last stride, exactly
-    # one block and one past it
-    du = -1.0
-    counts = (4, 257, 700, 65537, 65536 + 700)
-    rules = [(-du * oracle._TRUNCATION**2 / (c * oracle._PANEL_PHASE), c) for c in counts]
-    singles = []
-    single_work = Counter()
-    for rule in rules:
-        singles += oracle._damped_integrals(du, [rule], single_work)
-    monkeypatch.setattr(oracle, "_INVERSE_ROOTS", oracle._InverseRoots())
-    batch_work = Counter()
-    batch = oracle._damped_integrals(du, rules, batch_work)
-    assert len(batch) == len(rules)
-    for got, single, (eps, count) in zip(batch, singles, rules):
-        assert abs(got - single) <= 1e-15 * abs(single)
-        want = _t_space_panel_integral(du, eps, count)
-        assert abs(got - want) <= 1e-11 * abs(want)
-    assert batch_work == single_work
-    assert set(batch_work) == {"panels", "complex_exponentials", "inverse_roots"}
-
-
-# literals on an empty inverse-root table, each pair on the explicit ladder
+# literals, each pair on the explicit ladder
 # default_epsilons(du), integrated in one pass: the slow pair that
 # deepened to 11 levels under the ladder with a floor now settles in the 5
 # levels every pair takes, and a pair whose levels 2-4 hit a panel cap of
 # 300 and so are not integrated: only levels 0 and 1 run, 104 + 52 and
 # 206 + 103 panels; grid overrides the oracle's grid constants. The
-# exponentials follow test_stats_count_work's formula, and the table
-# entries are row 0's 4096 roots plus 1536 powers per further row the
-# widest rule reads (1642 and 206 panels: 6 rows and none)
+# exponentials follow test_stats_count_work's formula, count + 31 per rule
 @pytest.mark.parametrize(
     "pair, grid, stats",
     [
-        (((1.0, 0.02), (1.0, -0.02)), {}, (5, 4779, 0, 628, 4096 + 6 * 1536)),
-        (((1.0, 1.5), (0.7, -0.4)), {"_MAX_PANELS": 300}, (5, 465, 0, 227, 4096)),
+        (((1.0, 0.02), (1.0, -0.02)), {}, (5, 4779, 0, 5089)),
+        (((1.0, 1.5), (0.7, -0.4)), {"_MAX_PANELS": 300}, (5, 465, 0, 589)),
     ],
 )
-def test_ladder_work_is_pinned(monkeypatch, empty_inverse_roots, pair, grid, stats):
+def test_ladder_work_is_pinned(monkeypatch, no_default_ladder, pair, grid, stats):
     for name, value in grid.items():
         monkeypatch.setattr(oracle, name, value)
     a, b = (ChirpState(DirectionVector(*d)) for d in pair)
-    keys = ("levels", "panels", "reused_levels", "complex_exponentials", "inverse_roots")
+    keys = ("levels", "panels", "reused_levels", "complex_exponentials")
     ladder = default_epsilons(a.quad_rate - b.quad_rate)
     first, again = (overlap_quadrature(a, b, epsilons=ladder) for _ in range(2))
     assert tuple(first.stats[k] for k in keys) == stats
-    # an explicit ladder is integrated by every call and never kept; only
-    # the inverse-root rows are shared
-    assert tuple(again.stats[k] for k in keys) == (*stats[:4], 0)
+    # an explicit ladder is integrated by every call and never kept
+    assert tuple(again.stats[k] for k in keys) == stats
     assert oracle._DEFAULT_LADDER is None
 
 
-def _exact_inverse_roots(panels):
-    """(2k + 1 + x_j)^(-1/2) for each panel k and node x_j, rounded once
-    from 40 digits."""
-    with mpmath.workdps(40):
-        nodes = [mpmath.mpf(x) for x in oracle._NODES]
-        return np.array([[float(1 / mpmath.sqrt(2 * k + 1 + x)) for x in nodes] for k in panels])
-
-
-def _row_roots(powers):
-    """(rows, 256, nodes): the six-term sums of table rows, [q, r, j]."""
-    return np.einsum("jm,qmr->qrj", oracle._MOMENT_WEIGHTS, powers)
-
-
-@pytest.mark.parametrize("panel", (257, 258, 65536, 65537))
-def test_six_term_table_matches_inverse_roots(empty_inverse_roots, panel):
-    # the first two panels past row 0, the table's last panel and the first
-    # panel past the table, which is computed and not kept
-    row, column = divmod(panel - 1, oracle._EXP_STRIDE)
-    powers = oracle._INVERSE_ROOTS.rows(row, row + 1, Counter())
-    (got,) = _row_roots(powers)[:, column]
-    want = _exact_inverse_roots([panel])[0]
-    assert np.all(np.abs(got - want) <= 4 * np.spacing(want))
-    # the first term left out, binomial(-1/2, 6) (x / (2k + 1))^6, relative
-    assert 231 / 1024 * (max(abs(oracle._NODES)) / 515) ** 6 < 2.0**-56
-
-
-def test_inverse_root_rows_match_direct(empty_inverse_roots):
-    # row 0 holds the node roots of panels 1..256 and fills whole on first
-    # use; rows 1..255 hold powers whose six-term sums are the roots, filled
-    # whole and in place up to the last row read; rows past the table are
-    # computed and counted per read, never kept
-    table = oracle._INVERSE_ROOTS
-    stride, row_size = oracle._EXP_STRIDE, oracle._TERMS * oracle._EXP_STRIDE
-    work = Counter()
-    table.fill(1, work)
-    assert table.filled == 1
-    assert work["inverse_roots"] == table.roots.size == stride * len(oracle._NODES)
-    want = _exact_inverse_roots(range(1, stride + 1))
-    assert np.all(np.abs(table.roots - want) <= 4 * np.spacing(want))
-    for start, stop in ((1, 2), (1, 20), (5, 19), (10, 256), (256, 258)):
-        filled = table.filled
-        work = Counter()
-        got = _row_roots(table.rows(start, stop, work))
-        panels = 1 + np.arange(start * stride, stop * stride)
-        want = 1.0 / np.sqrt(np.add.outer(2.0 * panels + 1.0, oracle._NODES))
-        assert np.all(np.abs(got.reshape(want.shape) - want) <= 4 * np.spacing(want))
-        if start < oracle._TABLE_ROWS:
-            assert table.filled == max(filled, stop)
-            assert work["inverse_roots"] == (table.filled - filled) * row_size
-        else:
-            assert table.filled == filled == oracle._TABLE_ROWS
-            assert work["inverse_roots"] == (stop - start) * row_size
-
-
-def test_largest_rule_keeps_one_block(empty_inverse_roots):
-    count = oracle._MAX_PANELS
-    rows = -(-(count - 1) // oracle._EXP_STRIDE)
-    row_size = oracle._TERMS * oracle._EXP_STRIDE
-    work = Counter()
-    (first,) = oracle._damped_integrals(1.0, [(1e-4, count)], work)
-    table = oracle._INVERSE_ROOTS
-    assert table.filled == oracle._TABLE_ROWS == table.powers.shape[0] + 1
-    assert work["inverse_roots"] == table.roots.size + (rows - 1) * row_size
-    work.clear()
-    assert oracle._damped_integrals(1.0, [(1e-4, count)], work) == [first]
-    assert work["inverse_roots"] == (rows - oracle._TABLE_ROWS) * row_size
-
-
-def test_repeat_pair_reuses_the_table(empty_inverse_roots):
+def test_repeat_pair_reuses_the_table(no_default_ladder):
     a, b = ChirpState(DirectionVector(1.0, 1.0)), ChirpState(DirectionVector(1.0, -1.0))
     first = overlap_quadrature(a, b)
     second = overlap_quadrature(a, b)
-    widest = max(oracle._panel_count(1.0, eps, 2)[0] for eps, _ in first.epsilon_sequence)
-    rows = -(-(widest - 1) // oracle._EXP_STRIDE)
-    assert rows <= oracle._TABLE_ROWS
-    table = oracle._INVERSE_ROOTS
-    row_size = oracle._TERMS * oracle._EXP_STRIDE
-    assert first.stats["inverse_roots"] == table.roots.size + (rows - 1) * row_size
-    assert first.stats["complex_exponentials"] == 628
-    assert second.stats["inverse_roots"] == 0
+    assert first.stats["complex_exponentials"] == 5089
     # the first default call builds the unit ladder, the second rescales it
     assert first.stats["reused_levels"] == 0
     assert second.stats["complex_exponentials"] == 0
@@ -547,30 +447,30 @@ def test_repeat_pair_reuses_the_table(empty_inverse_roots):
     assert second.epsilon_sequence == first.epsilon_sequence
 
 
-def test_second_default_pair_only_rescales(monkeypatch, empty_inverse_roots):
+def test_second_default_pair_only_rescales(monkeypatch, no_default_ladder):
     first = overlap_quadrature(ChirpState(DirectionVector(1.0, 1.0)), ChirpState(DirectionVector(1.0, -1.0)))
-    integrate = oracle._damped_integrals
+    integrate = oracle._damped_integral
     calls = []
 
     def counted(*args):
         calls.append(args)
         return integrate(*args)
 
-    monkeypatch.setattr(oracle, "_damped_integrals", counted)
+    monkeypatch.setattr(oracle, "_damped_integral", counted)
     a, b = ChirpState(DirectionVector(0.7, -0.4), hbar=2.0), ChirpState(DirectionVector(1.0, 1.5), hbar=2.0)
     second = overlap_quadrature(a, b)
     assert calls == []
     stats = second.stats
-    assert (stats["complex_exponentials"], stats["inverse_roots"]) == (0, 0)
+    assert stats["complex_exponentials"] == 0
     assert (stats["reused_levels"], stats["panels"], stats["levels"]) == (5, 4779, 5)
     assert (stats["stop"], stats["capped_levels"]) == ("converged", 0)
     assert list(stats) == list(first.stats)
     want = 1.0 / (2 * math.pi * 2.0 * abs(-0.4 * 1.0 - 0.7 * 1.5))
     assert second.converged and abs(second.value - want) <= min(1e-12 * want, second.error_estimate)
     # an explicit ladder, even the default one spelled out, integrates
-    # every level in one pass
+    # both rules of every level in one pass
     explicit = overlap_quadrature(a, b, epsilons=default_epsilons(a.quad_rate - b.quad_rate))
-    assert len(calls) == 1 and explicit.stats["reused_levels"] == 0
+    assert len(calls) == 10 and explicit.stats["reused_levels"] == 0
     assert explicit.converged and abs(explicit.value - want) <= min(1e-12 * want, explicit.error_estimate)
 
 
@@ -585,7 +485,7 @@ def _check_unit_frame(du, shift):
     prefactor = a.amplitude * b.amplitude
     for eps, raw in res.epsilon_sequence:
         fine = oracle._panel_count(1.0, eps / abs(du), 2)[0]
-        (integral,) = oracle._damped_integrals(du, [(eps, fine)], Counter())
+        integral = oracle._damped_integral(du, eps, fine, Counter())
         want = prefactor**2 * abs(integral) ** 2
         assert abs(raw - want) <= 1e-13 * want
     p = -math.ldexp(du, shift)
@@ -613,23 +513,41 @@ def test_unit_frame_matches_quadrature_at_drawn_gaps(mantissa, k, sign, shift):
     _check_unit_frame(sign * math.ldexp(mantissa, k), shift)
 
 
+def _erf_integrals(du, eps):
+    """The truncated integral sqrt(pi) erf(sqrt(-a) L) / sqrt(-a), with
+    a = i du - eps and L = truncation / sqrt(eps), and the untruncated one,
+    which drops the erf, to 40 digits."""
+    with mpmath.workdps(40):
+        root = mpmath.sqrt(-mpmath.mpc(-eps, du))
+        length = mpmath.mpf(oracle._TRUNCATION) / mpmath.sqrt(eps)
+        return mpmath.sqrt(mpmath.pi) * mpmath.erf(root * length) / root, mpmath.sqrt(mpmath.pi) / root
+
+
 @pytest.mark.parametrize("du", (10**-2.5, -0.05, 0.4, -1.0, 3.0, -10.0))
 def test_panels_match_erf_reference(du):
-    # the truncated integral is sqrt(pi) erf(sqrt(-a) L) / sqrt(-a) with
-    # a = i du - eps and L = truncation / sqrt(eps); the untruncated one
-    # drops the erf
     tail_bound = oracle._TAIL_MARGIN * oracle._LOCAL_REL_TOL
     with mpmath.workdps(40):
         for eps in default_epsilons(du, 13):
-            root = mpmath.sqrt(-mpmath.mpc(-eps, du))
-            length = mpmath.mpf(oracle._TRUNCATION) / mpmath.sqrt(eps)
-            want = mpmath.sqrt(mpmath.pi) * mpmath.erf(root * length) / root
-            full = mpmath.sqrt(mpmath.pi) / root
+            want, full = _erf_integrals(du, eps)
             assert abs(abs(want) ** 2 - abs(full) ** 2) <= tail_bound * abs(full) ** 2
             for scale in (1, 2):
                 count = oracle._panel_count(du, eps, scale)[0]
-                (got,) = oracle._damped_integrals(du, [(eps, count)], Counter())
+                got = oracle._damped_integral(du, eps, count, Counter())
                 assert abs(got - want) <= 1e-12 * abs(want)
+
+
+# fine rules of the 13-level ladder whose phase du h k reaches 2.5e6; a
+# fine rule turns by about pi per panel, so rounding that phase errs in a
+# pattern that adds up over the panels: 1.5e-12 to 4.1e-12 off here when
+# a (h k) is rounded, 3.1e-14 to 3.8e-13 when (a h) k is. Reduced mod
+# 2 pi from an exact product, about 5e-15.
+@pytest.mark.parametrize("du, level", ((10**-2.5, 12), (-0.05, 11), (3.0, 12)))
+def test_fine_rule_phase_rounding_does_not_add_up(du, level):
+    eps = default_epsilons(du, 13)[level]
+    count = oracle._panel_count(du, eps, 2)[0]
+    want, _ = _erf_integrals(du, eps)
+    got = oracle._damped_integral(du, eps, count, Counter())
+    assert abs(got - want) <= 2e-14 * abs(want)
 
 
 @pytest.mark.parametrize("k", range(-1000, 1001, 50))
