@@ -29,6 +29,7 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     InvalidProblem,
+    InvalidTarget,
     LimitExceeded,
     PreconditionFailed,
 )
@@ -425,10 +426,9 @@ class SearchReport:
     """What a search found and what it did.
 
     stats is empty for zero free slots. A real search reports budget_hit,
-    charts (chart objectives built, one per chart its restarts used),
-    dead_charts (restarts on a chart whose objective is inf everywhere),
     gradient_evaluations (evaluations that also formed the gradient and
-    Hessian: one per restart and per accepted step), gauss_newton_steps
+    Hessian: one per restart and per accepted step, but for a step that
+    spends the restart's share), gauss_newton_steps
     (steps that took the Gauss-Newton fallback) and share_stops (restarts
     that spent their share of the budget while later restarts were still
     owed theirs). A lattice search reports the
@@ -488,95 +488,92 @@ def _seed_check(problem: SearchProblem) -> None:
 
 
 class _ChartObjective:
-    """The gauge-fixed objective and its derivatives in one chart, compiled once.
+    """The objective and its derivatives in the one affine chart, compiled once.
 
-    A chart holds one entry per factor of each free vector: 0 pins the
-    factor's first component to 1 and leaves its second as a coordinate of
-    x, 1 pins the factor to (0, 1). The objective is the sum, over the pairs
-    that involve a free vector (seed-seed pairs contribute a constant,
-    exactly zero for verified seeds), of (log |product| - log K)^2; it is
-    inf, with no gradient, where some product vanishes.
-
-    The build compiles each factor product a.p * b.q - a.q * b.p of those
-    pairs into the float operations left once the gauge's exact 1.0 and 0.0
-    are multiplied out, so at finite x every value is the float the full
-    formula gives:
-
-    * a constant, for a seed or free factor against a pinned (0, 1) one;
-    * ap - aq * x[l], a seed or pinned factor against a free one;
-    * x[k] - x[l], two free factors.
-
-    Each is a term (u, c, v), the float ext[u] - c * ext[v] over
-    ext = x + consts; a constant is c = 0.0 against itself. A chart with a
-    constant-zero product is dead: its objective is inf everywhere.
+    Factor k of a free vector is s1_k - x[l] s0_k over the first two seeds
+    (one seed: s1_k = J s0_k / |s0_k|^2, slot 0's times K), with
+    sigma_k = symp2(s0_k, s1_k). Every MU partner of s0 meets each s0_k
+    transversally, so this chart covers every candidate, and its product
+    with s0 is prod sigma_k, +/-K by the seed check, so seed-0 pairs leave
+    the objective: the sum over the other pairs with a free vector of
+    (log |prod t| - log(K / prod |sigma_k|))^2, one ratio, so that scaling
+    the seeds by powers of two changes no bit. A factor product over its
+    sigma_k is a term t: a - b * x[l], seed i >= 1 against a free factor
+    (a = symp2(s_ik, s1_k) / sigma_k, b = symp2(s_ik, s0_k) / sigma_k), or
+    x[k] - x[l], two free factors; it is stored as (u, c, v), the float
+    ext[u] - c * ext[v] over ext = x + consts. f is inf, with no gradient,
+    where some product vanishes.
     """
 
-    def __init__(self, problem: SearchProblem, chart: tuple[int, ...]) -> None:
+    def __init__(self, problem: SearchProblem) -> None:
         n = problem.n
-        position = itertools.count()
-        flat = [None if pinned else next(position) for pinned in chart]
-        self.slots = [flat[s * n : (s + 1) * n] for s in range(problem.free_slots)]
-        self.dims = chart.count(0)
-        self.log_k = math.log(float(problem.target_k))
-        self.consts: list[float] = []
+        target = float(problem.target_k)
+        seeds = [[f.as_floats() for f in v.factors] for v in problem.seeds]
+        self.s0 = seeds[0]
+        if len(seeds) > 1:
+            self.s1 = seeds[1]
+        else:  # J s0_k / |s0_k|^2 with J (q, p) = (-p, q), slot 0's times K
+            self.s1 = []
+            for scale, (q, p) in zip([target] + [1.0] * (n - 1), self.s0):
+                r = math.hypot(q, p)
+                self.s1.append((scale * (-p / r / r), scale * (q / r / r)))
+        sigma = [p0 * q1 - q0 * p1 for (q0, p0), (q1, p1) in zip(self.s0, self.s1)]
+        ratio = target / abs(math.prod(sigma)) if all(sigma) else 0.0
+        if not 0.0 < ratio < math.inf:  # only a one-seed problem's own s1 gets here
+            raise LimitExceeded(f"the chart at K = {target} leaves the float range")
+        self.log_target = math.log(ratio)
+        self.dims = problem.free_slots * n
+        self.slots = [range(s * n, (s + 1) * n) for s in range(problem.free_slots)]
+        # factor k of each vector as (u, c), its term against free factor l
+        # being ext[u] - c * ext[l]: (a, b) for seed i >= 1, (k, 1.0) if free
+        rows = [
+            [
+                ((p * q1 - q * p1) / s, (p * q0 - q * p0) / s)
+                for (q, p), (q0, p0), (q1, p1), s in zip(v, self.s0, self.s1, sigma)
+            ]
+            for v in seeds[1:]
+        ]
+        self.consts = [a for row in rows for a, _ in row]
+        at = [[(self.dims + i * n + k, b) for k, (_, b) in enumerate(row)] for i, row in enumerate(rows)]
+        at += [[(k, 1.0) for k in slot] for slot in self.slots]
         self.terms: list[tuple[int, float, int]] = []
-        self.dead = False
-        # each factor as (q, p, k): a seed's floats, (0, 1) for a pinned
-        # factor, (1, x[k]) for a free one
-        at = [[(*f.as_floats(), None) for f in v.factors] for v in problem.seeds]
-        at += [[(0.0, 1.0, None) if k is None else (1.0, None, k) for k in slot] for slot in self.slots]
         self.pairs = [
             self._compile(at[i], at[j])
             for i, j in itertools.combinations(range(len(at)), 2)
-            if j >= len(problem.seeds)
+            if j >= len(seeds) - 1
         ]
-
-    def _const(self, value: float) -> int:
-        self.consts.append(value)
-        return self.dims + len(self.consts) - 1
 
     def _compile(self, va, vb) -> tuple[range, list]:
         """One pair: the indices of its factor products among the terms, and
         its gradient entries (k, coefficient, the index t of the term holding
         x[k], the indices of the others), in the order the formula visits them."""
         first = len(self.terms)
-        for (aq, ap, k), (bq, bp, l) in zip(va, vb):
-            if l is None:
-                # b = (0, 1): a.p * 0.0 - a.q * 1.0, which is -1.0 for a free a
-                value = -1.0 if k is not None else ap * bq - aq * bp
-                self.dead = self.dead or value == 0.0
-                u = self._const(value)
-                self.terms.append((u, 0.0, u))
-            elif k is not None:
-                self.terms.append((k, 1.0, l))  # x[k] * 1.0 - 1.0 * x[l]
-            else:
-                self.terms.append((self._const(ap), aq, l))  # ap * 1.0 - aq * x[l]
+        self.terms += [(u, c, l) for (u, c), (l, _) in zip(va, vb)]
         own = range(first, len(self.terms))
         grads = []
-        for t, (aq, _, k), (bq, _, l) in zip(own, va, vb):
+        for t in own:
+            u, c, v = self.terms[t]
             others = tuple(g for g in own if g != t)
-            if k is not None:
-                # d symp2 / d (va[f].p) = vb[f].q
-                grads.append((k, bq, t, others))
-            if l is not None:
-                grads.append((l, -aq, t, others))
+            if u < self.dims:
+                grads.append((u, 1.0, t, others))
+            grads.append((v, -c, t, others))
         return own, grads
 
     def pack(self, xs: list[float]) -> list[list[tuple[float, float]]]:
-        """Free vectors as (q, p) float pairs from the chart's coordinates."""
-        return [[(0.0, 1.0) if p is None else (1.0, xs[p]) for p in slot] for slot in self.slots]
+        """Free vectors as (q, p) float pairs: factor k is s1_k - x[l] s0_k."""
+        return [
+            [(q1 - xs[l] * q0, p1 - xs[l] * p0) for l, (q0, p0), (q1, p1) in zip(slot, self.s0, self.s1)]
+            for slot in self.slots
+        ]
 
     def evaluate(self, x: list[float], want_grad: bool, want_hessian: bool = False):
         """(f, gradient), or (f, gradient, H, G) with want_hessian too: per pair d =
-        log|prod t| - log K has grad d_k = (dt/dx_k) / t over the one term t with x_k
-        and hess d = -sum_t grad t grad t^T / t^2; H = 2 sum (grad d grad d^T + d hess d),
-        G = 2 sum grad d grad d^T."""
-        none = (math.inf, None, None, None) if want_hessian else (math.inf, None)
-        if self.dead:
-            return none
+        log|prod t| - log target has grad d_k = (dt/dx_k) / t over the one term t with
+        x_k and hess d = -sum_t grad t grad t^T / t^2; H = 2 sum (grad d grad d^T +
+        d hess d), G = 2 sum grad d grad d^T."""
         ext = x + self.consts
         products = [ext[u] - c * ext[v] for u, c, v in self.terms]
-        log_k = self.log_k
+        log_target = self.log_target
         total = 0.0
         grad = [0.0] * self.dims if want_grad else None
         if want_hessian:
@@ -587,8 +584,8 @@ class _ChartObjective:
             for t in own:
                 sp *= products[t]
             if sp == 0.0:
-                return none
-            diff = math.log(abs(sp)) - log_k
+                return (math.inf, None, None, None) if want_hessian else (math.inf, None)
+            diff = math.log(abs(sp)) - log_target
             total += diff * diff
             if want_grad:
                 dd = []
@@ -613,32 +610,9 @@ class _ChartObjective:
 
 
 def real_objective_fn(problem: SearchProblem) -> _ChartObjective:
-    """The gauge-fixed objective and gradient in the chart that pins every
-    factor's first component to 1 (used by tests)."""
+    """The objective and gradient the real search descends (used by tests)."""
     _seed_check(problem)
-    return _ChartObjective(problem, (0,) * (problem.free_slots * problem.n))
-
-
-def _charts(dims: int):
-    """Every chart of dims factors, lazily, by number of pinned factors and
-    then lexicographically: sorted(itertools.product((0, 1), repeat=dims),
-    key=sum) without building it."""
-    for pinned in range(dims + 1):
-        for free in itertools.combinations(range(dims), dims - pinned):
-            chart = [1] * dims
-            for i in free:
-                chart[i] = 0
-            yield tuple(chart)
-
-
-def _restart_charts(dims: int, restarts: int):
-    """The chart of each restart: the all-free chart on even restarts, the
-    other 2^dims - 1 charts in turn on odd ones, wrapping around. Only the
-    charts the restarts reach are made (cycle keeps those it has yielded)."""
-    charts = _charts(dims)
-    free = next(charts)
-    others = itertools.cycle(charts)
-    return (free if r % 2 == 0 else next(others) for r in range(restarts))
+    return _ChartObjective(problem)
 
 
 def _cholesky_solve(a: list[list[float]], b: list[float], shift: float = 0.0) -> list[float] | None:
@@ -661,31 +635,26 @@ def _cholesky_solve(a: list[list[float]], b: list[float], shift: float = 0.0) ->
 def _search_real(problem: SearchProblem, budget: int, restarts: int, seed: int) -> SearchReport:
     start = time.perf_counter()
     rng = np.random.default_rng(seed)
-    objectives: dict[tuple[int, ...], _ChartObjective] = {}
+    objective = _ChartObjective(problem)
     evaluations = 0
     gradient_evaluations = 0
     iterations = 0
     best_val = math.inf
     best_vectors: list[list[tuple[float, float]]] = []
     restarts_used = 0
-    dead_restarts = 0
     gauss_newton_steps = 0
     share_stops = 0
-    for chart in _restart_charts(problem.free_slots * problem.n, restarts):
+    for _ in range(restarts):
         if evaluations >= budget:
             break
         # an equal share of what is left, at least the starting point, so
         # one hopeless restart cannot starve the others
         limit = evaluations + max(1, (budget - evaluations) // (restarts - restarts_used))
         restarts_used += 1
-        objective = objectives.get(chart)
-        if objective is None:
-            objective = objectives[chart] = _ChartObjective(problem, chart)
         x = rng.uniform(-3.0, 3.0, size=objective.dims).tolist()
         fx, gx, hx, gnx = objective.evaluate(x, True, True)
         evaluations += 1
         gradient_evaluations += 1
-        dead_restarts += objective.dead
         for _ in range(400):
             if evaluations >= limit or not math.isfinite(fx):
                 break
@@ -711,15 +680,17 @@ def _search_real(problem: SearchProblem, budget: int, restarts: int, seed: int) 
                 step *= 0.5
             if not accepted:
                 break
-            x, decrease = x_new, fx - f_new
+            x, fx, decrease = x_new, f_new, fx - f_new
+            iterations += 1
+            if evaluations >= limit:  # the share leaves no evaluation for the gradient at x
+                break
             fx, gx, hx, gnx = objective.evaluate(x, True, True)
             evaluations += 1
             gradient_evaluations += 1
-            iterations += 1
             if decrease <= 1e-15 * fx:  # f is at its rounding level
                 break
         share_stops += limit <= evaluations and limit < budget
-        if math.isfinite(fx) and fx < best_val:
+        if fx < best_val:
             best_val = fx
             best_vectors = objective.pack(x)
     found = [
@@ -749,8 +720,6 @@ def _search_real(problem: SearchProblem, budget: int, restarts: int, seed: int) 
         solutions=(tuple(found),) if outcome == "extended" else (),
         stats={
             "budget_hit": evaluations >= budget,
-            "charts": len(objectives),
-            "dead_charts": dead_restarts,
             "gradient_evaluations": gradient_evaluations,
             "gauss_newton_steps": gauss_newton_steps,
             "share_stops": share_stops,
@@ -1030,8 +999,6 @@ def _search_lattice(problem: SearchProblem, budget: int, seed: int | None) -> Se
     """
     start = time.perf_counter()
     k = _golden_integer(problem.target_k)
-    if k.sign() <= 0:
-        raise InvalidProblem(f"target K must be positive, got {k}")
     seeds = [_lattice_vector(v) for v in problem.seeds]
     k = (k._a, k._b)
     m = max(
@@ -1111,23 +1078,24 @@ def search_extension(
     restarts: int = 40,
     seed: int | None = None,
 ) -> SearchReport:
-    """Look for free-slot vectors completing the seeds to a larger MU set.
+    """Look for free-slot vectors completing the seeds to a larger MU set at
+    a positive K (InvalidTarget otherwise).
 
     Real domain: seeded multi-start damped Newton on the summed squared
-    log-residuals over gauge-fixed factor coordinates. Each step solves with
+    log-residuals over the one affine chart of _ChartObjective. Each step solves with
     the Hessian, or where it is not positive definite with the Gauss-Newton
     matrix shifted just enough to be, then backtracks (Armijo); a restart
     stops once the Newton decrement is tiny beside f, f or the step is at
     rounding level, or its share of the budget is spent: what is left over
     the restarts still to run, at least one evaluation, so budget an
-    earlier restart leaves passes to the later ones. Even restarts pin every factor's
-    first component to 1; odd ones take the charts that pin some factors to
-    (0, 1) in turn, fewest pinned first. Golden-lattice domain: every exact
+    earlier restart leaves passes to the later ones. Golden-lattice domain: every exact
     completion inside the height box, found by enumerating the first N - 1
     factors of each free vector and solving one linear system per sign
     pattern for the last; evaluations counts enumerated heads, and an
     unsuccessful search returns no vector.
     """
+    if not problem.target_k > 0:
+        raise InvalidTarget(f"target K must be positive, got {problem.target_k}")
     _seed_check(problem)
     if problem.free_slots == 0:
         return SearchReport(

@@ -645,8 +645,7 @@ class TestSearchCommand:
         assert main(["search", path, "--seed", "0", "--budget", "10000"]) == OK
 
     def test_many_chart_coordinates_exit_promptly(self, write_json, tmp_path, capsys):
-        # N = 8 and four free slots: 32 chart coordinates, 2^32 charts, of
-        # which the restarts make only the few they use
+        # N = 8 and four free slots: 32 coordinates of the one chart
         prob = SearchProblem(
             target_k=1.0,
             seeds=(ProductVector.of(*[(1.0, 0.0)] * 8), ProductVector.of(*[(0.0, 1.0)] * 8)),
@@ -661,7 +660,17 @@ class TestSearchCommand:
         assert rc in (OK, FALSE)
         assert "Traceback" not in capsys.readouterr().err
         stats = read_out(out)["stats"]
-        assert 1 <= stats["charts"] <= 5
+        assert set(stats) == {"budget_hit", "gradient_evaluations", "gauss_newton_steps", "share_stops"}
+
+    @pytest.mark.parametrize("k, free_slots", [(0, 1), (-1, 1), (0, 0)])
+    def test_nonpositive_k_exits_two(self, k, free_slots, write_json, capsys):
+        # one seed has no pair for the seed check to reject K with; K = 0
+        # once ended in a math domain error, or with no free slot in exhausted
+        path = write_json("k.json", {"K": k, "seeds": [[[1.0, 0.0]]], "free_slots": free_slots, "domain": "real"})
+        assert main(["search", path, "--seed", "0"]) == INPUT_ERROR
+        err = capsys.readouterr().err
+        assert "target K must be positive" in err
+        assert "Traceback" not in err
 
 
 class TestReproduceCommand:

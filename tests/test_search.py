@@ -15,6 +15,7 @@ from mubc import (
     Equivalence,
     InfeasibilityCertificate,
     InvalidProblem,
+    InvalidTarget,
     LimitExceeded,
     MUConfiguration,
     NUMERIC,
@@ -414,12 +415,12 @@ class TestObjectiveGradient:
             checked += 1
 
 
-def golden5_problem(indices=(0, 1, 2)):
-    """golden5 vectors as floats: a real N = 2 problem."""
+def golden5_problem():
+    """The first three golden5 vectors as floats: a real N = 2 problem."""
     golden5 = fixture_config("golden5.json")
     seeds = tuple(
-        ProductVector(tuple(DirectionVector(*f.as_floats()) for f in golden5.vectors[i].factors))
-        for i in indices
+        ProductVector(tuple(DirectionVector(*f.as_floats()) for f in v.factors))
+        for v in golden5.vectors[:3]
     )
     return SearchProblem(float(golden5.target_k), seeds, 1, "real")
 
@@ -427,26 +428,26 @@ def golden5_problem(indices=(0, 1, 2)):
 REAL_PROBLEMS = {"asym": asym_problem, "golden3": golden5_problem}
 
 # search_extension(problem, budget=4000, restarts=8, seed), recorded with
-# the damped Newton steps; every figure must match exactly: (problem, free
-# slots, seed, outcome, evaluations, iterations, restarts_used,
-# best_objective, vectors as (q, p) factor pairs)
+# the damped Newton steps in the one affine chart; every figure must match
+# exactly: (problem, free slots, seed, outcome, evaluations, iterations,
+# restarts_used, best_objective, vectors as (q, p) factor pairs)
 REAL_TRAJECTORIES = [
-    ("asym", 1, 0, "no-improvement", 50, 20, 8, 0.39420271659640305, (((1.0, -0.7775400992458505),),)),
-    ("asym", 1, 1, "no-improvement", 63, 24, 8, 0.39420271659640294, (((1.0, 1.7775401040269656),),)),
-    ("asym", 1, 2, "no-improvement", 42, 16, 8, 0.39420271659640294, (((1.0, -0.7775401040300226),),)),
-    ("asym", 1, 3, "no-improvement", 34, 12, 8, 0.394202716596403, (((1.0, 1.7775401039943337),),)),
-    ("asym", 2, 0, "no-improvement", 60, 24, 8, 1.4005177251102936, (((1.0, 0.48863191480481255),), ((1.0, -0.7152039426161553),))),
-    ("asym", 2, 1, "no-improvement", 56, 22, 8, 1.370739146882638, (((1.0, -1.283957843759599),), ((1.0, -0.6003046785588456),))),
-    ("asym", 2, 2, "no-improvement", 64, 25, 8, 1.3707391468826378, (((1.0, -1.283957851549784),), ((1.0, -0.600304686439974),))),
-    ("asym", 2, 3, "no-improvement", 65, 26, 8, 1.3707391468826375, (((1.0, -1.2839578515513097),), ((1.0, -0.6003046864365671),))),
-    ("golden3", 1, 0, "extended", 78, 31, 8, 1.232595164407831e-32, (((1.0, 0.6180339887498949), (1.0, -1.6180339887498947)),)),
-    ("golden3", 1, 1, "extended", 82, 33, 8, 4.9303806576313227e-32, (((1.0, 0.38196601125010515), (1.0, 2.618033988749895)),)),
-    ("golden3", 1, 2, "extended", 86, 29, 8, 4.9303806576313227e-32, (((1.0, 2.618033988749895), (1.0, 0.38196601125010515)),)),
-    ("golden3", 1, 3, "extended", 77, 30, 8, 4.9303806576313227e-32, (((1.0, 2.618033988749895), (1.0, 0.38196601125010515)),)),
-    ("golden3", 2, 0, "extended", 90, 38, 8, 1.2325951644078307e-31, (((1.0, 0.6180339887498949), (1.0, -1.618033988749895)), ((1.0, 1.618033988749895), (1.0, -0.6180339887498948)))),
-    ("golden3", 2, 1, "extended", 72, 30, 8, 1.232595164407831e-31, (((1.0, -1.618033988749895), (1.0, 0.6180339887498948)), ((1.0, -0.6180339887498949), (1.0, 1.6180339887498947)))),
-    ("golden3", 2, 2, "no-improvement", 72, 31, 8, 0.7110039995508055, (((1.0, -1.8800359544572143), (1.0, 0.4175435869493911)), ((1.0, 2.880035465941302), (1.0, 0.5824564347370956)))),
-    ("golden3", 2, 3, "extended", 75, 32, 8, 3.697785493223493e-32, (((1.0, 2.6180339887498945), (1.0, 0.38196601125010515)), ((1.0, -1.6180339887498947), (1.0, 0.6180339887498949)))),
+    ("asym", 1, 0, "no-improvement", 87, 38, 8, 0.39420271659640305, (((1.0, -0.7775400992458505),),)),
+    ("asym", 1, 1, "no-improvement", 98, 41, 8, 0.39420271659640294, (((1.0, 1.7775401040269656),),)),
+    ("asym", 1, 2, "no-improvement", 79, 34, 8, 0.39420271659640294, (((1.0, -0.7775401040300226),),)),
+    ("asym", 1, 3, "no-improvement", 83, 35, 8, 0.39420271659640294, (((1.0, -0.7775401040232987),),)),
+    ("asym", 2, 0, "no-improvement", 113, 49, 8, 1.3707391468826406, (((1.0, 1.6003046620347914),), ((1.0, 2.283957828595016),))),
+    ("asym", 2, 1, "no-improvement", 102, 42, 8, 1.3707391468826378, (((1.0, -1.2839578507380964),), ((1.0, -0.6003046855721821),))),
+    ("asym", 2, 2, "no-improvement", 121, 52, 8, 1.3707391468826378, (((1.0, -1.283957851549784),), ((1.0, -0.600304686439974),))),
+    ("asym", 2, 3, "no-improvement", 107, 46, 8, 1.3707391468826375, (((1.0, -1.2839578515513097),), ((1.0, -0.6003046864365671),))),
+    ("golden3", 1, 0, "extended", 177, 70, 8, 1.232595164407831e-32, (((-1.6180339887498947, 1.0), (0.6180339887498949, 1.0)),)),
+    ("golden3", 1, 1, "extended", 156, 71, 8, 4.9303806576313227e-32, (((2.618033988749895, 1.0), (0.38196601125010515, 1.0)),)),
+    ("golden3", 1, 2, "extended", 139, 59, 8, 2.465190328815662e-32, (((0.38196601125010515, 1.0), (2.6180339887498945, 1.0)),)),
+    ("golden3", 1, 3, "extended", 149, 63, 8, 2.465190328815662e-32, (((2.6180339887498945, 1.0), (0.38196601125010515, 1.0)),)),
+    ("golden3", 2, 0, "extended", 154, 65, 8, 1.4791141972893967e-31, (((1.618033988749895, 1.0), (-0.6180339887498949, 1.0)), ((2.618033988749895, 1.0), (0.38196601125010515, 1.0)))),
+    ("golden3", 2, 1, "extended", 140, 62, 8, 1.4791141972893971e-31, (((1.6180339887498947, 1.0), (-0.6180339887498949, 1.0)), ((2.618033988749895, 1.0), (0.38196601125010515, 1.0)))),
+    ("golden3", 2, 2, "no-improvement", 134, 58, 8, 0.7110039995506571, (((-1.8800360157801448, 1.0), (0.4175435825211232, 1.0)), ((2.880036015738711, 1.0), (0.5824564174742404, 1.0)))),
+    ("golden3", 2, 3, "extended", 135, 60, 8, 1.2325951644078314e-31, (((-0.6180339887498949, 1.0), (1.6180339887498947, 1.0)), ((0.38196601125010515, 1.0), (2.6180339887498945, 1.0)))),
 ]
 
 
@@ -466,16 +467,15 @@ class TestRealTrajectories:
         assert report.best_objective == best
         assert tuple(tuple((f.q, f.p) for f in v.factors) for v in report.vectors) == vectors
 
-    @pytest.mark.parametrize("name, slots, charts", [("asym", 1, 2), ("asym", 2, 4), ("golden3", 2, 5)])
-    def test_stats(self, name, slots, charts):
+    @pytest.mark.parametrize(
+        "name, slots, gauss_newton_steps", [("asym", 1, 2), ("asym", 2, 3), ("golden3", 2, 13)]
+    )
+    def test_stats(self, name, slots, gauss_newton_steps):
         problem = dataclasses.replace(REAL_PROBLEMS[name](), free_slots=slots)
         report = search_extension(problem, budget=4000, restarts=8, seed=0)
-        # restarts 0, 2, 4, 6 share the all-free chart; 1, 3, 5, 7 take the
-        # others in turn, of which a one-coordinate problem has one
-        assert report.stats["charts"] == min(charts, 1 + report.restarts_used // 2)
+        assert set(report.stats) == {"budget_hit", "gradient_evaluations", "gauss_newton_steps", "share_stops"}
         assert report.stats["gradient_evaluations"] == report.restarts_used + report.iterations
-        # at most one direction per accepted step, plus one per restart
-        assert 0 <= report.stats["gauss_newton_steps"] <= report.restarts_used + report.iterations
+        assert report.stats["gauss_newton_steps"] == gauss_newton_steps
         assert report.stats["budget_hit"] == (report.evaluations >= 4000)
         # no pinned trajectory comes near its share of 500 evaluations
         assert report.stats["share_stops"] == 0
@@ -489,6 +489,12 @@ def extended_seeds(name, slots):
         for seed in range(4)
         if search_extension(problem, budget=4000, restarts=8, seed=seed).outcome == "extended"
     ]
+
+
+def scaled_seeds(problem, scale):
+    """Every seed's first factor times scale, and K times scale^2."""
+    seeds = tuple(v.scale_first_factor(scale) for v in problem.seeds)
+    return dataclasses.replace(problem, target_k=problem.target_k * scale**2, seeds=seeds)
 
 
 class TestRealOutcomes:
@@ -505,26 +511,76 @@ class TestRealOutcomes:
         # gradient descent with backtracking extended at 1 of these 4 seeds
         assert len(extended_seeds("golden3", 2)) >= 1
 
-    @pytest.mark.parametrize("j", range(-12, 13))
+    @pytest.mark.parametrize("j", sorted(set(range(-12, 13)) | set(range(-300, 301, 50))))
     def test_two_seed_family_extends_at_every_scale(self, j):
-        # (1, 0), (0, K) has the extension (1, +-K) for every K; the stop
-        # tests are relative to f, so no scale is too small or too large
+        # (1, 0), (0, K) has the extension (1, +-K) for every K. A free
+        # factor is (0, K) - x (1, 0), and its pair with (0, K) reads
+        # |x| = 1 whatever K is, so no scale is too small or too large
         k = 10.0**j
         problem = SearchProblem(k, (ProductVector.of((1.0, 0.0)), ProductVector.of((0.0, k))), 1, "real")
         report = search_extension(problem, budget=4000, restarts=8, seed=0)
         assert report.outcome == "extended"
         assert report.residual <= 1e-9
 
+    @pytest.mark.parametrize(
+        "dirs, k", [([(1.0, 1.0), (1.0, -1.0)], 2.0), ([(2.0, 0.0), (0.0, 2.0)], 4.0)]
+    )
+    def test_extensions_of_any_scale_are_reached(self, dirs, k):
+        # (2, 0) or (0, 2), and (2, 2) or (-2, 2), complete these pairs: no
+        # first component is 1, so a chart fixing it could not reach them
+        problem = SearchProblem(k, tuple(ProductVector.of(d) for d in dirs), 1, "real")
+        report = search_extension(problem, budget=4000, restarts=8, seed=0)
+        assert report.outcome == "extended"
+        assert report.residual <= 1e-9
+
+    @pytest.mark.parametrize("slots", [1, 2])
+    def test_golden_three_is_invariant_under_power_of_two_scales(self, slots):
+        # the chart's terms and its target are ratios of seed products, so
+        # a power-of-two scale moves no bit of the trajectory
+        problem = dataclasses.replace(golden5_problem(), free_slots=slots)
+        reports = [
+            search_extension(scaled_seeds(problem, 2.0**e), budget=4000, restarts=8, seed=0)
+            for e in (-300, -200, -100, -10, 0, 10, 100, 200, 300)
+        ]
+        summaries = {(r.outcome, r.evaluations, r.best_objective) for r in reports}
+        assert len(summaries) == 1
+        assert summaries.pop()[0] == "extended"
+
+    @pytest.mark.parametrize("slots", [1, 2])
+    def test_one_seed_at_the_top_of_the_float_range_extends(self, slots):
+        # the second seed the chart makes up carries K: (-0.0, 1e308) here
+        problem = SearchProblem(1e308, (ProductVector.of((1.0, 0.0)),), slots, "real")
+        report = search_extension(problem, budget=4000, restarts=8, seed=0)
+        assert report.outcome == "extended"
+        assert report.residual <= 1e-9
+
+    def test_one_seed_chart_past_the_float_range_is_a_limit(self):
+        # a free vector's product with (2, 0) would be 2 q = +-K = +-5e-324,
+        # and no float q has it; the made-up second seed rounds to zero
+        problem = SearchProblem(5e-324, (ProductVector.of((2.0, 0.0)),), 1, "real")
+        with pytest.raises(LimitExceeded):
+            search_extension(problem, budget=4000, restarts=8, seed=0)
+
     @pytest.mark.parametrize("k", [1e-150, 1e-200, 1e-300])
     def test_a_hopeless_restart_leaves_the_rest_their_share(self, k):
-        # the first restart shrinks x geometrically toward an extension it
-        # cannot reach; it once spent the whole budget (one restart at
-        # 1e-300, three at 1e-150 and 1e-200)
+        # 64 evaluations over 8 restarts: no restart meets its stop tests
+        # within its share, yet each stops there and leaves the later ones
+        # theirs (the last one's share is what is left, so it never counts)
         problem = SearchProblem(k, (ProductVector.of((1.0, 0.0)), ProductVector.of((0.0, k))), 1, "real")
-        report = search_extension(problem, budget=4000, restarts=8, seed=0)
+        report = search_extension(problem, budget=64, restarts=8, seed=0)
         assert report.restarts_used == 8
-        assert report.stats["share_stops"] >= 1
-        assert report.evaluations <= 4000
+        assert report.stats["share_stops"] == 7
+        assert report.evaluations <= 64
+
+    @pytest.mark.parametrize("restarts", [1, 4, 8])
+    def test_the_budget_is_never_overrun(self, restarts):
+        # a step accepted on the last evaluation of a share takes no
+        # gradient evaluation past it (it once did: budget 2, one restart,
+        # spent 3)
+        problem = SearchProblem(1.0, (ProductVector.of((0.0, -1.0)), ProductVector.of((1.0, 0.0))), 1, "real")
+        for budget in range(1, 60):
+            report = search_extension(problem, budget=budget, restarts=restarts, seed=0)
+            assert report.evaluations <= budget
 
     @pytest.mark.parametrize("budget, restarts, used", [(3, 8, 3), (16, 8, 8), (17, 4, 4)])
     def test_every_started_restart_gets_its_starting_point(self, budget, restarts, used):
@@ -548,8 +604,9 @@ def reference_vectors(problem, chart, x):
 
 
 def reference_objective(problem, chart, x, want_grad=True):
-    """The chart objective as the search evaluated it before charts were
-    compiled: every factor product a.p * b.q - a.q * b.p in full."""
+    """The objective of the former gauge charts, as that search evaluated
+    it (a chart entry 0 leaves a factor (1, x[k]), 1 pins it to (0, 1)):
+    every factor product a.p * b.q - a.q * b.p in full."""
     vectors = reference_vectors(problem, chart, x)
     position = itertools.count()
     flat = [None if pinned else next(position) for pinned in chart]
@@ -591,8 +648,7 @@ def sl2_triple(a, b, c, d):
 
 
 def n3_problem():
-    """An N = 3 product of three images of the asymmetric triple, K = 1;
-    the first factor keeps (0, -1), so charts pinning it are dead."""
+    """An N = 3 product of three images of the asymmetric triple, K = 1."""
     maps = [(1.0, 0.0, 0.0, 1.0), (2.0, 1.0, 1.0, 1.0), (1.0, -2.0, 1.0, -1.0)]
     triples = [sl2_triple(*m) for m in maps]
     seeds = tuple(ProductVector.of(*(t[i] for t in triples)) for i in range(3))
@@ -602,132 +658,107 @@ def n3_problem():
 GUARD_PROBLEMS = {1: asym_problem, 2: golden5_problem, 3: n3_problem}
 
 
-class TestCompiledObjective:
-    @pytest.mark.parametrize("n", [1, 2, 3])
-    @pytest.mark.parametrize("slots", [1, 2])
-    def test_bit_for_bit_against_full_formula(self, n, slots):
-        problem = dataclasses.replace(GUARD_PROBLEMS[n](), free_slots=slots)
-        assert problem.n == n
-        rng = np.random.default_rng(100 * n + slots)
-        dead = 0
-        for chart in search._charts(n * slots):
-            objective = search._ChartObjective(problem, chart)
-            for _ in range(4):
-                x = rng.uniform(-3.0, 3.0, size=objective.dims).tolist()
-                for want_grad in (True, False):
-                    value, grad = objective.evaluate(list(x), want_grad)
-                    ref_value, ref_grad = reference_objective(problem, chart, x, want_grad)
-                    assert value.hex() == ref_value.hex()
-                    if ref_grad is None:
-                        assert grad is None
-                    else:
-                        assert [g.hex() for g in grad] == [g.hex() for g in ref_grad]
-                    if objective.dead:
-                        assert (value, grad) == (math.inf, None)
-                    else:
-                        assert math.isfinite(value) and (grad is not None) == want_grad
-            dead += objective.dead
-        # golden5's second vector and the N = 3 seeds' first factor have
-        # q = 0, so a chart pinning a factor they hold is dead; so is one
-        # pinning one factor in both free slots
-        expected = {1: {1: 1, 2: 3}, 2: {1: 3, 2: 15}, 3: {1: 4, 2: 55}}
-        assert dead == expected[n][slots]
-
-    def test_dead_restarts_are_counted(self):
-        report = search_extension(golden5_problem(), budget=4000, restarts=8, seed=0)
-        # every chart that pins a factor meets the (0, 1) factor of golden5's
-        # second vector; odd restarts take those charts
-        assert report.stats["dead_charts"] == 4
-        assert report.stats["gradient_evaluations"] == report.restarts_used + report.iterations
-
-    def test_wrapper_returns_arrays(self):
-        objective = search._ChartObjective(golden5_problem(), (0, 0))
-        value, grad = objective(np.array([0.5, -0.25]))
-        assert (value, grad.tolist()) == tuple(objective.evaluate([0.5, -0.25], True))
-        assert objective([0.5, -0.25], False) == (value, None)
+def with_one_seed(problem):
+    """The problem and its seed 0 alone, whose chart makes up s1."""
+    return [problem, dataclasses.replace(problem, seeds=problem.seeds[:1])]
 
 
-def chart_reference(dims):
-    return sorted(itertools.product((0, 1), repeat=dims), key=sum)
+def chart_seeds(problem):
+    """s0 and s1 of the one chart as (q, p) float pairs: the first two
+    seeds, or for one seed s1_k = J s0_k / |s0_k|^2, slot 0's times K."""
+    s0 = [f.as_floats() for f in problem.seeds[0].factors]
+    if len(problem.seeds) > 1:
+        return s0, [f.as_floats() for f in problem.seeds[1].factors]
+    s1 = []
+    for k, (q, p) in enumerate(s0):
+        r = math.hypot(q, p)
+        scale = float(problem.target_k) if k == 0 else 1.0
+        s1.append((scale * (-p / r / r), scale * (q / r / r)))
+    return s0, s1
 
 
-class TestCharts:
-    @pytest.mark.parametrize("dims", range(1, 11))
-    def test_order_matches_sorted_product(self, dims):
-        assert list(search._charts(dims)) == chart_reference(dims)
-
-    @pytest.mark.parametrize("dims", range(1, 11))
-    def test_restart_schedule_wraps_around(self, dims):
-        reference = chart_reference(dims)
-        others = reference[1:]
-        # restarts // 2 >= 2^dims - 1 on the longest schedule
-        for restarts in (1, 8, 2 * len(others) + 3):
-            expected = [
-                reference[0] if r % 2 == 0 else others[(r // 2) % len(others)]
-                for r in range(restarts)
-            ]
-            assert list(search._restart_charts(dims, restarts)) == expected
-
-    def test_schedule_is_lazy(self):
-        # 2^64 charts: the first restarts take the first charts only
-        first = list(itertools.islice(search._restart_charts(64, 10**9), 5))
-        free, one_pinned = (0,) * 64, (0,) * 63 + (1,)
-        assert first == [free, one_pinned, free, (0,) * 62 + (1, 0), free]
+def chart_vectors(problem, x):
+    """Seeds and free vectors as (q, p) float pairs, factor k of free slot s
+    written out as s1_k - x[s N + k] s0_k."""
+    s0, s1 = chart_seeds(problem)
+    n = problem.n
+    free = [
+        [(q1 - x[s * n + k] * q0, p1 - x[s * n + k] * p0) for k, ((q0, p0), (q1, p1)) in enumerate(zip(s0, s1))]
+        for s in range(problem.free_slots)
+    ]
+    return [[f.as_floats() for f in v.factors] for v in problem.seeds] + free
 
 
-class TestMixedChartGradient:
-    @pytest.mark.parametrize("chart", [(0, 1, 1, 0), (1, 0, 0, 1), (0, 1, 0, 0), (1, 1, 0, 0)])
-    def test_matches_central_differences(self, chart):
-        # N = 2, two free slots: pinned factors (0, 1) next to free ones, so
-        # the rest product and the zero-q derivative both enter the gradient.
-        # No seed factor is (0, 1), so no pinned factor is parallel to one.
-        problem = dataclasses.replace(golden5_problem((0, 2, 3)), free_slots=2)
-        objective = search._ChartObjective(problem, chart)
-        assert objective.dims == chart.count(0)
-        rng = np.random.default_rng(23)
-        h = 1e-6
-        checked = 0
-        for _ in range(1000):
-            if checked == 50:
-                break
-            x = rng.uniform(-3.0, 3.0, size=objective.dims)
-            vectors = reference_vectors(problem, chart, x)
-            # keep away from the log singularities for stable differences
-            factor_products = [
-                a[1] * b[0] - a[0] * b[1]
-                for va, vb in itertools.combinations(vectors, 2)
-                for a, b in zip(va, vb)
-            ]
-            if min(abs(fp) for fp in factor_products) < 5e-2:
-                continue
-            f, grad = objective(x)
-            assert math.isfinite(f)
-            assert grad.shape == (objective.dims,)
-            for i in range(objective.dims):
-                step = np.zeros(objective.dims)
-                step[i] = h
-                fd = (objective(x + step, False)[0] - objective(x - step, False)[0]) / (2 * h)
-                scale = max(1.0, abs(fd), abs(grad[i]))
-                assert abs(grad[i] - fd) <= 1e-6 * scale
-            checked += 1
-        assert checked == 50
-
-    def test_vanishing_product_is_infinite(self):
-        # a pinned factor (0, 1) is parallel to the second seed's factors
-        problem = dataclasses.replace(golden5_problem(), free_slots=2)
-        assert search._ChartObjective(problem, (1, 1, 1, 1))([]) == (math.inf, None)
+def full_objective(problem, x):
+    """The summed squared log-residuals of every pair that involves a free
+    vector, seed 0's included, over the explicit vectors."""
+    vectors = chart_vectors(problem, x)
+    log_k = math.log(float(problem.target_k))
+    total = 0.0
+    for i, j in itertools.combinations(range(len(vectors)), 2):
+        if j >= len(problem.seeds):
+            sp = math.prod(a[1] * b[0] - a[0] * b[1] for a, b in zip(vectors[i], vectors[j]))
+            total += (math.log(abs(sp)) - log_k) ** 2
+    return total
 
 
-def live_points(problem, objective, chart, rng, count, margin=5e-2):
+def chart_objective(problem, x, want_grad=True):
+    """The one chart's objective pair by pair as its docstring states it,
+    uncompiled: each factor product is a - b * x[l] or x[k] - x[l]."""
+    s0, s1 = chart_seeds(problem)
+    n, seeds = problem.n, len(problem.seeds)
+    sigma = [p0 * q1 - q0 * p1 for (q0, p0), (q1, p1) in zip(s0, s1)]
+    log_target = math.log(float(problem.target_k) / abs(math.prod(sigma)))
+    # each factor as (a, b, None) for seed i >= 1, (None, None, k) for free
+    at = [
+        [
+            ((p * q1 - q * p1) / s, (p * q0 - q * p0) / s, None)
+            for (q, p), (q0, p0), (q1, p1), s in zip([f.as_floats() for f in v.factors], s0, s1, sigma)
+        ]
+        for v in problem.seeds[1:]
+    ]
+    at += [[(None, None, s * n + k) for k in range(n)] for s in range(problem.free_slots)]
+    total = 0.0
+    grad = [0.0] * (n * problem.free_slots) if want_grad else None
+    for i, j in itertools.combinations(range(len(at)), 2):
+        if j < seeds - 1:
+            continue
+        products, slopes = [], []
+        for (a, b, k), (_, _, l) in zip(at[i], at[j]):
+            if k is None:
+                products.append(a - b * x[l])
+                slopes.append([(l, -b)])
+            else:
+                products.append(x[k] - 1.0 * x[l])
+                slopes.append([(k, 1.0), (l, -1.0)])
+        sp = 1.0
+        for t in products:
+            sp *= t
+        if sp == 0.0:
+            return math.inf, None
+        diff = math.log(abs(sp)) - log_target
+        total += diff * diff
+        if not want_grad:
+            continue
+        for f, slope in enumerate(slopes):
+            rest = 1.0
+            for g in range(n):
+                if g != f:
+                    rest *= products[g]
+            for k, d in slope:
+                grad[k] += 2.0 * diff * (d * rest) / sp
+    return total, grad
+
+
+def live_points(problem, rng, count, margin=5e-2):
     """count points of the chart whose factor products all pass margin in
     magnitude, away from the log singularities."""
     points = []
     while len(points) < count:
-        x = rng.uniform(-3.0, 3.0, size=objective.dims).tolist()
-        vectors = reference_vectors(problem, chart, x)
+        x = rng.uniform(-3.0, 3.0, size=problem.n * problem.free_slots).tolist()
         products = [
             a[1] * b[0] - a[0] * b[1]
-            for va, vb in itertools.combinations(vectors, 2)
+            for va, vb in itertools.combinations(chart_vectors(problem, x), 2)
             for a, b in zip(va, vb)
         ]
         if min(abs(fp) for fp in products) >= margin:
@@ -735,22 +766,63 @@ def live_points(problem, objective, chart, rng, count, margin=5e-2):
     return points
 
 
+class TestCompiledObjective:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("slots", [1, 2])
+    def test_bit_for_bit_against_full_formula(self, n, slots):
+        base = dataclasses.replace(GUARD_PROBLEMS[n](), free_slots=slots)
+        assert base.n == n
+        rng = np.random.default_rng(100 * n + slots)
+        for problem in with_one_seed(base):
+            objective = real_objective_fn(problem)
+            for x in live_points(problem, rng, 4):
+                for want_grad in (True, False):
+                    value, grad = objective.evaluate(list(x), want_grad)
+                    ref_value, ref_grad = chart_objective(problem, x, want_grad)
+                    assert value.hex() == ref_value.hex()
+                    if want_grad:
+                        assert [g.hex() for g in grad] == [g.hex() for g in ref_grad]
+                    else:
+                        assert grad is None
+                # the chart's formula is the full one over explicit vectors
+                assert math.isclose(value, full_objective(problem, x), rel_tol=1e-12, abs_tol=1e-24)
+
+    def test_asymmetric_triple_matches_the_former_all_free_chart(self):
+        # s0 = (0, -1) and s1 = (1, 0) make a free factor (1, x), and
+        # sigma = -1 divides exactly
+        problem = asym_problem()
+        objective = real_objective_fn(problem)
+        rng = np.random.default_rng(7)
+        for x in rng.uniform(-3.0, 3.0, size=(1000, 1)).tolist():
+            value, grad = objective.evaluate(x, True)
+            ref_value, ref_grad = reference_objective(problem, (0,), x)
+            assert value.hex() == ref_value.hex()
+            assert [g.hex() for g in grad] == [g.hex() for g in ref_grad]
+
+    def test_vanishing_product_is_infinite(self):
+        # x = 1 puts the free factor at (1, 1), the third seed
+        objective = real_objective_fn(asym_problem())
+        assert objective.evaluate([1.0], True) == (math.inf, None)
+        assert objective.evaluate([1.0], True, True) == (math.inf, None, None, None)
+
+    def test_wrapper_returns_arrays(self):
+        objective = real_objective_fn(golden5_problem())
+        value, grad = objective(np.array([0.5, -0.25]))
+        assert (value, grad.tolist()) == tuple(objective.evaluate([0.5, -0.25], True))
+        assert objective([0.5, -0.25], False) == (value, None)
+
+
 class TestSecondDerivatives:
     @pytest.mark.parametrize("n", [1, 2, 3])
     @pytest.mark.parametrize("slots", [1, 2])
     def test_every_live_chart(self, n, slots):
-        problem = dataclasses.replace(GUARD_PROBLEMS[n](), free_slots=slots)
+        # the one chart, of the seeds and of seed 0 alone
+        base = dataclasses.replace(GUARD_PROBLEMS[n](), free_slots=slots)
         rng = np.random.default_rng(300 + 10 * n + slots)
         h = 1e-6
-        live = 0
-        for chart in search._charts(n * slots):
-            objective = search._ChartObjective(problem, chart)
-            if objective.dead:
-                x = [0.5] * objective.dims
-                assert objective.evaluate(x, True, True) == (math.inf, None, None, None)
-                continue
-            live += 1
-            for x in live_points(problem, objective, chart, rng, 3):
+        for problem in with_one_seed(base):
+            objective = real_objective_fn(problem)
+            for x in live_points(problem, rng, 3):
                 value, grad, hessian, gauss_newton = objective.evaluate(x, True, True)
                 # asking for second derivatives changes neither f nor the gradient
                 assert (value, grad) == objective.evaluate(x, True)
@@ -760,6 +832,8 @@ class TestSecondDerivatives:
                     up, down = list(x), list(x)
                     up[i] += h
                     down[i] -= h
+                    fd = (objective(up, False)[0] - objective(down, False)[0]) / (2 * h)
+                    assert abs(grad[i] - fd) <= 1e-6 * max(1.0, abs(fd), abs(grad[i]))
                     fd = (np.array(objective(up)[1]) - np.array(objective(down)[1])) / (2 * h)
                     scale = max(1.0, float(np.abs(fd).max()), float(np.abs(hessian[i]).max()))
                     assert np.abs(hessian[i] - fd).max() <= 1e-6 * scale
@@ -767,9 +841,6 @@ class TestSecondDerivatives:
                 assert (hessian == hessian.T).all()
                 top = float(np.abs(gauss_newton).max())
                 assert np.linalg.eigvalsh(gauss_newton).min() >= -1e-12 * top
-        # golden5's second vector and the N = 3 seeds' first factor kill
-        # the charts pinning a factor they hold (see TestCompiledObjective)
-        assert live == {1: {1: 1, 2: 1}, 2: {1: 1, 2: 1}, 3: {1: 4, 2: 9}}[n][slots]
 
 
 class TestSearchLattice:
@@ -1223,6 +1294,17 @@ class TestProblemValidation:
                 free_slots=1,
                 domain="complex",
             )
+
+    @pytest.mark.parametrize(
+        "k, seed, domain",
+        [(0.0, (1.0, 0.0), "real"), (-1.0, (1.0, 0.0), "real"), (QuadNum(0), (QuadNum(1), QuadNum(0)), "golden-lattice"), (-R, (QuadNum(1), QuadNum(0)), "golden-lattice")],
+    )
+    @pytest.mark.parametrize("free_slots", [0, 1])
+    def test_nonpositive_k_is_an_invalid_target(self, k, seed, domain, free_slots):
+        # one seed leaves the seed check no pair to reject K with
+        problem = SearchProblem(k, (ProductVector.of(seed),), free_slots, domain)
+        with pytest.raises(InvalidTarget):
+            search_extension(problem, budget=100, restarts=2, seed=0)
 
     def test_seeds_must_verify(self):
         with pytest.raises(PreconditionFailed):
