@@ -94,17 +94,23 @@ def _strict_json(data):
 def _write_json(path: str | None, data) -> None:
     if path:
         text = json.dumps(_strict_json(data), indent=2, allow_nan=False)
-        Path(path).write_text(text + "\n", encoding="utf-8")
+        try:
+            Path(path).write_text(text + "\n", encoding="utf-8")
+        except OSError as exc:
+            raise InvalidProblem(f"{path}: {exc.strerror or exc}") from exc
 
 
 def _write_csv(path: str | None, fieldnames: Sequence[str], rows: Sequence[dict]) -> None:
     if not path:
         return
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.DictWriter(handle, fieldnames=list(fieldnames))
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+    try:
+        with open(path, "w", newline="", encoding="utf-8") as handle:
+            writer = csv.DictWriter(handle, fieldnames=list(fieldnames))
+            writer.writeheader()
+            for row in rows:
+                writer.writerow(row)
+    except OSError as exc:
+        raise InvalidProblem(f"{path}: {exc.strerror or exc}") from exc
 
 
 def _load_config(path: str, mode: str | None) -> MUConfiguration:

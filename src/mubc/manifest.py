@@ -3,10 +3,15 @@
 `build_manifest` computes the claims in report order. The two triples and
 the golden five-set come from the bundled fixtures, so each of their vectors
 is written down once, in `fixtures/`.
+
+The claims' fixed inputs (the parsed fixtures and the seeded random draws)
+are built once per process and shared read-only; every claim is recomputed
+from them on each call.
 """
 
 from __future__ import annotations
 
+import functools
 import importlib.resources
 import json
 import math
@@ -44,11 +49,15 @@ class ManifestEntry:
 
 
 def load_fixture(name: str) -> dict:
+    """A fresh, mutable copy of a bundled fixture's JSON."""
     resource = importlib.resources.files("mubc").joinpath(f"fixtures/{name}")
     return json.loads(resource.read_text(encoding="utf-8"))
 
 
+@functools.cache
 def fixture_config(name: str) -> MUConfiguration:
+    """The parsed fixture, built once per process: a frozen configuration
+    of tuples and exact scalars, so every caller can share it."""
     return config_from_json(load_fixture(name))
 
 
@@ -68,6 +77,29 @@ def _rel_gap(computed: float, expected: float) -> float:
 
 
 ROTATION_ANGLES = (math.pi / 6, math.pi / 4, math.pi / 3, 2 * math.pi / 3)
+
+
+@functools.cache
+def _seeded_draws() -> tuple[tuple[tuple[float, float, float], ...], tuple[tuple[float, float], ...]]:
+    """The shear claim's 20 (q, p, mu) draws and the composition claim's 10
+    rotation pairs (theta_a, theta_b), from their fixed seeds; drawn once
+    per process."""
+    rng = np.random.default_rng(8)
+    shears = []
+    for _ in range(20):
+        q = float(rng.uniform(0.3, 2.5) * rng.choice((-1.0, 1.0)))
+        p = float(rng.uniform(-2.0, 2.0))
+        mu = float(rng.uniform(-2.0, 2.0))
+        shears.append((q, p, mu))
+    rng = np.random.default_rng(9)
+    rotations = []
+    while len(rotations) < 10:
+        theta_a = float(rng.uniform(0.0, math.pi))
+        theta_b = float(rng.uniform(0.0, math.pi))
+        if abs(math.sin(theta_b - theta_a)) < 0.05:
+            continue
+        rotations.append((theta_a, theta_b))
+    return tuple(shears), tuple(rotations)
 
 
 def build_manifest(
@@ -237,12 +269,9 @@ def build_manifest(
     )
 
     # shear-normalized matrices: overlap depends only on Q
-    rng = np.random.default_rng(8)
+    shears, rotations = _seeded_draws()
     worst_shear = 0.0
-    for _ in range(20):
-        q = float(rng.uniform(0.3, 2.5) * rng.choice((-1.0, 1.0)))
-        p = float(rng.uniform(-2.0, 2.0))
-        mu = float(rng.uniform(-2.0, 2.0))
+    for q, p, mu in shears:
         # M_qp = -q, with |q| >= 0.3, so every draw has a constant
         value = genmu_overlap_sq(np.array(special_m(q, p, mu)), hbar=hbar)
         worst_shear = max(worst_shear, _rel_gap(value, 1.0 / (2.0 * math.pi * hbar * abs(q))))
@@ -258,15 +287,8 @@ def build_manifest(
     )
 
     # composition of rotations matches the angle difference
-    rng = np.random.default_rng(9)
     worst_comp = 0.0
-    pairs = 0
-    while pairs < 10:
-        theta_a = float(rng.uniform(0.0, math.pi))
-        theta_b = float(rng.uniform(0.0, math.pi))
-        if abs(math.sin(theta_b - theta_a)) < 0.05:
-            continue
-        pairs += 1
+    for theta_a, theta_b in rotations:
         value = compose_overlap_sq(rotation_matrix(theta_a), rotation_matrix(theta_b), hbar=hbar)
         expected = 1.0 / (2.0 * math.pi * hbar * abs(math.sin(theta_b - theta_a)))
         worst_comp = max(worst_comp, _rel_gap(value, expected))

@@ -428,7 +428,9 @@ def verify_mu(
 
     Exact mode compares field elements exactly; numeric mode compares at
     the given relative tolerance. Zero products are reported as parallel
-    pairs, a distinct outcome from a wrong magnitude.
+    pairs, a distinct outcome from a wrong magnitude, with deviation inf.
+    max_deviation is the largest pair deviation, parallel pairs included,
+    and NaN if any deviation is NaN.
     """
     if len(config.vectors) < 2:
         raise PreconditionFailed("need at least two vectors to verify")
@@ -464,23 +466,24 @@ def verify_mu(
     verdict = True
     for i, j, sp in raw:
         if sp == 0:
-            checks.append(PairCheck(i, j, sp, 0.0, math.inf, True, False))
-            verdict = False
-            continue
-        mag = abs(sp)
-        mag_float = float(mag)
-        if config.mode == EXACT:
-            ok = mag == target
-            # exact quotient first: float(target) can underflow to 0
-            deviation = 0.0 if ok else float(abs(mag - target) / target)
+            check = PairCheck(i, j, sp, 0.0, math.inf, True, False)
         else:
-            deviation = abs(mag_float - target_float) / abs(target_float)
-            ok = deviation <= tolerance
-        # max(0.0, nan) is 0.0, and a NaN deviation must not read as agreement
-        if math.isnan(deviation) or deviation > max_dev:
-            max_dev = deviation
-        verdict = verdict and ok
-        checks.append(PairCheck(i, j, sp, mag_float, deviation, False, ok))
+            mag = abs(sp)
+            mag_float = float(mag)
+            if config.mode == EXACT:
+                ok = mag == target
+                # exact quotient first: float(target) can underflow to 0
+                deviation = 0.0 if ok else float(abs(mag - target) / target)
+            else:
+                deviation = abs(mag_float - target_float) / abs(target_float)
+                ok = deviation <= tolerance
+            check = PairCheck(i, j, sp, mag_float, deviation, False, ok)
+        # max(0.0, nan) is 0.0, and a NaN deviation must not read as agreement;
+        # a parallel pair's inf counts too, short of a NaN already taken
+        if math.isnan(check.deviation) or check.deviation > max_dev:
+            max_dev = check.deviation
+        verdict = verdict and check.unbiased
+        checks.append(check)
     return VerificationReport(
         verdict=verdict,
         target_k=target,

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, file outputs, JSON round-trips."""
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -9,6 +10,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import mubc
@@ -21,6 +23,7 @@ from mubc import (
     config_to_json,
     verify_mu,
 )
+from mubc import manifest
 from mubc.cli import build_parser, main
 from mubc.manifest import build_manifest, fixture_config, load_fixture
 
@@ -71,6 +74,21 @@ class TestFixtures:
             tolerance = 1e-12 if cfg.mode == "numeric" else 1e-12
             assert verify_mu(cfg, tolerance=tolerance).verdict, name
 
+    @pytest.mark.parametrize("name", ["asymmetric-triple.json", "symmetric-triple.json", "golden5.json"])
+    def test_fixture_config_is_parsed_once_and_frozen(self, name):
+        cfg = fixture_config(name)
+        assert fixture_config(name) is cfg
+        assert cfg == config_from_json(load_fixture(name))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.target_k = 2
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.vectors[0].factors[0].q = 2
+
+    def test_load_fixture_returns_a_fresh_copy(self):
+        blob = load_fixture("golden5.json")
+        blob["K"] = "2"
+        assert load_fixture("golden5.json")["K"] != "2"
+
     def test_golden5_is_exact(self):
         cfg = fixture_config("golden5.json")
         assert cfg.mode == "exact"
@@ -116,6 +134,16 @@ class TestVerifyCommand:
         blob = read_out(out)
         assert blob["max_deviation"] == factor - 1
         assert blob["pairs"][0]["magnitude"] == float(embed(factor * k, 300)) > 0
+
+    def test_parallel_pair_writes_an_inf_maximum(self, write_json, tmp_path, capsys):
+        config = {"N": 1, "mode": "numeric", "K": 1.0, "vectors": [[[1.0, 0.0]], [[0.0, 1.0]], [[0.0, 2.0]]]}
+        out = tmp_path / "report.json"
+        assert main(["verify", write_json("parallel.json", config), "--out", str(out)]) == FALSE
+        assert "max relative deviation: inf" in capsys.readouterr().out
+        blob = read_out(out)
+        assert blob["max_deviation"] == "inf"
+        assert blob["parallel_pairs"] == [[1, 2]]
+        assert [pair["deviation"] for pair in blob["pairs"]] == [0.0, 1.0, "inf"]
 
     def test_malformed_json_exits_two(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
@@ -725,6 +753,46 @@ class TestReproduceCommand:
         assert main(["reproduce", "--csv", str(out)]) == OK
         lines = out.read_text().strip().splitlines()
         assert len(lines) >= 13  # header + 12 claims
+
+    @pytest.mark.parametrize(
+        "command, flag", [("reproduce", "--out"), ("reproduce", "--csv"), ("verify", "--out")]
+    )
+    def test_write_into_a_missing_directory_exits_two(self, command, flag, asym_path, tmp_path, capsys):
+        target = str(tmp_path / "missing" / "x.json")
+        argv = ["reproduce"] if command == "reproduce" else ["verify", asym_path]
+        assert main(argv + [flag, target]) == INPUT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith(f"input error: {target}: ")
+        assert "Traceback" not in err
+
+    def test_repeat_runs_write_identical_bytes(self, tmp_path):
+        # the first run parses the fixtures and draws the seeded inputs afresh,
+        # the second reuses them; every claim is recomputed either way
+        fixture_config.cache_clear()
+        manifest._seeded_draws.cache_clear()
+        outs = [tmp_path / "first.json", tmp_path / "second.json"]
+        for out in outs:
+            assert main(["reproduce", "--include-search", "--out", str(out)]) == OK
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
+    def test_seeded_draws_match_the_seeded_loops(self):
+        # the shear and rotation-pair draws, written out as the claims drew them
+        rng = np.random.default_rng(8)
+        shears = []
+        for _ in range(20):
+            q = float(rng.uniform(0.3, 2.5) * rng.choice((-1.0, 1.0)))
+            p = float(rng.uniform(-2.0, 2.0))
+            mu = float(rng.uniform(-2.0, 2.0))
+            shears.append((q, p, mu))
+        rng = np.random.default_rng(9)
+        rotations = []
+        while len(rotations) < 10:
+            theta_a = float(rng.uniform(0.0, math.pi))
+            theta_b = float(rng.uniform(0.0, math.pi))
+            if abs(math.sin(theta_b - theta_a)) < 0.05:
+                continue
+            rotations.append((theta_a, theta_b))
+        assert manifest._seeded_draws() == (tuple(shears), tuple(rotations))
 
 
 LEAF_FLAGS = {

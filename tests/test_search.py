@@ -353,6 +353,14 @@ class TestSearchReal:
         recheck = verify_mu(cfg, tolerance=1e-8)
         assert recheck.max_deviation <= report.residual + 1e-15
 
+    def test_parallel_free_vectors_make_the_residual_inf(self):
+        # at K = 1e-320 the two free vectors round to the same floats, a
+        # parallel pair, so the residual must not read 0.0
+        problem = SearchProblem(1e-320, (ProductVector.of((1e-300, 1e-300)),), 2, "real")
+        report = search_extension(problem, budget=400, restarts=4, seed=0)
+        assert report.outcome == "no-improvement"
+        assert report.residual == math.inf
+
     def test_seed_required(self):
         with pytest.raises(InvalidProblem):
             search_extension(asym_problem(), budget=1000, restarts=2, seed=None)

@@ -300,6 +300,22 @@ class TestVerifyMU:
         report = verify_mu(cfg)
         assert not report.verdict
         assert report.parallel_pairs == ((0, 1),)
+        assert report.max_deviation == math.inf
+
+    @pytest.mark.parametrize(
+        "vectors",
+        [
+            # the parallel pair (0, 4) comes before the NaN pair (2, 3)
+            ((1.0, 0.0), (0.0, 1.0), (1e200, 1e200), (1e200, 1e200), (2.0, 0.0)),
+            # the NaN pair (0, 1), whose product is inf - inf, comes first
+            ((1e200, 1e200), (1e200, 1e200), (1.0, 0.0), (0.0, 1.0), (2.0, 0.0)),
+        ],
+    )
+    def test_nan_maximum_stays_nan_beside_a_parallel_pair(self, vectors):
+        cfg = MUConfiguration(tuple(ProductVector.of(v) for v in vectors), 1.0, mode=NUMERIC)
+        report = verify_mu(cfg)
+        assert report.parallel_pairs
+        assert math.isnan(report.max_deviation)
 
     @pytest.mark.parametrize(
         "vectors, nans",
