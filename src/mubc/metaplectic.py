@@ -56,13 +56,13 @@ from .errors import (
     DegenerateBlock,
     DimensionMismatch,
     InvalidProblem,
-    LimitExceeded,
     NonInvertible,
     SingularCayley,
 )
 from .symplectic import (
     NUMERIC,
     Scalar,
+    _float_tolerance,
     _join_modes,
     _json_number,
     _overlap_constant,
@@ -207,23 +207,14 @@ def symplectic_defect(matrix: Matrix) -> float:
 def is_symplectic(matrix: Matrix, tolerance: float = 1e-12) -> bool:
     """True when M^t J M = J (exactly for exact matrices, else within tolerance).
 
-    A float tolerance is scaled by the largest squared entry (at least 1);
-    a scale past the float range raises LimitExceeded.
+    A float matrix is tested within _float_tolerance: never symplectic with
+    an inf or nan entry, LimitExceeded for a scale past the float range.
     """
     m = _as_array(matrix)
     if m.dtype == object:
         return all(d == 0 for d in _defect(m).flat)
-    largest = float(np.max(np.abs(m)))
-    try:
-        tol = tolerance * max(1.0, largest ** 2)
-    except OverflowError:
-        tol = math.inf
-    if math.isinf(tol):
-        # an inf tolerance would accept any defect
-        raise LimitExceeded(
-            f"matrix entry scale {largest:.6e} puts the tolerance scale past the float range"
-        )
-    return symplectic_defect(m) <= tol
+    tol = _float_tolerance(m.ravel().tolist(), tolerance)
+    return tol is not None and symplectic_defect(m) <= tol
 
 
 def cayley_matrix(matrix: Matrix):

@@ -22,7 +22,6 @@ import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
@@ -122,59 +121,6 @@ def _is_zero(x: Scalar, scale: Scalar, tolerance: float) -> bool:
     return x == 0
 
 
-@dataclass(frozen=True)
-class _PatternSolution:
-    """d with symp2(d, x_i) = signs_i r_i on the first two rows, and the
-    residuals symp2(d, x_i) - signs_i r_i on the rest."""
-
-    signs: tuple[int, ...]
-    solution: DirectionVector
-    residuals: tuple[Scalar, ...]
-    consistent: bool
-
-
-def _solve_sign_patterns(
-    rows: Sequence[DirectionVector],
-    rhs: Sequence[Scalar],
-    tolerance: float = 0.0,
-) -> list[_PatternSolution]:
-    """Solve symp2(d, rows[i]) = s_i rhs[i] for every sign pattern s.
-
-    Cramer's rule on the first two rows fixes d; the caller guarantees that
-    system is nonsingular (symp2(rows[0], rows[1]) != 0) with a nonzero
-    right-hand side, so d != 0. Every further row is a check. A pattern is
-    consistent when each check vanishes: exactly for exact scalars, relative
-    to its right-hand side for floats. Patterns come in lexicographic order,
-    +1 before -1.
-    """
-    a, b = rows[0], rows[1]
-    # Row for constraint against x: (-x.p) dq + (x.q) dp = s r
-    det = a.q * b.p - a.p * b.q  # = -symp2(a, b)
-    records = []
-    for s1, s2 in itertools.product((1, -1), repeat=2):
-        e = s1 * rhs[0]
-        f = s2 * rhs[1]
-        # Cramer on [[-a.p, a.q], [-b.p, b.q]] (dq, dp) = (e, f)
-        d = DirectionVector(
-            _quotient(e * b.q - a.q * f, det), _quotient((-a.p) * f - e * (-b.p), det)
-        )
-        values = [symp2(d, x) for x in rows[2:]]
-        for rest in itertools.product((1, -1), repeat=len(values)):
-            residuals = tuple(v - s * r for v, s, r in zip(values, rest, rhs[2:]))
-            records.append(
-                _PatternSolution(
-                    (s1, s2) + rest,
-                    d,
-                    residuals,
-                    all(
-                        _is_zero(res, r, tolerance)
-                        for res, r in zip(residuals, rhs[2:])
-                    ),
-                )
-            )
-    return records
-
-
 def certify_no_fourth(
     a: DirectionVector,
     b: DirectionVector,
@@ -185,9 +131,10 @@ def certify_no_fourth(
     """Case-split witness that no fourth direction joins an N = 1 triple.
 
     Any fourth direction d must satisfy symp2(d, x) = +/- k for each x in
-    the triple; all 2^3 sign patterns are solved explicitly and each must
-    contradict the remaining constraint. Numeric comparisons are relative
-    to k, so rescaling the triple changes no record.
+    the triple. For each of the 4 sign choices on a and b, Cramer's rule
+    fixes d, and both signs on c must contradict symp2(d, c): exactly for
+    exact scalars, relative to k for floats, so rescaling the triple
+    changes no record. Patterns come in lexicographic order, +1 before -1.
     """
     mode = _join_modes(_strict_mode(k), a.mode, b.mode, c.mode) or EXACT
     if not k > 0:
@@ -198,35 +145,38 @@ def certify_no_fourth(
             raise PreconditionFailed(
                 f"pair ({x}, {y}) has |product| {mag}, not the target {k}"
             )
+    # the row for symp2(d, x) = s k is (-x.p) d.q + (x.q) d.p = s k
+    det = a.q * b.p - a.p * b.q  # = -symp2(a, b)
+    if det == 0:  # only a tolerance of 1 or more lets a parallel pair through
+        raise PreconditionFailed(f"pair ({a}, {b}) is parallel")
     records = []
-    for solved in _solve_sign_patterns((a, b, c), (k, k, k), tolerance):
-        d = solved.solution
-        note = ""
-        # consistent only at a tolerance near 1 (see CounterexampleFound)
-        if solved.consistent:
-            confirm = verify_mu(
-                MUConfiguration(
-                    tuple(ProductVector((v,)) for v in (a, b, c, d)),
-                    k,
-                    mode=mode,
-                ),
-                tolerance=max(tolerance, 1e-9),
-            )
-            if confirm.verdict:
-                return CounterexampleFound(d, solved.signs)
-            note = "pattern solvable but full verification fails"
-        # a consistent pattern that survives to here failed full verification
-        records.append(
-            SignPatternRecord(
-                signs=solved.signs,
-                solution=d,
-                residual=float(solved.residuals[0]),
-                consistent=False,
-                rank_coeff=2,
-                rank_aug=2 if solved.consistent else 3,
-                note=note,
-            )
+    for s1, s2 in itertools.product((1, -1), repeat=2):
+        e, f = s1 * k, s2 * k
+        d = DirectionVector(
+            _quotient(e * b.q - a.q * f, det), _quotient((-a.p) * f - e * (-b.p), det)
         )
+        value = symp2(d, c)
+        for s3 in (1, -1):
+            residual = value - s3 * k
+            consistent = _is_zero(residual, k, tolerance)
+            note = ""
+            # consistent only at a tolerance near 1 (see CounterexampleFound)
+            if consistent:
+                four = MUConfiguration(tuple(ProductVector((v,)) for v in (a, b, c, d)), k, mode=mode)
+                if verify_mu(four, tolerance=max(tolerance, 1e-9)).verdict:
+                    return CounterexampleFound(d, (s1, s2, s3))
+                note = "pattern solvable but full verification fails"
+            records.append(
+                SignPatternRecord(
+                    signs=(s1, s2, s3),
+                    solution=d,
+                    residual=float(residual),
+                    consistent=False,
+                    rank_coeff=2,
+                    rank_aug=2 if consistent else 3,
+                    note=note,
+                )
+            )
     return InfeasibilityCertificate((a, b, c), k, tuple(records))
 
 
@@ -254,30 +204,21 @@ class Equivalence:
         }
 
 
-def _triple_floats(config: MUConfiguration) -> tuple[list[np.ndarray], int]:
-    """The triple's vectors times 2^-e, and e: its largest component lands
+def _frame(triple: list[DirectionVector]) -> tuple[list[DirectionVector], int]:
+    """The triple's floats times 2^-e, and e: its largest component lands
     in [0.5, 1), unless its smallest nonzero one would leave the normal
     range, which bounds the shift. Powers of two scale exactly, so the
-    solve sees the same floats as at unit scale."""
-    if config.n != 1 or len(config.vectors) != 3:
-        raise DimensionMismatch("equivalence search expects N = 1 triples")
-    vectors = [v.factors[0].as_floats() for v in config.vectors]
-    sizes = [abs(x) for v in vectors for x in v if x]
+    solve sees the same floats as at unit scale. An exact vector whose
+    floats overflow or are both 0 raises LimitExceeded."""
+    try:
+        floats = [v.as_floats() for v in triple]
+    except OverflowError:  # an int or Fraction past the float range
+        floats = [(math.inf, 0.0)]
+    if not all(0.0 < max(abs(q), abs(p)) < math.inf for q, p in floats):
+        raise LimitExceeded("a vector of the triples is past the float range")
+    sizes = [abs(x) for v in floats for x in v if x]
     e = min(math.frexp(max(sizes))[1], math.frexp(min(sizes))[1] + 1021) if sizes else 0
-    return [np.array([math.ldexp(x, -e) for x in v]) for v in vectors], e
-
-
-def _det2(m: np.ndarray) -> float:
-    """ad - bc: one rounding per product and one for the difference, so
-    scaling a row or column by a power of two scales it exactly (numpy's
-    det goes through an LU factorization and log |det|)."""
-    (a, b), (c, d) = m.tolist()
-    return a * d - b * c
-
-
-def _nearly_parallel(cols: np.ndarray) -> bool:
-    # relative to the column norms, so rescaling a column changes no answer
-    return abs(_det2(cols)) <= 1e-14 * np.prod(np.linalg.norm(cols, axis=0))
+    return [DirectionVector(math.ldexp(q, -e), math.ldexp(p, -e)) for q, p in floats], e
 
 
 def find_equivalence(
@@ -287,55 +228,72 @@ def find_equivalence(
 ) -> Equivalence | None:
     """Search the 6 orderings x 4 sign choices for a linear equivalence.
 
-    For each candidate, the matrix is solved linearly from two vector
-    correspondences and checked on the third; the determinant fixes the
-    positive scale lambda with |det m| = 1. Each triple is solved in a
-    power-of-two frame (see _triple_floats), and scale and residual are
-    reported in the caller's. Returns None when no candidate survives.
+    A linear map scales every symplectic product by its determinant. With
+    sigma = symp2(a1, a2), a3 = x a1 + y a2 for x = symp2(a3, a2) / sigma and
+    y = symp2(a1, a3) / sigma, so the map m with m a1 = s1 b_p1 and
+    m a2 = s2 b_p2 sends a3 to x s1 b_p1 + y s2 b_p2, which must be s3 b_p3,
+    and lambda^2 = |det m| = |symp2(b_p1, b_p2) / sigma|. Two exact triples
+    over one field are decided there, by ==; any other pair in floats, in
+    power-of-two frames (see _frame), relative to the vectors' norms. The
+    matrix m / lambda is reported in floats from the frames, scale and
+    residual in the caller's frame; a value past the float range raises
+    LimitExceeded. Returns None when no candidate survives.
     """
-    avs, exp_a = _triple_floats(config_a)
-    bvs, exp_b = _triple_floats(config_b)
-    a_cols = np.column_stack([avs[0], avs[1]])
-    if _nearly_parallel(a_cols):
+    if any(c.n != 1 or len(c.vectors) != 3 for c in (config_a, config_b)):
+        raise DimensionMismatch("equivalence search expects N = 1 triples")
+    triples = [[v.factors[0] for v in c.vectors] for c in (config_a, config_b)]
+    exact = config_a.mode == config_b.mode == EXACT and config_a.ambient == config_b.ambient
+    frames = None if exact else [_frame(t) for t in triples]
+    (a1, a2, a3), bvs = triples if exact else [f[0] for f in frames]
+
+    def parallel(u: DirectionVector, v: DirectionVector) -> bool:
+        sp = symp2(u, v)
+        return sp == 0 if exact else abs(sp) <= 1e-14 * math.hypot(u.q, u.p) * math.hypot(v.q, v.p)
+
+    if parallel(a1, a2):
         raise PreconditionFailed("first two vectors of A are parallel")
-    a_inv = np.linalg.inv(a_cols)
-    for perm in itertools.permutations(range(3)):
-        for s1, s2 in itertools.product((1, -1), repeat=2):
-            target = np.column_stack([s1 * bvs[perm[0]], s2 * bvs[perm[1]]])
-            if _nearly_parallel(target):
-                continue
-            m_scaled = target @ a_inv
-            mapped = m_scaled @ avs[2]
-            reference = np.linalg.norm(bvs[perm[2]])
-            best_s3 = None
-            best_gap = math.inf
-            for s3 in (1, -1):
-                gap = float(np.linalg.norm(mapped - s3 * bvs[perm[2]]))
-                if gap < best_gap:
-                    best_gap = gap
-                    best_s3 = s3
-            if best_gap > tolerance * reference:
-                continue
-            lam = math.sqrt(abs(_det2(m_scaled)))
-            m = m_scaled / lam
-            matrix = UnsignedSymplecticMatrix.from_rows(
-                ((float(m[0, 0]), float(m[0, 1])), (float(m[1, 0]), float(m[1, 1]))),
-                tolerance=1e-8,
-            )
-            try:
-                scale = math.ldexp(lam, exp_b - exp_a)
-            except OverflowError:
-                scale = math.inf
-            if not 0.0 < scale < math.inf:
-                raise LimitExceeded("the scale between the triples is past the float range")
-            return Equivalence(
-                matrix=matrix,
-                scale=scale,
-                permutation=perm,
-                signs=(s1, s2, best_s3),
-                residual=math.ldexp(best_gap, exp_b),
-            )
-    return None
+    sigma = symp2(a1, a2)
+    x, y = _quotient(symp2(a3, a2), sigma), _quotient(symp2(a1, a3), sigma)
+    for perm, s1, s2 in itertools.product(itertools.permutations(range(3)), (1, -1), (1, -1)):
+        u, v, w = bvs[perm[0]].scaled(s1), bvs[perm[1]].scaled(s2), bvs[perm[2]]
+        if parallel(u, v):
+            continue
+        mq, mp = x * u.q + y * v.q, x * u.p + y * v.p
+        if exact:
+            s3 = 1 if (mq, mp) == (w.q, w.p) else -1 if (mq, mp) == (-w.q, -w.p) else 0
+            gap = 0.0
+        else:
+            gaps = [math.hypot(mq - w.q, mp - w.p), math.hypot(mq + w.q, mp + w.p)]
+            s3, gap = (-1, gaps[1]) if gaps[1] < gaps[0] else (1, gaps[0])
+            if not gap <= tolerance * math.hypot(w.q, w.p):
+                s3 = 0
+        if s3:
+            break
+    else:
+        return None
+    ((a1, a2, _), exp_a), (bvs, exp_b) = frames or [_frame(t) for t in triples]
+    u, v = bvs[perm[0]].scaled(s1), bvs[perm[1]].scaled(s2)
+    sigma = symp2(a1, a2)
+    # m = [u v][a1 a2]^-1: m e = (symp2(e, a2) u + symp2(a1, e) v) / sigma
+    columns = [(-a2.p, a1.p), (a2.q, -a1.q)]
+    try:
+        lam = math.sqrt(abs(symp2(u, v) / sigma))
+        scale = math.ldexp(lam, exp_b - exp_a)
+        rows = [
+            [0.0 + (i * t[0] + j * t[1]) / sigma / lam for i, j in columns]
+            for t in ((u.q, v.q), (u.p, v.p))
+        ]
+    except (OverflowError, ZeroDivisionError):  # exact vectors whose floats are parallel
+        scale, rows = math.inf, []
+    if not 0.0 < scale < math.inf or not all(map(math.isfinite, sum(rows, []))):
+        raise LimitExceeded("the scale or the matrix between the triples is past the float range")
+    return Equivalence(
+        matrix=UnsignedSymplecticMatrix.from_rows(rows, tolerance=1e-8),
+        scale=scale,
+        permutation=perm,
+        signs=(s1, s2, s3),
+        residual=math.ldexp(gap, exp_b),
+    )
 
 
 # -- extension search ----------------------------------------------------

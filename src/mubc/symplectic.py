@@ -16,12 +16,12 @@ Fraction to exact, and an int to neither.
 
 from __future__ import annotations
 
-import enum
 import functools
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import (
     ContextMismatch,
@@ -255,63 +255,26 @@ def _overlap_constant(n: int, hbar: float, denominator: Scalar, name: str) -> fl
     return value
 
 
-class UnsignedSymplecticClass(enum.Enum):
-    NOT = "not"
-    PLUS = "plus"
-    MINUS = "minus"
-
-
-def _classify_rows(rows: Sequence[Sequence[Scalar]], tolerance: float) -> UnsignedSymplecticClass:
-    (a, b), (c, d) = rows
-    # m^t j m = det(m) j for every 2x2 m, entry by entry in any commutative
-    # arithmetic, floats included; so the determinant decides
-    entries = (a, b, c, d)
-    mode = _join_modes(*(_strict_mode(x) for x in entries))
-    if mode == NUMERIC:
-        if any(isinstance(x, float) and not math.isfinite(x) for x in entries):
-            # det is inf or nan: neither +1 nor -1
-            return UnsignedSymplecticClass.NOT
-        largest = max(entries, key=abs)
-        try:
-            tol = tolerance * max(1.0, float(largest) ** 2)
-            det = float(a * d - b * c)
-        except OverflowError:
-            tol = math.inf
-        if math.isinf(tol):
-            # an inf tolerance would accept any finite det
-            raise LimitExceeded(
-                f"matrix entry scale {_magnitude_text(largest)} puts the tolerance "
-                "scale past the float range"
-            )
-        plus = math.isfinite(det) and abs(det - 1.0) <= tol
-        minus = math.isfinite(det) and abs(det + 1.0) <= tol
-    else:
-        det = a * d - b * c
-        plus, minus = det == 1, det == -1
-    if plus:
-        return UnsignedSymplecticClass.PLUS
-    if minus:
-        return UnsignedSymplecticClass.MINUS
-    return UnsignedSymplecticClass.NOT
-
-
-def _magnitude_text(x: int | float) -> str:
-    """|x| for a message; an int past the float range by its bit length."""
+def _float_tolerance(entries: Sequence[Scalar], tolerance: float) -> float | None:
+    """tolerance * max(1, largest |entry|^2), the slack of a float test of
+    an identity whose terms are products of two entries. None when an entry
+    is inf or nan: no such matrix is symplectic. A scale past the float range
+    raises LimitExceeded, since an inf tolerance would accept anything.
+    """
+    if any(isinstance(x, float) and not math.isfinite(x) for x in entries):
+        return None
+    largest = abs(max(entries, key=abs))
     try:
-        return f"{abs(float(x)):.6e}"
-    except OverflowError:
-        return f"above 2^{abs(x).bit_length() - 1}"
-
-
-def is_unsigned_symplectic(
-    rows: Sequence[Sequence[Scalar]],
-    tolerance: float = 1e-12,
-) -> UnsignedSymplecticClass:
-    """Classify a 2x2 matrix by the identity m^t j m = +/- j."""
-    rows = tuple(tuple(row) for row in rows)
-    if len(rows) != 2 or any(len(row) != 2 for row in rows):
-        raise DimensionMismatch("expected a 2x2 matrix")
-    return _classify_rows(rows, tolerance)
+        tol = tolerance * max(1.0, float(largest) ** 2)
+    except OverflowError:  # an int past the float range, or the square
+        tol = math.inf
+    if not math.isinf(tol):
+        return tol
+    if largest > sys.float_info.max:
+        scale = f"above 2^{largest.bit_length() - 1}"
+    else:
+        scale = f"{float(largest):.6e}"
+    raise LimitExceeded(f"matrix entry scale {scale} puts the tolerance scale past the float range")
 
 
 @dataclass(frozen=True)
@@ -327,12 +290,26 @@ class UnsignedSymplecticMatrix:
         rows: Sequence[Sequence[Scalar]],
         tolerance: float = 1e-12,
     ) -> "UnsignedSymplecticMatrix":
+        """The matrix, signed by its determinant: m^t j m = det(m) j for
+        every 2x2 m, entry by entry in any commutative arithmetic. Exact
+        entries need det = +/-1 exactly, float ones within _float_tolerance;
+        anything else raises InvalidProblem."""
         rows = tuple(tuple(row) for row in rows)
-        kind = is_unsigned_symplectic(rows, tolerance)
-        if kind is UnsignedSymplecticClass.NOT:
+        if len(rows) != 2 or any(len(row) != 2 for row in rows):
+            raise DimensionMismatch("expected a 2x2 matrix")
+        (a, b), (c, d) = rows
+        if _join_modes(*(_strict_mode(x) for x in (a, b, c, d))) == NUMERIC:
+            tol = _float_tolerance((a, b, c, d), tolerance)
+            if tol is None:
+                raise InvalidProblem("matrix is not unsigned symplectic (a non-finite entry)")
+            det = a * d - b * c
+            plus, minus = abs(det - 1.0) <= tol, abs(det + 1.0) <= tol
+        else:
+            det = a * d - b * c
+            plus, minus = det == 1, det == -1
+        if not (plus or minus):
             raise InvalidProblem("matrix is not unsigned symplectic (|det| != 1)")
-        sign = 1 if kind is UnsignedSymplecticClass.PLUS else -1
-        return cls(rows, sign)
+        return cls(rows, 1 if plus else -1)
 
     def apply(self, v: DirectionVector) -> DirectionVector:
         (a, b), (c, d) = self.entries
@@ -347,7 +324,6 @@ class MUConfiguration:
     target_k: Scalar | None
     hbar: float = 1.0
     mode: str = EXACT
-    ambient: Ambient = GOLDEN
 
     def __post_init__(self) -> None:
         if not isinstance(self.vectors, tuple):
@@ -364,13 +340,31 @@ class MUConfiguration:
             k_mode = _strict_mode(self.target_k)
             if k_mode is not None and k_mode != self.mode:
                 raise ContextMismatch(f"{k_mode} target K inside a {self.mode} configuration")
+        if self.mode == EXACT:
+            ambient = self.ambient
+            for x in self._scalars():
+                if isinstance(x, QuadNum) and x.ambient is not ambient and x.ambient != ambient:
+                    raise ContextMismatch("ambient mismatch: scalars over two ambients in one configuration")
+
+    def _scalars(self) -> Iterator[Scalar | None]:
+        """K, then the components."""
+        yield self.target_k
+        for v in self.vectors:
+            for f in v.factors:
+                yield f.q
+                yield f.p
+
+    @property
+    def ambient(self) -> Ambient:
+        """The field of the scalars: the first QuadNum's, GOLDEN if there is none."""
+        return next((x.ambient for x in self._scalars() if isinstance(x, QuadNum)), GOLDEN)
 
     @property
     def n(self) -> int:
         return self.vectors[0].n if self.vectors else 0
 
     def replace_vectors(self, vectors: Iterable[ProductVector]) -> "MUConfiguration":
-        return MUConfiguration(tuple(vectors), self.target_k, self.hbar, self.mode, self.ambient)
+        return MUConfiguration(tuple(vectors), self.target_k, self.hbar, self.mode)
 
 
 @dataclass(frozen=True)
@@ -519,7 +513,7 @@ def rescale_config(config: MUConfiguration, k_prime: Scalar) -> MUConfiguration:
             raise InvalidTarget(f"target K' must be positive, got {kp}")
         lam = math.sqrt(kp / float(target))
         scaled = [v.scale_first_factor(lam) for v in config.vectors]
-        return MUConfiguration(tuple(scaled), kp, config.hbar, config.mode, config.ambient)
+        return MUConfiguration(tuple(scaled), kp, config.hbar, config.mode)
     if k_prime <= 0:
         raise InvalidTarget(f"target K' must be positive, got {k_prime}")
     ratio = _quotient(k_prime, target)
@@ -527,7 +521,7 @@ def rescale_config(config: MUConfiguration, k_prime: Scalar) -> MUConfiguration:
         ratio = QuadNum(ratio, 0, config.ambient)
     lam = quad_sqrt(ratio)
     scaled = [v.scale_first_factor(lam) for v in config.vectors]
-    return MUConfiguration(tuple(scaled), k_prime, config.hbar, config.mode, config.ambient)
+    return MUConfiguration(tuple(scaled), k_prime, config.hbar, config.mode)
 
 
 def apply_transform(
@@ -648,4 +642,4 @@ def config_from_json(data: dict) -> MUConfiguration:
         )
     target = data.get("K")
     parsed_target = None if target is None else _parse_scalar(target, mode, ambient)
-    return MUConfiguration(tuple(vectors), parsed_target, hbar, mode, ambient)
+    return MUConfiguration(tuple(vectors), parsed_target, hbar, mode)

@@ -383,6 +383,23 @@ class TestEquivalenceCommand:
     def test_non_triple(self, asym_path, golden5_path):
         assert main(["equivalence", asym_path, golden5_path]) == INPUT_ERROR
 
+    def test_exact_near_miss_exits_one(self, write_json, tmp_path, capsys):
+        # a third vector 1e-12 off (1, 1): exact triples are compared in
+        # their field, the same triples as floats match within 1e-10
+        def triple(name, mode, one, third_p):
+            vectors = [[[one, 0 * one]], [[0 * one, one]], [[one, third_p]]]
+            return write_json(name, {"N": 1, "mode": mode, "K": one, "vectors": vectors})
+
+        unit = triple("unit.json", "exact", 1, 1)
+        near = triple("near.json", "exact", 1, "1000000000001/1000000000000")
+        out = tmp_path / "eq.json"
+        assert main(["equivalence", unit, near, "--out", str(out)]) == FALSE
+        assert capsys.readouterr().out == "no equivalence found\n"
+        assert read_out(out) is None
+        unit, near = triple("unit.json", "numeric", 1.0, 1.0), triple("near.json", "numeric", 1.0, 1.000000000001)
+        assert main(["equivalence", unit, near, "--out", str(out)]) == OK
+        assert read_out(out)["residual"] == pytest.approx(1e-12, rel=1e-3)
+
     def test_out(self, asym_path, sym_path, tmp_path):
         out = tmp_path / "eq.json"
         assert main(["equivalence", asym_path, sym_path, "--out", str(out)]) == OK
@@ -1136,7 +1153,7 @@ def test_matrix_file_hbar_is_not_read(write_json, capsys):
 
 class TestRoundTripInvariant:
     def test_config_json_round_trip_through_cli_reader(self, golden5_path):
-        blob = json.loads(open(golden5_path).read())
+        blob = json.loads(Path(golden5_path).read_text())
         cfg = config_from_json(blob)
         again = config_to_json(cfg)
         assert config_to_json(config_from_json(again)) == again

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -58,6 +59,14 @@ class TestIsSymplectic:
         # det 1, but the tolerance scale 1e200^2 is past the float range
         with pytest.raises(LimitExceeded, match=r"entry scale 1\.000000e\+200"):
             is_symplectic([[1e200, 0.0], [0.0, 1e-200]])
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_entry_is_not_symplectic(self, bad):
+        # decided before any product, so no limit and no numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not is_symplectic([[bad, 0.0], [0.0, 1.0]])
+            assert not is_symplectic(np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, bad], [0.0, 0.0, 0.0, 1.0]]))
 
     def test_odd_dimension(self):
         with pytest.raises(DimensionMismatch):

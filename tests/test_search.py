@@ -3,11 +3,13 @@
 import dataclasses
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from mubc import (
+    Ambient,
     ContextMismatch,
     CounterexampleFound,
     DimensionMismatch,
@@ -32,7 +34,7 @@ from mubc import (
 )
 from mubc import search
 from mubc.manifest import fixture_config
-from mubc.search import MAX_ENUMERATION_HEIGHT, _solve_sign_patterns, real_objective_fn
+from mubc.search import MAX_ENUMERATION_HEIGHT, real_objective_fn
 
 R = QuadNum.root()
 S3 = math.sqrt(3.0) / 2.0
@@ -77,6 +79,12 @@ class TestCertify:
         with pytest.raises(PreconditionFailed):
             certify_no_fourth(ASYM[0], ASYM[1], ASYM[0], 1)
 
+    def test_parallel_pair_at_tolerance_one_rejected(self):
+        # |0 - 1| <= 1 * 1 passes the pair check, but no Cramer solve exists
+        parallel = (DirectionVector(1.0, 0.0), DirectionVector(2.0, 0.0), DirectionVector(0.0, 1.0))
+        with pytest.raises(PreconditionFailed, match="parallel"):
+            certify_no_fourth(*parallel, 1.0, tolerance=1.0)
+
     def test_non_mu_triple_rejected(self):
         with pytest.raises(PreconditionFailed):
             certify_no_fourth(
@@ -109,16 +117,15 @@ class TestCertify:
             assert rec.consistent == (abs(recomputed) <= 1e-12)
 
     def test_consistent_branch_on_doctored_system(self):
-        # (0,-1),(1,0),(2,1) is not pairwise-1, but the (+,+,+) system is
-        # consistent: d=(1,1) satisfies all three equations
-        solved = _solve_sign_patterns(
-            (DirectionVector(0, -1), DirectionVector(1, 0), DirectionVector(2, 1)),
-            (1, 1, 1),
-        )
-        rec = next(s for s in solved if s.signs == (1, 1, 1))
-        assert rec.consistent
-        assert (float(rec.solution.q), float(rec.solution.p)) == (1.0, 1.0)
-        assert rec.residuals == (0,)
+        # a genuine triple's pattern residuals are at least k in magnitude,
+        # so a relative tolerance of 1 lets the (+, +, -) residual -k pass,
+        # and the full verification at that tolerance accepts the fourth
+        # direction (|symp2(d, c)| = 2k is within k of k)
+        found = certify_no_fourth(*SYM, S3, tolerance=1.0)
+        assert isinstance(found, CounterexampleFound)
+        assert found.signs == (1, 1, -1)
+        assert found.direction.q == S3
+        assert found.direction.p == pytest.approx(1.5, rel=1e-15)
 
     def test_certificate_json(self):
         cert = certify_no_fourth(*ASYM, 1)
@@ -254,6 +261,62 @@ class TestEquivalence:
             find_equivalence(scaled(1e-300), scaled(1e300))
         with pytest.raises(LimitExceeded, match="past the float range"):
             find_equivalence(scaled(1e300), scaled(1e-300))
+
+    @pytest.mark.parametrize("field", [QuadNum, Fraction], ids=["quadnum", "fraction"])
+    def test_exact_triples_are_decided_in_their_field(self, field):
+        # a third vector 1e-12 off (1, 1) is within the float tolerance, but
+        # two exact triples are compared exactly
+        def triple(kind, third_p, **mode):
+            dirs = [DirectionVector(kind(q), kind(p)) for q, p in ((1, 0), (0, 1), (1, third_p))]
+            return config_of(dirs, kind(1), **mode)
+
+        near = 1 + Fraction(1, 10**12)
+        assert find_equivalence(triple(field, 1), triple(field, near)) is None
+        assert find_equivalence(triple(field, near), triple(field, 1)) is None
+        floats = find_equivalence(triple(float, 1, mode=NUMERIC), triple(float, near, mode=NUMERIC))
+        assert floats.residual == pytest.approx(1e-12, rel=1e-3)
+        same = find_equivalence(triple(field, 1), triple(field, 1))
+        assert (same.scale, same.residual, same.matrix.entries) == (1.0, 0.0, ((1.0, 0.0), (0.0, 1.0)))
+
+    def test_exact_shear_is_found_exactly(self):
+        # (1, 0), (0, 1), (1, 1) under [[1, 1], [0, 1]] scaled by 3 over the
+        # golden field: residual exactly 0 and the unimodular shear reported
+        unit = ((1, 0), (0, 1), (1, 1))
+        source = config_of([DirectionVector(QuadNum(q), QuadNum(p)) for q, p in unit], QuadNum(1))
+        target = config_of([DirectionVector(QuadNum(3 * (q + p)), QuadNum(3 * p)) for q, p in unit], QuadNum(9))
+        eq = find_equivalence(source, target)
+        assert (eq.scale, eq.residual, eq.permutation, eq.signs) == (3.0, 0.0, (0, 1, 2), (1, 1, 1))
+        assert eq.matrix.entries == ((1.0, 1.0), (0.0, 1.0)) and eq.matrix.sign == 1
+
+    def test_mixed_fields_are_decided_in_floats(self):
+        # QuadNums over two ambients have no common exact arithmetic
+        sqrt2, unit = QuadNum(0, 1, Ambient(0, 2)), ((1, 0), (0, 1), (1, 1))
+        golden = config_of([DirectionVector(QuadNum(q), QuadNum(p)) for q, p in unit], QuadNum(1))
+        other = config_of([DirectionVector(sqrt2 * q, sqrt2 * p) for q, p in unit], sqrt2 * sqrt2)
+        eq = find_equivalence(golden, other)
+        assert eq.scale == pytest.approx(math.sqrt(2.0), rel=1e-15) and eq.residual < 1e-15
+
+    @pytest.mark.parametrize(
+        "factor", [10**400, Fraction(1, 10**400), QuadNum(10**400)], ids=["int", "fraction", "quadnum"]
+    )
+    def test_exact_scale_without_a_float_is_a_limit(self, factor):
+        # lambda = 10^400 or 10^-400 is exact, but has no float to report
+        unit = [(1, 0), (0, 1), (1, 1)]
+        source = config_of([DirectionVector(Fraction(q), p) for q, p in unit], Fraction(1))
+        target = config_of([DirectionVector(factor * q, factor * p) for q, p in unit], factor * factor)
+        with pytest.raises(LimitExceeded, match="past the float range"):
+            find_equivalence(source, target)
+
+    @pytest.mark.parametrize("factor", [10**200, Fraction(1, 10**200)], ids=["up", "down"])
+    def test_exact_scale_past_the_squares_range_is_reported(self, factor):
+        # lambda^2 = 10^+-400 has no float, lambda does: the report comes
+        # from the power-of-two frames, as for float triples
+        unit = [(1, 0), (0, 1), (1, 1)]
+        source = config_of([DirectionVector(Fraction(q), p) for q, p in unit], Fraction(1))
+        target = config_of([DirectionVector(factor * q, factor * p) for q, p in unit], factor * factor)
+        eq = find_equivalence(source, target)
+        assert eq.scale == pytest.approx(float(factor), rel=1e-15)
+        assert (eq.residual, eq.matrix.entries) == (0.0, ((1.0, 0.0), (0.0, 1.0)))
 
     def test_non_triple_rejected(self):
         pair = MUConfiguration(

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from mubc import (
     EXACT,
+    Ambient,
     GOLDEN,
     NUMERIC,
     ContextMismatch,
@@ -26,14 +27,12 @@ from mubc import (
     PreconditionFailed,
     ProductVector,
     QuadNum,
-    UnsignedSymplecticClass,
     UnsignedSymplecticMatrix,
     apply_transform,
     build_jN,
     config_from_json,
     config_to_json,
     expanded_product,
-    is_unsigned_symplectic,
     overlap_magnitude_sq,
     rescale_config,
     symp2,
@@ -399,24 +398,32 @@ class TestRescale:
             rescale_config(ASYM_TRIPLE, -2)
 
 
+def sign_of(rows, tolerance=1e-12):
+    """+1 or -1 from from_rows, 0 when it refuses the matrix."""
+    try:
+        return UnsignedSymplecticMatrix.from_rows(rows, tolerance).sign
+    except InvalidProblem:
+        return 0
+
+
 class TestUnsignedSymplecticPredicate:
     def test_identity_plus(self):
-        assert is_unsigned_symplectic([[1, 0], [0, 1]]) is UnsignedSymplecticClass.PLUS
+        assert sign_of([[1, 0], [0, 1]]) == 1
 
     def test_rotation_generator(self):
         # det = +1 and m^t j m = +j hold for [[0,-1],[1,0]] by direct expansion
-        assert is_unsigned_symplectic([[0, -1], [1, 0]]) is UnsignedSymplecticClass.PLUS
+        assert sign_of([[0, -1], [1, 0]]) == 1
 
     def test_swap_minus(self):
-        assert is_unsigned_symplectic([[0, 1], [1, 0]]) is UnsignedSymplecticClass.MINUS
+        assert sign_of([[0, 1], [1, 0]]) == -1
 
     def test_diagonal_stretch_rejected(self):
-        assert is_unsigned_symplectic([[2, 0], [0, 1]]) is UnsignedSymplecticClass.NOT
+        assert sign_of([[2, 0], [0, 1]]) == 0
 
     def test_exact_entries(self):
         m = [[R, QuadNum(1)], [QuadNum(1), R.inverse() + QuadNum(1)]]
         # det = R(1 + 1/R) - 1 = R
-        assert is_unsigned_symplectic(m) is UnsignedSymplecticClass.NOT
+        assert sign_of(m) == 0
 
     def test_from_rows_rejects_non_symplectic(self):
         with pytest.raises(InvalidProblem):
@@ -434,18 +441,22 @@ class TestUnsignedSymplecticPredicate:
     )
     def test_out_of_range_scale_is_a_limit(self, rows, tolerance, scale):
         with pytest.raises(LimitExceeded, match=re.escape(f"entry scale {scale} puts the tolerance")):
-            is_unsigned_symplectic(rows, tolerance)
-        with pytest.raises(LimitExceeded):
             UnsignedSymplecticMatrix.from_rows(rows, tolerance)
 
     def test_in_range_scale_keeps_its_thresholds(self):
-        plus, never = UnsignedSymplecticClass.PLUS, UnsignedSymplecticClass.NOT
-        assert is_unsigned_symplectic([[1e150, 0.0], [0.0, 1e-150]]) is plus
+        assert sign_of([[1e150, 0.0], [0.0, 1e-150]]) == 1
         # det 1 + 2e-13 and 1 + 2e-11 against the tolerance 1e-12 * 2^2
-        assert is_unsigned_symplectic([[2.0, 0.0], [0.0, 0.5 + 1e-13]]) is plus
-        assert is_unsigned_symplectic([[2.0, 0.0], [0.0, 0.5 + 1e-11]]) is never
-        assert is_unsigned_symplectic([[math.inf, 0.0], [0.0, 1.0]]) is never
-        assert is_unsigned_symplectic([[math.nan, 0.0], [0.0, 1.0]]) is never
+        assert sign_of([[2.0, 0.0], [0.0, 0.5 + 1e-13]]) == 1
+        assert sign_of([[2.0, 0.0], [0.0, 0.5 + 1e-11]]) == 0
+        assert sign_of([[-2.0, 0.0], [0.0, 0.5 + 1e-13]]) == -1
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_entry_is_not_symplectic(self, bad):
+        # decided before any arithmetic, at any tolerance
+        for rows in ([[bad, 0.0], [0.0, 1.0]], [[1.0, 0.0], [bad, 1.0]]):
+            with pytest.raises(InvalidProblem, match="non-finite"):
+                UnsignedSymplecticMatrix.from_rows(rows)
+            assert sign_of(rows, tolerance=1e300) == 0
 
     def test_group_closure_signs_multiply(self):
         rng = random.Random(7)
@@ -454,17 +465,11 @@ class TestUnsignedSymplecticPredicate:
         for _ in range(50):
             ma = rng.choice(plus_pool + minus_pool)
             mb = rng.choice(plus_pool + minus_pool)
-            sa = is_unsigned_symplectic(ma)
-            sb = is_unsigned_symplectic(mb)
             prod = [
                 [sum(ma[i][k] * mb[k][j] for k in range(2)) for j in range(2)]
                 for i in range(2)
             ]
-            sp = is_unsigned_symplectic(prod)
-            want_plus = (sa is sb)
-            assert sp is (
-                UnsignedSymplecticClass.PLUS if want_plus else UnsignedSymplecticClass.MINUS
-            )
+            assert sign_of(prod) == sign_of(ma) * sign_of(mb)
 
 
 class TestApplyTransform:
@@ -737,6 +742,34 @@ class TestConfigJson:
             config = config_from_json(blob)
             r = config.vectors[0].factors[0].p
             assert r == QuadNum.parse("R", config.ambient) and r.ambient is config.ambient
+
+    def test_ambient_comes_from_the_scalars(self):
+        # over Q(sqrt 2): (1, 0), (0, R) at K = R, with R^2 = 2; the file
+        # names that field, so K reads back as sqrt 2, not as phi
+        sqrt2 = Ambient(0, 2)
+        r = QuadNum(0, 1, sqrt2)
+        config = MUConfiguration((ProductVector.of((1, 0)), ProductVector.of((0, r))), r)
+        assert config.ambient == sqrt2
+        blob = config_to_json(config)
+        assert blob["ambient"] == [0, 1, 2, 1]
+        back = config_from_json(blob)
+        assert back.target_k == r and back.ambient == sqrt2
+        assert float(back.target_k) == math.sqrt(2.0)
+        assert verify_mu(back).verdict
+        # no QuadNum at all: the golden field, as before
+        assert ASYM_TRIPLE.ambient is GOLDEN
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.ambient = GOLDEN
+
+    @pytest.mark.parametrize("where", ["K", "vector"])
+    def test_quadnums_over_two_ambients_are_refused(self, where):
+        r2 = QuadNum(0, 1, Ambient(0, 2))
+        k, second = (R, r2) if where == "vector" else (r2, R)
+        with pytest.raises(ContextMismatch, match="ambient mismatch"):
+            MUConfiguration((ProductVector.of((1, 0)), ProductVector.of((0, second))), k)
+        # an equal ambient built apart is the same field
+        twin = QuadNum(0, 1, Ambient(0, 2))
+        assert MUConfiguration((ProductVector.of((0, twin)),), r2).ambient == Ambient(0, 2)
 
     def test_numeric_round_trip(self):
         blob = config_to_json(SYM_TRIPLE)
