@@ -213,7 +213,7 @@ def _frame(triple: list[DirectionVector]) -> tuple[list[DirectionVector], int]:
     try:
         floats = [v.as_floats() for v in triple]
     except OverflowError:  # an int or Fraction past the float range
-        floats = [(math.inf, 0.0)]
+        raise LimitExceeded("a vector of the triples is past the float range") from None
     if not all(0.0 < max(abs(q), abs(p)) < math.inf for q, p in floats):
         raise LimitExceeded("a vector of the triples is past the float range")
     sizes = [abs(x) for v in floats for x in v if x]
@@ -233,7 +233,8 @@ def find_equivalence(
     y = symp2(a1, a3) / sigma, so the map m with m a1 = s1 b_p1 and
     m a2 = s2 b_p2 sends a3 to x s1 b_p1 + y s2 b_p2, which must be s3 b_p3,
     and lambda^2 = |det m| = |symp2(b_p1, b_p2) / sigma|. Two exact triples
-    over one field are decided there, by ==; any other pair in floats, in
+    whose QuadNums share one field are decided there, by == (a triple
+    without QuadNums fits any field); any other pair in floats, in
     power-of-two frames (see _frame), relative to the vectors' norms. The
     matrix m / lambda is reported in floats from the frames, scale and
     residual in the caller's frame; a value past the float range raises
@@ -242,7 +243,8 @@ def find_equivalence(
     if any(c.n != 1 or len(c.vectors) != 3 for c in (config_a, config_b)):
         raise DimensionMismatch("equivalence search expects N = 1 triples")
     triples = [[v.factors[0] for v in c.vectors] for c in (config_a, config_b)]
-    exact = config_a.mode == config_b.mode == EXACT and config_a.ambient == config_b.ambient
+    fields = {x.ambient for t in triples for v in t for x in (v.q, v.p) if isinstance(x, QuadNum)}
+    exact = config_a.mode == config_b.mode == EXACT and len(fields) <= 1
     frames = None if exact else [_frame(t) for t in triples]
     (a1, a2, a3), bvs = triples if exact else [f[0] for f in frames]
 

@@ -298,15 +298,13 @@ class UnsignedSymplecticMatrix:
         if len(rows) != 2 or any(len(row) != 2 for row in rows):
             raise DimensionMismatch("expected a 2x2 matrix")
         (a, b), (c, d) = rows
-        if _join_modes(*(_strict_mode(x) for x in (a, b, c, d))) == NUMERIC:
+        numeric = _join_modes(*(_strict_mode(x) for x in (a, b, c, d))) == NUMERIC
+        if numeric:
             tol = _float_tolerance((a, b, c, d), tolerance)
             if tol is None:
                 raise InvalidProblem("matrix is not unsigned symplectic (a non-finite entry)")
-            det = a * d - b * c
-            plus, minus = abs(det - 1.0) <= tol, abs(det + 1.0) <= tol
-        else:
-            det = a * d - b * c
-            plus, minus = det == 1, det == -1
+        det = a * d - b * c
+        plus, minus = (abs(det - 1.0) <= tol, abs(det + 1.0) <= tol) if numeric else (det == 1, det == -1)
         if not (plus or minus):
             raise InvalidProblem("matrix is not unsigned symplectic (|det| != 1)")
         return cls(rows, 1 if plus else -1)

@@ -55,6 +55,10 @@ def config_of(dirs, k, mode="exact"):
     )
 
 
+def _over_sqrt2(x):
+    return QuadNum(x, 0, Ambient(0, 2))
+
+
 ASYM_CFG = config_of(ASYM, 1)
 SYM_CFG = config_of(SYM, S3, mode=NUMERIC)
 
@@ -262,20 +266,25 @@ class TestEquivalence:
         with pytest.raises(LimitExceeded, match="past the float range"):
             find_equivalence(scaled(1e300), scaled(1e-300))
 
-    @pytest.mark.parametrize("field", [QuadNum, Fraction], ids=["quadnum", "fraction"])
-    def test_exact_triples_are_decided_in_their_field(self, field):
+    @pytest.mark.parametrize(
+        "field_a, field_b",
+        [(QuadNum, QuadNum), (Fraction, Fraction), (Fraction, _over_sqrt2), (_over_sqrt2, Fraction)],
+        ids=["quadnum", "fraction", "fraction-sqrt2", "sqrt2-fraction"],
+    )
+    def test_exact_triples_are_decided_in_their_field(self, field_a, field_b):
         # a third vector 1e-12 off (1, 1) is within the float tolerance, but
-        # two exact triples are compared exactly
+        # two exact triples are compared exactly; a triple without QuadNums
+        # fits the other's field
         def triple(kind, third_p, **mode):
             dirs = [DirectionVector(kind(q), kind(p)) for q, p in ((1, 0), (0, 1), (1, third_p))]
             return config_of(dirs, kind(1), **mode)
 
         near = 1 + Fraction(1, 10**12)
-        assert find_equivalence(triple(field, 1), triple(field, near)) is None
-        assert find_equivalence(triple(field, near), triple(field, 1)) is None
+        assert find_equivalence(triple(field_a, 1), triple(field_b, near)) is None
+        assert find_equivalence(triple(field_a, near), triple(field_b, 1)) is None
         floats = find_equivalence(triple(float, 1, mode=NUMERIC), triple(float, near, mode=NUMERIC))
         assert floats.residual == pytest.approx(1e-12, rel=1e-3)
-        same = find_equivalence(triple(field, 1), triple(field, 1))
+        same = find_equivalence(triple(field_a, 1), triple(field_b, 1))
         assert (same.scale, same.residual, same.matrix.entries) == (1.0, 0.0, ((1.0, 0.0), (0.0, 1.0)))
 
     def test_exact_shear_is_found_exactly(self):

@@ -469,7 +469,7 @@ class TestUnsignedSymplecticPredicate:
                 [sum(ma[i][k] * mb[k][j] for k in range(2)) for j in range(2)]
                 for i in range(2)
             ]
-            assert sign_of(prod) == sign_of(ma) * sign_of(mb)
+            assert sign_of(prod) == sign_of(ma) * sign_of(mb) != 0
 
 
 class TestApplyTransform:
