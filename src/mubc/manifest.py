@@ -134,11 +134,11 @@ def build_manifest(
     # rotated bases at four angles, three independent routes
     worst_sym = worst_meta = worst_oracle = 0.0
     oracle_ok = True
-    for theta in ROTATION_ANGLES:
+    metas = genmu_overlap_sq(np.array([rotation_matrix(t) for t in ROTATION_ANGLES]), hbar=hbar)
+    for theta, meta in zip(ROTATION_ANGLES, metas):
         expected = 1.0 / (2.0 * math.pi * hbar * abs(math.sin(theta)))
         sym = overlap_magnitude_sq(direction_for_angle(theta), position, hbar=hbar)
         worst_sym = max(worst_sym, _rel_gap(sym, expected))
-        meta = genmu_overlap_sq(rotation_matrix(theta), hbar=hbar)
         worst_meta = max(worst_meta, _rel_gap(meta, expected))
         state_a = ChirpState(direction_for_angle(-theta / 2.0), 0.0, hbar)
         state_b = ChirpState(direction_for_angle(theta / 2.0), 0.0, hbar)
@@ -271,9 +271,9 @@ def build_manifest(
     # shear-normalized matrices: overlap depends only on Q
     shears, rotations = _seeded_draws()
     worst_shear = 0.0
-    for q, p, mu in shears:
-        # M_qp = -q, with |q| >= 0.3, so every draw has a constant
-        value = genmu_overlap_sq(np.array(special_m(q, p, mu)), hbar=hbar)
+    # M_qp = -q, with |q| >= 0.3, so every draw has a constant
+    values = genmu_overlap_sq(np.array([special_m(q, p, mu) for q, p, mu in shears]), hbar=hbar)
+    for (q, _, _), value in zip(shears, values):
         worst_shear = max(worst_shear, _rel_gap(value, 1.0 / (2.0 * math.pi * hbar * abs(q))))
     entries.append(
         ManifestEntry(
@@ -288,8 +288,12 @@ def build_manifest(
 
     # composition of rotations matches the angle difference
     worst_comp = 0.0
-    for theta_a, theta_b in rotations:
-        value = compose_overlap_sq(rotation_matrix(theta_a), rotation_matrix(theta_b), hbar=hbar)
+    values = compose_overlap_sq(
+        np.array([rotation_matrix(theta_a) for theta_a, _ in rotations]),
+        np.array([rotation_matrix(theta_b) for _, theta_b in rotations]),
+        hbar=hbar,
+    )
+    for (theta_a, theta_b), value in zip(rotations, values):
         expected = 1.0 / (2.0 * math.pi * hbar * abs(math.sin(theta_b - theta_a)))
         worst_comp = max(worst_comp, _rel_gap(value, expected))
     entries.append(

@@ -32,7 +32,10 @@ scalar rule of the symplectic module: an ndarray, or a list with any float
 entry, is numeric; any other list (QuadNum / Fraction / int entries, all-int
 included) is exact; QuadNum or Fraction beside a float raises
 ContextMismatch. A shape that is not 2N x 2N (ragged, 1-D, empty, non-square
-or odd) raises DimensionMismatch in both modes.
+or odd) raises DimensionMismatch in both modes. genmu_overlap_sq and
+compose_overlap_sq also take a float ndarray of shape (k, 2N, 2N), a stack of
+k matrices, and return k floats in one pass of each numpy stage; every other
+function takes one matrix.
 
 Both modes share one code path. Where a matrix product is taken, the matrix
 becomes an ndarray: float for a numeric matrix, dtype=object for an exact one,
@@ -56,6 +59,7 @@ from .errors import (
     DegenerateBlock,
     DimensionMismatch,
     InvalidProblem,
+    LimitExceeded,
     NonInvertible,
     SingularCayley,
 )
@@ -243,7 +247,58 @@ def cayley_matrix(matrix: Matrix):
     return cayley.tolist() if exact else cayley
 
 
-def genmu_overlap_sq(matrix: Matrix, hbar: float = 1.0) -> float:
+def _float_stack(matrix: Matrix) -> tuple[np.ndarray | None, bool]:
+    """A numeric matrix as a float stack of one, or a 3-D numeric ndarray as
+    a float stack, shape (k, 2N, 2N); and whether the input was a stack.
+
+    An exact matrix gives (None, False); it is never a stack. Any other shape,
+    an object-dtype stack and an empty stack raise DimensionMismatch.
+    """
+    if isinstance(matrix, np.ndarray) and matrix.ndim == 3 and matrix.dtype != object:
+        if not len(matrix):
+            raise DimensionMismatch("stack holds no matrix")
+        _dimension(matrix[0])
+        return matrix.astype(float, copy=False), True
+    _dimension(matrix)
+    if _is_exact(matrix):
+        return None, False
+    return np.asarray(matrix, dtype=float)[None], False
+
+
+def _in_entry(error: Exception, index: int, stacked: bool) -> Exception:
+    """The error, naming its stack entry when the input was a stack."""
+    return type(error)(f"stack entry {index}: {error}") if stacked else error
+
+
+def _stack_overlaps(stack: np.ndarray, hbar: float, stacked: bool) -> tuple:
+    """genmu_overlap_sq of each float matrix of a (k, 2N, 2N) stack, as Python
+    floats in stack order; each numpy stage runs once over the whole stack."""
+    n = stack.shape[1] // 2
+    block = stack[:, :n, n:]
+    # zero, inf and nan entries give no warning: they are decided below
+    with np.errstate(all="ignore"):
+        scale = abs(block).max(axis=1)
+        units = abs(np.linalg.det(block / scale[:, None, :]))
+        dets = np.linalg.det(block)
+    # min() is nan for a nan column, and nan > 0.0 is False
+    degenerate = ~(scale.min(axis=1) > 0.0)
+    # an infinite entry puts |det M_qp| past the float range
+    infinite = scale.max(axis=1) == np.inf
+    degenerate |= ~infinite & (units <= _SINGULAR_TOL)
+    dets[infinite] = np.inf
+    values = []
+    for index, (singular, det) in enumerate(zip(degenerate.tolist(), dets.tolist())):
+        if singular:
+            message = f"position-momentum block M_qp is singular to within {_SINGULAR_TOL}"
+            raise _in_entry(DegenerateBlock(message), index, stacked)
+        try:
+            values.append(_overlap_constant(n, hbar, det, "det M_qp"))
+        except LimitExceeded as exc:
+            raise _in_entry(exc, index, stacked) from None
+    return tuple(values)
+
+
+def genmu_overlap_sq(matrix: Matrix, hbar: float = 1.0) -> float | tuple[float, ...]:
     """Squared overlap magnitude of M's basis image against the position basis.
 
     The paper's law is (2*pi*hbar)^-N / |det(M - I) * det(N_pp)|, with N_pp
@@ -255,47 +310,65 @@ def genmu_overlap_sq(matrix: Matrix, hbar: float = 1.0) -> float:
     matrices with eigenvalue 1 have a constant too.
 
     Raises DegenerateBlock when det M_qp = 0. A float M_qp is degenerate when
-    a column is zero or when, with each column divided by its largest
-    |entry|, |det| is at most _SINGULAR_TOL; the test ignores how the
-    columns are scaled. A constant outside the float range raises
-    LimitExceeded.
+    a column is zero or has a nan entry or when, with each column divided by
+    its largest |entry|, |det| is at most _SINGULAR_TOL; the test ignores how
+    the columns are scaled. A constant outside the float range, or an
+    infinite entry of M_qp, raises LimitExceeded.
+
+    A float ndarray of shape (k, 2N, 2N) is a stack of k matrices: the result
+    is a tuple of k floats in stack order, and an error names its stack
+    entry. One 2-D matrix goes through the same code as a stack of one.
     """
+    stack, stacked = _float_stack(matrix)
+    if stack is not None:
+        values = _stack_overlaps(stack, hbar, stacked)
+        return values if stacked else values[0]
     # sliced as given, with no object-array copy of M: this is the hottest exact call
-    n = _dimension(matrix)
-    if _is_exact(matrix):
-        det_qp, _ = _exact_solve([row[n:] for row in matrix[:n]])
-        if det_qp == 0:
-            raise DegenerateBlock("position-momentum block M_qp is singular")
-        return _overlap_constant(n, hbar, det_qp, "det M_qp")
-    block = np.asarray(matrix, dtype=float)[:n, n:]
-    scale = abs(block).max(axis=0)
-    # min() is nan for a nan column, and nan > 0.0 is False
-    if not scale.min() > 0.0 or abs(np.linalg.det(block / scale)) <= _SINGULAR_TOL:
-        raise DegenerateBlock(f"position-momentum block M_qp is singular to within {_SINGULAR_TOL}")
-    return _overlap_constant(n, hbar, np.linalg.det(block), "det M_qp")
+    n = len(matrix) // 2
+    det_qp, _ = _exact_solve([row[n:] for row in matrix[:n]])
+    if det_qp == 0:
+        raise DegenerateBlock("position-momentum block M_qp is singular")
+    return _overlap_constant(n, hbar, det_qp, "det M_qp")
 
 
-def compose_overlap_sq(matrix_a: Matrix, matrix_b: Matrix, hbar: float = 1.0) -> float:
+def compose_overlap_sq(
+    matrix_a: Matrix, matrix_b: Matrix, hbar: float = 1.0
+) -> float | tuple[float, ...]:
     """Squared overlap magnitude between the images of two symplectic maps.
 
-    Depends on the pair only through M_a^-1 M_b.
+    Depends on the pair only through M_a^-1 M_b, so scaling both matrices
+    by one factor leaves it unchanged. Two float stacks of one shape give
+    a tuple, one value per pair of entries, as genmu_overlap_sq does.
     """
-    n_a, n_b = _dimension(matrix_a), _dimension(matrix_b)
-    exact = _is_exact(matrix_a)
-    if exact != _is_exact(matrix_b):
+    stack_a, stacked_a = _float_stack(matrix_a)
+    stack_b, stacked_b = _float_stack(matrix_b)
+    if (stack_a is None) != (stack_b is None):
         raise InvalidProblem("cannot mix exact and numeric matrices")
-    if n_a != n_b:
-        raise DimensionMismatch(f"shape mismatch: {(2 * n_a, 2 * n_a)} vs {(2 * n_b, 2 * n_b)}")
-    if exact:
+    if stack_a is None:
+        size_a, size_b = len(matrix_a), len(matrix_b)
+        if size_a != size_b:
+            raise DimensionMismatch(f"shape mismatch: {(size_a, size_a)} vs {(size_b, size_b)}")
         _, relative = _exact_solve(matrix_a, matrix_b)
         if relative is None:
             raise NonInvertible("first matrix is singular")
-    else:
-        a = np.asarray(matrix_a, dtype=float)
-        if abs(np.linalg.det(a)) < 1e-300:
-            raise NonInvertible("first matrix is numerically singular")
-        relative = np.linalg.solve(a, np.asarray(matrix_b, dtype=float))
-    return genmu_overlap_sq(relative, hbar)
+        return genmu_overlap_sq(relative, hbar)
+    shape_a = stack_a.shape if stacked_a else stack_a.shape[1:]
+    shape_b = stack_b.shape if stacked_b else stack_b.shape[1:]
+    if shape_a != shape_b:
+        raise DimensionMismatch(f"shape mismatch: {shape_a} vs {shape_b}")
+    try:
+        relative = np.linalg.solve(stack_a, stack_b)
+    except np.linalg.LinAlgError:
+        # the stack solve names no entry: find the first singular one
+        for index, (a, b) in enumerate(zip(stack_a, stack_b)):
+            try:
+                np.linalg.solve(a, b)
+            except np.linalg.LinAlgError:
+                error = NonInvertible("first matrix is numerically singular")
+                raise _in_entry(error, index, stacked_a) from None
+        raise
+    values = _stack_overlaps(relative, hbar, stacked_a)
+    return values if stacked_a else values[0]
 
 
 def special_m(q: Scalar, p: Scalar, mu: Scalar = 0):
@@ -305,12 +378,20 @@ def special_m(q: Scalar, p: Scalar, mu: Scalar = 0):
     mu changes only the phase of the underlying unitary, never the overlap.
     q = 0 composes the q != 0 form with a quarter rotation, J at N = 1. The
     matrix is a nested list when no argument is a float, else an ndarray.
+    A float argument that is inf or nan raises InvalidProblem; at q = 0, a
+    float entry past the float range raises LimitExceeded.
     """
     exact = _join_modes(_strict_mode(q), _strict_mode(p), _strict_mode(mu)) != NUMERIC
+    for name, value in (("q", q), ("p", p), ("mu", mu)):
+        if isinstance(value, float) and not math.isfinite(value):
+            raise InvalidProblem(f"{name} must be finite, got {value}")
     if q == 0 and p == 0:
         raise InvalidProblem("direction (0, 0) labels no basis")
     if q == 0:
         base = _as_array(special_m(-p, 0 if exact else 0.0, mu))
+        # the turn multiplies every entry by 0 somewhere, and inf * 0 has no value
+        if not exact and not np.isfinite(base).all():
+            raise LimitExceeded(f"direction (0, {p}) needs a matrix entry past the float range")
         turned = base @ stacked_j(1, base.dtype)
         return turned.tolist() if exact else turned
     rows = [[p, -q], [mu * p + _quotient(1, q), -mu * q]]

@@ -844,16 +844,8 @@ class _LatticeKernel:
         self._check_table(self.choice_count + 1)
         return _head_choices(self.p_bound, self.q_bound, self.dtype)
 
-    def head(self, index: int):
-        """The coordinates of head number index."""
-        factors = []
-        for _ in range(self.n - 1):
-            index, i = divmod(index, self.choice_count)
-            factors.append(tuple((int(c[0][i]), int(c[1][i])) for c in self.choices))
-        return tuple(reversed(factors))
-
     def completions(self, fixed, start: int, stop: int) -> list:
-        """(head index, last factor) for every completion among heads
+        """(head index, coordinates) for every completion among heads
         start..stop-1 of one level, in head order and, within a head, in the
         certificate's sign-pattern order."""
         stats = self.stats
@@ -868,9 +860,10 @@ class _LatticeKernel:
         ]
         # head filter: K / c must lie in Z[R] for the head's product c with
         # every fixed vector; a zero c has zero norm and drops out
+        digits = []
         if self.n > 1:
             choices = self.choices
-            digits, rest = [], np.arange(start, stop)
+            rest = np.arange(start, stop)
             for _ in range(self.n - 1):
                 rest, i = np.divmod(rest, self.choice_count)
                 digits.append(i)
@@ -939,8 +932,16 @@ class _LatticeKernel:
         ok = (((va == ra) & (vb == rb)) | ((va == -ra) & (vb == -rb))).all(axis=1)
         stats["completions"] += int(np.count_nonzero(ok))
         stats["solve_s"] += time.perf_counter() - clock
+        kept = alive[head_of[ok]]
+        # the head factors, first one first, each gathered from the choice
+        # tables in one pass; then the solved last factor
+        factors = []
+        for i in reversed(digits):
+            picked = np.stack([t[i[kept]] for pair in choices for t in pair], axis=1)
+            factors.append([((qa, qb), (pa, pb)) for qa, qb, pa, pb in picked.tolist()])
         q, p = ((u[ok, 0].tolist(), v[ok, 0].tolist()) for u, v in d)
-        return list(zip((start + alive[head_of[ok]]).tolist(), zip(zip(*q), zip(*p))))
+        factors.append(list(zip(zip(*q), zip(*p))))
+        return list(zip((start + kept).tolist(), zip(*factors)))
 
 
 def _search_lattice(problem: SearchProblem, budget: int, seed: int | None) -> SearchReport:
@@ -994,11 +995,11 @@ def _search_lattice(problem: SearchProblem, budget: int, seed: int | None) -> Se
             stop = min(end, first + budget - evaluations)
             found = kernel.completions(fixed, first, stop) if stop > first else []
             counted = first
-            for index, last in found:
+            for index, coords in found:
                 if not visit(index + 1 - counted):
                     return
                 counted = index + 1
-                extend(chosen + [kernel.head(index) + (last,)])
+                extend(chosen + [coords])
             if not visit(end - counted):
                 return
 

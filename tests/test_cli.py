@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -495,6 +496,20 @@ class TestMetaplecticCommand:
         argv = ["metaplectic", "special-m", "--mode", "exact", "--q", "2/3", "--p", "1/5", "--mu", "1/7"]
         assert main(argv) == OK
         assert "image of (Q, P): (0, 1)\n" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("flag", ["--q", "--p", "--mu"])
+    def test_special_m_non_finite_argument_exits_two(self, flag, value, capsys):
+        args = {"--q": "1", "--p": "1", "--mu": "0", flag: value}
+        argv = ["metaplectic", "special-m", *(f"{k}={v}" for k, v in args.items())]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == INPUT_ERROR
+        assert not caught
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"input error: {flag[2:]} must be finite, got {float(value)}"]
+        assert "Warning" not in captured.err
 
     @pytest.mark.parametrize("hbar", ["1e-300", "1e300"])
     def test_overlap_constant_out_of_float_range_exits_two(self, hbar, write_json, capsys):

@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from mubc import metaplectic
+from mubc import manifest, metaplectic
 from mubc import (
     ContextMismatch,
     DegenerateBlock,
@@ -470,8 +470,11 @@ MALFORMED = {
     "1-d": (np.zeros(4), np.asarray(J1), "must form a matrix"),
     "1-d-exact": ([1, 0], [[0, -1], [1, 0]], "must form a matrix"),
     "empty": (np.zeros((0, 0)), np.asarray(J1), "must be square"),
-    "3-d": (np.zeros((2, 2, 2)), np.asarray(J1), "must form a matrix"),
     "3x2-exact": ([[1, 0], [0, 1], [1, 1]], [[0, -1], [1, 0]], "must be square"),
+    "4-d": (np.zeros((1, 2, 2, 2)), np.asarray(J1), "must form a matrix"),
+    "3-d-object": (np.zeros((2, 2, 2), dtype=object), np.asarray(J1), "must form a matrix"),
+    # not a matrix to most functions, a stack of 2 x 3 matrices to the overlap laws
+    "3-d-2x3": (np.zeros((2, 2, 3)), np.asarray(J1), "must (form a matrix|be square)"),
 }
 SHAPE_CHECKED = {
     "defect": lambda m, j: symplectic_defect(m),
@@ -480,6 +483,8 @@ SHAPE_CHECKED = {
     "overlap": lambda m, j: genmu_overlap_sq(m),
     "compose": compose_overlap_sq,
 }
+# a float 3-d array is a stack of matrices to the overlap laws only
+STACK_REFUSED = ("defect", "is-symplectic", "cayley")
 
 
 # one case per input-error raise that no other test reaches
@@ -501,10 +506,21 @@ SHAPE_CHECKED = {
         (lambda: compose_overlap_sq(np.zeros((2, 2)), np.eye(2)),
          NonInvertible, "numerically singular"),
         (lambda: special_m(0, 0), InvalidProblem, "labels no basis"),
+        (lambda: genmu_overlap_sq(np.zeros((0, 2, 2))), DimensionMismatch, "holds no matrix"),
+        (lambda: compose_overlap_sq(np.zeros((0, 2, 2)), np.zeros((0, 2, 2))),
+         DimensionMismatch, "holds no matrix"),
+        (lambda: compose_overlap_sq(np.zeros((2, 2, 2)), np.zeros((3, 2, 2))),
+         DimensionMismatch, r"shape mismatch: \(2, 2, 2\) vs \(3, 2, 2\)"),
+        (lambda: compose_overlap_sq(np.zeros((1, 2, 2)), np.eye(2)),
+         DimensionMismatch, r"shape mismatch: \(1, 2, 2\) vs \(2, 2\)"),
     ] + [
         (lambda call=call, m=m, j=j: call(m, j), DimensionMismatch, message)
         for call in SHAPE_CHECKED.values()
         for m, j, message in MALFORMED.values()
+    ] + [
+        (lambda call=SHAPE_CHECKED[name]: call(np.zeros((2, 2, 2)), np.asarray(J1)),
+         DimensionMismatch, "must form a matrix")
+        for name in STACK_REFUSED
     ],
     ids=[
         "non-square",
@@ -516,7 +532,12 @@ SHAPE_CHECKED = {
         "compose-exact-malformed-second",
         "compose-singular-first",
         "special-m-zero-direction",
-    ] + [f"{name}-{shape}" for name in SHAPE_CHECKED for shape in MALFORMED],
+        "overlap-empty-stack",
+        "compose-empty-stack",
+        "compose-stack-shape-mismatch",
+        "compose-stack-beside-matrix",
+    ] + [f"{name}-{shape}" for name in SHAPE_CHECKED for shape in MALFORMED]
+    + [f"{name}-3-d" for name in STACK_REFUSED],
 )
 def test_input_error_raises(call, error, message):
     with pytest.raises(error, match=message):
@@ -816,3 +837,182 @@ class TestExactSolve:
         det, solution = metaplectic._exact_solve([[3, 1], [1, 1]], [[1], [0]])
         assert det == 2
         assert solution == [[Fraction(1, 2)], [Fraction(-1, 2)]]
+
+
+# -- float stacks ---------------------------------------------------------
+
+
+def _with_constant(inputs, call):
+    """The inputs for which call gives an overlap constant."""
+    kept = []
+    for x in inputs:
+        try:
+            call(x)
+        except (DegenerateBlock, NonInvertible):
+            continue
+        kept.append(x)
+    return kept
+
+
+def _law(m, hbar):
+    """The reference: (2 pi hbar)^-N / |det M_qp| from one det of one matrix."""
+    n = len(m) // 2
+    return (2.0 * math.pi * hbar) ** (-n) / abs(np.linalg.det(m[:n, n:]))
+
+
+def _manifest_stacks():
+    """The rotation, shear and composition inputs of the reproduced claims."""
+    shears, rotations = manifest._seeded_draws()
+    return (
+        np.array([rotation_matrix(t) for t in manifest.ROTATION_ANGLES]),
+        np.array([special_m(q, p, mu) for q, p, mu in shears]),
+        np.array([rotation_matrix(a) for a, _ in rotations]),
+        np.array([rotation_matrix(b) for _, b in rotations]),
+    )
+
+
+class TestFloatStacks:
+    """A float (k, 2N, 2N) array is k matrices; each value is the 2-D call's, bit for bit."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_stacked_overlaps_equal_the_per_matrix_calls(self, n):
+        rng = np.random.default_rng(60 + n)
+        singles = _with_constant([random_symplectic(n, rng) for _ in range(60)], genmu_overlap_sq)
+        assert len(singles) >= 20
+        got = genmu_overlap_sq(np.array(singles), hbar=0.7)
+        assert got == tuple(genmu_overlap_sq(m, hbar=0.7) for m in singles)
+        assert got == tuple(_law(m, 0.7) for m in singles)
+        assert all(type(x) is float for x in got)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_stacked_compositions_equal_the_per_pair_calls(self, n):
+        rng = np.random.default_rng(70 + n)
+        pairs = [(random_symplectic(n, rng), random_symplectic(n, rng)) for _ in range(60)]
+        pairs = _with_constant(pairs, lambda pair: compose_overlap_sq(*pair))
+        assert len(pairs) >= 20
+        a, b = (np.array(side) for side in zip(*pairs))
+        got = compose_overlap_sq(a, b, hbar=1.3)
+        assert got == tuple(compose_overlap_sq(x, y, hbar=1.3) for x, y in pairs)
+        assert got == tuple(_law(np.linalg.solve(x, y), 1.3) for x, y in pairs)
+        assert all(type(x) is float for x in got)
+
+    def test_manifest_inputs(self):
+        rotations, shears, firsts, seconds = _manifest_stacks()
+        for stack in (rotations, shears):
+            assert genmu_overlap_sq(stack) == tuple(genmu_overlap_sq(m) for m in stack)
+            assert genmu_overlap_sq(stack) == tuple(_law(m, 1.0) for m in stack)
+        composed = compose_overlap_sq(firsts, seconds)
+        assert composed == tuple(compose_overlap_sq(a, b) for a, b in zip(firsts, seconds))
+        assert composed == tuple(_law(np.linalg.solve(a, b), 1.0) for a, b in zip(firsts, seconds))
+
+    def test_stack_of_one_is_the_matrix_call(self):
+        m, other = rotation_matrix(0.4), rotation_matrix(1.9)
+        value = genmu_overlap_sq(m)
+        assert type(value) is float
+        assert genmu_overlap_sq(m[None]) == (value,)
+        composed = compose_overlap_sq(m, other)
+        assert type(composed) is float
+        assert compose_overlap_sq(m[None], other[None]) == (composed,)
+
+    @pytest.mark.parametrize(
+        "entry, error, message",
+        [
+            (np.zeros((2, 2)), DegenerateBlock, "singular to within"),
+            ([[1.0, math.nan], [0.0, 1.0]], DegenerateBlock, "singular to within"),
+            ([[1.0, math.inf], [0.0, 1.0]], LimitExceeded, "its float is inf"),
+            ([[1.0, 1e-320], [0.0, 1.0]], LimitExceeded, "overlap constant of inf"),
+        ],
+        ids=["zero-block", "nan", "inf", "out-of-range"],
+    )
+    def test_an_error_names_its_stack_entry(self, entry, error, message):
+        stack = np.array([rotation_matrix(t) for t in (0.3, 0.6, 0.9, 1.2)])
+        stack[2] = entry
+        with pytest.raises(error, match=f"^stack entry 2: .*{message}"):
+            genmu_overlap_sq(stack)
+        # the 2-D call says the same, with no entry
+        with pytest.raises(error, match=f"^(?!stack).*{message}"):
+            genmu_overlap_sq(stack[2])
+
+    def test_a_singular_first_matrix_names_its_stack_entry(self):
+        firsts = np.array([rotation_matrix(t) for t in (0.3, 0.6, 0.9)])
+        firsts[1] = 0.0
+        seconds = np.array([rotation_matrix(t) for t in (1.3, 1.6, 1.9)])
+        with pytest.raises(NonInvertible, match="^stack entry 1: first matrix is numerically singular"):
+            compose_overlap_sq(firsts, seconds)
+
+    def test_composition_is_scale_free(self):
+        # no absolute floor on det M_a: 2^k R(0.3) and 2^k R(1.2) give one value
+        want = compose_overlap_sq(rotation_matrix(0.3), rotation_matrix(1.2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for k in range(-1000, 1001, 100):
+                scale = 2.0**k
+                got = compose_overlap_sq(scale * rotation_matrix(0.3), scale * rotation_matrix(1.2))
+                assert got == want, k
+
+
+NON_FINITE = (math.inf, -math.inf, math.nan)
+
+
+class TestNoNumpyWarnings:
+    """Zero and non-finite entries are decided, never warned about."""
+
+    @pytest.mark.parametrize("value", (0.0, *NON_FINITE))
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_overlap_verdicts(self, value, n):
+        rng = np.random.default_rng(80 + n)
+        base = _with_constant([random_symplectic(n, rng) for _ in range(10)], genmu_overlap_sq)[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for i, k in itertools.product(range(2 * n), repeat=2):
+                m = base.copy()
+                m[i, k] = value
+                in_block = i < n <= k
+                if in_block and math.isnan(value):
+                    with pytest.raises(DegenerateBlock):
+                        genmu_overlap_sq(m)
+                elif in_block and math.isinf(value):
+                    with pytest.raises(LimitExceeded):
+                        genmu_overlap_sq(m)
+                else:
+                    try:
+                        genmu_overlap_sq(m)
+                    except DegenerateBlock:
+                        assert in_block and value == 0.0
+
+    def test_infinite_block_is_a_limit_when_its_det_is_nan(self):
+        # LU of [[inf, inf], [1, 1]] divides inf by inf: det nan, not a constant
+        m = np.eye(4)
+        m[:2, 2:] = [[math.inf, math.inf], [1.0, 1.0]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(LimitExceeded, match="its float is inf"):
+                genmu_overlap_sq(m)
+
+    @pytest.mark.parametrize("value", (0.0, *NON_FINITE))
+    def test_composition_raises_no_warning(self, value):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for i, k, first in itertools.product(range(2), range(2), (True, False)):
+                a, b = rotation_matrix(0.2), rotation_matrix(1.1)
+                (a if first else b)[i, k] = value
+                try:
+                    compose_overlap_sq(a, b)
+                except (DegenerateBlock, LimitExceeded, NonInvertible):
+                    pass
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    @pytest.mark.parametrize("name", ["q", "p", "mu"])
+    def test_special_m_refuses_non_finite_arguments(self, name, value):
+        args = {"q": 1.0, "p": 1.0, "mu": 0.0, name: value}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidProblem, match=f"^{name} must be finite"):
+                special_m(**args)
+
+    def test_special_m_turn_past_the_float_range(self):
+        # q = 0 turns the matrix of (-p, 0), whose entry 1/p overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(LimitExceeded, match="past the float range"):
+                special_m(0.0, 1e-320)

@@ -997,6 +997,15 @@ def _lattice_vector(v):
     return tuple((_pair(f.q), _pair(f.p)) for f in v.factors)
 
 
+def _lattice_product(u, v):
+    """The symplectic product of two lattice vectors as a golden pair."""
+    sp = (1, 0)
+    for (uq, up), (vq, vp) in zip(u, v):
+        a, b = _gmul(up, vq), _gmul(uq, vp)
+        sp = _gmul(sp, (a[0] - b[0], a[1] - b[1]))
+    return sp
+
+
 def brute_force_completions(problem):
     k = _pair(problem.target_k)
     targets = {k, (-k[0], -k[1])}
@@ -1008,14 +1017,6 @@ def brute_force_completions(problem):
         for q in range(-problem.height, problem.height + 1)
     ]
     factors = [(qc, pc) for qc in comps for pc in comps if qc != (0, 0) or pc != (0, 0)]
-
-    def product(u, v):
-        sp = (1, 0)
-        for (uq, up), (vq, vp) in zip(u, v):
-            a, b = _gmul(up, vq), _gmul(uq, vp)
-            sp = _gmul(sp, (a[0] - b[0], a[1] - b[1]))
-        return sp
-
     found = set()
 
     def extend(chosen):
@@ -1023,7 +1024,7 @@ def brute_force_completions(problem):
             found.add(tuple(chosen))
             return
         for candidate in itertools.product(factors, repeat=problem.n):
-            if all(product(candidate, x) in targets for x in seeds + chosen):
+            if all(_lattice_product(candidate, x) in targets for x in seeds + chosen):
                 extend(chosen + [candidate])
 
     extend([])
@@ -1092,6 +1093,19 @@ class TestLatticeParity:
         expected = brute_force_completions(problem)
         assert expected
         assert solver_completions(problem) == expected
+
+    def test_n3_completions_keep_their_head_factors_in_order(self):
+        # two head factors per vector, and seeds whose factors all differ:
+        # a completion with its head factors swapped is not unbiased to them
+        one, zero = QuadNum(1), QuadNum(0)
+        seeds = [
+            ProductVector.of((one, zero), (one, one), (zero, one)),
+            ProductVector.of((zero, one), (one, zero), (one, one)),
+        ]
+        found = solver_completions(lattice_problem(seeds, 1))
+        assert found
+        for (v,) in found:
+            assert all(_lattice_product(v, _lattice_vector(x)) in {(1, 0), (-1, 0)} for x in seeds)
 
     def test_golden_first_four_height_one(self):
         problem = lattice_problem(golden_first_four(), 1)
